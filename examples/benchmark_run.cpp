@@ -29,7 +29,7 @@
 //                      ring and flush a Chrome-trace/Perfetto JSON
 //                      (one lane per driver thread, T_GC-wait sub-spans,
 //                      hw-counter tracks when counters are live).
-//   --exec <engine>    run Q5/Q9/Q14 through the block-at-a-time engine
+//   --exec <engine>    run Q5/Q9 through the block-at-a-time engine
 //                      ("batched") or the row-at-a-time one ("scalar",
 //                      default); report.json records the choice as
 //                      "exec_mode".

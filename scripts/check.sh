@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local gate: tier-1 build + full test suite, then the lint gate, then the
+# Local gate: tier-1 build + full test suite (concurrency-labelled tests
+# then repeated 20 times), then the lint gate, then the
 # concurrency-labelled tests (epoch/RCU read path) rebuilt under Address-,
 # Thread- and UndefinedBehaviorSanitizer, then a short throttled driver
 # run that exercises the trace exporter + compliance audit and feeds the
@@ -13,6 +14,9 @@ echo "== tier-1: default build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"${jobs}"
 (cd build && ctest --output-on-failure -j"${jobs}")
+# Timing flakes hide in single runs: repeat the concurrency-labelled tests
+# until one fails, up to 20 times.
+(cd build && ctest -L concurrency --repeat until-fail:20 --output-on-failure)
 
 echo "== lint gate =="
 scripts/lint.sh
@@ -153,7 +157,8 @@ echo "== validation smoke: golden emit + replay (serial and threaded) =="
   --threads 8 --mode windowed
 # Batched engine replay: the golden rows were emitted by the scalar
 # engine, so a passing --exec=batched replay proves the block-at-a-time
-# Q5/Q9/Q14 plans byte-identical on the full battery.
+# Q5/Q9 plans byte-identical on the full battery (--exec switches only
+# those two; every other query has one plan).
 ./build/tools/validate_run --replay "${smoke_golden}" \
   --threads 1 --mode sequential --exec batched
 # Sharded-store replay: the serial single-shard emission must replay

@@ -1,9 +1,9 @@
 // Process-wide execution-mode switch: scalar vs batched query plans.
 //
-// The heaviest complex reads (Q5/Q9/Q14) exist in two physically different
-// but result-identical implementations: the original row-at-a-time plans in
+// Q5 and Q9 exist in two physically different but result-identical
+// implementations: the original row-at-a-time plans in
 // queries/complex_queries.cc and the block-at-a-time ports in
-// queries/batched_queries.cc built on snb::exec. The public Query5/9/14
+// queries/batched_queries.cc built on snb::exec. The public Query5/9
 // entry points dispatch on the process default mode, so every existing
 // caller — the driver connectors, the golden-set replay, the benches —
 // switches engine with one flag (`--exec=batched`) and zero call-site
@@ -33,7 +33,7 @@ namespace internal {
 inline std::atomic<ExecMode> g_default_exec_mode{ExecMode::kScalar};
 }  // namespace internal
 
-/// The mode Query5/9/14 dispatch on when called without an explicit engine.
+/// The mode Query5/9 dispatch on when called without an explicit engine.
 inline ExecMode DefaultExecMode() {
   return internal::g_default_exec_mode.load(std::memory_order_relaxed);
 }

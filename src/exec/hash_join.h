@@ -1,17 +1,18 @@
-// Batched hash join: open-addressing u64 tables and block probe helpers.
+// Flat u64 hash tables: the join build sides, visited sets and depth
+// tables of the query plans, plus a block probe helper.
 //
-// The scalar plans use std::unordered_set/map on their join hot paths; on
-// small keys that pays a pointer chase and an allocation per node. The
-// batched engine joins through flat power-of-two tables with linear
-// probing (Mix64-scrambled keys, load factor <= 0.5): build once from the
-// key column, then probe whole blocks and emit a selection vector of
-// matching row indices, so the probe loop touches one contiguous table
-// and one contiguous key column.
+// std::unordered_set/map pay a pointer chase and an allocation per node on
+// small keys. These tables are flat power-of-two arrays with linear
+// probing (Mix64-scrambled keys, load factor <= 0.5): a lookup touches one
+// contiguous array, and a block probe over a key column emits a selection
+// vector of matching row indices.
 //
-// Keys are entity ids, all < 2^40 (the store rejects larger), so ~0ULL
-// (schema::kInvalidId) is safe as the empty-slot sentinel. Tables are
-// build-once/probe-many within a single query execution on one thread —
-// no concurrency, no tombstones, no resize-under-probe.
+// Keys are entity ids, all < 2^40 (the store rejects larger), or packed
+// values below ~0ULL, so ~0ULL (schema::kInvalidId) is safe as the
+// empty-slot sentinel. A table is private to one query execution on one
+// thread: no concurrency, no tombstones. It grows by doubling whenever an
+// insert would push the load past 0.5, so the constructor's `expected`
+// count is only a sizing hint.
 #ifndef SNB_EXEC_HASH_JOIN_H_
 #define SNB_EXEC_HASH_JOIN_H_
 
@@ -23,27 +24,26 @@
 
 namespace snb::exec {
 
-/// Flat hash set over u64 keys (the join build side when no payload is
-/// needed: semi-joins like "creator in two-hop circle").
+/// Flat hash set over u64 keys: semi-join build sides ("creator in two-hop
+/// circle") and BFS visited sets.
 class HashSet64 {
  public:
   static constexpr uint64_t kEmpty = ~0ULL;
 
   explicit HashSet64(size_t expected = 0) { Rebuild(expected); }
 
-  void Reserve(size_t expected) { Rebuild(expected); }
-
-  /// Inserting kEmpty and inserting beyond the reserved count are
-  /// programming errors; the table never resizes during probing.
-  void Insert(uint64_t key) {
+  /// Adds `key` (never kEmpty); true when it was not already present, so
+  /// "visit if unseen" is one probe.
+  bool Insert(uint64_t key) {
     if (size_ + 1 > slots_.size() / 2) Grow();
     size_t idx = IndexOf(key);
     while (slots_[idx] != kEmpty) {
-      if (slots_[idx] == key) return;
+      if (slots_[idx] == key) return false;
       idx = (idx + 1) & mask_;
     }
     slots_[idx] = key;
     ++size_;
+    return true;
   }
 
   bool Contains(uint64_t key) const {
@@ -100,31 +100,29 @@ class HashSet64 {
   size_t size_ = 0;
 };
 
-/// Flat hash map u64 -> u64 (join build side with payload, e.g. the
-/// needed-pair accumulator index in the batched Q14 weight join).
+/// Flat hash map u64 -> u64 (build side with payload, e.g. the BFS depth
+/// tables and the pair-weight memo of Q13/Q14).
 class HashMap64 {
  public:
   static constexpr uint64_t kEmpty = ~0ULL;
 
   explicit HashMap64(size_t expected = 0) { Rebuild(expected); }
 
-  void Reserve(size_t expected) { Rebuild(expected); }
-
   /// Inserts or overwrites.
-  void Put(uint64_t key, uint64_t value) {
-    if (size_ + 1 > keys_.size() / 2) Grow();
-    size_t idx = IndexOf(key);
-    while (keys_[idx] != kEmpty && keys_[idx] != key) {
-      idx = (idx + 1) & mask_;
-    }
-    if (keys_[idx] == kEmpty) {
-      keys_[idx] = key;
-      ++size_;
-    }
+  void Put(uint64_t key, uint64_t value) { values_[Slot(key)] = value; }
+
+  /// Inserts `key` -> `value` only when `key` is absent; true when it was.
+  /// One probe either way.
+  bool Insert(uint64_t key, uint64_t value) {
+    size_t before = size_;
+    size_t idx = Slot(key);
+    if (size_ == before) return false;
     values_[idx] = value;
+    return true;
   }
 
-  /// nullptr when absent; the pointer is valid until the next Put.
+  /// nullptr when absent; the pointer is valid until the next Put or
+  /// Insert, either of which may grow the table.
   const uint64_t* Find(uint64_t key) const {
     size_t idx = IndexOf(key);
     while (keys_[idx] != kEmpty) {
@@ -138,6 +136,20 @@ class HashMap64 {
 
  private:
   size_t IndexOf(uint64_t key) const { return util::Mix64(key) & mask_; }
+
+  /// The slot holding `key`, claimed (value 0) when it was absent.
+  size_t Slot(uint64_t key) {
+    if (size_ + 1 > keys_.size() / 2) Grow();
+    size_t idx = IndexOf(key);
+    while (keys_[idx] != kEmpty && keys_[idx] != key) {
+      idx = (idx + 1) & mask_;
+    }
+    if (keys_[idx] == kEmpty) {
+      keys_[idx] = key;
+      ++size_;
+    }
+    return idx;
+  }
 
   void Rebuild(size_t expected) {
     size_t cap = 16;

@@ -1,29 +1,20 @@
 #include "queries/batched_queries.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/batch.h"
 #include "exec/hash_join.h"
-#include "exec/intersect.h"
 #include "exec/operators.h"
 #include "obs/trace.h"
-#include "store/adjacency_blocks.h"
 
 namespace snb::queries {
 namespace {
 
-using schema::MessageKind;
 using schema::PersonId;
 using store::DatedEdge;
-using store::FriendEdge;
 using store::MessageRecord;
 using store::PersonRecord;
-
-/// Must match the scalar Query14's bound so truncated enumerations agree.
-constexpr size_t kMaxPaths = 1000;
 
 }  // namespace
 
@@ -147,203 +138,6 @@ std::vector<Q9Result> Query9Batched(const GraphStore& store, PersonId start,
   std::vector<Q9Result> out = top.Drain();
   span.AddRows(out.size());
   return out;
-}
-
-// ---- Q14 ---------------------------------------------------------------
-
-namespace {
-
-/// All shortest Knows-paths person1 -> person2, capped at kMaxPaths, in
-/// the scalar DFS enumeration order. Distance 1 and 2 take kernel fast
-/// paths; the general case replays the scalar BFS + parent-DAG DFS.
-///
-/// The distance-2 fast path is exact: the scalar BFS fully processes every
-/// depth-1 node before its `d >= target_dist` cut, so parents(person2) is
-/// ALL mutual friends; the DFS sorts parents ascending and each middle has
-/// the single parent person1, so paths enumerate in ascending middle-id
-/// order — which is exactly Intersect(friends(p1), friends(p2)) read left
-/// to right, including where a kMaxPaths cut lands.
-std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
-                                                 const store::ShardSnapshot& pin,
-                                                 PersonId person1,
-                                                 PersonId person2) {
-  std::vector<std::vector<PersonId>> paths;
-  const PersonRecord* p1 = store.FindPerson(pin, person1);
-  const PersonRecord* p2 = store.FindPerson(pin, person2);
-  std::vector<uint64_t> f1;
-  store::CopyFriendIds(p1->friends.view(), &f1);
-  if (std::binary_search(f1.begin(), f1.end(), person2)) {
-    paths.push_back({person1, person2});
-    return paths;
-  }
-  std::vector<uint64_t> f2;
-  store::CopyFriendIds(p2->friends.view(), &f2);
-  std::vector<uint64_t> mid(std::min(f1.size(), f2.size()));
-  size_t n =
-      exec::Intersect(f1.data(), f1.size(), f2.data(), f2.size(), mid.data());
-  if (n > 0) {
-    size_t take = std::min(n, kMaxPaths);
-    paths.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      paths.push_back({person1, mid[i], person2});
-    }
-    return paths;
-  }
-
-  // Distance >= 3: scalar BFS building the shortest-path parent DAG, then
-  // iterative DFS (identical to Query14Scalar so truncation order agrees).
-  std::unordered_map<PersonId, int> dist{{person1, 0}};
-  std::unordered_map<PersonId, std::vector<PersonId>> parents;
-  std::deque<PersonId> queue{person1};
-  int target_dist = -1;
-  while (!queue.empty()) {
-    PersonId pid = queue.front();
-    queue.pop_front();
-    int d = dist[pid];
-    if (target_dist >= 0 && d >= target_dist) break;
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    for (const FriendEdge& e : p->friends.view()) {
-      auto it = dist.find(e.other);
-      if (it == dist.end()) {
-        dist[e.other] = d + 1;
-        parents[e.other].push_back(pid);
-        queue.push_back(e.other);
-        if (e.other == person2) target_dist = d + 1;
-      } else if (it->second == d + 1) {
-        parents[e.other].push_back(pid);
-      }
-    }
-  }
-  if (target_dist < 0) return paths;
-
-  struct Frame {
-    PersonId node;
-    size_t next_parent;
-  };
-  std::vector<Frame> stack{{person2, 0}};
-  while (!stack.empty() && paths.size() < kMaxPaths) {
-    Frame& frame = stack.back();
-    if (frame.node == person1) {
-      std::vector<PersonId> path;
-      path.reserve(stack.size());
-      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        path.push_back(it->node);
-      }
-      paths.push_back(std::move(path));
-      stack.pop_back();
-      continue;
-    }
-    std::vector<PersonId>& ps = parents[frame.node];
-    std::sort(ps.begin(), ps.end());
-    if (frame.next_parent >= ps.size()) {
-      stack.pop_back();
-      continue;
-    }
-    PersonId parent = ps[frame.next_parent++];
-    stack.push_back({parent, 0});
-  }
-  return paths;
-}
-
-}  // namespace
-
-// Equivalence to Query14Scalar: the path set and order match (see
-// ShortestPaths). Weights: the scalar computes PairWeight(u, v) per path
-// edge by scanning both persons' comment lists; this plan scans each
-// distinct path person's comment list ONCE and accumulates into a flat
-// hash map of needed {u, v} pairs — the same multiset of 0.5/1.0
-// contributions per pair, just grouped differently. Every contribution is
-// a dyadic rational and every partial sum stays far below 2^52, so IEEE
-// addition is exact and association order cannot change the result:
-// the doubles are bit-equal, hence the canonical rows are byte-equal.
-
-std::vector<Q14Result> Query14Batched(const GraphStore& store,
-                                      PersonId person1, PersonId person2) {
-  auto pin = store.ReadLock();
-  std::vector<Q14Result> results;
-  if (store.FindPerson(pin, person1) == nullptr ||
-      store.FindPerson(pin, person2) == nullptr) {
-    return results;
-  }
-  if (person1 == person2) {
-    results.push_back({{person1}, 0.0});
-    return results;
-  }
-  std::vector<std::vector<PersonId>> paths =
-      ShortestPaths(store, pin, person1, person2);
-  if (paths.empty()) return results;
-
-  // Distinct persons on any path, id-sorted, as the pair-index domain.
-  std::vector<uint64_t> persons;
-  for (const auto& path : paths) {
-    persons.insert(persons.end(), path.begin(), path.end());
-  }
-  std::sort(persons.begin(), persons.end());
-  persons.erase(std::unique(persons.begin(), persons.end()), persons.end());
-  auto index_of = [&persons](uint64_t id) -> size_t {
-    auto it = std::lower_bound(persons.begin(), persons.end(), id);
-    if (it == persons.end() || *it != id) return persons.size();
-    return static_cast<size_t>(it - persons.begin());
-  };
-  auto pair_key = [&persons](size_t u, size_t v) -> uint64_t {
-    return static_cast<uint64_t>(std::min(u, v)) * persons.size() +
-           std::max(u, v);
-  };
-
-  // Build side: every consecutive pair that occurs on any path, mapped to
-  // an accumulator slot.
-  exec::HashMap64 pair_index;
-  std::vector<double> pair_weight;
-  for (const auto& path : paths) {
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      uint64_t key = pair_key(index_of(path[i]), index_of(path[i + 1]));
-      if (pair_index.Find(key) == nullptr) {
-        pair_index.Put(key, pair_weight.size());
-        pair_weight.push_back(0.0);
-      }
-    }
-  }
-
-  // Probe side: one pass over each distinct person's comments. A comment
-  // by u replying to a message of v lands in pair {u, v} iff that pair is
-  // a path edge — together the passes over u and v see exactly the
-  // contributions PairWeight(u, v) sees.
-  for (size_t uidx = 0; uidx < persons.size(); ++uidx) {
-    const PersonRecord* p = store.FindPerson(pin, persons[uidx]);
-    if (p == nullptr) continue;
-    for (const DatedEdge& e : p->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind != MessageKind::kComment) continue;
-      const MessageRecord* parent =
-          store.FindMessage(pin, m->data.reply_to_id);
-      if (parent == nullptr) continue;
-      size_t vidx = index_of(parent->data.creator_id);
-      if (vidx == persons.size()) continue;
-      const uint64_t* acc = pair_index.Find(pair_key(uidx, vidx));
-      if (acc == nullptr) continue;
-      pair_weight[*acc] +=
-          parent->data.kind == MessageKind::kComment ? 0.5 : 1.0;
-    }
-  }
-
-  results.reserve(paths.size());
-  for (std::vector<PersonId>& path : paths) {
-    Q14Result r;
-    r.weight = 0.0;
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      uint64_t key = pair_key(index_of(path[i]), index_of(path[i + 1]));
-      r.weight += pair_weight[*pair_index.Find(key)];
-    }
-    r.path = std::move(path);
-    results.push_back(std::move(r));
-  }
-  std::sort(results.begin(), results.end(),
-            [](const Q14Result& a, const Q14Result& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              return a.path < b.path;
-            });
-  return results;
 }
 
 }  // namespace snb::queries

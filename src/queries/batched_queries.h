@@ -1,8 +1,8 @@
-// Batched (block-at-a-time) plans for the heaviest complex reads — Q5, Q9
-// and Q14 — built on the src/exec operator framework, plus the explicit
-// scalar entry points they shadow.
+// Batched (block-at-a-time) plans for Q5 and Q9, built on the src/exec
+// operator framework, plus the explicit scalar entry points they shadow.
+// (Q14 has a single plan in complex_queries.cc.)
 //
-// The public Query5/Query9/Query14 in complex_queries.h dispatch on the
+// The public Query5/Query9 in complex_queries.h dispatch on the
 // process-wide exec::DefaultExecMode(), so the driver, the golden replay
 // and the benches switch engines with one flag and zero call-site churn.
 // The *Scalar/*Batched names here pin an engine explicitly — the
@@ -12,7 +12,7 @@
 //
 // Contract: for every store state and parameter set, the batched plan
 // returns BYTE-identical results to the scalar plan (same rows, same
-// order, bit-equal doubles). The per-query equivalence arguments live as
+// order). The per-query equivalence arguments live as
 // comments on the implementations; the golden-set replay and the
 // 200-graph differential fuzz campaign enforce the contract continuously.
 #ifndef SNB_QUERIES_BATCHED_QUERIES_H_
@@ -56,20 +56,6 @@ std::vector<Q9Result> Query9Batched(const GraphStore& store,
                                     TimestampMs max_date, int limit = 20,
                                     Q9PlanStats* stats = nullptr,
                                     Q9OperatorProfile* profile = nullptr);
-
-// ---- Q14: weighted shortest paths -------------------------------------
-
-std::vector<Q14Result> Query14Scalar(const GraphStore& store,
-                                     schema::PersonId person1,
-                                     schema::PersonId person2);
-
-/// Batched plan: distance-2 paths come straight from one sorted
-/// intersection of the endpoint friend lists; pair weights are computed by
-/// scanning each distinct path person's comment list once and probing a
-/// flat hash map of needed pairs, instead of re-scanning per path edge.
-std::vector<Q14Result> Query14Batched(const GraphStore& store,
-                                      schema::PersonId person1,
-                                      schema::PersonId person2);
 
 }  // namespace snb::queries
 

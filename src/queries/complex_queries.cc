@@ -1,12 +1,13 @@
 #include "queries/complex_queries.h"
 
 #include <algorithm>
+#include <bit>
 #include <ctime>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "exec/exec_mode.h"
+#include "exec/hash_join.h"
 #include "queries/batched_queries.h"
 
 namespace snb::queries {
@@ -106,8 +107,8 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
   if (root == nullptr) return results;
 
   // 3-level BFS collecting name matches.
-  std::unordered_set<PersonId> visited;
-  visited.insert(start);
+  exec::HashSet64 visited;
+  visited.Insert(start);
   std::vector<PersonId> frontier = {start};
   for (uint32_t distance = 1; distance <= 3 && !frontier.empty();
        ++distance) {
@@ -116,7 +117,7 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
       for (const FriendEdge& e : p->friends.view()) {
-        if (!visited.insert(e.other).second) continue;
+        if (!visited.Insert(e.other)) continue;
         next.push_back(e.other);
         const PersonRecord* candidate = store.FindPerson(pin, e.other);
         if (candidate != nullptr &&
@@ -569,64 +570,84 @@ std::vector<Q12Result> Query12(const GraphStore& store, PersonId start,
   return results;
 }
 
-// ---- Q13 ----------------------------------------------------------------------
+// ---- Q13, Q14: shortest paths -------------------------------------------------
 
-int Query13(const GraphStore& store, PersonId person1, PersonId person2) {
-  auto pin = store.ReadLock();
-  if (person1 == person2) return 0;
-  if (store.FindPerson(pin, person1) == nullptr ||
-      store.FindPerson(pin, person2) == nullptr) {
-    return -1;
-  }
-  // Bidirectional BFS.
-  std::unordered_map<PersonId, int> dist_fwd{{person1, 0}};
-  std::unordered_map<PersonId, int> dist_bwd{{person2, 0}};
-  std::deque<PersonId> frontier_fwd{person1};
-  std::deque<PersonId> frontier_bwd{person2};
-  int depth_fwd = 0, depth_bwd = 0;
+namespace {
 
-  auto expand = [&](std::deque<PersonId>& frontier,
-                    std::unordered_map<PersonId, int>& mine,
-                    const std::unordered_map<PersonId, int>& theirs,
-                    int& depth) -> int {
-    ++depth;
-    std::deque<PersonId> next;
-    int best = -1;
-    while (!frontier.empty()) {
-      PersonId pid = frontier.front();
-      frontier.pop_front();
+using FriendEdges = util::RcuVector<FriendEdge>::View;
+
+/// Q14 enumerates at most this many shortest paths (in DFS order).
+constexpr size_t kMaxPaths = 1000;
+
+/// A person's entry in the shortest-path level table: a dense slot (its
+/// insertion rank, which keys the pair-weight memo) above its hop distance
+/// from person1.
+uint64_t PackLevel(uint64_t slot, uint64_t level) { return slot << 32 | level; }
+uint64_t SlotOf(uint64_t entry) { return entry >> 32; }
+uint64_t LevelOf(uint64_t entry) { return entry & 0xffffffffu; }
+
+/// Hop distance between two distinct present persons, or -1 when they are
+/// not connected, by a layered bidirectional BFS. Each round expands the
+/// whole smaller frontier; the first round that reaches persons the other
+/// side has already seen fixes the distance, and those persons are exactly
+/// the shortest-path persons at that depth. When `levels` is non-null it
+/// then receives every person on a shortest path, keyed to PackLevel(slot,
+/// distance from person1): walking out of the meeting layer toward either
+/// endpoint, a friend one step closer by that endpoint's depth table is on
+/// a shortest path too.
+int ShortestPathLevels(const GraphStore& store,
+                       const store::ShardSnapshot& pin, PersonId person1,
+                       PersonId person2, exec::HashMap64* levels) {
+  // Side 0 searches from person1, side 1 from person2.
+  exec::HashMap64 depth[2];
+  depth[0].Put(person1, 0);
+  depth[1].Put(person2, 0);
+  std::vector<PersonId> frontier[2] = {{person1}, {person2}};
+  uint64_t reached[2] = {0, 0};
+  std::vector<PersonId> next, meet;
+  while (meet.empty()) {
+    if (frontier[0].empty() || frontier[1].empty()) return -1;
+    int side = frontier[0].size() <= frontier[1].size() ? 0 : 1;
+    uint64_t d = ++reached[side];
+    next.clear();
+    for (PersonId pid : frontier[side]) {
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
       for (const FriendEdge& e : p->friends.view()) {
-        if (mine.count(e.other) > 0) continue;
-        mine[e.other] = depth;
-        auto hit = theirs.find(e.other);
-        if (hit != theirs.end()) {
-          int total = depth + hit->second;
-          if (best < 0 || total < best) best = total;
-        }
+        if (!depth[side].Insert(e.other, d)) continue;
         next.push_back(e.other);
+        if (depth[1 - side].Find(e.other) != nullptr) meet.push_back(e.other);
       }
     }
-    frontier = std::move(next);
-    return best;
-  };
-
-  while (!frontier_fwd.empty() || !frontier_bwd.empty()) {
-    bool forward = frontier_fwd.size() <= frontier_bwd.size()
-                       ? !frontier_fwd.empty()
-                       : frontier_bwd.empty();
-    int found = forward
-                    ? expand(frontier_fwd, dist_fwd, dist_bwd, depth_fwd)
-                    : expand(frontier_bwd, dist_bwd, dist_fwd, depth_bwd);
-    if (found >= 0) return found;
+    frontier[side].swap(next);
   }
-  return -1;
+  const uint64_t distance = reached[0] + reached[1];
+  if (levels == nullptr) return static_cast<int>(distance);
+
+  for (PersonId pid : meet) {
+    levels->Insert(pid, PackLevel(levels->size(), reached[0]));
+  }
+  for (int side : {0, 1}) {
+    std::vector<PersonId> layer = meet;
+    for (uint64_t d = reached[side]; d > 0; --d) {
+      uint64_t level = side == 0 ? d - 1 : distance - (d - 1);
+      next.clear();
+      for (PersonId pid : layer) {
+        const PersonRecord* p = store.FindPerson(pin, pid);
+        if (p == nullptr) continue;
+        for (const FriendEdge& e : p->friends.view()) {
+          const uint64_t* other = depth[side].Find(e.other);
+          if (other != nullptr && *other == d - 1 &&
+              levels->Insert(e.other, PackLevel(levels->size(), level))) {
+            next.push_back(e.other);
+          }
+        }
+      }
+      layer.swap(next);
+    }
+  }
+  return static_cast<int>(distance);
 }
-
-// ---- Q14 ----------------------------------------------------------------------
-
-namespace {
 
 /// Interaction weight between two persons: each comment by one replying to
 /// a post of the other adds 1.0, to a comment of the other adds 0.5.
@@ -650,16 +671,18 @@ double PairWeight(const GraphStore& store, const store::ShardSnapshot& pin,
 
 }  // namespace
 
-std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
-                               PersonId person2) {
-  if (exec::DefaultExecMode() == exec::ExecMode::kBatched) {
-    return Query14Batched(store, person1, person2);
+int Query13(const GraphStore& store, PersonId person1, PersonId person2) {
+  auto pin = store.ReadLock();
+  if (person1 == person2) return 0;
+  if (store.FindPerson(pin, person1) == nullptr ||
+      store.FindPerson(pin, person2) == nullptr) {
+    return -1;
   }
-  return Query14Scalar(store, person1, person2);
+  return ShortestPathLevels(store, pin, person1, person2, nullptr);
 }
 
-std::vector<Q14Result> Query14Scalar(const GraphStore& store,
-                                     PersonId person1, PersonId person2) {
+std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
+                               PersonId person2) {
   auto pin = store.ReadLock();
   std::vector<Q14Result> results;
   if (store.FindPerson(pin, person1) == nullptr ||
@@ -670,73 +693,72 @@ std::vector<Q14Result> Query14Scalar(const GraphStore& store,
     results.push_back({{person1}, 0.0});
     return results;
   }
-  // BFS from person1 building the shortest-path parent DAG.
-  std::unordered_map<PersonId, int> dist{{person1, 0}};
-  std::unordered_map<PersonId, std::vector<PersonId>> parents;
-  std::deque<PersonId> queue{person1};
-  int target_dist = -1;
-  while (!queue.empty()) {
-    PersonId pid = queue.front();
-    queue.pop_front();
-    int d = dist[pid];
-    if (target_dist >= 0 && d >= target_dist) break;
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    for (const FriendEdge& e : p->friends.view()) {
-      auto it = dist.find(e.other);
-      if (it == dist.end()) {
-        dist[e.other] = d + 1;
-        parents[e.other].push_back(pid);
-        queue.push_back(e.other);
-        if (e.other == person2) target_dist = d + 1;
-      } else if (it->second == d + 1) {
-        parents[e.other].push_back(pid);
-      }
-    }
+  exec::HashMap64 levels;
+  if (ShortestPathLevels(store, pin, person1, person2, &levels) < 0) {
+    return results;
   }
-  if (target_dist < 0) return results;
+  const uint64_t* top = levels.Find(person2);
+  if (top == nullptr) return results;
 
-  // Enumerate all shortest paths backwards from person2 (bounded).
-  constexpr size_t kMaxPaths = 1000;
-  std::vector<std::vector<PersonId>> paths;
-  std::vector<PersonId> current{person2};
-  // Iterative DFS over the parent DAG.
+  // Iterative DFS backwards from person2. A person's parents are its
+  // friends one level closer to person1, taken in friend-list (ascending
+  // id) order, so paths come out in the same order as from a parent DAG
+  // with sorted parent lists, and the kMaxPaths cut lands on the same
+  // paths. Each frame keeps the friends view it took when pushed: a
+  // concurrent insert publishes a shifted copy, so indexing a fresh view
+  // could skip or repeat a parent.
   struct Frame {
     PersonId node;
-    size_t next_parent;
+    uint64_t entry;
+    FriendEdges friends;
+    size_t next;
   };
-  std::vector<Frame> stack{{person2, 0}};
-  while (!stack.empty() && paths.size() < kMaxPaths) {
+  auto frame_of = [&](PersonId id, uint64_t entry) {
+    const PersonRecord* p = store.FindPerson(pin, id);
+    return Frame{id, entry, p == nullptr ? FriendEdges() : p->friends.view(),
+                 0};
+  };
+  // PairWeight once per distinct unordered pair, keyed by the two slots;
+  // path weights still add the same doubles in path order.
+  exec::HashMap64 pair_weights;
+  auto weight = [&](const Frame& a, const Frame& b) {
+    uint64_t lo = std::min(SlotOf(a.entry), SlotOf(b.entry));
+    uint64_t hi = std::max(SlotOf(a.entry), SlotOf(b.entry));
+    if (const uint64_t* w = pair_weights.Find(lo << 32 | hi)) {
+      return std::bit_cast<double>(*w);
+    }
+    double w = PairWeight(store, pin, a.node, b.node);
+    pair_weights.Put(lo << 32 | hi, std::bit_cast<uint64_t>(w));
+    return w;
+  };
+  std::vector<Frame> stack{frame_of(person2, *top)};
+  while (!stack.empty() && results.size() < kMaxPaths) {
     Frame& frame = stack.back();
     if (frame.node == person1) {
-      std::vector<PersonId> path;
-      path.reserve(stack.size());
+      Q14Result r;
+      r.path.reserve(stack.size());
       for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        path.push_back(it->node);
+        if (it != stack.rbegin()) r.weight += weight(*(it - 1), *it);
+        r.path.push_back(it->node);
       }
-      paths.push_back(std::move(path));
+      results.push_back(std::move(r));
       stack.pop_back();
       continue;
     }
-    std::vector<PersonId>& ps = parents[frame.node];
-    std::sort(ps.begin(), ps.end());
-    if (frame.next_parent >= ps.size()) {
+    const uint64_t* parent = nullptr;
+    PersonId parent_id = 0;
+    while (parent == nullptr && frame.next < frame.friends.size()) {
+      parent_id = frame.friends[frame.next++].other;
+      parent = levels.Find(parent_id);
+      if (parent != nullptr && LevelOf(*parent) + 1 != LevelOf(frame.entry)) {
+        parent = nullptr;
+      }
+    }
+    if (parent == nullptr) {
       stack.pop_back();
-      continue;
+    } else {
+      stack.push_back(frame_of(parent_id, *parent));
     }
-    PersonId parent = ps[frame.next_parent++];
-    stack.push_back({parent, 0});
-  }
-
-  results.reserve(paths.size());
-  for (std::vector<PersonId>& path : paths) {
-    Q14Result r;
-    r.weight = 0.0;
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      r.weight += PairWeight(store, pin, path[i], path[i + 1]);
-    }
-    r.path = std::move(path);
-    results.push_back(std::move(r));
   }
   std::sort(results.begin(), results.end(),
             [](const Q14Result& a, const Q14Result& b) {

@@ -5,10 +5,10 @@
 // implementations for Neo4j/Sparksee). Every query takes its own read
 // snapshot and is safe to run concurrently with updates.
 //
-// Q5, Q9 and Q14 — the heaviest templates — additionally have batched
-// (block-at-a-time) plans; the entry points here dispatch on the
-// process-wide exec::DefaultExecMode(), and queries/batched_queries.h
-// exposes engine-explicit variants for tests, fuzzing and ablation.
+// Q5 and Q9 additionally have batched (block-at-a-time) plans; their entry
+// points here dispatch on the process-wide exec::DefaultExecMode(), and
+// queries/batched_queries.h exposes engine-explicit variants for tests,
+// fuzzing and ablation. Every other query, Q14 included, has one plan.
 #ifndef SNB_QUERIES_COMPLEX_QUERIES_H_
 #define SNB_QUERIES_COMPLEX_QUERIES_H_
 
@@ -216,7 +216,9 @@ struct Q14Result {
 /// All shortest (by hop count) Knows-paths between two persons, each scored
 /// by the message interaction weight of consecutive pairs: every comment
 /// replying to the other's post adds 1.0, to the other's comment adds 0.5.
-/// Sorted by weight descending.
+/// At most 1000 paths (the first in depth-first order from person2, parents
+/// by ascending id), sorted by (weight desc, path asc). The paths come from
+/// the same bidirectional BFS as Q13.
 std::vector<Q14Result> Query14(const GraphStore& store,
                                schema::PersonId person1,
                                schema::PersonId person2);

@@ -1,8 +1,10 @@
 #include "store/graph_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 
 #include "util/mutex.h"
@@ -44,13 +46,40 @@ GraphStore::GraphStore(ReadConcurrency mode, uint32_t num_shards)
 // ---- Public transactional API ----------------------------------------------
 //
 // Each transaction is a presence-validation prefix (lock-free monotone
-// probes) followed by its per-shard halves in publication order. Presence
-// never reverts and records never move, so a probe that succeeded stays
-// true for the rest of the transaction without holding the probed shard's
-// lock; each half then re-resolves its own shard's records under that
-// shard's writer mutex. Check order and status strings are kept exactly
-// as the pre-sharding single-lock code produced them, so the differential
+// probes) followed by its per-shard halves in publication order, all run
+// under one TxnLocks: the writer lock of every shard the transaction
+// touches, taken once each in ascending shard order. A kGlobalLock reader
+// takes the same locks shared in the same order, so it sees a transaction
+// whole or not at all, and the two never deadlock. Presence never reverts
+// and records never move, so a probe that succeeded stays true for the
+// rest of the transaction; each half then re-resolves its own shard's
+// records. Check order and status strings are kept exactly as the
+// pre-sharding single-lock code produced them, so the differential
 // fuzzer's oracle and the golden sets see identical outcomes.
+
+class GraphStore::TxnLocks {
+ public:
+  TxnLocks(GraphStore* store, std::initializer_list<uint32_t> shards)
+      SNB_NO_THREAD_SAFETY_ANALYSIS {
+    std::array<uint32_t, 3> order{};
+    for (uint32_t shard : shards) order[count_++] = shard;
+    std::sort(order.begin(), order.begin() + count_);
+    count_ = std::unique(order.begin(), order.begin() + count_) - order.begin();
+    for (size_t i = 0; i < count_; ++i) {
+      held_[i] = &store->shards_[order[i]].mu;
+      held_[i]->Lock();
+    }
+  }
+  TxnLocks(const TxnLocks&) = delete;
+  TxnLocks& operator=(const TxnLocks&) = delete;
+  ~TxnLocks() SNB_NO_THREAD_SAFETY_ANALYSIS {
+    for (size_t i = count_; i-- > 0;) held_[i]->Unlock();
+  }
+
+ private:
+  std::array<util::SharedMutex*, 3> held_{};
+  size_t count_ = 0;
+};
 
 Status GraphStore::BulkLoad(const schema::SocialNetwork& network) {
   if (NumPersons() != 0 || MessageIdBound() != 0) {
@@ -86,11 +115,13 @@ Status GraphStore::AddFriendship(const Knows& knows) {
   if (!PersonPresent(knows.person1_id) || !PersonPresent(knows.person2_id)) {
     return Status::NotFound("friendship endpoint missing");
   }
-  SNB_RETURN_IF_ERROR(ApplyFriendshipHalf(knows.person1_id, knows.person2_id,
-                                          knows.creation_date,
-                                          /*bump_counters=*/true));
-  return ApplyFriendshipHalf(knows.person2_id, knows.person1_id,
-                             knows.creation_date, /*bump_counters=*/false);
+  TxnLocks locks(this, {ShardOfPersonId(knows.person1_id),
+                        ShardOfPersonId(knows.person2_id)});
+  SNB_RETURN_IF_ERROR(FriendshipHalf(knows.person1_id, knows.person2_id,
+                                     knows.creation_date,
+                                     /*bump_counters=*/true));
+  return FriendshipHalf(knows.person2_id, knows.person1_id,
+                        knows.creation_date, /*bump_counters=*/false);
 }
 
 Status GraphStore::AddForum(const schema::Forum& forum) {
@@ -107,8 +138,10 @@ Status GraphStore::AddForumMembership(
       !ForumPresent(membership.forum_id)) {
     return Status::NotFound("membership endpoint missing");
   }
-  SNB_RETURN_IF_ERROR(ApplyMembershipPersonHalf(membership));
-  return ApplyMembershipForumHalf(membership, /*bump_counters=*/true);
+  TxnLocks locks(this, {ShardOfPersonId(membership.person_id),
+                        ShardOfForumId(membership.forum_id)});
+  SNB_RETURN_IF_ERROR(MembershipPersonHalf(membership));
+  return MembershipForumHalf(membership, /*bump_counters=*/true);
 }
 
 Status GraphStore::AddMessage(const Message& message) {
@@ -128,9 +161,12 @@ Status GraphStore::AddMessage(const Message& message) {
   // Publication order across shards: the record (and its `ready` flag)
   // first, links after — a reader that can see the id in any list
   // resolves the record, whichever shards they hash to.
-  SNB_RETURN_IF_ERROR(ApplyMessageCreate(message));
-  SNB_RETURN_IF_ERROR(ApplyMessageCreatorLink(message));
-  return ApplyMessageContainerLink(message);
+  TxnLocks locks(this, {ShardOfMessageId(message.id),
+                        ShardOfPersonId(message.creator_id),
+                        ContainerShardOf(message)});
+  SNB_RETURN_IF_ERROR(MessageCreate(message));
+  SNB_RETURN_IF_ERROR(MessageCreatorLink(message));
+  return MessageContainerLink(message);
 }
 
 Status GraphStore::AddLike(const schema::Like& like) {
@@ -140,8 +176,10 @@ Status GraphStore::AddLike(const schema::Like& like) {
   if (!MessagePresent(like.message_id)) {
     return Status::NotFound("liked message missing");
   }
-  SNB_RETURN_IF_ERROR(ApplyLikePersonHalf(like));
-  return ApplyLikeMessageHalf(like, /*bump_counters=*/true);
+  TxnLocks locks(this, {ShardOfPersonId(like.person_id),
+                        ShardOfMessageId(like.message_id)});
+  SNB_RETURN_IF_ERROR(LikePersonHalf(like));
+  return LikeMessageHalf(like, /*bump_counters=*/true);
 }
 
 // ---- Presence probes --------------------------------------------------------
@@ -185,6 +223,62 @@ bool GraphStore::MessagePresent(schema::MessageId id) const {
 // the fully built record behind it — the half decomposition preserves this
 // because every caller (sync Add* above, driver::ShardWriterPool) orders
 // the create half before the link halves.
+//
+// Each public Apply* takes its own shard's writer lock around the matching
+// private body; the Add* transactions call the bodies under TxnLocks.
+
+uint32_t GraphStore::ContainerShardOf(const Message& message) const {
+  return message.kind == schema::MessageKind::kComment
+             ? ShardOfMessageId(message.reply_to_id)
+             : ShardOfForumId(message.forum_id);
+}
+
+Status GraphStore::ApplyFriendshipHalf(schema::PersonId owner,
+                                       schema::PersonId other,
+                                       util::TimestampMs since,
+                                       bool bump_counters) {
+  util::WriterMutexLock lock(&PersonShard(owner).mu);
+  return FriendshipHalf(owner, other, since, bump_counters);
+}
+
+Status GraphStore::ApplyMembershipPersonHalf(
+    const schema::ForumMembership& membership) {
+  util::WriterMutexLock lock(&PersonShard(membership.person_id).mu);
+  return MembershipPersonHalf(membership);
+}
+
+Status GraphStore::ApplyMembershipForumHalf(
+    const schema::ForumMembership& membership, bool bump_counters) {
+  util::WriterMutexLock lock(&ForumShard(membership.forum_id).mu);
+  return MembershipForumHalf(membership, bump_counters);
+}
+
+Status GraphStore::ApplyMessageCreate(const Message& message) {
+  if (message.id >= kMaxEntityId) return BadId("message", message.id);
+  util::WriterMutexLock lock(&MessageShard(message.id).mu);
+  return MessageCreate(message);
+}
+
+Status GraphStore::ApplyMessageCreatorLink(const Message& message) {
+  util::WriterMutexLock lock(&PersonShard(message.creator_id).mu);
+  return MessageCreatorLink(message);
+}
+
+Status GraphStore::ApplyMessageContainerLink(const Message& message) {
+  util::WriterMutexLock lock(&shards_[ContainerShardOf(message)].mu);
+  return MessageContainerLink(message);
+}
+
+Status GraphStore::ApplyLikePersonHalf(const schema::Like& like) {
+  util::WriterMutexLock lock(&PersonShard(like.person_id).mu);
+  return LikePersonHalf(like);
+}
+
+Status GraphStore::ApplyLikeMessageHalf(const schema::Like& like,
+                                        bool bump_counters) {
+  util::WriterMutexLock lock(&MessageShard(like.message_id).mu);
+  return LikeMessageHalf(like, bump_counters);
+}
 
 Status GraphStore::ApplyPersonCreate(const Person& person) {
   if (person.id >= kMaxEntityId) return BadId("person", person.id);
@@ -200,12 +294,11 @@ Status GraphStore::ApplyPersonCreate(const Person& person) {
   return Status::Ok();
 }
 
-Status GraphStore::ApplyFriendshipHalf(schema::PersonId owner,
-                                       schema::PersonId other,
-                                       util::TimestampMs since,
-                                       bool bump_counters) {
+Status GraphStore::FriendshipHalf(schema::PersonId owner,
+                                  schema::PersonId other,
+                                  util::TimestampMs since,
+                                  bool bump_counters) {
   Shard& s = PersonShard(owner);
-  util::WriterMutexLock lock(&s.mu);
   PersonRecord* p = s.persons.MutableSlot(owner);
   if (p == nullptr || !p->present()) {
     return Status::NotFound("friendship endpoint missing");
@@ -232,10 +325,9 @@ Status GraphStore::ApplyForumCreate(const schema::Forum& forum) {
   return Status::Ok();
 }
 
-Status GraphStore::ApplyMembershipPersonHalf(
+Status GraphStore::MembershipPersonHalf(
     const schema::ForumMembership& membership) {
   Shard& s = PersonShard(membership.person_id);
-  util::WriterMutexLock lock(&s.mu);
   PersonRecord* person = s.persons.MutableSlot(membership.person_id);
   if (person == nullptr || !person->present()) {
     return Status::NotFound("membership endpoint missing");
@@ -245,10 +337,9 @@ Status GraphStore::ApplyMembershipPersonHalf(
   return Status::Ok();
 }
 
-Status GraphStore::ApplyMembershipForumHalf(
+Status GraphStore::MembershipForumHalf(
     const schema::ForumMembership& membership, bool bump_counters) {
   Shard& s = ForumShard(membership.forum_id);
-  util::WriterMutexLock lock(&s.mu);
   ForumRecord* forum = s.forums.MutableSlot(membership.forum_id);
   if (forum == nullptr || !forum->present()) {
     return Status::NotFound("membership endpoint missing");
@@ -261,10 +352,8 @@ Status GraphStore::ApplyMembershipForumHalf(
   return Status::Ok();
 }
 
-Status GraphStore::ApplyMessageCreate(const Message& message) {
-  if (message.id >= kMaxEntityId) return BadId("message", message.id);
+Status GraphStore::MessageCreate(const Message& message) {
   Shard& s = MessageShard(message.id);
-  util::WriterMutexLock lock(&s.mu);
   MessageRecord* rec = s.messages.GrowToSlot(message.id, *s.epoch);
   if (rec->present()) {
     return Status::AlreadyExists("message " + std::to_string(message.id));
@@ -275,9 +364,8 @@ Status GraphStore::ApplyMessageCreate(const Message& message) {
   return Status::Ok();
 }
 
-Status GraphStore::ApplyMessageCreatorLink(const Message& message) {
+Status GraphStore::MessageCreatorLink(const Message& message) {
   Shard& s = PersonShard(message.creator_id);
-  util::WriterMutexLock lock(&s.mu);
   PersonRecord* creator = s.persons.MutableSlot(message.creator_id);
   if (creator == nullptr || !creator->present()) {
     return Status::NotFound("message creator missing");
@@ -299,10 +387,9 @@ Status GraphStore::ApplyMessageCreatorLink(const Message& message) {
   return Status::Ok();
 }
 
-Status GraphStore::ApplyMessageContainerLink(const Message& message) {
+Status GraphStore::MessageContainerLink(const Message& message) {
   if (message.kind == schema::MessageKind::kComment) {
     Shard& s = MessageShard(message.reply_to_id);
-    util::WriterMutexLock lock(&s.mu);
     MessageRecord* parent = s.messages.MutableSlot(message.reply_to_id);
     if (parent == nullptr || !parent->present()) {
       return Status::NotFound("comment parent missing");
@@ -311,7 +398,6 @@ Status GraphStore::ApplyMessageContainerLink(const Message& message) {
     return Status::Ok();
   }
   Shard& s = ForumShard(message.forum_id);
-  util::WriterMutexLock lock(&s.mu);
   ForumRecord* forum = s.forums.MutableSlot(message.forum_id);
   if (forum == nullptr || !forum->present()) {
     return Status::NotFound("post forum missing");
@@ -320,9 +406,8 @@ Status GraphStore::ApplyMessageContainerLink(const Message& message) {
   return Status::Ok();
 }
 
-Status GraphStore::ApplyLikePersonHalf(const schema::Like& like) {
+Status GraphStore::LikePersonHalf(const schema::Like& like) {
   Shard& s = PersonShard(like.person_id);
-  util::WriterMutexLock lock(&s.mu);
   PersonRecord* person = s.persons.MutableSlot(like.person_id);
   if (person == nullptr || !person->present()) {
     return Status::NotFound("like person missing");
@@ -331,10 +416,9 @@ Status GraphStore::ApplyLikePersonHalf(const schema::Like& like) {
   return Status::Ok();
 }
 
-Status GraphStore::ApplyLikeMessageHalf(const schema::Like& like,
-                                        bool bump_counters) {
+Status GraphStore::LikeMessageHalf(const schema::Like& like,
+                                   bool bump_counters) {
   Shard& s = MessageShard(like.message_id);
-  util::WriterMutexLock lock(&s.mu);
   MessageRecord* message = s.messages.MutableSlot(like.message_id);
   if (message == nullptr || !message->present()) {
     return Status::NotFound("liked message missing");

@@ -18,13 +18,14 @@
 // writers on different shards never contend and one shard's grace periods
 // are never stalled by another shard's readers. A cross-shard edge (a
 // friendship or like whose endpoints hash to different shards) is two
-// half-writes, each atomic under its owning shard's lock and applied in
-// publication order: the referenced record is always `ready`-published
-// before any adjacency list links its id (see "Concurrency" below), so
-// readers resolve every id they can see regardless of which shard it
-// lives on. num_shards == 1 (the default) reproduces the pre-sharding
-// store exactly: one lock, the Global() epoch domain, identical lock and
-// publication sequence per update.
+// half-writes applied in publication order: the referenced record is
+// always `ready`-published before any adjacency list links its id (see
+// "Concurrency" below), so readers resolve every id they can see
+// regardless of which shard it lives on. An Add* call runs all its halves
+// under the writer locks of every shard it touches, taken once each in
+// ascending shard order. num_shards == 1 (the default) reproduces the
+// pre-sharding store exactly: one lock held for the whole update, the
+// Global() epoch domain, the same publication sequence.
 //
 // Concurrency: multi-writer (one logical writer per shard) /
 // multi-reader. Writers serialize behind the owning shard's exclusive
@@ -212,10 +213,12 @@ using ReadGuard = ShardSnapshot;
 
 /// The store. All read accessors require the caller to hold a snapshot
 /// obtained from ReadLock() for snapshot-consistent reads; the Add*
-/// methods are self-contained transactions. The Apply*Half methods are the
-/// per-shard halves those transactions decompose into — they exist so the
-/// driver's ShardWriterPool can apply each half on its owning shard's
-/// writer thread (see driver/shard_writers.h for the ordering contract).
+/// methods are self-contained transactions, each run under the writer
+/// locks of every shard it touches. The Apply*Half methods are the
+/// per-shard halves those transactions decompose into, each under its own
+/// shard's lock only — they exist so the driver's ShardWriterPool can
+/// apply each half on its owning shard's writer thread (see
+/// driver/shard_writers.h for the ordering contract).
 class GraphStore {
  public:
   explicit GraphStore(ReadConcurrency mode = ReadConcurrency::kEpoch,
@@ -491,9 +494,10 @@ class GraphStore {
   /// RCU publication protocol in the file comment), which the mutex
   /// analysis cannot model — the ShardSnapshot token parameter on the
   /// read accessors is the compile-time check for that side. Writer-side
-  /// discipline (every mutation sits inside an Apply* body that opens
-  /// with `WriterMutexLock lock(&s.mu)`) is documented in DESIGN.md's
-  /// lock table and exercised by the TSan'd multi-writer stress tests.
+  /// discipline (every mutation sits inside a half body below, run under
+  /// its shard's `mu`: by an Apply* wrapper's `WriterMutexLock`, or by an
+  /// Add* transaction's TxnLocks) is documented in DESIGN.md's lock table
+  /// and exercised by the TSan'd multi-writer stress tests.
   struct Shard {
     mutable util::SharedMutex mu;
     util::EpochManager* epoch = nullptr;
@@ -513,6 +517,26 @@ class GraphStore {
   Shard& MessageShard(schema::MessageId id) {
     return shards_[ShardOfMessage(id, num_shards_)];
   }
+  /// Shard of the forum (post) or parent message (comment) that links
+  /// `message`.
+  uint32_t ContainerShardOf(const schema::Message& message) const;
+
+  /// Writer locks on every shard (at most three) one Add* transaction
+  /// touches; defined in graph_store.cc.
+  class TxnLocks;
+
+  // Bodies of the Apply* halves of the same names; the caller holds the
+  // writer lock of the shard each one mutates.
+  util::Status FriendshipHalf(schema::PersonId owner, schema::PersonId other,
+                              util::TimestampMs since, bool bump_counters);
+  util::Status MembershipPersonHalf(const schema::ForumMembership& membership);
+  util::Status MembershipForumHalf(const schema::ForumMembership& membership,
+                                   bool bump_counters);
+  util::Status MessageCreate(const schema::Message& message);
+  util::Status MessageCreatorLink(const schema::Message& message);
+  util::Status MessageContainerLink(const schema::Message& message);
+  util::Status LikePersonHalf(const schema::Like& like);
+  util::Status LikeMessageHalf(const schema::Like& like, bool bump_counters);
 
   const ReadConcurrency mode_;
   const uint32_t num_shards_;

@@ -69,7 +69,7 @@ const char* const kLastNames[] = {"Ng", "Okafor", "Ng", "Petrov"};
 
 // ---- Backend dispatch -----------------------------------------------------
 
-/// Runs one binding against the graph store. Q5/Q9/Q14 call the *Scalar
+/// Runs one binding against the graph store. Q5/Q9 call the *Scalar
 /// entry points directly (not the exec-mode dispatchers), so the fuzz
 /// campaign always compares the genuine scalar paths no matter what the
 /// process-wide exec::DefaultExecMode() happens to be; the batched paths
@@ -110,7 +110,7 @@ std::vector<std::string> RunOnStore(const store::GraphStore& s,
     return CanonicalScalar(queries::Query13(s, b.person, b.person2));
   }
   if (op == "complex.Q14") {
-    return CanonicalRows(queries::Query14Scalar(s, b.person, b.person2));
+    return CanonicalRows(queries::Query14(s, b.person, b.person2));
   }
   if (op == "short.S1") {
     return {CanonicalRow(queries::ShortQuery1PersonProfile(s, b.person))};
@@ -138,7 +138,7 @@ std::vector<std::string> RunOnStore(const store::GraphStore& s,
 
 /// True for the ops that have a block-at-a-time engine port.
 bool HasBatchedVariant(const std::string& op) {
-  return op == "complex.Q5" || op == "complex.Q9" || op == "complex.Q14";
+  return op == "complex.Q5" || op == "complex.Q9";
 }
 
 /// Runs one binding against the batched (block-at-a-time) query engine.
@@ -151,9 +151,6 @@ std::vector<std::string> RunOnStoreBatched(const store::GraphStore& s,
   }
   if (op == "complex.Q9") {
     return CanonicalRows(queries::Query9Batched(s, b.person, b.date));
-  }
-  if (op == "complex.Q14") {
-    return CanonicalRows(queries::Query14Batched(s, b.person, b.person2));
   }
   return {"<no batched variant for op " + op + ">"};
 }

@@ -4,8 +4,8 @@
 // networks, run every read query with randomized bindings against the graph
 // store (snb::queries), the relational baseline (snb::rel) and the naive
 // scan oracle (snb::validate::Oracle), and require canonical-row equality.
-// Queries with a batched (block-at-a-time) engine port — complex Q5, Q9 and
-// Q14 — additionally run through queries::Query{5,9,14}Batched, so every
+// Queries with a batched (block-at-a-time) engine port — complex Q5 and
+// Q9 — additionally run through queries::Query{5,9}Batched, so every
 // fuzz graph exercises scalar vs batched vs oracle three ways. The oracle
 // is the arbiter: a backend whose rows differ from the oracle's is the
 // mismatch, regardless of whether the other backends agree with it.

@@ -1,10 +1,9 @@
-// Byte-identity tests for the batched engine: Query{5,9,14}Batched must
-// return exactly the scalar engine's rows (same order, bit-equal doubles)
-// on a generated dataset, across persons, dates and limits — including
-// absent persons and degenerate parameters. Plus the dispatch contract:
-// the public Query5/Query9/Query14 follow exec::DefaultExecMode().
+// Byte-identity tests for the batched engine: Query{5,9}Batched must
+// return exactly the scalar engine's rows (same order) on a generated
+// dataset, across persons, dates and limits — including absent persons and
+// degenerate parameters. Plus the dispatch contract: the public
+// Query5/Query9 follow exec::DefaultExecMode().
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -122,30 +121,6 @@ TEST_F(BatchedQueriesTest, Q9BatchedFillsPlanStats) {
   EXPECT_GE(stats.join3_output, rows.size());
   EXPECT_GT(profile.join1.invocations, 0u);
   EXPECT_GT(profile.join3.rows, 0u);
-}
-
-TEST_F(BatchedQueriesTest, Q14BatchedMatchesScalar) {
-  std::vector<std::pair<schema::PersonId, schema::PersonId>> pairs;
-  const auto& sample = world().sample;
-  for (size_t i = 0; i + 1 < sample.size(); i += 2) {
-    pairs.emplace_back(sample[i], sample[i + 1]);
-  }
-  pairs.emplace_back(world().hub, world().hub);  // Same person.
-  pairs.emplace_back(world().hub, 99999999);     // Absent endpoint.
-  for (auto [p1, p2] : pairs) {
-    std::vector<Q14Result> scalar = Query14Scalar(world().store, p1, p2);
-    std::vector<Q14Result> batched = Query14Batched(world().store, p1, p2);
-    ASSERT_EQ(batched.size(), scalar.size()) << p1 << " -> " << p2;
-    for (size_t i = 0; i < scalar.size(); ++i) {
-      EXPECT_EQ(batched[i].path, scalar[i].path) << i;
-      // Bit-equality, not approximate: the weight sums are dyadic
-      // rationals, so both engines must produce the identical double.
-      EXPECT_EQ(std::memcmp(&batched[i].weight, &scalar[i].weight,
-                            sizeof(double)),
-                0)
-          << p1 << " -> " << p2 << " path " << i;
-    }
-  }
 }
 
 TEST_F(BatchedQueriesTest, PublicEntryPointsDispatchOnExecMode) {

@@ -1,5 +1,5 @@
-// Concurrency stress: reader threads run CQ2/CQ9 in a tight loop while the
-// main thread replays the generated update stream against the same store
+// Concurrency stress: reader threads run CQ2/CQ9/CQ14 in a tight loop while
+// the main thread replays the generated update stream against the same store
 // (epoch read mode, the default). Readers verify per-query invariants that
 // must hold under any snapshot; afterwards the stressed store must answer
 // identically to a replica loaded sequentially.
@@ -77,6 +77,37 @@ std::string CheckQ9(const GraphStore& store,
   return "";
 }
 
+// Every Q14 path must run person1 -> person2 through friend-list links (a
+// child lists its parent; links are insert-only, so they are still there
+// now), all paths must have one length, and the rows must be sorted.
+std::string CheckQ14(const GraphStore& store, schema::PersonId person1,
+                     schema::PersonId person2,
+                     const std::vector<queries::Q14Result>& results) {
+  auto pin = store.ReadLock();
+  if (results.size() > 1000) return "Q14 returned more than 1000 paths";
+  for (size_t i = 0; i < results.size(); ++i) {
+    const std::vector<schema::PersonId>& path = results[i].path;
+    if (path.empty() || path.front() != person1 || path.back() != person2) {
+      return "Q14 path does not run person1 -> person2";
+    }
+    if (path.size() != results[0].path.size()) {
+      return "Q14 paths differ in length";
+    }
+    for (size_t k = 0; k + 1 < path.size(); ++k) {
+      if (!store.AreFriends(pin, path[k + 1], path[k])) {
+        return "Q14 path steps between non-friends";
+      }
+    }
+    if (i > 0) {
+      const queries::Q14Result& prev = results[i - 1];
+      bool ordered = prev.weight > results[i].weight ||
+                     (prev.weight == results[i].weight && prev.path < path);
+      if (!ordered) return "Q14 results not (weight desc, path asc) ordered";
+    }
+  }
+  return "";
+}
+
 TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
   datagen::DatagenConfig config = datagen::DatagenConfig::ForScaleFactor(0.02);
   datagen::Dataset ds = datagen::Generate(config);
@@ -123,8 +154,11 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
         report(CheckQ2(store, pid, q2));
         auto q9 = queries::Query9(store, pid, kFarFuture);
         report(CheckQ9(store, q9));
-        my.queries += 2;
-        my.results += q2.size() + q9.size();
+        schema::PersonId other = persons[(cursor * 7919) % persons.size()];
+        auto q14 = queries::Query14(store, pid, other);
+        report(CheckQ14(store, pid, other, q14));
+        my.queries += 3;
+        my.results += q2.size() + q9.size() + q14.size();
       }
     });
   }

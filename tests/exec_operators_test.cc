@@ -82,6 +82,38 @@ TEST(HashMap64Test, PutFindOverwriteGrow) {
   }
 }
 
+TEST(HashSet64Test, InsertReportsNewKeysPastTheSizingHint) {
+  HashSet64 set(4);  // Sized for 4; the table must grow, not overflow.
+  for (uint64_t key = 0; key < 1000; ++key) {
+    EXPECT_TRUE(set.Insert(key * 7919)) << key;
+  }
+  for (uint64_t key = 0; key < 1000; ++key) {
+    EXPECT_FALSE(set.Insert(key * 7919)) << key;  // Already present.
+    EXPECT_TRUE(set.Contains(key * 7919)) << key;
+  }
+  EXPECT_EQ(set.size(), 1000u);
+  EXPECT_FALSE(set.Contains(1));
+}
+
+TEST(HashMap64Test, InsertKeepsFirstValuePastTheSizingHint) {
+  HashMap64 map(4);
+  for (uint64_t key = 0; key < 1000; ++key) {
+    EXPECT_TRUE(map.Insert(key, key + 1)) << key;
+  }
+  for (uint64_t key = 0; key < 1000; ++key) {
+    EXPECT_FALSE(map.Insert(key, 0)) << key;  // Present: value untouched.
+  }
+  EXPECT_EQ(map.size(), 1000u);
+  for (uint64_t key = 0; key < 1000; ++key) {
+    const uint64_t* found = map.Find(key);
+    ASSERT_NE(found, nullptr) << key;
+    EXPECT_EQ(*found, key + 1) << key;
+  }
+  map.Put(5, 42);  // Put still overwrites.
+  EXPECT_EQ(*map.Find(5), 42u);
+  EXPECT_EQ(map.Find(1000), nullptr);
+}
+
 // ---- TopK ----------------------------------------------------------------
 
 struct ScoredRow {

@@ -20,7 +20,7 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 FOLDED = """\
 thread:driver.0;op:complex.Q9;main;RunStream;Query9WithPlan 17
 thread:driver.0;op:complex.Q9;opr:join2;main;RunStream;Query9WithPlan;Join2 5
-thread:driver.1;op:complex.Q14;main;RunStream;Query14Scalar 9
+thread:driver.1;op:complex.Q14;main;RunStream;Query14 9
 thread:main;op:complex.Q9;opr:sort_limit;main;Sort 3
 """
 
@@ -52,7 +52,7 @@ class ProfileViewTest(unittest.TestCase):
         # Every distinct frame (context bands and code frames alike) must
         # appear in a hover title with its sample count.
         for frame in ("thread:driver.0", "op:complex.Q9", "opr:join2",
-                      "Query9WithPlan", "Query14Scalar", "opr:sort_limit"):
+                      "Query9WithPlan", "Query14", "opr:sort_limit"):
             self.assertIn(frame, body)
         # Root row accounts for all 34 samples.
         self.assertIn("all (34 samples, 100.00%)", body)

@@ -1,5 +1,7 @@
 // Edge-case tests for the read queries: missing entities, empty graphs,
 // boundary limits, and degenerate parameters.
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
@@ -9,6 +11,8 @@
 #include "queries/short_queries.h"
 #include "queries/update_queries.h"
 #include "store/graph_store.h"
+#include "validate/canonical.h"
+#include "validate/oracle.h"
 
 namespace snb::queries {
 namespace {
@@ -237,6 +241,192 @@ TEST_F(LoadedEdgeTest, LimitZeroIsEmptyForEveryLimitedQuery) {
     EXPECT_TRUE(Query11(store, p, company_country, 0, 2030, 0).empty());
     EXPECT_TRUE(Query12(store, p, tag_class, 0).empty());
   }
+}
+
+// ---- Q14 oracle battery ------------------------------------------------------
+//
+// Hand-built graphs on which Query14 must return validate::Oracle::Query14's
+// canonical rows byte for byte, and Query13 the same distance. The oracle
+// takes BFS distances over the whole graph and sorts each person's parents
+// by id, so it pins down the path set, the DFS order (hence the 1000-path
+// cut) and the weight of every path.
+
+class Q14Battery {
+ public:
+  /// Persons 0..last_person; forum 1 (moderated by person 0) holds posts.
+  explicit Q14Battery(schema::PersonId last_person) {
+    for (schema::PersonId id = 0; id <= last_person; ++id) {
+      net_.persons.push_back(MakePerson(id));
+    }
+    schema::Forum forum;
+    forum.id = 1;
+    forum.moderator_id = 0;
+    forum.creation_date = 1000;
+    net_.forums.push_back(forum);
+  }
+
+  void Knows(schema::PersonId a, schema::PersonId b) {
+    net_.knows.push_back({a, b, 2000});
+  }
+
+  schema::MessageId Post(schema::PersonId creator) {
+    schema::Message m = NextMessage(creator);
+    m.kind = schema::MessageKind::kPost;
+    m.forum_id = 1;
+    m.root_post_id = m.id;
+    net_.messages.push_back(m);
+    return m.id;
+  }
+
+  /// A comment by `creator` replying to message `parent`.
+  schema::MessageId Reply(schema::PersonId creator, schema::MessageId parent) {
+    schema::Message m = NextMessage(creator);
+    m.kind = schema::MessageKind::kComment;
+    m.forum_id = 1;
+    m.reply_to_id = parent;
+    m.root_post_id = net_.messages[parent].root_post_id;
+    net_.messages.push_back(m);
+    return m.id;
+  }
+
+  /// Loads the graph (once) and compares Query14/Query13 with the oracle
+  /// for one pair; returns the store's rows.
+  std::vector<Q14Result> Check(schema::PersonId p1, schema::PersonId p2,
+                               int distance) {
+    if (store_ == nullptr) {
+      store_ = std::make_unique<store::GraphStore>();
+      EXPECT_TRUE(store_->BulkLoad(net_).ok());
+    }
+    validate::Oracle oracle(net_);
+    std::vector<Q14Result> rows = Query14(*store_, p1, p2);
+    EXPECT_EQ(validate::CanonicalRows(rows),
+              validate::CanonicalRows(oracle.Query14(p1, p2)))
+        << p1 << " -> " << p2;
+    EXPECT_EQ(Query13(*store_, p1, p2), distance) << p1 << " -> " << p2;
+    EXPECT_EQ(oracle.Query13(p1, p2), distance) << p1 << " -> " << p2;
+    for (const Q14Result& r : rows) {
+      EXPECT_EQ(r.path.size(), static_cast<size_t>(distance) + 1);
+    }
+    return rows;
+  }
+
+ private:
+  schema::Message NextMessage(schema::PersonId creator) {
+    schema::Message m;
+    m.id = net_.messages.size();
+    m.creator_id = creator;
+    m.creation_date = 3000 + static_cast<int64_t>(m.id);
+    return m;
+  }
+
+  schema::SocialNetwork net_;
+  std::unique_ptr<store::GraphStore> store_;
+};
+
+TEST(Q14OracleBattery, ThousandPathCut) {
+  // 0 -> A (1..40) -> B (41..80) -> 81 with a complete bipartite middle:
+  // 40 * 40 = 1600 shortest paths, cut to the first 1000 in DFS order
+  // (B ascending, then A ascending: B = 41..65). The heaviest pair, 80-81,
+  // lies past the cut, so a cut that kept other paths would put it on top.
+  Q14Battery g(81);
+  for (schema::PersonId a = 1; a <= 40; ++a) {
+    g.Knows(0, a);
+    for (schema::PersonId b = 41; b <= 80; ++b) g.Knows(a, b);
+  }
+  for (schema::PersonId b = 41; b <= 80; ++b) g.Knows(b, 81);
+  schema::MessageId post12 = g.Post(12);
+  g.Reply(0, post12);   // 0-12: 1.0.
+  g.Reply(45, post12);  // 12-45: 1.0.
+  schema::MessageId post81 = g.Post(81);
+  for (int i = 0; i < 3; ++i) g.Reply(80, post81);  // 80-81: 3.0.
+  std::vector<Q14Result> rows = g.Check(0, 81, 3);
+  ASSERT_EQ(rows.size(), 1000u);
+  for (const Q14Result& r : rows) EXPECT_LE(r.path[2], 65u);
+  EXPECT_EQ(rows.front().path, (std::vector<schema::PersonId>{0, 12, 45, 81}));
+  EXPECT_EQ(rows.front().weight, 2.0);
+  EXPECT_EQ(g.Check(81, 0, 3).size(), 1000u);
+}
+
+TEST(Q14OracleBattery, BothMeetingSidesAtDistancesOneToFour) {
+  // A hub (0) with 30 leaves, then a ladder with two rungs per odd step:
+  // 0 - {31, 32} - 33 - {34, 35} - 36. The search always expands the
+  // smaller frontier, so with the hub as person1 it grows from person2 and
+  // the frontiers meet in a backward expansion; with the hub as person2
+  // they meet in a forward one.
+  Q14Battery g(36);
+  for (schema::PersonId leaf = 1; leaf <= 30; ++leaf) g.Knows(0, leaf);
+  for (schema::PersonId rung : {31u, 32u}) {
+    g.Knows(0, rung);
+    g.Knows(rung, 33);
+  }
+  for (schema::PersonId rung : {34u, 35u}) {
+    g.Knows(33, rung);
+    g.Knows(rung, 36);
+  }
+  // Edges within one level: a friend at the same distance is no parent.
+  g.Knows(5, 6);
+  g.Knows(6, 31);
+  g.Knows(31, 32);
+  g.Knows(34, 35);
+  schema::MessageId post = g.Post(33);
+  g.Reply(32, post);
+  g.Reply(35, g.Reply(36, post));
+  const std::pair<schema::PersonId, int> targets[] = {
+      {31, 1}, {33, 2}, {34, 3}, {36, 4}};
+  for (auto [target, distance] : targets) {
+    g.Check(0, target, distance);
+    g.Check(target, 0, distance);
+  }
+  EXPECT_EQ(g.Check(0, 36, 4).size(), 4u);
+}
+
+TEST(Q14OracleBattery, DisconnectedComponentsHaveNoPath) {
+  Q14Battery g(7);
+  g.Knows(0, 1);
+  g.Knows(1, 2);
+  g.Knows(2, 3);
+  g.Knows(4, 5);
+  g.Knows(5, 6);
+  g.Reply(1, g.Post(0));
+  EXPECT_TRUE(g.Check(0, 6, -1).empty());
+  EXPECT_TRUE(g.Check(6, 3, -1).empty());
+  EXPECT_TRUE(g.Check(0, 7, -1).empty());  // Person 7 knows nobody.
+  EXPECT_EQ(g.Check(0, 3, 3).size(), 1u);
+}
+
+TEST(Q14OracleBattery, SharedEdgeWeighsTheSameOnEveryPath) {
+  // 0 -> {1..5} -> 6 -> 7 -> {8, 9, 10} -> 11: 15 paths, all through 6-7.
+  // 6 and 7 reply to each other's posts (1.0) and comments (0.5) in both
+  // directions, so the shared pair weighs 3.0; other pairs add small
+  // distinct weights to spread the paths.
+  Q14Battery g(11);
+  for (schema::PersonId a = 1; a <= 5; ++a) {
+    g.Knows(0, a);
+    g.Knows(a, 6);
+  }
+  g.Knows(6, 7);
+  for (schema::PersonId b = 8; b <= 10; ++b) {
+    g.Knows(7, b);
+    g.Knows(b, 11);
+  }
+  g.Knows(2, 3);  // Same-level edges.
+  g.Knows(8, 9);
+  schema::MessageId post6 = g.Post(6);
+  schema::MessageId post7 = g.Post(7);
+  schema::MessageId reply7 = g.Reply(7, post6);  // 7 -> 6: 1.0
+  schema::MessageId reply6 = g.Reply(6, post7);  // 6 -> 7: 1.0
+  g.Reply(6, reply7);                            // 6 -> 7: 0.5
+  g.Reply(7, reply6);                            // 7 -> 6: 0.5
+  g.Reply(2, g.Post(0));               // 0-2: 1.0.
+  g.Reply(9, g.Reply(11, g.Post(9)));  // 9-11: 1.0 + 0.5.
+  g.Reply(4, reply6);                  // 4-6: 0.5.
+  std::vector<Q14Result> rows = g.Check(0, 11, 5);
+  ASSERT_EQ(rows.size(), 15u);
+  for (const Q14Result& r : rows) EXPECT_GE(r.weight, 3.0);
+  EXPECT_EQ(rows.front().path,
+            (std::vector<schema::PersonId>{0, 2, 6, 7, 9, 11}));
+  EXPECT_EQ(rows.front().weight, 5.5);
+  EXPECT_EQ(g.Check(11, 0, 5).size(), 15u);
 }
 
 TEST(QueriesEdgeTest, ApplyUpdateRejectsCorruptKinds) {

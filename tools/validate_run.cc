@@ -22,7 +22,7 @@
 //     snb-report-v3) with the "validation" section and the replayed
 //     updates' latency table.
 //     --exec=batched runs the read battery through the block-at-a-time
-//     engine for the ported queries (Q5/Q9/Q14); the golden rows are the
+//     engine for the ported queries (Q5/Q9); the golden rows are the
 //     same either way — replay under both modes proves byte-identity.
 //     --mutate injects a result corruption for the named op (e.g.
 //     "complex.Q9") — the mutation test: a replay so poisoned MUST fail.
