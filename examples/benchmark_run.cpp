@@ -17,8 +17,7 @@
 //
 //   ./examples/benchmark_run [scale_factor] [acceleration] [report_path]
 //                            [--listen <port>] [--trace-out <path>]
-//                            [--exec scalar|batched] [--perf-counters]
-//                            [--cpu-profile=<path>]
+//                            [--perf-counters] [--cpu-profile=<path>]
 //
 //   --listen <port>    serve GET /metrics (Prometheus text),
 //                      GET /report.json (live snapshot), GET /healthz and
@@ -29,10 +28,6 @@
 //                      ring and flush a Chrome-trace/Perfetto JSON
 //                      (one lane per driver thread, T_GC-wait sub-spans,
 //                      hw-counter tracks when counters are live).
-//   --exec <engine>    run Q5/Q9 through the block-at-a-time engine
-//                      ("batched") or the row-at-a-time one ("scalar",
-//                      default); report.json records the choice as
-//                      "exec_mode".
 //   --perf-counters    attach per-thread perf_event counter groups
 //                      (cycles/instructions/LLC/branch misses) so every
 //                      op row carries IPC and miss rates, and collect
@@ -60,7 +55,6 @@
 #include "datagen/datagen.h"
 #include "driver/driver.h"
 #include "driver/query_mix.h"
-#include "exec/exec_mode.h"
 #include "obs/dossier.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -95,15 +89,6 @@ int main(int argc, char** argv) {
       cpu_profile_path = argv[i] + 14;
     } else if (std::strcmp(argv[i], "--cpu-profile") == 0 && i + 1 < argc) {
       cpu_profile_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--exec") == 0 && i + 1 < argc) {
-      exec::ExecMode exec_mode;
-      if (!exec::ParseExecMode(argv[++i], &exec_mode)) {
-        std::fprintf(stderr,
-                     "unknown --exec value '%s' (expected scalar|batched)\n",
-                     argv[i]);
-        return 1;
-      }
-      exec::SetDefaultExecMode(exec_mode);
     } else if (argv[i][0] == '-' && argv[i][1] == '-') {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 1;
@@ -119,9 +104,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== SNB-Interactive benchmark run (mini SF %.2f, %s"
-              " engine) ===\n\n",
-              scale_factor, exec::ExecModeName(exec::DefaultExecMode()));
+  std::printf("=== SNB-Interactive benchmark run (mini SF %.2f) ===\n\n",
+              scale_factor);
   datagen::DatagenConfig config =
       datagen::DatagenConfig::ForScaleFactor(scale_factor);
   datagen::Dataset dataset = datagen::Generate(config);
@@ -377,7 +361,6 @@ int main(int argc, char** argv) {
   obs::RunReport run_report;
   run_report.title = "snb-interactive benchmark_run SF " +
                      std::to_string(scale_factor);
-  run_report.exec_mode = exec::ExecModeName(exec::DefaultExecMode());
   run_report.metrics = metrics.Snapshot();  // Re-snapshot: gauges now set.
   run_report.has_driver = true;
   run_report.driver = driver::MakeDriverSection(report);

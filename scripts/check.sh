@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local gate: tier-1 build + full test suite (concurrency-labelled tests
-# then repeated 20 times), then the lint gate, then the
+# then repeated 20 times, the full suite in parallel 5 times), then the
+# lint gate, then the
 # concurrency-labelled tests (epoch/RCU read path) rebuilt under Address-,
 # Thread- and UndefinedBehaviorSanitizer, then a short throttled driver
 # run that exercises the trace exporter + compliance audit and feeds the
@@ -17,6 +18,9 @@ cmake --build build -j"${jobs}"
 # Timing flakes hide in single runs: repeat the concurrency-labelled tests
 # until one fails, up to 20 times.
 (cd build && ctest -L concurrency --repeat until-fail:20 --output-on-failure)
+# Some flakes need other tests running alongside: repeat the whole suite
+# in parallel until one fails, up to 5 times.
+(cd build && ctest -j"${jobs}" --repeat until-fail:5 --output-on-failure)
 
 echo "== lint gate =="
 scripts/lint.sh
@@ -155,12 +159,6 @@ echo "== validation smoke: golden emit + replay (serial and threaded) =="
   --threads 1 --mode sequential
 ./build/tools/validate_run --replay "${smoke_golden}" \
   --threads 8 --mode windowed
-# Batched engine replay: the golden rows were emitted by the scalar
-# engine, so a passing --exec=batched replay proves the block-at-a-time
-# Q5/Q9 plans byte-identical on the full battery (--exec switches only
-# those two; every other query has one plan).
-./build/tools/validate_run --replay "${smoke_golden}" \
-  --threads 1 --mode sequential --exec batched
 # Sharded-store replay: the serial single-shard emission must replay
 # byte-identically on a 2-shard store (hash routing + multi-shard
 # snapshots + per-shard writer locks). The full {1,2,4,8} matrix runs in

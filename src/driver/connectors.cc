@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "driver/shard_writers.h"
-#include "exec/exec_mode.h"
-#include "queries/batched_queries.h"
 #include "queries/complex_queries.h"
 #include "queries/query9_plans.h"
 #include "queries/short_queries.h"
@@ -159,25 +157,10 @@ Status StoreConnector::ExecuteComplex(const Operation& op) {
     }
     case 9: {
       auto max_date = static_cast<util::TimestampMs>(op.aux0);
-      std::vector<queries::Q9Result> rows;
-      if (dossiers_ != nullptr) {
-        // Result-identical profiled variants of the engine Query9 would
-        // pick anyway (both are differentially fuzzed against Query9).
-        q9_profile.emplace();
-        if (exec::DefaultExecMode() == exec::ExecMode::kBatched) {
-          rows = queries::Query9Batched(*store_, op.person_param, max_date,
-                                        20, nullptr, &*q9_profile);
-        } else {
-          rows = queries::Query9WithPlan(
-              *store_, op.person_param, max_date, 20,
-              queries::JoinStrategy::kIndexNestedLoop,
-              queries::JoinStrategy::kIndexNestedLoop,
-              queries::JoinStrategy::kIndexNestedLoop, nullptr,
-              &*q9_profile);
-        }
-      } else {
-        rows = queries::Query9(*store_, op.person_param, max_date);
-      }
+      // Armed dossiers only attach a profile sink to the same plan.
+      if (dossiers_ != nullptr) q9_profile.emplace();
+      auto rows = queries::Query9(*store_, op.person_param, max_date, 20,
+                                  nullptr, q9_profile ? &*q9_profile : nullptr);
       for (const auto& r : rows) {
         result_persons.push_back(r.creator_id);
         result_messages.push_back(r.message_id);

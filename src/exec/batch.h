@@ -1,12 +1,10 @@
 // Block-at-a-time execution: the column batch and the operator interface.
 //
-// The scalar query plans (queries/complex_queries.cc) are row-at-a-time:
-// every tuple crosses an operator boundary through a lambda call, touching
-// scattered records as it goes. The batched engine moves fixed-size blocks
-// of column vectors instead — an operator fills a Batch of up to
-// kBatchCapacity rows per Next() call, so the per-tuple interpretation
-// overhead amortizes over the block and the inner loops run over dense
-// arrays the compiler can vectorize.
+// Most query plans (queries/complex_queries.cc) are row-at-a-time. Q9's
+// message scan moves fixed-size blocks of column vectors instead — an
+// operator fills a Batch of up to kBatchCapacity rows per Next() call, so
+// the per-tuple interpretation overhead amortizes over the block and the
+// inner loops run over dense arrays the compiler can vectorize.
 //
 // Block size: 256 rows. The three columns of a full batch are 256*(8+8+8)
 // = 6 KiB, so a batch plus the scratch blocks of the producing operator

@@ -1,11 +1,10 @@
-// Flat u64 hash tables: the join build sides, visited sets and depth
-// tables of the query plans, plus a block probe helper.
+// Flat u64 hash map: the shortest-path level table and pair-weight memo
+// of Q14. (Per-query person sets are exec::DenseIdSet bitmaps instead.)
 //
-// std::unordered_set/map pay a pointer chase and an allocation per node on
-// small keys. These tables are flat power-of-two arrays with linear
-// probing (Mix64-scrambled keys, load factor <= 0.5): a lookup touches one
-// contiguous array, and a block probe over a key column emits a selection
-// vector of matching row indices.
+// std::unordered_map pays a pointer chase and an allocation per node on
+// small keys. This table is a flat power-of-two array with linear probing
+// (Mix64-scrambled keys, load factor <= 0.5): a lookup touches one
+// contiguous array.
 //
 // Keys are entity ids, all < 2^40 (the store rejects larger), or packed
 // values below ~0ULL, so ~0ULL (schema::kInvalidId) is safe as the
@@ -24,84 +23,8 @@
 
 namespace snb::exec {
 
-/// Flat hash set over u64 keys: semi-join build sides ("creator in two-hop
-/// circle") and BFS visited sets.
-class HashSet64 {
- public:
-  static constexpr uint64_t kEmpty = ~0ULL;
-
-  explicit HashSet64(size_t expected = 0) { Rebuild(expected); }
-
-  /// Adds `key` (never kEmpty); true when it was not already present, so
-  /// "visit if unseen" is one probe.
-  bool Insert(uint64_t key) {
-    if (size_ + 1 > slots_.size() / 2) Grow();
-    size_t idx = IndexOf(key);
-    while (slots_[idx] != kEmpty) {
-      if (slots_[idx] == key) return false;
-      idx = (idx + 1) & mask_;
-    }
-    slots_[idx] = key;
-    ++size_;
-    return true;
-  }
-
-  bool Contains(uint64_t key) const {
-    size_t idx = IndexOf(key);
-    while (slots_[idx] != kEmpty) {
-      if (slots_[idx] == key) return true;
-      idx = (idx + 1) & mask_;
-    }
-    return false;
-  }
-
-  size_t size() const { return size_; }
-
-  /// Block probe: writes the indices of the hits among keys[0..n) into
-  /// `sel` (room for n) and returns the hit count. The branchy Contains
-  /// is hoisted into one tight loop over the key column.
-  size_t ProbeBatch(const uint64_t* keys, size_t n, uint32_t* sel) const {
-    size_t hits = 0;
-    for (size_t r = 0; r < n; ++r) {
-      sel[hits] = static_cast<uint32_t>(r);
-      hits += static_cast<size_t>(Contains(keys[r]));
-    }
-    return hits;
-  }
-
- private:
-  size_t IndexOf(uint64_t key) const { return util::Mix64(key) & mask_; }
-
-  void Rebuild(size_t expected) {
-    size_t cap = 16;
-    while (cap < expected * 2 + 1) cap <<= 1;
-    slots_.assign(cap, kEmpty);
-    mask_ = cap - 1;
-    size_ = 0;
-  }
-
-  void Grow() {
-    std::vector<uint64_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, kEmpty);
-    mask_ = slots_.size() - 1;
-    size_ = 0;
-    for (uint64_t key : old) {
-      if (key != kEmpty) {
-        size_t idx = IndexOf(key);
-        while (slots_[idx] != kEmpty) idx = (idx + 1) & mask_;
-        slots_[idx] = key;
-        ++size_;
-      }
-    }
-  }
-
-  std::vector<uint64_t> slots_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
-};
-
-/// Flat hash map u64 -> u64 (build side with payload, e.g. the BFS depth
-/// tables and the pair-weight memo of Q13/Q14).
+/// Flat hash map u64 -> u64 (the shortest-path level table and the
+/// pair-weight memo of Q14).
 class HashMap64 {
  public:
   static constexpr uint64_t kEmpty = ~0ULL;

@@ -1,11 +1,11 @@
 // Sorted-set kernels over u64 id arrays: intersection, difference, count.
 //
-// The hot loops of the heaviest complex reads reduce to ordered-set
-// algebra over adjacency lists that the store already keeps sorted and
-// duplicate-free (friend lists sort by neighbour id): friend-of-friend
-// expansion is difference-then-union, mutual-friend counting is
-// intersection. Three interchangeable intersection kernels cover the
-// shapes that occur:
+// Adjacency lists that the store keeps sorted and duplicate-free (friend
+// lists sort by neighbour id) support ordered-set algebra: mutual-friend
+// counting is intersection. No query plan calls these kernels since the
+// two-hop expansion moved to person bitmaps (exec/dense_id_set.h);
+// bench_micro_intersect and the benchmark's exec ledger measure them.
+// Three interchangeable intersection kernels cover the shapes that occur:
 //
 //   * IntersectScalar — branch-free two-pointer merge. The loop body has
 //     no data-dependent branches (comparisons feed index increments), so
@@ -64,8 +64,7 @@ size_t IntersectCount(const uint64_t* a, size_t na, const uint64_t* b,
                       size_t nb);
 
 /// a \ b into `out` (room for na elements); returns elements written,
-/// ascending. The friend-of-friend expansion uses this to drop
-/// already-seen neighbours before the dedup sort.
+/// ascending.
 size_t DifferenceSorted(const uint64_t* a, size_t na, const uint64_t* b,
                         size_t nb, uint64_t* out);
 

@@ -2,65 +2,48 @@
 
 #include <algorithm>
 
-#include "exec/intersect.h"
-#include "store/adjacency_blocks.h"
-
 namespace snb::exec {
 
 using store::DatedEdge;
+using store::FriendEdge;
 using store::PersonRecord;
 
-TwoHopStats ExpandTwoHopSorted(const store::GraphStore& store,
-                               const store::ShardSnapshot& pin, uint64_t start,
-                               std::vector<uint64_t>* circle,
-                               obs::OperatorStats* join1_sink,
-                               obs::OperatorStats* join2_sink) {
+TwoHopStats ExpandTwoHop(const store::GraphStore& store,
+                         const store::ShardSnapshot& pin, uint64_t start,
+                         std::vector<uint64_t>* circle, DenseIdSet* members,
+                         obs::OperatorStats* join1_sink,
+                         obs::OperatorStats* join2_sink) {
   TwoHopStats stats;
   circle->clear();
   const PersonRecord* p = store.FindPerson(pin, start);
   if (p == nullptr) return stats;
+  DenseIdSet local(members == nullptr ? store.PersonIdBound() : 0);
+  DenseIdSet& seen = members == nullptr ? local : *members;
 
-  // join1: the direct friend list, already sorted by neighbour id.
-  std::vector<uint64_t> direct;
+  auto friends = p->friends.view();
   {
     obs::TraceSpan span(join1_sink, "join1");
-    store::CopyFriendIds(p->friends.view(), &direct);
-    stats.direct = direct.size();
+    for (const FriendEdge& e : friends) seen.Insert(e.other);
+    stats.direct = friends.size();
     span.AddRows(stats.direct);
   }
-
-  // join2: per-friend difference against the direct list keeps the fresh
-  // candidates small before the single dedup sort; one merge restores
-  // global order. Equivalent to hash-dedup + sort (TwoHopCircleLocked) —
-  // same element set, same final order.
-  std::vector<uint64_t> fof;
   {
     obs::TraceSpan span(join2_sink, "join2");
-    std::vector<uint64_t> ids;
-    std::vector<uint64_t> fresh;
-    for (uint64_t f : direct) {
-      const PersonRecord* fp = store.FindPerson(pin, f);
-      if (fp == nullptr) continue;
-      store::CopyFriendIds(fp->friends.view(), &ids);
-      stats.fof_tuples += ids.size();
-      fresh.resize(ids.size());
-      size_t n = DifferenceSorted(ids.data(), ids.size(), direct.data(),
-                                  direct.size(), fresh.data());
-      fof.insert(fof.end(), fresh.begin(), fresh.begin() + n);
+    for (const FriendEdge& e : friends) {
+      const PersonRecord* f = store.FindPerson(pin, e.other);
+      if (f == nullptr) continue;
+      auto fof = f->friends.view();
+      for (const FriendEdge& e2 : fof) seen.Insert(e2.other);
+      stats.fof_tuples += fof.size();
     }
-    std::sort(fof.begin(), fof.end());
-    fof.erase(std::unique(fof.begin(), fof.end()), fof.end());
-    // Friendship is symmetric, so `start` shows up as a friend-of-friend;
-    // the circle excludes it (it was never in `direct`: nobody friends
-    // themselves).
-    auto self = std::lower_bound(fof.begin(), fof.end(), start);
-    if (self != fof.end() && *self == start) fof.erase(self);
+    // Friendship is symmetric, so `start` came back as a friend of each
+    // friend; nobody friends themselves, so it was never a direct friend.
+    seen.Erase(start);
     span.AddRows(stats.fof_tuples);
   }
 
-  circle->resize(direct.size() + fof.size());
-  std::merge(direct.begin(), direct.end(), fof.begin(), fof.end(),
-             circle->begin());
+  circle->reserve(seen.size());
+  seen.ForEach([circle](uint64_t id) { circle->push_back(id); });
   return stats;
 }
 

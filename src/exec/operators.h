@@ -1,5 +1,5 @@
-// Physical operators of the batched engine: adjacency scans, two-hop
-// expansion, and the bounded top-k sink.
+// Physical operators of the query plans: two-hop expansion, the
+// date-bounded message scan, and the bounded top-k sink.
 //
 // Each operator takes the caller's ShardSnapshot (snapshot-read
 // capability, discipline identical to the store accessors) and an optional
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "exec/batch.h"
+#include "exec/dense_id_set.h"
 #include "obs/trace.h"
 #include "store/graph_store.h"
 #include "util/datetime.h"
@@ -28,17 +29,20 @@ struct TwoHopStats {
   uint64_t fof_tuples = 0;  // Friend-of-friend tuples pre-dedup — join2.
 };
 
-/// Sorted two-hop circle of `start` (direct friends plus friends of
-/// friends, `start` itself excluded), built with the sorted-set kernels:
-/// per-friend DifferenceSorted against the direct list, one dedup sort
-/// over the fresh ids, one merge. Matches queries::TwoHopCircle exactly
-/// (that one hash-dedups then sorts). Spans: join1 = direct expansion,
-/// join2 = friend-of-friend expansion; either sink may be null.
-TwoHopStats ExpandTwoHopSorted(const store::GraphStore& store,
-                               const store::ShardSnapshot& pin, uint64_t start,
-                               std::vector<uint64_t>* circle,
-                               obs::OperatorStats* join1_sink = nullptr,
-                               obs::OperatorStats* join2_sink = nullptr);
+/// Two-hop circle of `start` (direct friends plus friends of friends,
+/// `start` itself excluded) in ascending id order, deduplicated in a
+/// DenseIdSet. When `members` is non-null it must be empty and receives
+/// the circle as a set; it keeps the size the caller gave it and grows
+/// for persons past it, so `DenseIdSet(store.PersonIdBound())` is the
+/// usual argument. A missing `start` yields an empty circle and touches
+/// no set. Spans: join1 = direct expansion, join2 = friend-of-friend
+/// expansion; either sink may be null.
+TwoHopStats ExpandTwoHop(const store::GraphStore& store,
+                         const store::ShardSnapshot& pin, uint64_t start,
+                         std::vector<uint64_t>* circle,
+                         DenseIdSet* members = nullptr,
+                         obs::OperatorStats* join1_sink = nullptr,
+                         obs::OperatorStats* join2_sink = nullptr);
 
 /// Scans the created-message index of each person in a sorted id list and
 /// emits blocks of (a = message id, b = creator id, date = creation date)

@@ -360,11 +360,6 @@ std::string ToJson(const RunReport& report) {
   AppendKey(&out, "title");
   AppendEscaped(&out, report.title);
   out += ",";
-  if (!report.exec_mode.empty()) {
-    AppendKey(&out, "exec_mode");
-    AppendEscaped(&out, report.exec_mode);
-    out += ",";
-  }
 
   // Per-op-type latency table (Tables 6/7/9 layout).
   AppendKey(&out, "ops");
@@ -957,6 +952,7 @@ util::Status ValidateReportJson(const std::string& json) {
        schema->string != "snb-report-v5")) {
     return util::Status::InvalidArgument("missing/unknown schema tag");
   }
+  // Reports written before every query had one plan name their engine.
   const JsonValue* exec_mode = root.Find("exec_mode");
   if (exec_mode != nullptr && (exec_mode->kind != JsonValue::Kind::kString ||
                                exec_mode->string.empty())) {

@@ -23,7 +23,9 @@
 // optional "profile" section (sampling-profiler accounting + top frames
 // per op, see src/obs/prof.h) — and the validator still accepts v1–v4
 // documents, so pre-existing readers and archived baselines keep
-// working. A deliberately small JSON parser is exposed for tests and
+// working. The writer no longer emits the top-level "exec_mode" string
+// that runs made while Q5 and Q9 had two engines carried; the validator
+// still accepts it. A deliberately small JSON parser is exposed for tests and
 // validation; it handles exactly what the writer emits (objects,
 // arrays, strings, finite numbers, bools, null).
 #ifndef SNB_OBS_REPORT_H_
@@ -210,12 +212,6 @@ ProfileSection MakeProfileSection(const prof::FoldedProfile& profile,
 
 struct RunReport {
   std::string title;
-  /// Execution engine the run used for the batched-capable queries
-  /// ("scalar" or "batched", exec::ExecModeName). Optional — omitted from
-  /// the JSON when empty, so pre-existing readers and archived baselines
-  /// are unaffected (the field is an in-place superset extension per the
-  /// evolution rule above).
-  std::string exec_mode;
   MetricsSnapshot metrics;
   bool has_driver = false;
   DriverSection driver;

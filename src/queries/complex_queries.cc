@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <ctime>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "exec/exec_mode.h"
+#include "exec/batch.h"
+#include "exec/dense_id_set.h"
 #include "exec/hash_join.h"
-#include "queries/batched_queries.h"
+#include "exec/operators.h"
+#include "obs/trace.h"
+#include "queries/query9_plans.h"
 
 namespace snb::queries {
 namespace {
@@ -35,27 +37,13 @@ std::vector<PersonId> FriendIdsLocked(const GraphStore& store,
   return out;  // friends are sorted by id already.
 }
 
-std::vector<PersonId> TwoHopCircleLocked(const GraphStore& store,
-                                         const store::ShardSnapshot& pin,
-                                         PersonId start) {
-  std::vector<PersonId> out;
-  const PersonRecord* p = store.FindPerson(pin, start);
-  if (p == nullptr) return out;
-  std::unordered_set<PersonId> seen;
-  seen.insert(start);
-  for (const FriendEdge& e : p->friends.view()) {
-    if (seen.insert(e.other).second) out.push_back(e.other);
-  }
-  size_t direct = out.size();
-  for (size_t i = 0; i < direct; ++i) {
-    const PersonRecord* f = store.FindPerson(pin, out[i]);
-    if (f == nullptr) continue;
-    for (const FriendEdge& e : f->friends.view()) {
-      if (seen.insert(e.other).second) out.push_back(e.other);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+/// The two-hop circle of `start`, ascending (exec::ExpandTwoHop).
+std::vector<PersonId> CircleOf(const GraphStore& store,
+                               const store::ShardSnapshot& pin,
+                               PersonId start) {
+  std::vector<PersonId> circle;
+  exec::ExpandTwoHop(store, pin, start, &circle);
+  return circle;
 }
 
 /// Index of the first created-message edge with creation date > max_date.
@@ -76,15 +64,6 @@ size_t LowerBoundByDate(const MessageEdges& messages, TimestampMs min_date) {
   return static_cast<size_t>(it - messages.begin());
 }
 
-/// Month (1-12) and day (1-31) of a timestamp, UTC.
-void MonthDayOf(TimestampMs ts, int* month, int* day) {
-  std::time_t secs = static_cast<std::time_t>(ts / util::kMillisPerSecond);
-  std::tm tm_utc{};
-  gmtime_r(&secs, &tm_utc);
-  *month = tm_utc.tm_mon + 1;
-  *day = tm_utc.tm_mday;
-}
-
 }  // namespace
 
 std::vector<PersonId> FriendIds(const GraphStore& store, PersonId start) {
@@ -94,7 +73,7 @@ std::vector<PersonId> FriendIds(const GraphStore& store, PersonId start) {
 
 std::vector<PersonId> TwoHopCircle(const GraphStore& store, PersonId start) {
   auto pin = store.ReadLock();
-  return TwoHopCircleLocked(store, pin, start);
+  return CircleOf(store, pin, start);
 }
 
 // ---- Q1 -----------------------------------------------------------------------
@@ -106,19 +85,21 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
   const PersonRecord* root = store.FindPerson(pin, start);
   if (root == nullptr) return results;
 
-  // 3-level BFS collecting name matches.
-  exec::HashSet64 visited;
+  // 3-level BFS collecting name matches; the last level builds no
+  // frontier.
+  exec::DenseIdSet visited(store.PersonIdBound());
   visited.Insert(start);
   std::vector<PersonId> frontier = {start};
+  std::vector<PersonId> next;
   for (uint32_t distance = 1; distance <= 3 && !frontier.empty();
        ++distance) {
-    std::vector<PersonId> next;
+    next.clear();
     for (PersonId pid : frontier) {
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
       for (const FriendEdge& e : p->friends.view()) {
         if (!visited.Insert(e.other)) continue;
-        next.push_back(e.other);
+        if (distance < 3) next.push_back(e.other);
         const PersonRecord* candidate = store.FindPerson(pin, e.other);
         if (candidate != nullptr &&
             candidate->data.first_name == first_name) {
@@ -133,7 +114,7 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
         }
       }
     }
-    frontier = std::move(next);
+    frontier.swap(next);
   }
   std::sort(results.begin(), results.end(),
             [](const Q1Result& a, const Q1Result& b) {
@@ -183,7 +164,7 @@ std::vector<Q3Result> Query3(const GraphStore& store, PersonId start,
   auto pin = store.ReadLock();
   TimestampMs end_date = start_date + duration_days * util::kMillisPerDay;
   std::vector<Q3Result> results;
-  for (PersonId pid : TwoHopCircleLocked(store, pin, start)) {
+  for (PersonId pid : CircleOf(store, pin, start)) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
     // Residents of X or Y are excluded: posting from home is not travel.
@@ -261,49 +242,42 @@ std::vector<Q4Result> Query4(const GraphStore& store, PersonId start,
 
 std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
                              TimestampMs min_date, int limit) {
-  if (exec::DefaultExecMode() == exec::ExecMode::kBatched) {
-    return Query5Batched(store, start, min_date, limit);
-  }
-  return Query5Scalar(store, start, min_date, limit);
-}
-
-std::vector<Q5Result> Query5Scalar(const GraphStore& store, PersonId start,
-                                   TimestampMs min_date, int limit) {
   auto pin = store.ReadLock();
-  std::vector<PersonId> circle = TwoHopCircleLocked(store, pin, start);
-  std::unordered_set<PersonId> circle_set(circle.begin(), circle.end());
+  std::vector<PersonId> circle;
+  exec::DenseIdSet members(store.PersonIdBound());
+  exec::ExpandTwoHop(store, pin, start, &circle, &members);
 
-  // Forums joined by circle members after min_date.
-  std::unordered_set<schema::ForumId> new_forums;
+  // Forums joined by circle members after min_date, deduplicated by sort.
+  std::vector<schema::ForumId> forums;
   for (PersonId pid : circle) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
     for (const DatedEdge& membership : p->forums.view()) {
-      if (membership.date > min_date) new_forums.insert(membership.id);
+      if (membership.date > min_date) forums.push_back(membership.id);
     }
   }
-  // Rank by posts in the forum created by circle members.
-  std::vector<Q5Result> results;
-  results.reserve(new_forums.size());
-  for (schema::ForumId fid : new_forums) {
+  std::sort(forums.begin(), forums.end());
+  forums.erase(std::unique(forums.begin(), forums.end()), forums.end());
+
+  // Rank by posts in the forum created by circle members. The comparator
+  // is a total order (forum ids are distinct), so the top-k heap keeps
+  // exactly the rows a full sort would, in the same order.
+  auto less = [](const Q5Result& a, const Q5Result& b) {
+    if (a.post_count != b.post_count) return a.post_count > b.post_count;
+    return a.forum_id < b.forum_id;
+  };
+  exec::TopK<Q5Result, decltype(less)> top(static_cast<size_t>(limit), less);
+  for (schema::ForumId fid : forums) {
     const store::ForumRecord* forum = store.FindForum(pin, fid);
     if (forum == nullptr) continue;
     uint32_t count = 0;
     for (MessageId mid : forum->posts.view()) {
       const MessageRecord* m = store.FindMessage(pin, mid);
-      if (m != nullptr && circle_set.count(m->data.creator_id) > 0) ++count;
+      if (m != nullptr && members.Contains(m->data.creator_id)) ++count;
     }
-    results.push_back({fid, count});
+    top.Push({fid, count});
   }
-  std::sort(results.begin(), results.end(),
-            [](const Q5Result& a, const Q5Result& b) {
-              if (a.post_count != b.post_count) {
-                return a.post_count > b.post_count;
-              }
-              return a.forum_id < b.forum_id;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return top.Drain();
 }
 
 // ---- Q6 -----------------------------------------------------------------------
@@ -312,7 +286,7 @@ std::vector<Q6Result> Query6(const GraphStore& store, PersonId start,
                              schema::TagId tag, int limit) {
   auto pin = store.ReadLock();
   std::unordered_map<schema::TagId, uint32_t> co_counts;
-  for (PersonId pid : TwoHopCircleLocked(store, pin, start)) {
+  for (PersonId pid : CircleOf(store, pin, start)) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
     for (const DatedEdge& e : p->messages.view()) {
@@ -408,36 +382,50 @@ std::vector<Q8Result> Query8(const GraphStore& store, PersonId start,
 // ---- Q9 -----------------------------------------------------------------------
 
 std::vector<Q9Result> Query9(const GraphStore& store, PersonId start,
-                             TimestampMs max_date, int limit) {
-  if (exec::DefaultExecMode() == exec::ExecMode::kBatched) {
-    return Query9Batched(store, start, max_date, limit);
-  }
-  return Query9Scalar(store, start, max_date, limit);
-}
-
-std::vector<Q9Result> Query9Scalar(const GraphStore& store, PersonId start,
-                                   TimestampMs max_date, int limit) {
+                             TimestampMs max_date, int limit,
+                             Q9PlanStats* stats, Q9OperatorProfile* profile) {
   auto pin = store.ReadLock();
-  std::vector<Q9Result> candidates;
-  for (PersonId pid : TwoHopCircleLocked(store, pin, start)) {
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    auto messages = p->messages.view();
-    size_t upper = UpperBoundByDate(messages, max_date - 1);
-    size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
-    for (size_t i = upper - take; i < upper; ++i) {
-      candidates.push_back({messages[i].id, pid, messages[i].date});
+  Q9PlanStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  *stats = Q9PlanStats();
+  auto sink = [profile](obs::OperatorStats Q9OperatorProfile::* member) {
+    return profile == nullptr ? nullptr : &(profile->*member);
+  };
+
+  std::vector<PersonId> circle;
+  exec::TwoHopStats hop = exec::ExpandTwoHop(
+      store, pin, start, &circle, nullptr, sink(&Q9OperatorProfile::join1),
+      sink(&Q9OperatorProfile::join2));
+  stats->join1_output = hop.direct;
+  stats->join2_output = hop.fof_tuples;
+
+  // Per circle person only the newest `limit` messages before max_date
+  // can reach the global top `limit` under (date desc, id asc); message
+  // ids are unique, so the top-k heap equals full sort + truncate.
+  auto less = [](const Q9Result& a, const Q9Result& b) {
+    if (a.creation_date != b.creation_date) {
+      return a.creation_date > b.creation_date;
     }
+    return a.message_id < b.message_id;
+  };
+  exec::TopK<Q9Result, decltype(less)> top(static_cast<size_t>(limit), less);
+  exec::MessageScanOperator scan(store, pin, circle, max_date,
+                                 static_cast<size_t>(limit),
+                                 sink(&Q9OperatorProfile::join3));
+  exec::Batch batch;
+  while (scan.Next(&batch)) {
+    obs::TraceSpan span(sink(&Q9OperatorProfile::sort_limit), "sort_limit");
+    for (size_t r = 0; r < batch.size; ++r) {
+      top.Push({batch.a[r], batch.b[r], batch.date[r]});
+    }
+    span.AddRows(batch.size);
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Q9Result& a, const Q9Result& b) {
-              if (a.creation_date != b.creation_date) {
-                return a.creation_date > b.creation_date;
-              }
-              return a.message_id < b.message_id;
-            });
-  if (static_cast<int>(candidates.size()) > limit) candidates.resize(limit);
-  return candidates;
+  stats->join3_output = scan.rows_emitted();
+
+  obs::TraceSpan span(sink(&Q9OperatorProfile::sort_limit), "sort_limit");
+  std::vector<Q9Result> out = top.Drain();
+  span.AddRows(out.size());
+  return out;
 }
 
 // ---- Q10 ----------------------------------------------------------------------
@@ -448,42 +436,40 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
   std::vector<Q10Result> results;
   const PersonRecord* root = store.FindPerson(pin, start);
   if (root == nullptr) return results;
-  std::unordered_set<schema::TagId> interests(root->data.interests.begin(),
-                                              root->data.interests.end());
+  std::vector<schema::TagId> interests = root->data.interests;
+  std::sort(interests.begin(), interests.end());
   auto root_friends = root->friends.view();
-  std::unordered_set<PersonId> direct;
-  direct.insert(start);
-  for (const FriendEdge& e : root_friends) direct.insert(e.other);
+  const uint64_t bound = store.PersonIdBound();
+  exec::DenseIdSet direct(bound);
+  direct.Insert(start);
+  for (const FriendEdge& e : root_friends) direct.Insert(e.other);
 
-  std::unordered_set<PersonId> fof;
+  exec::DenseIdSet fof(bound);
   for (const FriendEdge& e : root_friends) {
     const PersonRecord* f = store.FindPerson(pin, e.other);
     if (f == nullptr) continue;
     for (const FriendEdge& e2 : f->friends.view()) {
-      if (direct.count(e2.other) == 0) fof.insert(e2.other);
+      if (!direct.Contains(e2.other)) fof.Insert(e2.other);
     }
   }
 
-  for (PersonId pid : fof) {
+  const int next_month = horoscope_month % 12 + 1;
+  fof.ForEach([&](PersonId pid) {
     const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
+    if (p == nullptr) return;
     int month = 0, day = 0;
-    MonthDayOf(p->data.birthday, &month, &day);
-    int next_month = horoscope_month % 12 + 1;
+    util::MonthDayOf(p->data.birthday, &month, &day);
     bool sign_match = (month == horoscope_month && day >= 21) ||
                       (month == next_month && day < 22);
-    if (!sign_match) continue;
+    if (!sign_match) return;
     int32_t common = 0, other = 0;
     for (const DatedEdge& e : p->messages.view()) {
       const MessageRecord* m = store.FindMessage(pin, e.id);
       if (m == nullptr || m->data.kind == MessageKind::kComment) continue;
-      bool about_interest = false;
-      for (schema::TagId t : m->data.tags) {
-        if (interests.count(t) > 0) {
-          about_interest = true;
-          break;
-        }
-      }
+      bool about_interest = std::any_of(
+          m->data.tags.begin(), m->data.tags.end(), [&](schema::TagId t) {
+            return std::binary_search(interests.begin(), interests.end(), t);
+          });
       if (about_interest) {
         ++common;
       } else {
@@ -491,7 +477,7 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
       }
     }
     results.push_back({pid, common - other});
-  }
+  });
   std::sort(results.begin(), results.end(),
             [](const Q10Result& a, const Q10Result& b) {
               if (a.similarity != b.similarity) {
@@ -512,7 +498,7 @@ std::vector<Q11Result> Query11(const GraphStore& store, PersonId start,
                                uint16_t max_work_year, int limit) {
   auto pin = store.ReadLock();
   std::vector<Q11Result> results;
-  for (PersonId pid : TwoHopCircleLocked(store, pin, start)) {
+  for (PersonId pid : CircleOf(store, pin, start)) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
     schema::OrganizationId company = p->data.company_id;
@@ -587,62 +573,72 @@ uint64_t SlotOf(uint64_t entry) { return entry >> 32; }
 uint64_t LevelOf(uint64_t entry) { return entry & 0xffffffffu; }
 
 /// Hop distance between two distinct present persons, or -1 when they are
-/// not connected, by a layered bidirectional BFS. Each round expands the
+/// not connected, by a layered bidirectional BFS. Each side keeps one
+/// DenseIdSet of the persons it has reached and a list of its layers
+/// (layer d = persons first reached at depth d). Each round expands the
 /// whole smaller frontier; the first round that reaches persons the other
 /// side has already seen fixes the distance, and those persons are exactly
 /// the shortest-path persons at that depth. When `levels` is non-null it
 /// then receives every person on a shortest path, keyed to PackLevel(slot,
 /// distance from person1): walking out of the meeting layer toward either
-/// endpoint, a friend one step closer by that endpoint's depth table is on
-/// a shortest path too.
+/// endpoint, a friend in that side's previous layer (tested on a bitmap of
+/// the layer) is on a shortest path too.
 int ShortestPathLevels(const GraphStore& store,
                        const store::ShardSnapshot& pin, PersonId person1,
                        PersonId person2, exec::HashMap64* levels) {
   // Side 0 searches from person1, side 1 from person2.
-  exec::HashMap64 depth[2];
-  depth[0].Put(person1, 0);
-  depth[1].Put(person2, 0);
-  std::vector<PersonId> frontier[2] = {{person1}, {person2}};
-  uint64_t reached[2] = {0, 0};
-  std::vector<PersonId> next, meet;
+  const uint64_t bound = store.PersonIdBound();
+  exec::DenseIdSet seen[2] = {exec::DenseIdSet(bound),
+                              exec::DenseIdSet(bound)};
+  std::vector<std::vector<PersonId>> layers[2];
+  for (int side : {0, 1}) {
+    PersonId endpoint = side == 0 ? person1 : person2;
+    seen[side].Insert(endpoint);
+    layers[side].push_back({endpoint});
+  }
+  std::vector<PersonId> meet;
   while (meet.empty()) {
-    if (frontier[0].empty() || frontier[1].empty()) return -1;
-    int side = frontier[0].size() <= frontier[1].size() ? 0 : 1;
-    uint64_t d = ++reached[side];
-    next.clear();
-    for (PersonId pid : frontier[side]) {
+    if (layers[0].back().empty() || layers[1].back().empty()) return -1;
+    int side = layers[0].back().size() <= layers[1].back().size() ? 0 : 1;
+    std::vector<PersonId> next;
+    for (PersonId pid : layers[side].back()) {
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
       for (const FriendEdge& e : p->friends.view()) {
-        if (!depth[side].Insert(e.other, d)) continue;
+        if (!seen[side].Insert(e.other)) continue;
         next.push_back(e.other);
-        if (depth[1 - side].Find(e.other) != nullptr) meet.push_back(e.other);
+        if (seen[1 - side].Contains(e.other)) meet.push_back(e.other);
       }
     }
-    frontier[side].swap(next);
+    layers[side].push_back(std::move(next));
   }
+  const uint64_t reached[2] = {layers[0].size() - 1, layers[1].size() - 1};
   const uint64_t distance = reached[0] + reached[1];
   if (levels == nullptr) return static_cast<int>(distance);
 
   for (PersonId pid : meet) {
     levels->Insert(pid, PackLevel(levels->size(), reached[0]));
   }
+  exec::DenseIdSet previous(bound);
+  std::vector<PersonId> next;
   for (int side : {0, 1}) {
     std::vector<PersonId> layer = meet;
     for (uint64_t d = reached[side]; d > 0; --d) {
+      const std::vector<PersonId>& closer = layers[side][d - 1];
+      for (PersonId pid : closer) previous.Insert(pid);
       uint64_t level = side == 0 ? d - 1 : distance - (d - 1);
       next.clear();
       for (PersonId pid : layer) {
         const PersonRecord* p = store.FindPerson(pin, pid);
         if (p == nullptr) continue;
         for (const FriendEdge& e : p->friends.view()) {
-          const uint64_t* other = depth[side].Find(e.other);
-          if (other != nullptr && *other == d - 1 &&
+          if (previous.Contains(e.other) &&
               levels->Insert(e.other, PackLevel(levels->size(), level))) {
             next.push_back(e.other);
           }
         }
       }
+      for (PersonId pid : closer) previous.Erase(pid);
       layer.swap(next);
     }
   }

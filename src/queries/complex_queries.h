@@ -1,14 +1,14 @@
 // The 14 complex read-only queries of SNB-Interactive (paper appendix).
 //
 // Each function implements one query template against the GraphStore via
-// handwritten intended plans (the same style as the LDBC API reference
+// one handwritten plan (the same style as the LDBC API reference
 // implementations for Neo4j/Sparksee). Every query takes its own read
-// snapshot and is safe to run concurrently with updates.
-//
-// Q5 and Q9 additionally have batched (block-at-a-time) plans; their entry
-// points here dispatch on the process-wide exec::DefaultExecMode(), and
-// queries/batched_queries.h exposes engine-explicit variants for tests,
-// fuzzing and ablation. Every other query, Q14 included, has one plan.
+// snapshot and is safe to run concurrently with updates, and every query
+// checks that its start person exists before it sizes or fills a person
+// set. Per-query person sets are exec::DenseIdSet bitmaps; the two-hop
+// circle of Q3, Q5, Q6, Q9 and Q11 comes from exec::ExpandTwoHop. The
+// Figure 4 join-type variants of Q9 live in queries/query9_plans.h and
+// serve only the plan-ablation bench and tests.
 #ifndef SNB_QUERIES_COMPLEX_QUERIES_H_
 #define SNB_QUERIES_COMPLEX_QUERIES_H_
 
@@ -24,6 +24,10 @@ namespace snb::queries {
 
 using store::GraphStore;
 using util::TimestampMs;
+
+// Q9's optional counters and operator profile (queries/query9_plans.h).
+struct Q9PlanStats;
+struct Q9OperatorProfile;
 
 // ---- Q1: friends with a given name ------------------------------------------
 
@@ -150,9 +154,16 @@ struct Q9Result {
 };
 
 /// Most recent messages created before `max_date` by friends or
-/// friends-of-friends; top 20 by (date desc, id asc).
+/// friends-of-friends; top 20 by (date desc, id asc). The plan expands the
+/// circle, scans each member's newest `limit` messages before the date and
+/// keeps a top-`limit` heap. When `stats` / `profile` are non-null they
+/// receive the join cardinalities and the join1/join2/join3/sort_limit
+/// operator times of this same plan (hash_build stays untouched); the rows
+/// do not depend on them.
 std::vector<Q9Result> Query9(const GraphStore& store, schema::PersonId start,
-                             TimestampMs max_date, int limit = 20);
+                             TimestampMs max_date, int limit = 20,
+                             Q9PlanStats* stats = nullptr,
+                             Q9OperatorProfile* profile = nullptr);
 
 // ---- Q10: friend recommendation ---------------------------------------------------------------
 

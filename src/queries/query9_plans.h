@@ -6,7 +6,9 @@
 // costs ~50% in HyPer/Virtuoso. This module executes Q9 with a selectable
 // join strategy per join so the ablation bench can reproduce that
 // sensitivity, and counts the de-facto intermediate result sizes (the
-// paper's Cout) produced by each join.
+// paper's Cout) produced by each join. The production plan is Query9 in
+// queries/complex_queries.h; these variants serve only the Figure 4 bench
+// and the tests.
 #ifndef SNB_QUERIES_QUERY9_PLANS_H_
 #define SNB_QUERIES_QUERY9_PLANS_H_
 
@@ -42,7 +44,7 @@ struct Q9PlanStats {
 /// Per-operator wall-time profile of one (or several merged) plan
 /// executions. Cardinalities (Q9PlanStats) say how much each join produced;
 /// this says where the time went — the dimension Figure 4's INL-vs-hash
-/// comparison actually turns on. Filled only when passed to
+/// comparison actually turns on. Filled only when passed to Query9 or
 /// Query9WithPlan; the null-profile path takes no timestamps.
 struct Q9OperatorProfile {
   obs::OperatorStats hash_build;  // FriendsHashTable construction.

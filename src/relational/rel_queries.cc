@@ -22,8 +22,8 @@ std::vector<PersonId> FriendIdsLocked(const RelationalDb& db,
   return out;
 }
 
-std::vector<PersonId> TwoHopCircleLocked(const RelationalDb& db,
-                                         PersonId start) {
+/// Two-hop circle of `start`, ascending; the caller holds the read lock.
+std::vector<PersonId> CircleOf(const RelationalDb& db, PersonId start) {
   std::vector<PersonId> out;
   std::unordered_set<PersonId> seen{start};
   auto [lo, hi] = db.FriendsOf(start);
@@ -53,7 +53,7 @@ void MonthDayOf(TimestampMs ts, int* month, int* day) {
 
 std::vector<PersonId> TwoHopCircle(const RelationalDb& db, PersonId start) {
   auto lock = db.ReadLock();
-  return TwoHopCircleLocked(db, start);
+  return CircleOf(db, start);
 }
 
 std::vector<Q1Result> Query1(const RelationalDb& db, PersonId start,
@@ -127,7 +127,7 @@ std::vector<Q3Result> Query3(const RelationalDb& db, PersonId start,
   auto lock = db.ReadLock();
   TimestampMs end_date = start_date + duration_days * util::kMillisPerDay;
   std::vector<Q3Result> results;
-  for (PersonId pid : TwoHopCircleLocked(db, start)) {
+  for (PersonId pid : CircleOf(db, start)) {
     const schema::Person* p = db.FindPerson(pid);
     if (p == nullptr) continue;
     if (p->city_id < city_country.size()) {
@@ -196,7 +196,7 @@ std::vector<Q4Result> Query4(const RelationalDb& db, PersonId start,
 std::vector<Q5Result> Query5(const RelationalDb& db, PersonId start,
                              TimestampMs min_date, int limit) {
   auto lock = db.ReadLock();
-  std::vector<PersonId> circle = TwoHopCircleLocked(db, start);
+  std::vector<PersonId> circle = CircleOf(db, start);
   std::unordered_set<PersonId> circle_set(circle.begin(), circle.end());
   std::unordered_set<ForumId> new_forums;
   for (PersonId pid : circle) {
@@ -231,7 +231,7 @@ std::vector<Q6Result> Query6(const RelationalDb& db, PersonId start,
                              TagId tag, int limit) {
   auto lock = db.ReadLock();
   std::unordered_map<TagId, uint32_t> co_counts;
-  for (PersonId pid : TwoHopCircleLocked(db, start)) {
+  for (PersonId pid : CircleOf(db, start)) {
     auto [lo, hi] = db.MessagesBy(pid);
     for (const CreatorIndexRow* it = lo; it != hi; ++it) {
       const schema::Message* m = db.FindMessage(it->message);
@@ -319,7 +319,7 @@ std::vector<Q9Result> Query9(const RelationalDb& db, PersonId start,
                              TimestampMs max_date, int limit) {
   auto lock = db.ReadLock();
   std::vector<Q9Result> candidates;
-  for (PersonId pid : TwoHopCircleLocked(db, start)) {
+  for (PersonId pid : CircleOf(db, start)) {
     auto [lo, hi] = db.MessagesBy(pid);
     int taken = 0;
     for (const CreatorIndexRow* it = hi; it != lo && taken < limit;) {
@@ -401,7 +401,7 @@ std::vector<Q11Result> Query11(
     schema::PlaceId country, uint16_t max_work_year, int limit) {
   auto lock = db.ReadLock();
   std::vector<Q11Result> results;
-  for (PersonId pid : TwoHopCircleLocked(db, start)) {
+  for (PersonId pid : CircleOf(db, start)) {
     const schema::Person* p = db.FindPerson(pid);
     if (p == nullptr || p->company_id == schema::kInvalidId32) continue;
     if (p->company_id >= company_country.size()) continue;

@@ -391,6 +391,18 @@ class GraphStore {
     return bound;
   }
 
+  /// One past the largest person id ever added: person ids are dense from
+  /// zero, so per-query person bitmaps (exec::DenseIdSet) size to this.
+  /// A person added after the bound was read may lie at or past it.
+  schema::PersonId PersonIdBound() const {
+    uint64_t bound = 0;
+    for (uint32_t i = 0; i < num_shards_; ++i) {
+      uint64_t b = shards_[i].persons.bound();
+      if (b > bound) bound = b;
+    }
+    return bound;
+  }
+
   /// All person ids, ascending (for whole-graph scans in tests/benches).
   std::vector<schema::PersonId> PersonIds(const ShardSnapshot& snap) const;
   /// All forum ids, ascending.

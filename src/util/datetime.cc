@@ -1,8 +1,8 @@
 #include "util/datetime.h"
 
-#include <ctime>
-
+#include <chrono>
 #include <cstdio>
+#include <ctime>
 
 namespace snb::util {
 
@@ -24,6 +24,19 @@ TimestampMs TimestampFromDate(int year, int month, int day) {
   tm_utc.tm_mday = day;
   std::time_t secs = timegm(&tm_utc);
   return static_cast<TimestampMs>(secs) * kMillisPerSecond;
+}
+
+void MonthDayOf(TimestampMs ts, int* month, int* day) {
+  // Truncate to the second as the time_t conversion does, then floor to
+  // the day: a second before 1970 belongs to the day it falls in.
+  constexpr int64_t kSecondsPerDay = kMillisPerDay / kMillisPerSecond;
+  int64_t secs = ts / kMillisPerSecond;
+  int64_t days = secs / kSecondsPerDay;
+  if (secs % kSecondsPerDay < 0) --days;
+  std::chrono::year_month_day date{
+      std::chrono::sys_days{std::chrono::days{days}}};
+  *month = static_cast<int>(static_cast<unsigned>(date.month()));
+  *day = static_cast<int>(static_cast<unsigned>(date.day()));
 }
 
 }  // namespace snb::util

@@ -56,6 +56,11 @@ std::string FormatTimestamp(TimestampMs ts);
 /// Timestamp of the given calendar date at midnight UTC.
 TimestampMs TimestampFromDate(int year, int month, int day);
 
+/// Month (1-12) and day of month (1-31) of a timestamp, UTC: the fields
+/// gmtime_r gives for the timestamp truncated to its second, by calendar
+/// arithmetic instead (glibc's gmtime_r takes a process-wide lock).
+void MonthDayOf(TimestampMs ts, int* month, int* day);
+
 }  // namespace snb::util
 
 #endif  // SNB_UTIL_DATETIME_H_

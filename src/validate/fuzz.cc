@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/report.h"
-#include "queries/batched_queries.h"
 #include "queries/complex_queries.h"
 #include "queries/short_queries.h"
 #include "relational/rel_queries.h"
@@ -69,11 +68,7 @@ const char* const kLastNames[] = {"Ng", "Okafor", "Ng", "Petrov"};
 
 // ---- Backend dispatch -----------------------------------------------------
 
-/// Runs one binding against the graph store. Q5/Q9 call the *Scalar
-/// entry points directly (not the exec-mode dispatchers), so the fuzz
-/// campaign always compares the genuine scalar paths no matter what the
-/// process-wide exec::DefaultExecMode() happens to be; the batched paths
-/// are covered separately by RunOnStoreBatched.
+/// Runs one binding against the graph store.
 std::vector<std::string> RunOnStore(const store::GraphStore& s,
                                     const FuzzBinding& b) {
   const std::string& op = b.op;
@@ -86,14 +81,14 @@ std::vector<std::string> RunOnStore(const store::GraphStore& s,
                                          b.date, b.days));
   }
   if (op == "complex.Q4") return CanonicalRows(queries::Query4(s, b.person, b.date, b.days));
-  if (op == "complex.Q5") return CanonicalRows(queries::Query5Scalar(s, b.person, b.date));
+  if (op == "complex.Q5") return CanonicalRows(queries::Query5(s, b.person, b.date));
   if (op == "complex.Q6") {
     return CanonicalRows(
         queries::Query6(s, b.person, static_cast<schema::TagId>(b.a)));
   }
   if (op == "complex.Q7") return CanonicalRows(queries::Query7(s, b.person));
   if (op == "complex.Q8") return CanonicalRows(queries::Query8(s, b.person));
-  if (op == "complex.Q9") return CanonicalRows(queries::Query9Scalar(s, b.person, b.date));
+  if (op == "complex.Q9") return CanonicalRows(queries::Query9(s, b.person, b.date));
   if (op == "complex.Q10") {
     return CanonicalRows(
         queries::Query10(s, b.person, static_cast<int>(b.a)));
@@ -134,25 +129,6 @@ std::vector<std::string> RunOnStore(const store::GraphStore& s,
     return CanonicalRows(queries::ShortQuery7MessageReplies(s, b.message));
   }
   return {"<unknown op " + op + ">"};
-}
-
-/// True for the ops that have a block-at-a-time engine port.
-bool HasBatchedVariant(const std::string& op) {
-  return op == "complex.Q5" || op == "complex.Q9";
-}
-
-/// Runs one binding against the batched (block-at-a-time) query engine.
-/// Only valid for ops where HasBatchedVariant() holds.
-std::vector<std::string> RunOnStoreBatched(const store::GraphStore& s,
-                                           const FuzzBinding& b) {
-  const std::string& op = b.op;
-  if (op == "complex.Q5") {
-    return CanonicalRows(queries::Query5Batched(s, b.person, b.date));
-  }
-  if (op == "complex.Q9") {
-    return CanonicalRows(queries::Query9Batched(s, b.person, b.date));
-  }
-  return {"<no batched variant for op " + op + ">"};
 }
 
 /// Runs one binding against the relational baseline.
@@ -277,9 +253,8 @@ std::vector<std::string> RunOnOracle(const Oracle& o, const FuzzBinding& b) {
 
 // ---- Trial ---------------------------------------------------------------
 
-/// One execution of a binding on a network across all backends (store,
-/// store-batched where the op has a batched port, relational), each judged
-/// against the oracle.
+/// One execution of a binding on a network across both backends (store,
+/// relational), each judged against the oracle.
 struct Trial {
   bool loaded = false;  // Both SUTs bulk-loaded successfully.
   bool mismatch = false;
@@ -307,16 +282,6 @@ Trial RunTrial(const schema::SocialNetwork& net, const FuzzBinding& binding,
     trial.expected = std::move(oracle_rows);
     trial.actual = std::move(store_rows);
     return trial;
-  }
-  if (HasBatchedVariant(binding.op)) {
-    std::vector<std::string> batched_rows = RunOnStoreBatched(store, binding);
-    if (batched_rows != oracle_rows) {
-      trial.mismatch = true;
-      trial.backend = "store-batched";
-      trial.expected = std::move(oracle_rows);
-      trial.actual = std::move(batched_rows);
-      return trial;
-    }
   }
   std::vector<std::string> rel_rows = RunOnRelational(db, binding);
   if (rel_rows != oracle_rows) {
@@ -731,17 +696,12 @@ util::Status RunDifferentialFuzz(const FuzzConfig& config,
       std::vector<std::string> oracle_rows = RunOnOracle(oracle, binding);
       std::vector<std::string> store_rows = RunOnStore(store, binding);
       if (perturb) perturb(binding.op, &store_rows);
-      bool has_batched = HasBatchedVariant(binding.op);
-      std::vector<std::string> batched_rows;
-      if (has_batched) batched_rows = RunOnStoreBatched(store, binding);
       std::vector<std::string> rel_rows = RunOnRelational(db, binding);
-      out->comparisons += has_batched ? 3 : 2;
+      out->comparisons += 2;
 
       std::string backend;
       if (store_rows != oracle_rows) {
         backend = "store";
-      } else if (has_batched && batched_rows != oracle_rows) {
-        backend = "store-batched";
       } else if (rel_rows != oracle_rows) {
         backend = "relational";
       } else {
@@ -765,8 +725,6 @@ util::Status RunDifferentialFuzz(const FuzzConfig& config,
         out->first.expected = std::move(oracle_rows);
         if (backend == "store") {
           out->first.actual = std::move(store_rows);
-        } else if (backend == "store-batched") {
-          out->first.actual = std::move(batched_rows);
         } else {
           out->first.actual = std::move(rel_rows);
         }

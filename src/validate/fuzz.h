@@ -4,11 +4,8 @@
 // networks, run every read query with randomized bindings against the graph
 // store (snb::queries), the relational baseline (snb::rel) and the naive
 // scan oracle (snb::validate::Oracle), and require canonical-row equality.
-// Queries with a batched (block-at-a-time) engine port — complex Q5 and
-// Q9 — additionally run through queries::Query{5,9}Batched, so every
-// fuzz graph exercises scalar vs batched vs oracle three ways. The oracle
-// is the arbiter: a backend whose rows differ from the oracle's is the
-// mismatch, regardless of whether the other backends agree with it.
+// The oracle is the arbiter: a backend whose rows differ from the oracle's
+// is the mismatch, regardless of whether the other backend agrees with it.
 //
 // Every graph additionally randomizes the store's shard count (1, 2, 4 or
 // 8, derived deterministically from the graph seed), so the campaign
@@ -64,7 +61,7 @@ struct FuzzMismatch {
   /// Store shard count the mismatch was found (and reproduces) at; 1 for
   /// artifacts predating the sharded store ("snb-fuzz-regression-v1").
   uint32_t shard_count = 1;
-  std::string backend;      // "store", "store-batched" or "relational".
+  std::string backend;      // "store" or "relational".
   FuzzBinding binding;
   std::vector<std::string> expected;  // Oracle rows.
   std::vector<std::string> actual;    // Mismatching backend's rows.

@@ -466,6 +466,45 @@ TEST_F(ComplexQueriesTest, Q9AllPlanVariantsAgree) {
   }
 }
 
+// Observing Q9 must not change its plan: the stats and profile sinks
+// attach to the same plan and leave the rows untouched.
+TEST_F(ComplexQueriesTest, Q9FillsPlanStatsWithoutChangingRows) {
+  util::TimestampMs max_date =
+      util::kNetworkStartMs + 40 * util::kMillisPerMonth;
+  for (PersonId start : {world().hub, PersonId{0}, PersonId{17}}) {
+    std::vector<Q9Result> plain = Query9(world().store, start, max_date, 20);
+    Q9PlanStats stats;
+    Q9OperatorProfile profile;
+    std::vector<Q9Result> observed =
+        Query9(world().store, start, max_date, 20, &stats, &profile);
+    ASSERT_EQ(observed.size(), plain.size()) << "person " << start;
+    for (size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(observed[i].message_id, plain[i].message_id) << i;
+      EXPECT_EQ(observed[i].creator_id, plain[i].creator_id) << i;
+      EXPECT_EQ(observed[i].creation_date, plain[i].creation_date) << i;
+    }
+  }
+
+  Q9PlanStats stats;
+  Q9OperatorProfile profile;
+  std::vector<Q9Result> rows =
+      Query9(world().store, world().hub, max_date, 20, &stats, &profile);
+  EXPECT_FALSE(rows.empty());
+  EXPECT_GT(stats.join1_output, 0u);
+  EXPECT_GE(stats.join2_output, stats.join1_output);
+  EXPECT_GE(stats.join3_output, rows.size());
+  EXPECT_EQ(stats.build_tuples, 0u);
+  EXPECT_EQ(profile.join1.invocations, 1u);
+  EXPECT_EQ(profile.join1.rows, stats.join1_output);
+  EXPECT_EQ(profile.join2.invocations, 1u);
+  EXPECT_EQ(profile.join2.rows, stats.join2_output);
+  EXPECT_GT(profile.join3.invocations, 0u);
+  EXPECT_EQ(profile.join3.rows, stats.join3_output);
+  EXPECT_GT(profile.sort_limit.invocations, 0u);
+  EXPECT_GT(profile.sort_limit.rows, 0u);
+  EXPECT_EQ(profile.hash_build.invocations, 0u);
+}
+
 // ---- Q10 ---------------------------------------------------------------
 
 TEST_F(ComplexQueriesTest, Q10CandidatesAreFofWithMatchingSign) {

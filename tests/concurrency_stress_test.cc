@@ -1,6 +1,9 @@
-// Concurrency stress: reader threads run CQ2/CQ9/CQ14 in a tight loop while
-// the main thread replays the generated update stream against the same store
-// (epoch read mode, the default). Readers verify per-query invariants that
+// Concurrency stress: reader threads run CQ1/CQ2/CQ9/CQ11/CQ14 in a tight
+// loop while the main thread replays the generated update stream against
+// the same store (epoch read mode, the default). Along the replay the
+// writer also adds persons past the bulk-load id bound, befriended with
+// bulk persons, so the readers' person bitmaps (sized to the bound each
+// query reads) meet ids past it. Readers verify per-query invariants that
 // must hold under any snapshot; afterwards the stressed store must answer
 // identically to a replica loaded sequentially.
 //
@@ -8,6 +11,7 @@
 // the lock-free read path (ctest -L concurrency).
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "datagen/datagen.h"
 #include "queries/complex_queries.h"
 #include "queries/update_queries.h"
+#include "schema/dictionaries.h"
 #include "store/graph_store.h"
 
 namespace snb::store {
@@ -32,6 +37,49 @@ struct ReaderStats {
 
 // Returns a description of the first invariant violation, or "" if clean.
 // Runs under its own ReadLock so record lookups are snapshot-safe.
+std::string CheckQ1(const GraphStore& store, const std::string& first_name,
+                    const std::vector<queries::Q1Result>& results) {
+  auto pin = store.ReadLock();
+  std::set<schema::PersonId> seen;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const queries::Q1Result& r = results[i];
+    if (r.distance < 1 || r.distance > 3) return "Q1 distance outside 1..3";
+    if (!seen.insert(r.person_id).second) return "Q1 returned a person twice";
+    const PersonRecord* p = store.FindPerson(pin, r.person_id);
+    if (p == nullptr) return "Q1 returned an unresolvable person id";
+    if (p->data.first_name != first_name) return "Q1 first name mismatch";
+    if (p->data.last_name != r.last_name) return "Q1 last name mismatch";
+    if (i > 0) {
+      const queries::Q1Result& prev = results[i - 1];
+      bool ordered =
+          prev.distance < r.distance ||
+          (prev.distance == r.distance &&
+           (prev.last_name < r.last_name ||
+            (prev.last_name == r.last_name && prev.person_id < r.person_id)));
+      if (!ordered) return "Q1 results not (distance, last name, id) ordered";
+    }
+  }
+  return "";
+}
+
+std::string CheckQ11(schema::PersonId start,
+                     const std::vector<queries::Q11Result>& results) {
+  std::set<schema::PersonId> seen;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const queries::Q11Result& r = results[i];
+    if (r.person_id == start) return "Q11 returned the start person";
+    if (!seen.insert(r.person_id).second) return "Q11 returned a person twice";
+    if (i > 0) {
+      const queries::Q11Result& prev = results[i - 1];
+      bool ordered = prev.work_year < r.work_year ||
+                     (prev.work_year == r.work_year &&
+                      prev.person_id < r.person_id);
+      if (!ordered) return "Q11 results not (work year, id) ordered";
+    }
+  }
+  return "";
+}
+
 std::string CheckQ2(const GraphStore& store, schema::PersonId start,
                     const std::vector<queries::Q2Result>& results) {
   auto pin = store.ReadLock();
@@ -118,11 +166,21 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
   ASSERT_TRUE(store.BulkLoad(ds.bulk).ok());
 
   std::vector<schema::PersonId> persons;
+  std::vector<std::string> first_names;
   {
     auto pin = store.ReadLock();
     persons = store.PersonIds(pin);
+    for (schema::PersonId pid : persons) {
+      first_names.push_back(store.FindPerson(pin, pid)->data.first_name);
+    }
   }
   ASSERT_FALSE(persons.empty());
+  const uint64_t bulk_bound = store.PersonIdBound();
+  schema::Dictionaries dict(config.seed);
+  std::vector<schema::PlaceId> company_country;
+  for (const schema::Company& c : dict.companies()) {
+    company_country.push_back(c.country_id);
+  }
 
   constexpr int kReaders = 4;
   constexpr uint64_t kMinQueriesPerReader = 40;
@@ -150,37 +208,62 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
              my.queries < kMinQueriesPerReader) {
         schema::PersonId pid = persons[cursor % persons.size()];
         cursor += kReaders;
+        const std::string& name = first_names[(cursor * 31) % persons.size()];
+        auto q1 = queries::Query1(store, pid, name);
+        report(CheckQ1(store, name, q1));
         auto q2 = queries::Query2(store, pid, kFarFuture);
         report(CheckQ2(store, pid, q2));
         auto q9 = queries::Query9(store, pid, kFarFuture);
         report(CheckQ9(store, q9));
         schema::PersonId other = persons[(cursor * 7919) % persons.size()];
+        auto q11 = queries::Query11(
+            store, pid, company_country,
+            company_country[cursor % company_country.size()], 2030);
+        report(CheckQ11(pid, q11));
         auto q14 = queries::Query14(store, pid, other);
         report(CheckQ14(store, pid, other, q14));
-        my.queries += 3;
-        my.results += q2.size() + q9.size() + q14.size();
+        my.queries += 5;
+        my.results += q1.size() + q2.size() + q9.size() + q11.size() +
+                      q14.size();
       }
     });
   }
 
-  // Writer: replay the full update stream on the main thread.
+  // Writer: replay the full update stream on the main thread, adding a
+  // person past the bulk-load bound after every 64th update. Late ids are
+  // 64 apart, so each one lands in a fresh bitmap word.
+  std::vector<schema::Person> late_persons;
+  std::vector<schema::Knows> late_knows;
   uint64_t applied = 0;
   for (const datagen::UpdateOperation& op : ds.updates) {
     ASSERT_TRUE(queries::ApplyUpdate(store, op).ok());
-    ++applied;
+    if (++applied % 64 != 0) continue;
+    size_t k = late_persons.size();
+    schema::Person late;
+    late.id = bulk_bound + 64 * k + 5;
+    late.first_name = first_names[(k * 13) % first_names.size()];
+    late.creation_date = util::UpdateStreamStartMs();
+    schema::Knows knows{persons[(k * 7) % persons.size()], late.id,
+                        util::UpdateStreamStartMs()};
+    ASSERT_TRUE(store.AddPerson(late).ok());
+    ASSERT_TRUE(store.AddFriendship(knows).ok());
+    late_persons.push_back(late);
+    late_knows.push_back(knows);
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(errors.load(), 0u) << first_error;
   EXPECT_EQ(applied, ds.updates.size());
+  ASSERT_FALSE(late_persons.empty());
+  EXPECT_EQ(store.PersonIdBound(), late_persons.back().id + 1);
   uint64_t total_queries = 0;
   for (const ReaderStats& s : stats) total_queries += s.queries;
   EXPECT_GE(total_queries, kReaders * kMinQueriesPerReader);
 
   // Counters converge to the dataset's ground truth once the stream is in.
-  EXPECT_EQ(store.NumPersons(), ds.stats.num_persons);
-  EXPECT_EQ(store.NumKnowsEdges(), ds.stats.num_knows);
+  EXPECT_EQ(store.NumPersons(), ds.stats.num_persons + late_persons.size());
+  EXPECT_EQ(store.NumKnowsEdges(), ds.stats.num_knows + late_knows.size());
   EXPECT_EQ(store.NumMessages(), ds.stats.NumMessages());
   EXPECT_EQ(store.NumLikes(), ds.stats.num_likes);
 
@@ -189,6 +272,10 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
   ASSERT_TRUE(replica.BulkLoad(ds.bulk).ok());
   for (const datagen::UpdateOperation& op : ds.updates) {
     ASSERT_TRUE(queries::ApplyUpdate(replica, op).ok());
+  }
+  for (size_t k = 0; k < late_persons.size(); ++k) {
+    ASSERT_TRUE(replica.AddPerson(late_persons[k]).ok());
+    ASSERT_TRUE(replica.AddFriendship(late_knows[k]).ok());
   }
   size_t checked = 0;
   for (size_t i = 0; i < persons.size() && checked < 16; i += 7, ++checked) {

@@ -1,19 +1,21 @@
-// Unit tests for the batched engine's physical operators: the flat hash
-// tables (HashSet64/HashMap64) against std::unordered_set/map, the bounded
-// TopK sink against full-sort-then-truncate, and the store-backed
-// operators (ExpandTwoHopSorted, MessageScanOperator) against brute-force
-// references over a generated dataset.
+// Unit tests for the query plans' physical operators: the person bitmap
+// (DenseIdSet) against std::set, the flat hash map (HashMap64) against
+// std::unordered_map, the bounded TopK sink against
+// full-sort-then-truncate, and the store-backed operators (ExpandTwoHop,
+// MessageScanOperator) against brute-force references over a generated
+// dataset.
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
 #include "exec/batch.h"
+#include "exec/dense_id_set.h"
 #include "exec/hash_join.h"
 #include "exec/operators.h"
 #include "store/graph_store.h"
@@ -22,42 +24,78 @@
 namespace snb::exec {
 namespace {
 
-// ---- Hash tables ---------------------------------------------------------
+// ---- Person bitmap -------------------------------------------------------
 
-TEST(HashSet64Test, InsertContainsGrow) {
-  HashSet64 set;  // Default capacity: growth path must engage.
-  std::unordered_set<uint64_t> ref;
+std::vector<uint64_t> Members(const DenseIdSet& set) {
+  std::vector<uint64_t> out;
+  set.ForEach([&out](uint64_t id) { out.push_back(id); });
+  return out;
+}
+
+TEST(DenseIdSetTest, MatchesStdSetUnderRandomInsertsAndErases) {
+  DenseIdSet set(1000);
+  std::set<uint64_t> ref;
   util::Rng rng(0x4a55);
-  for (int i = 0; i < 2000; ++i) {
-    uint64_t key = rng.Next() % 3000;
-    set.Insert(key);
-    ref.insert(key);
+  for (int i = 0; i < 4000; ++i) {
+    uint64_t id = rng.Next() % 1000;
+    if (rng.Next() % 4 == 0) {
+      set.Erase(id);
+      ref.erase(id);
+    } else {
+      EXPECT_EQ(set.Insert(id), ref.insert(id).second) << id;
+    }
   }
   EXPECT_EQ(set.size(), ref.size());
-  for (uint64_t key = 0; key < 3000; ++key) {
-    EXPECT_EQ(set.Contains(key), ref.count(key) != 0) << key;
+  EXPECT_EQ(Members(set), std::vector<uint64_t>(ref.begin(), ref.end()));
+}
+
+TEST(DenseIdSetTest, InsertPastTheSizingBoundGrows) {
+  DenseIdSet set(64);  // Sized for ids 0..63; later ids must grow it.
+  for (uint64_t id = 0; id < 1000; ++id) {
+    EXPECT_TRUE(set.Insert(id * 7)) << id;
   }
+  for (uint64_t id = 0; id < 1000; ++id) {
+    EXPECT_FALSE(set.Insert(id * 7)) << id;  // Already present.
+    EXPECT_TRUE(set.Contains(id * 7)) << id;
+  }
+  EXPECT_EQ(set.size(), 1000u);
+  EXPECT_FALSE(set.Contains(1));
+  DenseIdSet unsized;
+  EXPECT_TRUE(unsized.Insert(100000));
+  EXPECT_TRUE(unsized.Contains(100000));
+  EXPECT_EQ(unsized.size(), 1u);
 }
 
-TEST(HashSet64Test, ProbeBatchSelectionVector) {
-  HashSet64 set(8);
-  for (uint64_t key : {5ULL, 10ULL, 15ULL, 20ULL}) set.Insert(key);
-  uint64_t keys[] = {1, 5, 6, 10, 15, 16, 20, 21};
-  uint32_t sel[8];
-  size_t hits = set.ProbeBatch(keys, 8, sel);
-  ASSERT_EQ(hits, 4u);
-  EXPECT_EQ(sel[0], 1u);
-  EXPECT_EQ(sel[1], 3u);
-  EXPECT_EQ(sel[2], 4u);
-  EXPECT_EQ(sel[3], 6u);
+TEST(DenseIdSetTest, ForEachIsAscendingAcrossWordEdges) {
+  DenseIdSet set(200);
+  for (uint64_t id : {128, 0, 64, 127, 63}) EXPECT_TRUE(set.Insert(id));
+  EXPECT_EQ(Members(set), (std::vector<uint64_t>{0, 63, 64, 127, 128}));
+  EXPECT_TRUE(Members(DenseIdSet(500)).empty());
 }
 
-TEST(HashSet64Test, EmptyProbe) {
-  HashSet64 set;
-  uint32_t sel[4];
-  EXPECT_EQ(set.ProbeBatch(nullptr, 0, sel), 0u);
-  EXPECT_FALSE(set.Contains(42));
+TEST(DenseIdSetTest, ContainsPastTheStoredWordsIsFalse) {
+  DenseIdSet set(10);
+  EXPECT_TRUE(set.Insert(5));
+  EXPECT_FALSE(set.Contains(64));
+  EXPECT_FALSE(set.Contains(uint64_t{1} << 39));
+  EXPECT_FALSE(DenseIdSet().Contains(0));
+  EXPECT_EQ(set.size(), 1u);  // Probing never inserts.
 }
+
+TEST(DenseIdSetTest, EraseRemovesOnlyMembers) {
+  DenseIdSet set(128);
+  for (uint64_t id : {3, 64, 65}) set.Insert(id);
+  set.Erase(64);
+  set.Erase(4);                    // Absent: no-op.
+  set.Erase(uint64_t{1} << 39);    // Past the stored words: no-op.
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_FALSE(set.Contains(64));
+  EXPECT_EQ(Members(set), (std::vector<uint64_t>{3, 65}));
+  EXPECT_TRUE(set.Insert(64));  // Erased ids can come back.
+  EXPECT_EQ(set.size(), 3u);
+}
+
+// ---- Hash map ------------------------------------------------------------
 
 TEST(HashMap64Test, PutFindOverwriteGrow) {
   HashMap64 map;
@@ -80,19 +118,6 @@ TEST(HashMap64Test, PutFindOverwriteGrow) {
       EXPECT_EQ(*found, it->second) << key;
     }
   }
-}
-
-TEST(HashSet64Test, InsertReportsNewKeysPastTheSizingHint) {
-  HashSet64 set(4);  // Sized for 4; the table must grow, not overflow.
-  for (uint64_t key = 0; key < 1000; ++key) {
-    EXPECT_TRUE(set.Insert(key * 7919)) << key;
-  }
-  for (uint64_t key = 0; key < 1000; ++key) {
-    EXPECT_FALSE(set.Insert(key * 7919)) << key;  // Already present.
-    EXPECT_TRUE(set.Contains(key * 7919)) << key;
-  }
-  EXPECT_EQ(set.size(), 1000u);
-  EXPECT_FALSE(set.Contains(1));
 }
 
 TEST(HashMap64Test, InsertKeepsFirstValuePastTheSizingHint) {
@@ -184,7 +209,7 @@ class ExecOperatorsTest : public ::testing::Test {
   /// Brute-force two-hop circle: friends plus friends-of-friends, start
   /// excluded, sorted.
   static std::vector<uint64_t> ReferenceCircle(uint64_t start) {
-    std::unordered_set<uint64_t> members;
+    std::set<uint64_t> members;
     auto it = world().adjacency.find(start);
     if (it == world().adjacency.end()) return {};
     for (uint64_t f : it->second) {
@@ -194,22 +219,25 @@ class ExecOperatorsTest : public ::testing::Test {
       for (uint64_t ff : fit->second) members.insert(ff);
     }
     members.erase(start);
-    std::vector<uint64_t> out(members.begin(), members.end());
-    std::sort(out.begin(), out.end());
-    return out;
+    return std::vector<uint64_t>(members.begin(), members.end());
   }
 };
 
-TEST_F(ExecOperatorsTest, ExpandTwoHopSortedMatchesBruteForce) {
+TEST_F(ExecOperatorsTest, ExpandTwoHopMatchesBruteForce) {
   auto pin = world().store.ReadLock();
   int checked = 0;
   for (const schema::Person& p : world().dataset.bulk.persons) {
     if (checked++ >= 40) break;
     std::vector<uint64_t> circle;
+    DenseIdSet members(world().store.PersonIdBound());
     TwoHopStats stats =
-        ExpandTwoHopSorted(world().store, pin, p.id, &circle);
+        ExpandTwoHop(world().store, pin, p.id, &circle, &members);
     std::vector<uint64_t> expect = ReferenceCircle(p.id);
     EXPECT_EQ(circle, expect) << "person " << p.id;
+    EXPECT_EQ(Members(members), expect) << "person " << p.id;
+    std::vector<uint64_t> without_set;
+    ExpandTwoHop(world().store, pin, p.id, &without_set);
+    EXPECT_EQ(without_set, expect) << "person " << p.id;
     auto it = world().adjacency.find(p.id);
     uint64_t direct = it == world().adjacency.end() ? 0 : it->second.size();
     EXPECT_EQ(stats.direct, direct) << "person " << p.id;
@@ -225,14 +253,47 @@ TEST_F(ExecOperatorsTest, ExpandTwoHopSortedMatchesBruteForce) {
   }
 }
 
-TEST_F(ExecOperatorsTest, ExpandTwoHopSortedMissingPerson) {
+TEST_F(ExecOperatorsTest, ExpandTwoHopMissingPerson) {
   auto pin = world().store.ReadLock();
   std::vector<uint64_t> circle = {123};
-  TwoHopStats stats = ExpandTwoHopSorted(world().store, pin,
-                                         /*start=*/99999999, &circle);
+  DenseIdSet members;
+  TwoHopStats stats = ExpandTwoHop(world().store, pin,
+                                   /*start=*/(uint64_t{1} << 39) + 7,
+                                   &circle, &members);
   EXPECT_TRUE(circle.empty());
+  EXPECT_EQ(members.size(), 0u);
   EXPECT_EQ(stats.direct, 0u);
   EXPECT_EQ(stats.fof_tuples, 0u);
+}
+
+TEST(ExpandTwoHopTest, PersonAddedAfterTheSetWasSizedJoinsTheCircle) {
+  store::GraphStore store;
+  auto add_person = [&store](uint64_t id) {
+    schema::Person p;
+    p.id = id;
+    p.creation_date = 1000;
+    ASSERT_TRUE(store.AddPerson(p).ok());
+  };
+  for (uint64_t id = 0; id < 4; ++id) add_person(id);
+  for (uint64_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(store.AddFriendship({id, id + 1, 2000}).ok());
+  }
+  DenseIdSet members(store.PersonIdBound());
+  // Person 300 lies past the bound the set was sized to.
+  add_person(300);
+  ASSERT_TRUE(store.AddFriendship({1, 300, 3000}).ok());
+  ASSERT_EQ(store.PersonIdBound(), 301u);
+
+  auto pin = store.ReadLock();
+  std::vector<uint64_t> circle;
+  TwoHopStats stats = ExpandTwoHop(store, pin, 0, &circle, &members);
+  std::set<uint64_t> expect = {1, 2, 300};  // 0's friend 1, and 1's friends.
+  EXPECT_EQ(circle, std::vector<uint64_t>(expect.begin(), expect.end()));
+  EXPECT_EQ(Members(members), circle);
+  EXPECT_FALSE(members.Contains(0));
+  EXPECT_FALSE(members.Contains(3));
+  EXPECT_EQ(stats.direct, 1u);
+  EXPECT_EQ(stats.fof_tuples, 3u);  // 1's friends: 0, 2, 300.
 }
 
 TEST_F(ExecOperatorsTest, MessageScanMatchesBruteForce) {

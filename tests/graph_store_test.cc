@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
-#include "queries/batched_queries.h"
+#include "queries/complex_queries.h"
 #include "queries/short_queries.h"
 #include "queries/update_queries.h"
 #include "relational/rel_queries.h"
@@ -479,9 +479,8 @@ class CrossShardBatteryTest : public ::testing::Test {
     EXPECT_GT(cross_reply, 0) << "no cross-shard reply at N=" << shards;
   }
 
-  /// Q9 through both engines plus the full short-read battery for every
-  /// person and message, diffed row-by-row against the relational result
-  /// in canonical form.
+  /// Q9 plus the full short-read battery for every person and message,
+  /// diffed row-by-row against the relational result in canonical form.
   void ExpectBatteryMatches(const GraphStore& s, const rel::RelationalDb& db,
                             uint32_t shards) {
     std::vector<schema::PersonId> persons;
@@ -490,14 +489,9 @@ class CrossShardBatteryTest : public ::testing::Test {
     persons.push_back(kLoner);
     for (schema::PersonId p : persons) {
       auto rel_rows = validate::CanonicalRows(rel::Query9(db, p, kBatteryDate));
-      EXPECT_EQ(validate::CanonicalRows(
-                    queries::Query9Scalar(s, p, kBatteryDate)),
+      EXPECT_EQ(validate::CanonicalRows(queries::Query9(s, p, kBatteryDate)),
                 rel_rows)
-          << "Q9 scalar, shards=" << shards << " person=" << p;
-      EXPECT_EQ(validate::CanonicalRows(
-                    queries::Query9Batched(s, p, kBatteryDate)),
-                rel_rows)
-          << "Q9 batched, shards=" << shards << " person=" << p;
+          << "Q9, shards=" << shards << " person=" << p;
       EXPECT_EQ(validate::CanonicalRow(queries::ShortQuery1PersonProfile(s, p)),
                 validate::CanonicalRow(rel::ShortQuery1PersonProfile(db, p)))
           << "S1, shards=" << shards << " person=" << p;
@@ -552,13 +546,13 @@ TEST_F(CrossShardBatteryTest, HermitAndLonerAreEmptyButFoundAtEveryCount) {
     rel::RelationalDb db;
     BuildNetwork(&store, &db);
     if (HasFatalFailure()) return;
-    EXPECT_TRUE(queries::Query9Scalar(store, kHermit, kBatteryDate).empty());
+    EXPECT_TRUE(queries::Query9(store, kHermit, kBatteryDate).empty());
     EXPECT_TRUE(queries::ShortQuery1PersonProfile(store, kHermit).found);
     EXPECT_TRUE(queries::ShortQuery2RecentMessages(store, kHermit).empty());
     EXPECT_TRUE(queries::ShortQuery3Friends(store, kHermit).empty());
     // The loner has messages (S2 non-empty) but no friends, so the
     // friends-of-friends Q9 frontier is empty.
-    EXPECT_TRUE(queries::Query9Scalar(store, kLoner, kBatteryDate).empty());
+    EXPECT_TRUE(queries::Query9(store, kLoner, kBatteryDate).empty());
     EXPECT_FALSE(queries::ShortQuery2RecentMessages(store, kLoner).empty());
     EXPECT_TRUE(queries::ShortQuery3Friends(store, kLoner).empty());
   }

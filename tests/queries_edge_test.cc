@@ -170,6 +170,7 @@ class LoadedEdgeTest : public ::testing::Test {
     EXPECT_EQ(Query13(store, start, 0), -1);
     EXPECT_EQ(Query13(store, 0, start), -1);
     EXPECT_TRUE(Query14(store, start, 0).empty());
+    EXPECT_TRUE(Query14(store, 0, start).empty());
   }
 
   static datagen::Dataset* dataset_;
@@ -180,11 +181,17 @@ datagen::Dataset* LoadedEdgeTest::dataset_ = nullptr;
 store::GraphStore* LoadedEdgeTest::store_ = nullptr;
 
 TEST_F(LoadedEdgeTest, NonexistentPersonIsEmptyForEveryComplexQuery) {
-  const schema::PersonId ghost = 1u << 20;
-  ExpectAllComplexEmpty(ghost);
-  EXPECT_FALSE(ShortQuery1PersonProfile(*store_, ghost).found);
-  EXPECT_TRUE(ShortQuery2RecentMessages(*store_, ghost).empty());
-  EXPECT_TRUE(ShortQuery3Friends(*store_, ghost).empty());
+  // The second id is the golden battery's missing person. Person sets are
+  // bitmaps over the id range, so a query that sized or filled one before
+  // checking that its start person exists would ask for 64 GiB here.
+  for (schema::PersonId ghost : {schema::PersonId{1} << 20,
+                                 (schema::PersonId{1} << 39) + 7}) {
+    SCOPED_TRACE(ghost);
+    ExpectAllComplexEmpty(ghost);
+    EXPECT_FALSE(ShortQuery1PersonProfile(*store_, ghost).found);
+    EXPECT_TRUE(ShortQuery2RecentMessages(*store_, ghost).empty());
+    EXPECT_TRUE(ShortQuery3Friends(*store_, ghost).empty());
+  }
 }
 
 TEST_F(LoadedEdgeTest, ZeroFriendPersonIsEmptyForEveryComplexQuery) {

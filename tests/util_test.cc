@@ -1,6 +1,7 @@
 // Unit tests for the util substrate.
 #include <atomic>
 #include <cmath>
+#include <ctime>
 #include <set>
 #include <vector>
 
@@ -214,6 +215,44 @@ TEST(DatetimeTest, MonthIndexClampsAndCounts) {
 
 TEST(DatetimeTest, UpdateSplitIsFourMonthsBeforeEnd) {
   EXPECT_EQ(NetworkEndMs() - UpdateStreamStartMs(), 4 * kMillisPerMonth);
+}
+
+TEST(DatetimeTest, MonthDayOfMatchesGmtime) {
+  uint64_t checked = 0;
+  auto matches = [&checked](TimestampMs ts) {
+    std::time_t secs = static_cast<std::time_t>(ts / kMillisPerSecond);
+    std::tm tm_utc{};
+    gmtime_r(&secs, &tm_utc);
+    int month = 0, day = 0;
+    MonthDayOf(ts, &month, &day);
+    ++checked;
+    if (month == tm_utc.tm_mon + 1 && day == tm_utc.tm_mday) return true;
+    ADD_FAILURE() << "ts " << ts << ": got " << month << "-" << day
+                  << ", gmtime_r " << tm_utc.tm_mon + 1 << "-"
+                  << tm_utc.tm_mday;
+    return false;
+  };
+  const TimestampMs lo = TimestampFromDate(1900, 1, 1);
+  const TimestampMs hi = TimestampFromDate(2100, 1, 1);
+  // Every midnight, with the milliseconds and seconds around it: before
+  // 1970 the second truncates toward zero and the day must still floor.
+  for (TimestampMs midnight = lo; midnight < hi; midnight += kMillisPerDay) {
+    for (TimestampMs offset : {-kMillisPerSecond - 1, -kMillisPerSecond,
+                               TimestampMs{-999}, TimestampMs{-1},
+                               TimestampMs{0}, TimestampMs{1},
+                               kMillisPerSecond - 1, kMillisPerSecond}) {
+      if (!matches(midnight + offset)) return;
+    }
+  }
+  // Times of day anywhere in the range.
+  Rng rng(0xda7e);
+  for (int i = 0; i < 200000; ++i) {
+    if (!matches(lo + static_cast<TimestampMs>(
+                          rng.Next() % static_cast<uint64_t>(hi - lo)))) {
+      return;
+    }
+  }
+  EXPECT_GT(checked, 700000u);
 }
 
 // ---- Histogram / stats --------------------------------------------------------

@@ -1,13 +1,13 @@
 // Golden validation sets: serial emission, JSON round-trip, and replay
-// through the real driver at several thread counts and execution modes —
-// including the mutation test proving an injected query bug is caught.
+// through the real driver at several thread counts, driver modes and shard
+// counts — including the mutation test proving an injected query bug is
+// caught.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
 #include "datagen/datagen.h"
-#include "exec/exec_mode.h"
 #include "schema/dictionaries.h"
 #include "validate/golden.h"
 
@@ -143,37 +143,29 @@ TEST_F(GoldenSetTest, ReplayPassesSerialAndThreadedInEveryMode) {
 
 // The shard-matrix acceptance battery: the serial single-shard emission
 // must replay byte-identically at every shard count, in both driver
-// modes and through both execution engines. A routing bug (an edge half
-// landing on the wrong shard), a snapshot bug (a read missing a shard's
-// pin), or an engine divergence all surface as row diffs here.
+// modes. A routing bug (an edge half landing on the wrong shard) or a
+// snapshot bug (a read missing a shard's pin) surfaces as row diffs here.
 TEST_F(GoldenSetTest, ReplayMatrixPassesAtEveryShardCount) {
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
     for (driver::ExecutionMode mode :
          {driver::ExecutionMode::kSequentialForum,
           driver::ExecutionMode::kWindowed}) {
-      for (exec::ExecMode engine :
-           {exec::ExecMode::kScalar, exec::ExecMode::kBatched}) {
-        exec::SetDefaultExecMode(engine);
-        ReplayOptions options;
-        options.threads = 2;
-        options.mode = mode;
-        options.shards = shards;
-        ReplayOutcome outcome;
-        util::Status st = ReplayGoldenSetWith(
-            *golden_, *dataset_, *dictionaries_, options, &outcome);
-        ASSERT_TRUE(st.ok()) << st.message();
-        EXPECT_TRUE(outcome.passed)
-            << "shards=" << shards
-            << " mode=" << driver::ExecutionModeName(mode)
-            << " exec=" << exec::ExecModeName(engine) << " first diff: "
-            << outcome.first.op << "(" << outcome.first.params
-            << ") expected " << outcome.first.expected << " got "
-            << outcome.first.actual;
-        EXPECT_EQ(outcome.diffs, 0u);
-      }
+      ReplayOptions options;
+      options.threads = 2;
+      options.mode = mode;
+      options.shards = shards;
+      ReplayOutcome outcome;
+      util::Status st = ReplayGoldenSetWith(*golden_, *dataset_,
+                                            *dictionaries_, options, &outcome);
+      ASSERT_TRUE(st.ok()) << st.message();
+      EXPECT_TRUE(outcome.passed)
+          << "shards=" << shards
+          << " mode=" << driver::ExecutionModeName(mode) << " first diff: "
+          << outcome.first.op << "(" << outcome.first.params << ") expected "
+          << outcome.first.expected << " got " << outcome.first.actual;
+      EXPECT_EQ(outcome.diffs, 0u);
     }
   }
-  exec::SetDefaultExecMode(exec::ExecMode::kScalar);
 }
 
 TEST_F(GoldenSetTest, ReplayRejectsOutOfRangeShardCount) {

@@ -10,8 +10,8 @@
 //
 //   ./tools/validate_run --replay validation_set.json
 //                        [--threads N] [--mode sequential|parallel|windowed]
-//                        [--shards N] [--exec scalar|batched]
-//                        [--report report.json] [--mutate <op>]
+//                        [--shards N] [--report report.json]
+//                        [--mutate <op>]
 //
 //     Regenerates the dataset from the golden file's parameters, replays
 //     the update segments through the real driver at the requested thread
@@ -21,9 +21,6 @@
 //     byte-identically at every count. Writes report.json (schema
 //     snb-report-v3) with the "validation" section and the replayed
 //     updates' latency table.
-//     --exec=batched runs the read battery through the block-at-a-time
-//     engine for the ported queries (Q5/Q9); the golden rows are the
-//     same either way — replay under both modes proves byte-identity.
 //     --mutate injects a result corruption for the named op (e.g.
 //     "complex.Q9") — the mutation test: a replay so poisoned MUST fail.
 //
@@ -35,7 +32,6 @@
 #include <string>
 
 #include "driver/driver.h"
-#include "exec/exec_mode.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "store/shard_router.h"
@@ -50,8 +46,7 @@ int Usage(const char* argv0) {
                "[--segments K]\n"
                "       %s --replay FILE [--threads N] "
                "[--mode sequential|parallel|windowed] [--shards N] "
-               "[--exec scalar|batched] [--report FILE] "
-               "[--mutate OP]\n",
+               "[--report FILE] [--mutate OP]\n",
                argv0, argv0);
   return 1;
 }
@@ -117,7 +112,6 @@ int RunReplay(const std::string& golden_path, const std::string& report_path,
 
   obs::RunReport report;
   report.title = "golden replay of " + golden_path;
-  report.exec_mode = exec::ExecModeName(exec::DefaultExecMode());
   report.metrics = metrics.Snapshot();
   report.has_validation = true;
   obs::ValidationSection& v = report.validation;
@@ -155,10 +149,9 @@ int RunReplay(const std::string& golden_path, const std::string& report_path,
   }
 
   std::printf(
-      "replay %s: threads=%u mode=%s exec=%s segments=%s ops=%s rows=%s "
+      "replay %s: threads=%u mode=%s segments=%s ops=%s rows=%s "
       "diffs=%s\n",
       outcome.passed ? "PASSED" : "FAILED", options.threads, v.mode.c_str(),
-      report.exec_mode.c_str(),
       validate::FormatU64(outcome.segments_compared).c_str(),
       validate::FormatU64(outcome.ops_compared).c_str(),
       validate::FormatU64(outcome.rows_compared).c_str(),
@@ -230,13 +223,6 @@ int main(int argc, char** argv) {
       const char* value = next();
       if (value == nullptr) return Usage(argv[0]);
       report_path = value;
-    } else if (arg == "--exec") {
-      const char* value = next();
-      snb::exec::ExecMode exec_mode;
-      if (value == nullptr || !snb::exec::ParseExecMode(value, &exec_mode)) {
-        return Usage(argv[0]);
-      }
-      snb::exec::SetDefaultExecMode(exec_mode);
     } else if (arg == "--mutate") {
       const char* value = next();
       if (value == nullptr) return Usage(argv[0]);
