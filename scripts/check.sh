@@ -3,7 +3,8 @@
 # then repeated 20 times, the full suite in parallel 5 times), then the
 # lint gate, then the
 # concurrency-labelled tests (epoch/RCU read path) rebuilt under Address-,
-# Thread- and UndefinedBehaviorSanitizer, then a short throttled driver
+# Thread- and UndefinedBehaviorSanitizer (and the hostile-input parser
+# fuzz under ASan and UBSan), then a short throttled driver
 # run that exercises the trace exporter + compliance audit and feeds the
 # perf-regression gate. Run from anywhere inside the repo.
 set -euo pipefail
@@ -183,23 +184,25 @@ else
 fi
 
 # Only the concurrency-labelled test targets are built under the
-# sanitizers; a whole-tree sanitizer build adds minutes without adding
-# coverage. The target list is discovered from the label (test name ==
-# target name for every snb_test), so newly labelled tests join the
-# sanitizer tier without editing this script.
-mapfile -t san_targets < <(cd build && ctest -N -L concurrency |
-                           sed -n 's/^ *Test *#[0-9]*: //p')
-if [[ ${#san_targets[@]} -eq 0 ]]; then
-  echo "ctest -L concurrency discovered no targets" >&2
-  exit 1
-fi
-echo "concurrency targets: ${san_targets[*]}"
+# sanitizers, plus, for ASan and UBSan, the hostile-input parser fuzz
+# (label "hostile"); a whole-tree sanitizer build adds minutes without
+# adding coverage. The target list is discovered from the labels (test
+# name == target name for every snb_test), so newly labelled tests join
+# the sanitizer tier without editing this script.
 for san in address thread undefined; do
+  labels='concurrency|hostile'
+  [[ ${san} == thread ]] && labels=concurrency
+  mapfile -t san_targets < <(cd build && ctest -N -L "${labels}" |
+                             sed -n 's/^ *Test *#[0-9]*: //p')
+  if [[ ${#san_targets[@]} -eq 0 ]]; then
+    echo "ctest -L '${labels}' discovered no targets" >&2
+    exit 1
+  fi
   dir="build-${san}-san"
-  echo "== ${san} sanitizer: concurrency-labelled tests =="
+  echo "== ${san} sanitizer: ${labels} tests (${san_targets[*]}) =="
   cmake -B "${dir}" -S . -DSNB_SANITIZE="${san}" >/dev/null
   cmake --build "${dir}" -j"${jobs}" --target "${san_targets[@]}"
-  (cd "${dir}" && ctest -L concurrency --output-on-failure)
+  (cd "${dir}" && ctest -L "${labels}" --output-on-failure)
 done
 
 echo "== all checks passed =="

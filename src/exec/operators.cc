@@ -4,8 +4,8 @@
 
 namespace snb::exec {
 
-using store::DatedEdge;
 using store::FriendEdge;
+using store::MessageEdge;
 using store::PersonRecord;
 
 TwoHopStats ExpandTwoHop(const store::GraphStore& store,
@@ -70,7 +70,7 @@ bool MessageScanOperator::OpenNextPerson() {
     // date-ascending with dates inline, so the cut touches no records.
     auto it = std::partition_point(
         view.begin(), view.end(),
-        [this](const DatedEdge& e) { return e.date < max_date_exclusive_; });
+        [this](const MessageEdge& e) { return e.date < max_date_exclusive_; });
     size_t upper = static_cast<size_t>(it - view.begin());
     size_t take = std::min(upper, per_person_limit_);
     if (take == 0) continue;
@@ -90,7 +90,7 @@ bool MessageScanOperator::Next(Batch* out) {
     if (pos_ == end_ && !OpenNextPerson()) break;
     size_t n = std::min(kBatchCapacity - out->size, end_ - pos_);
     for (size_t i = 0; i < n; ++i) {
-      const DatedEdge& e = edges_[pos_ + i];
+      const MessageEdge& e = edges_[pos_ + i];
       out->a[out->size + i] = e.id;
       out->b[out->size + i] = current_person_;
       out->date[out->size + i] = e.date;

@@ -85,7 +85,7 @@ class MessageScanOperator : public Operator {
   size_t person_idx_ = 0;  // Next person to open.
   // Cursor into the open person's message edges. The raw pointer stays
   // valid while `pin_` is held (RCU buffer lifetime).
-  const store::DatedEdge* edges_ = nullptr;
+  const store::MessageEdge* edges_ = nullptr;
   size_t pos_ = 0;
   size_t end_ = 0;
   uint64_t current_person_ = 0;

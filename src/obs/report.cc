@@ -180,9 +180,15 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // Bounded recursion: the stack (and JsonValue's recursive
+        // destructor) must survive hostile input.
+        if (depth_ == kMaxJsonDepth) return Fail("nesting too deep");
+        ++depth_;
+        bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->string);
@@ -327,6 +333,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // Arrays and objects currently open.
 };
 
 /// Numeric object member or fallback.

@@ -31,6 +31,7 @@
 #ifndef SNB_OBS_REPORT_H_
 #define SNB_OBS_REPORT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -60,8 +61,14 @@ struct JsonValue {
   const JsonValue* Find(const std::string& key) const;
 };
 
+/// Deepest array/object nesting ParseJson accepts. Reports, golden sets
+/// and fuzz artifacts nest fewer than ten levels; the cap keeps the
+/// recursive parser's stack bounded on hostile input.
+inline constexpr size_t kMaxJsonDepth = 256;
+
 /// Parses a complete JSON document. On failure returns false and describes
-/// the problem in *error (byte offset + reason).
+/// the problem in *error (byte offset + reason); a document nesting deeper
+/// than kMaxJsonDepth fails with "nesting too deep".
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
 
 // ---- Report assembly ------------------------------------------------------

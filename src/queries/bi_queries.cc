@@ -111,7 +111,7 @@ std::vector<Bi3Result> BiQuery3CountryInfluencers(
     auto messages = p->messages.view();
     Acc& acc = per_person[pid];
     acc.messages = messages.size();
-    for (const store::DatedEdge& e : messages) {
+    for (const store::MessageEdge& e : messages) {
       const store::MessageRecord* m = store.FindMessage(pin, e.id);
       if (m != nullptr) acc.likes += m->likes.size();
     }

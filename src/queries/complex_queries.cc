@@ -20,10 +20,11 @@ using schema::MessageKind;
 using schema::PersonId;
 using store::DatedEdge;
 using store::FriendEdge;
+using store::MessageEdge;
 using store::MessageRecord;
 using store::PersonRecord;
 
-using MessageEdges = util::RcuVector<DatedEdge>::View;
+using MessageEdges = util::RcuVector<MessageEdge>::View;
 
 std::vector<PersonId> FriendIdsLocked(const GraphStore& store,
                                       const store::ShardSnapshot& pin,
@@ -52,7 +53,7 @@ std::vector<PersonId> CircleOf(const GraphStore& store,
 size_t UpperBoundByDate(const MessageEdges& messages, TimestampMs max_date) {
   auto it = std::partition_point(
       messages.begin(), messages.end(),
-      [&](const DatedEdge& e) { return e.date <= max_date; });
+      [&](const MessageEdge& e) { return e.date <= max_date; });
   return static_cast<size_t>(it - messages.begin());
 }
 
@@ -60,7 +61,7 @@ size_t UpperBoundByDate(const MessageEdges& messages, TimestampMs max_date) {
 size_t LowerBoundByDate(const MessageEdges& messages, TimestampMs min_date) {
   auto it = std::partition_point(
       messages.begin(), messages.end(),
-      [&](const DatedEdge& e) { return e.date < min_date; });
+      [&](const MessageEdge& e) { return e.date < min_date; });
   return static_cast<size_t>(it - messages.begin());
 }
 
@@ -172,16 +173,15 @@ std::vector<Q3Result> Query3(const GraphStore& store, PersonId start,
       schema::PlaceId home = city_country[p->data.city_id];
       if (home == country_x || home == country_y) continue;
     }
+    // Countries ride inline in the date-ordered edges: no record loads.
     uint32_t count_x = 0, count_y = 0;
     auto messages = p->messages.view();
     size_t lower = LowerBoundByDate(messages, start_date);
     size_t upper = UpperBoundByDate(messages, end_date - 1);
     for (size_t i = lower; i < upper; ++i) {
-      const MessageRecord* m = store.FindMessage(pin, messages[i].id);
-      if (m == nullptr) continue;
-      if (m->data.country_id == country_x) {
+      if (messages[i].country == country_x) {
         ++count_x;
-      } else if (m->data.country_id == country_y) {
+      } else if (messages[i].country == country_y) {
         ++count_y;
       }
     }
@@ -212,10 +212,11 @@ std::vector<Q4Result> Query4(const GraphStore& store, PersonId start,
   for (PersonId fid : FriendIdsLocked(store, pin, start)) {
     const PersonRecord* f = store.FindPerson(pin, fid);
     if (f == nullptr) continue;
-    for (const DatedEdge& e : f->messages.view()) {
+    for (const MessageEdge& e : f->messages.view()) {
       if (e.date >= end_date) break;  // Ascending dates.
+      if (e.kind == MessageKind::kComment) continue;  // Inline kind.
       const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind == MessageKind::kComment) continue;
+      if (m == nullptr) continue;
       if (e.date < start_date) {
         for (schema::TagId t : m->data.tags) before_window.insert(t);
       } else {
@@ -271,9 +272,8 @@ std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
     const store::ForumRecord* forum = store.FindForum(pin, fid);
     if (forum == nullptr) continue;
     uint32_t count = 0;
-    for (MessageId mid : forum->posts.view()) {
-      const MessageRecord* m = store.FindMessage(pin, mid);
-      if (m != nullptr && members.Contains(m->data.creator_id)) ++count;
+    for (const store::PostEdge& post : forum->posts.view()) {
+      if (members.Contains(post.creator)) ++count;  // Inline creator.
     }
     top.Push({fid, count});
   }
@@ -289,9 +289,10 @@ std::vector<Q6Result> Query6(const GraphStore& store, PersonId start,
   for (PersonId pid : CircleOf(store, pin, start)) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
-    for (const DatedEdge& e : p->messages.view()) {
+    for (const MessageEdge& e : p->messages.view()) {
+      if (e.kind == MessageKind::kComment) continue;  // Inline kind.
       const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind == MessageKind::kComment) continue;
+      if (m == nullptr) continue;
       bool has_tag = false;
       for (schema::TagId t : m->data.tags) {
         if (t == tag) {
@@ -327,7 +328,7 @@ std::vector<Q7Result> Query7(const GraphStore& store, PersonId start,
   std::vector<Q7Result> likes;
   const PersonRecord* p = store.FindPerson(pin, start);
   if (p == nullptr) return likes;
-  for (const DatedEdge& e : p->messages.view()) {
+  for (const MessageEdge& e : p->messages.view()) {
     const MessageRecord* m = store.FindMessage(pin, e.id);
     if (m == nullptr) continue;
     for (const DatedEdge& like : m->likes.view()) {
@@ -358,7 +359,7 @@ std::vector<Q8Result> Query8(const GraphStore& store, PersonId start,
   std::vector<Q8Result> replies;
   const PersonRecord* p = store.FindPerson(pin, start);
   if (p == nullptr) return replies;
-  for (const DatedEdge& e : p->messages.view()) {
+  for (const MessageEdge& e : p->messages.view()) {
     const MessageRecord* m = store.FindMessage(pin, e.id);
     if (m == nullptr) continue;
     for (MessageId rid : m->replies.view()) {
@@ -463,9 +464,10 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
                       (month == next_month && day < 22);
     if (!sign_match) return;
     int32_t common = 0, other = 0;
-    for (const DatedEdge& e : p->messages.view()) {
+    for (const MessageEdge& e : p->messages.view()) {
+      if (e.kind == MessageKind::kComment) continue;  // Inline kind.
       const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind == MessageKind::kComment) continue;
+      if (m == nullptr) continue;
       bool about_interest = std::any_of(
           m->data.tags.begin(), m->data.tags.end(), [&](schema::TagId t) {
             return std::binary_search(interests.begin(), interests.end(), t);
@@ -528,14 +530,16 @@ std::vector<Q12Result> Query12(const GraphStore& store, PersonId start,
     const PersonRecord* f = store.FindPerson(pin, fid);
     if (f == nullptr) continue;
     uint32_t count = 0;
-    for (const DatedEdge& e : f->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind != MessageKind::kComment) continue;
-      const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
-      if (parent == nullptr ||
-          parent->data.kind == MessageKind::kComment) {
-        continue;  // Only replies to posts count.
+    for (const MessageEdge& e : f->messages.view()) {
+      // Only replies to posts (or photos) count; kinds ride inline.
+      if (e.kind != MessageKind::kComment ||
+          e.parent_kind == MessageKind::kComment) {
+        continue;
       }
+      const MessageRecord* m = store.FindMessage(pin, e.id);
+      if (m == nullptr) continue;
+      const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
+      if (parent == nullptr) continue;
       for (schema::TagId t : parent->data.tags) {
         if (t < tag_in_class.size() && tag_in_class[t]) {
           ++count;
@@ -646,7 +650,9 @@ int ShortestPathLevels(const GraphStore& store,
 }
 
 /// Interaction weight between two persons: each comment by one replying to
-/// a post of the other adds 1.0, to a comment of the other adds 0.5.
+/// a post of the other adds 1.0, to a comment of the other adds 0.5. A
+/// plain scan of both created-message lists: the replied-to creator and
+/// kind ride inline in each edge.
 double PairWeight(const GraphStore& store, const store::ShardSnapshot& pin,
                   PersonId a, PersonId b) {
   double weight = 0.0;
@@ -654,12 +660,9 @@ double PairWeight(const GraphStore& store, const store::ShardSnapshot& pin,
     PersonId to = from == a ? b : a;
     const PersonRecord* p = store.FindPerson(pin, from);
     if (p == nullptr) continue;
-    for (const DatedEdge& e : p->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind != MessageKind::kComment) continue;
-      const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
-      if (parent == nullptr || parent->data.creator_id != to) continue;
-      weight += parent->data.kind == MessageKind::kComment ? 0.5 : 1.0;
+    for (const MessageEdge& e : p->messages.view()) {
+      if (e.kind != MessageKind::kComment || e.parent_creator != to) continue;
+      weight += e.parent_kind == MessageKind::kComment ? 0.5 : 1.0;
     }
   }
   return weight;

@@ -142,7 +142,7 @@ std::vector<Q9Result> Query9WithPlan(const GraphStore& store,
       for (PersonId pid : circle) {
         const PersonRecord* p = store.FindPerson(pin, pid);
         if (p == nullptr) continue;
-        for (const store::DatedEdge& e : p->messages.view()) {
+        for (const store::MessageEdge& e : p->messages.view()) {
           if (e.date >= max_date) break;  // Date-ordered index.
           candidates.push_back({e.id, pid, e.date});
           ++stats->join3_output;

@@ -77,7 +77,7 @@ std::vector<Q9Result> Query9Recycled(const GraphStore& store,
     auto messages = p->messages.view();
     auto it = std::partition_point(
         messages.begin(), messages.end(),
-        [&](const store::DatedEdge& e) { return e.date < max_date; });
+        [&](const store::MessageEdge& e) { return e.date < max_date; });
     size_t upper = static_cast<size_t>(it - messages.begin());
     size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
     for (size_t i = upper - take; i < upper; ++i) {

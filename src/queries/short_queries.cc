@@ -4,8 +4,8 @@
 
 namespace snb::queries {
 
-using store::DatedEdge;
 using store::FriendEdge;
+using store::MessageEdge;
 using store::MessageRecord;
 using store::PersonRecord;
 
@@ -38,7 +38,7 @@ std::vector<S2Result> ShortQuery2RecentMessages(const GraphStore& store,
   size_t n = messages.size();
   size_t take = std::min<size_t>(n, static_cast<size_t>(limit));
   for (size_t i = 0; i < take; ++i) {
-    const DatedEdge& edge = messages[n - 1 - i];  // Newest first.
+    const MessageEdge& edge = messages[n - 1 - i];  // Newest first.
     const MessageRecord* m = store.FindMessage(pin, edge.id);
     if (m == nullptr) continue;
     S2Result r;

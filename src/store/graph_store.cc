@@ -370,6 +370,25 @@ Status GraphStore::MessageCreatorLink(const Message& message) {
   if (creator == nullptr || !creator->present()) {
     return Status::NotFound("message creator missing");
   }
+  MessageEdge edge;
+  edge.id = message.id;
+  edge.date = message.creation_date;
+  edge.country = message.country_id;
+  edge.kind = message.kind;
+  if (message.kind == schema::MessageKind::kComment) {
+    // The parent's shard lock is held by AddMessage's TxnLocks but not by
+    // ApplyMessageCreatorLink, so the parent is read under an epoch pin of
+    // its shard (as MessagePresent does). Its creator and kind are fixed
+    // once it is published, so the copy can never go stale.
+    const Shard& ps = shards_[ShardOfMessage(message.reply_to_id, num_shards_)];
+    util::EpochPin pin = ps.epoch->pin();
+    const MessageRecord* parent = ps.messages.Slot(message.reply_to_id);
+    if (parent == nullptr || !parent->present()) {
+      return Status::NotFound("comment parent missing");
+    }
+    edge.parent_creator = parent->data.creator_id;
+    edge.parent_kind = parent->data.kind;
+  }
   // Keep the creator's message list sorted by (date, id) regardless of
   // application order. Q2/Q9 binary-search this list by date and S2 walks
   // it newest-first; the windowed and parallel-GCT drivers may apply two
@@ -378,8 +397,8 @@ Status GraphStore::MessageCreatorLink(const Message& message) {
   // the invariant. Datagen streams are mostly ordered, so this is an O(1)
   // append except for the rare cross-partition inversion.
   creator->messages.insert_sorted(
-      {message.id, message.creation_date},
-      [](const DatedEdge& a, const DatedEdge& b) {
+      edge,
+      [](const MessageEdge& a, const MessageEdge& b) {
         if (a.date != b.date) return a.date < b.date;
         return a.id < b.id;
       },
@@ -402,7 +421,7 @@ Status GraphStore::MessageContainerLink(const Message& message) {
   if (forum == nullptr || !forum->present()) {
     return Status::NotFound("post forum missing");
   }
-  forum->posts.push_back(message.id, *s.epoch);
+  forum->posts.push_back({message.id, message.creator_id}, *s.epoch);
   return Status::Ok();
 }
 

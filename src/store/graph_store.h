@@ -3,13 +3,24 @@
 // The paper benchmarks Sparksee and Virtuoso; this store is the
 // from-scratch substitute (see DESIGN.md). It keeps the whole SNB graph in
 // adjacency-indexed form:
-//   * persons with friend lists (sorted), created messages (in time order,
-//     creation dates inline), joined forums and given likes;
+//   * persons with friend lists (sorted), created messages (in time order),
+//     joined forums and given likes;
 //   * forums with member lists and contained root posts;
 //   * messages (dense, id-indexed; ids increase with creation time, so the
 //     message table is a clustered creation-date index — the locality
 //     property discussed in section 3 of the paper);
 //   * secondary structures mirroring Virtuoso's foreign-key indices.
+//
+// Inline edge facts: the same locality rule applied to the adjacency
+// lists. A created-message edge (MessageEdge) carries the message's
+// creation date, kind and country and, for a comment, its parent's creator
+// and kind; a forum's post edge (PostEdge) carries the post's creator. The
+// complex reads filter on exactly these facts, so they drop candidates
+// without loading the MessageRecord behind an edge. Each fact is copied
+// once, when the edge is linked, from records that never change after
+// their `ready` publication (a message's own data, and a comment's parent,
+// which must exist before the comment), so no later update rewrites an
+// edge and an inline fact always equals the record's.
 //
 // Sharding: the store is partitioned into `num_shards` (1..kMaxShards)
 // shards by a salted hash of the entity id (store/shard_router.h). Each
@@ -85,12 +96,38 @@ struct FriendEdge {
   util::TimestampMs since = 0;
 };
 
-/// A generic (id, date) adjacency entry (membership, like, created
-/// message).
+/// A generic (id, date) adjacency entry (membership, like).
 struct DatedEdge {
   uint64_t id = schema::kInvalidId;
   util::TimestampMs date = 0;
 };
+
+/// A created-message entry in PersonRecord::messages: the message id plus
+/// the immutable facts the complex reads filter on, so a scan discards
+/// candidates without loading their MessageRecord. For a comment,
+/// `parent_creator` and `parent_kind` describe the message it replies to
+/// (Q12 keeps replies to posts; Q14 weighs replies between two persons);
+/// posts and photos hold kInvalidId and kPost there. All fields are
+/// copied at link time from the message and its parent record, both
+/// immutable once published, and never rewritten.
+struct MessageEdge {
+  schema::MessageId id = schema::kInvalidId;
+  util::TimestampMs date = 0;  // Creation date (Q2/Q9 date cuts).
+  schema::PersonId parent_creator = schema::kInvalidId;
+  schema::PlaceId country = schema::kInvalidId32;  // Posted from (Q3).
+  schema::MessageKind kind = schema::MessageKind::kPost;
+  schema::MessageKind parent_kind = schema::MessageKind::kPost;
+};
+static_assert(sizeof(MessageEdge) == 32);
+
+/// A root post or photo in ForumRecord::posts, with its creator inline
+/// (Q5 counts a forum's posts by circle members from the list alone). The
+/// creator is copied at link time and never changes.
+struct PostEdge {
+  schema::MessageId id = schema::kInvalidId;
+  schema::PersonId creator = schema::kInvalidId;
+};
+static_assert(sizeof(PostEdge) == 16);
 
 /// Per-person storage: attributes plus adjacency indexes. `data` is
 /// immutable once `ready` is published; adjacency lists keep growing.
@@ -101,9 +138,11 @@ struct PersonRecord {
   /// Messages created, sorted by (creation date, id) — maintained by
   /// insertion, so the order holds even when the driver applies two of a
   /// creator's messages out of due-time order (different forum
-  /// partitions). The date rides inline so date-bounded scans (Q2/Q9)
-  /// never touch the message table for candidates they discard.
-  util::RcuVector<DatedEdge> messages;
+  /// partitions). Date, kind, country and the replied-to creator ride
+  /// inline, so date-bounded scans (Q2/Q9) and kind/country/parent filters
+  /// (Q3, Q4, Q6, Q10, Q12, Q14) never touch the message table for
+  /// candidates they discard.
+  util::RcuVector<MessageEdge> messages;
   /// Forums joined, with join dates.
   util::RcuVector<DatedEdge> forums;
   /// Likes given: liked message + like date.
@@ -119,8 +158,8 @@ struct ForumRecord {
   schema::Forum data;
   /// Members with join dates (insertion order).
   util::RcuVector<DatedEdge> members;
-  /// Root posts/photos contained, ascending id.
-  util::RcuVector<schema::MessageId> posts;
+  /// Root posts/photos contained, with their creators, ascending id.
+  util::RcuVector<PostEdge> posts;
   std::atomic<uint32_t> ready{0};
 
   bool present() const { return ready.load(std::memory_order_acquire) != 0; }
@@ -289,6 +328,9 @@ class GraphStore {
   /// complete before either link half (publication order).
   util::Status ApplyMessageCreate(const schema::Message& message);
   /// creator.messages insert (sorted by date, id), on shard(creator_id).
+  /// A comment's edge copies its parent's creator and kind, read under an
+  /// epoch pin of the parent's shard; NotFound, linking nothing, when the
+  /// parent is absent.
   util::Status ApplyMessageCreatorLink(const schema::Message& message);
   /// forum.posts / parent.replies append, on shard(forum_id/reply_to_id).
   util::Status ApplyMessageContainerLink(const schema::Message& message);

@@ -92,7 +92,7 @@ void ObserveOnce(const store::GraphStore& store, HistoryRecorder* rec,
   if (const store::PersonRecord* p = store.FindPerson(pin, kCreator)) {
     auto messages = p->messages.view();
     person_obs.edges_seen = messages.size();
-    for (const store::DatedEdge& edge : messages) {
+    for (const store::MessageEdge& edge : messages) {
       if (store.FindMessage(pin, edge.id) == nullptr) ++person_obs.dangling;
     }
   }
@@ -105,8 +105,8 @@ void ObserveOnce(const store::GraphStore& store, HistoryRecorder* rec,
   if (const store::ForumRecord* f = store.FindForum(pin, kForum)) {
     auto posts = f->posts.view();
     forum_obs.edges_seen = posts.size();
-    for (schema::MessageId id : posts) {
-      if (store.FindMessage(pin, id) == nullptr) ++forum_obs.dangling;
+    for (const store::PostEdge& post : posts) {
+      if (store.FindMessage(pin, post.id) == nullptr) ++forum_obs.dangling;
     }
   }
   rec->RecordRead(reader, forum_obs);
@@ -204,7 +204,7 @@ void ObserveShardedOnce(const store::GraphStore& store,
             store.FindPerson(pin, entities.creators[shard])) {
       auto messages = p->messages.view();
       person_obs.edges_seen = messages.size();
-      for (const store::DatedEdge& edge : messages) {
+      for (const store::MessageEdge& edge : messages) {
         if (store.FindMessage(pin, edge.id) == nullptr) {
           ++person_obs.dangling;
         }
@@ -220,8 +220,8 @@ void ObserveShardedOnce(const store::GraphStore& store,
             store.FindForum(pin, entities.forums[shard])) {
       auto posts = f->posts.view();
       forum_obs.edges_seen = posts.size();
-      for (schema::MessageId id : posts) {
-        if (store.FindMessage(pin, id) == nullptr) ++forum_obs.dangling;
+      for (const store::PostEdge& post : posts) {
+        if (store.FindMessage(pin, post.id) == nullptr) ++forum_obs.dangling;
       }
     }
     rec->RecordRead(reader, forum_obs);

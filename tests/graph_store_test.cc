@@ -56,6 +56,40 @@ Message MakePost(schema::MessageId id, schema::PersonId creator,
   return m;
 }
 
+Message MakeComment(schema::MessageId id, schema::PersonId creator,
+                    schema::MessageId parent, schema::MessageId root,
+                    schema::ForumId forum, util::TimestampMs date) {
+  Message m;
+  m.id = id;
+  m.kind = MessageKind::kComment;
+  m.creator_id = creator;
+  m.forum_id = forum;
+  m.reply_to_id = parent;
+  m.root_post_id = root;
+  m.creation_date = date;
+  m.content = "reply";
+  return m;
+}
+
+/// True when every inline fact of a created-message edge equals the
+/// records behind it: the message's date, kind and country and, for a
+/// comment, its parent's creator and kind (sentinels for posts).
+bool EdgeMatchesRecords(const GraphStore& store, const ShardSnapshot& pin,
+                        const MessageEdge& e) {
+  const MessageRecord* m = store.FindMessage(pin, e.id);
+  if (m == nullptr || m->data.creation_date != e.date ||
+      m->data.kind != e.kind || m->data.country_id != e.country) {
+    return false;
+  }
+  if (m->data.kind != MessageKind::kComment) {
+    return e.parent_creator == schema::kInvalidId &&
+           e.parent_kind == MessageKind::kPost;
+  }
+  const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
+  return parent != nullptr && e.parent_creator == parent->data.creator_id &&
+         e.parent_kind == parent->data.kind;
+}
+
 TEST(GraphStoreTest, AddAndFindPerson) {
   GraphStore store;
   ASSERT_TRUE(store.AddPerson(MakePerson(1)).ok());
@@ -295,7 +329,10 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> read_errors{0};
   std::thread reader([&] {
-    while (!stop.load()) {
+    // The last pass starts after the writer is done, so the final state
+    // is checked even when the writer outruns the reader.
+    for (bool done = false; !done;) {
+      done = stop.load();
       auto pin = store.ReadLock();
       for (schema::PersonId id = 0; id < 50; ++id) {
         const PersonRecord* p = store.FindPerson(pin, id);
@@ -309,25 +346,102 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
             read_errors.fetch_add(1);
           }
         }
-        for (const DatedEdge& e : p->messages.view()) {
-          const MessageRecord* m = store.FindMessage(pin, e.id);
-          if (m == nullptr || m->data.creation_date != e.date) {
-            read_errors.fetch_add(1);
-          }
+        // Inline date, kind, country and parent facts match the records.
+        for (const MessageEdge& e : p->messages.view()) {
+          if (!EdgeMatchesRecords(store, pin, e)) read_errors.fetch_add(1);
         }
       }
     }
   });
+  // Each round adds a post and a comment by the previous person, replying
+  // to the post in even rounds and to the last comment in odd ones, so
+  // edges with both parent kinds are linked while the reader runs.
   for (schema::PersonId id = 1; id < 50; ++id) {
     ASSERT_TRUE(store.AddFriendship({0, id, 100}).ok());
-    Message m = MakePost(id, id, 1000, 3000 + static_cast<int64_t>(id));
-    ASSERT_TRUE(store.AddMessage(m).ok());
+    util::TimestampMs date = 3000 + 2 * static_cast<int64_t>(id);
+    Message post = MakePost(id, id, 1000, date);
+    post.country_id = static_cast<schema::PlaceId>(id % 7);
+    ASSERT_TRUE(store.AddMessage(post).ok());
+    schema::MessageId parent = id % 2 == 1 && id > 1 ? 100 + id - 1 : id;
+    Message comment =
+        MakeComment(100 + id, id - 1, parent, id, 1000, date + 1);
+    comment.country_id = static_cast<schema::PlaceId>(id % 5);
+    ASSERT_TRUE(store.AddMessage(comment).ok());
   }
   stop.store(true);
   reader.join();
   EXPECT_EQ(read_errors.load(), 0u);
   EXPECT_EQ(store.NumKnowsEdges(), 49u);
-  EXPECT_EQ(store.NumMessages(), 49u);
+  EXPECT_EQ(store.NumMessages(), 98u);
+}
+
+TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
+  // ApplyMessageCreatorLink holds only the creator's shard lock, so a
+  // comment whose parent hashes to the other shard copies the parent's
+  // creator and kind under that shard's epoch pin.
+  GraphStore store(ReadConcurrency::kEpoch, 2);
+  constexpr schema::ForumId kForum = 10;
+  constexpr schema::PersonId poster = 1;
+  constexpr schema::PersonId replier = 2;
+  const uint32_t replier_shard = ShardOfPerson(replier, 2);
+  auto other_shard_message = [&](schema::MessageId from) {
+    while (ShardOfMessage(from, 2) == replier_shard) ++from;
+    return from;
+  };
+  const schema::MessageId post_id = other_shard_message(0);
+  const schema::MessageId comment_id = other_shard_message(post_id + 1);
+  const schema::MessageId reply_id = comment_id + 1;
+  const schema::MessageId missing_id = other_shard_message(reply_id + 1000);
+  for (schema::PersonId id : {poster, replier}) {
+    ASSERT_TRUE(store.AddPerson(MakePerson(id)).ok());
+  }
+  ASSERT_TRUE(store.AddForum(MakeForum(kForum, poster)).ok());
+  Message post = MakePost(post_id, poster, kForum, 3000);
+  post.country_id = 7;
+  ASSERT_TRUE(store.AddMessage(post).ok());
+
+  // A comment on the post, then a reply to that comment, each applied
+  // half by half in the writer pool's order: create, creator, container.
+  Message comment =
+      MakeComment(comment_id, replier, post_id, post_id, kForum, 3100);
+  comment.country_id = 8;
+  Message reply =
+      MakeComment(reply_id, replier, comment_id, post_id, kForum, 3200);
+  reply.country_id = 9;
+  for (const Message& m : {comment, reply}) {
+    ASSERT_TRUE(store.ApplyMessageCreate(m).ok());
+    ASSERT_TRUE(store.ApplyMessageCreatorLink(m).ok());
+    ASSERT_TRUE(store.ApplyMessageContainerLink(m).ok());
+  }
+  {
+    auto pin = store.ReadLock();
+    auto edges = store.FindPerson(pin, replier)->messages.view();
+    ASSERT_EQ(edges.size(), 2u);
+    EXPECT_EQ(edges[0].id, comment_id);
+    EXPECT_EQ(edges[0].kind, MessageKind::kComment);
+    EXPECT_EQ(edges[0].country, 8u);
+    EXPECT_EQ(edges[0].parent_creator, poster);
+    EXPECT_EQ(edges[0].parent_kind, MessageKind::kPost);
+    EXPECT_EQ(edges[1].id, reply_id);
+    EXPECT_EQ(edges[1].country, 9u);
+    EXPECT_EQ(edges[1].parent_creator, replier);
+    EXPECT_EQ(edges[1].parent_kind, MessageKind::kComment);
+    for (const MessageEdge& e : edges) {
+      EXPECT_TRUE(EdgeMatchesRecords(store, pin, e)) << e.id;
+    }
+    auto posts = store.FindForum(pin, kForum)->posts.view();
+    ASSERT_EQ(posts.size(), 1u);
+    EXPECT_EQ(posts[0].id, post_id);
+    EXPECT_EQ(posts[0].creator, poster);
+  }
+
+  // A comment whose parent (on the other shard) is absent links nothing.
+  Message orphan =
+      MakeComment(missing_id + 1, replier, missing_id, post_id, kForum, 3300);
+  EXPECT_EQ(store.ApplyMessageCreatorLink(orphan).code(),
+            StatusCode::kNotFound);
+  auto pin = store.ReadLock();
+  EXPECT_EQ(store.FindPerson(pin, replier)->messages.size(), 2u);
 }
 
 // ---- Cross-shard edge battery ---------------------------------------------

@@ -111,11 +111,12 @@ TEST_P(StoreInvariantsTest, ForumPostsMatchMessages) {
   for (schema::ForumId fid : store().ForumIds(pin)) {
     const ForumRecord* f = store().FindForum(pin, fid);
     ASSERT_NE(f, nullptr);
-    for (schema::MessageId mid : f->posts.view()) {
-      const MessageRecord* m = store().FindMessage(pin, mid);
+    for (const PostEdge& post : f->posts.view()) {
+      const MessageRecord* m = store().FindMessage(pin, post.id);
       ASSERT_NE(m, nullptr);
       EXPECT_NE(m->data.kind, schema::MessageKind::kComment);
       EXPECT_EQ(m->data.forum_id, fid);
+      EXPECT_EQ(post.creator, m->data.creator_id);  // Inline creator matches.
       ++posts_in_forums;
     }
     // Moderator exists and membership dates follow forum creation.
@@ -154,11 +155,26 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
   for (schema::PersonId id : store().PersonIds(pin)) {
     const PersonRecord* p = store().FindPerson(pin, id);
     util::TimestampMs last = 0;
-    for (const DatedEdge& e : p->messages.view()) {
+    for (const MessageEdge& e : p->messages.view()) {
       const MessageRecord* m = store().FindMessage(pin, e.id);
       ASSERT_NE(m, nullptr);
       EXPECT_EQ(m->data.creator_id, id);
       EXPECT_EQ(m->data.creation_date, e.date);  // Inline date matches.
+      // Every other inline fact matches the records too.
+      EXPECT_EQ(e.kind, m->data.kind) << "message " << e.id;
+      EXPECT_EQ(e.country, m->data.country_id) << "message " << e.id;
+      if (m->data.kind == schema::MessageKind::kComment) {
+        const MessageRecord* parent =
+            store().FindMessage(pin, m->data.reply_to_id);
+        ASSERT_NE(parent, nullptr);
+        EXPECT_EQ(e.parent_creator, parent->data.creator_id)
+            << "message " << e.id;
+        EXPECT_EQ(e.parent_kind, parent->data.kind) << "message " << e.id;
+      } else {
+        EXPECT_EQ(e.parent_creator, schema::kInvalidId) << "message " << e.id;
+        EXPECT_EQ(e.parent_kind, schema::MessageKind::kPost)
+            << "message " << e.id;
+      }
       EXPECT_GE(e.date, last);  // Date-ordered.
       last = e.date;
       ++via_creators;
