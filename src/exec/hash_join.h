@@ -1,16 +1,17 @@
 // Flat u64 hash map: the shortest-path level table and pair-weight memo
-// of Q14. (Per-query person sets are exec::DenseIdSet bitmaps instead.)
+// of Q14, and the tag counters of Q4 and Q6. (Per-query person sets are
+// exec::DenseIdSet bitmaps instead.)
 //
 // std::unordered_map pays a pointer chase and an allocation per node on
 // small keys. This table is a flat power-of-two array with linear probing
 // (Mix64-scrambled keys, load factor <= 0.5): a lookup touches one
 // contiguous array.
 //
-// Keys are entity ids, all < 2^40 (the store rejects larger), or packed
-// values below ~0ULL, so ~0ULL (schema::kInvalidId) is safe as the
-// empty-slot sentinel. A table is private to one query execution on one
-// thread: no concurrency, no tombstones. It grows by doubling whenever an
-// insert would push the load past 0.5, so the constructor's `expected`
+// Keys are entity ids, all < 2^40 (the store rejects larger), 32-bit tag
+// ids, or packed values below ~0ULL, so ~0ULL (schema::kInvalidId) is safe
+// as the empty-slot sentinel. A table is private to one query execution on
+// one thread: no concurrency, no tombstones. It grows by doubling whenever
+// an insert would push the load past 0.5, so the constructor's `expected`
 // count is only a sizing hint.
 #ifndef SNB_EXEC_HASH_JOIN_H_
 #define SNB_EXEC_HASH_JOIN_H_
@@ -23,8 +24,8 @@
 
 namespace snb::exec {
 
-/// Flat hash map u64 -> u64 (the shortest-path level table and the
-/// pair-weight memo of Q14).
+/// Flat hash map u64 -> u64 (Q14's shortest-path level table and
+/// pair-weight memo, Q4's and Q6's tag counts).
 class HashMap64 {
  public:
   static constexpr uint64_t kEmpty = ~0ULL;
@@ -44,8 +45,12 @@ class HashMap64 {
     return true;
   }
 
-  /// nullptr when absent; the pointer is valid until the next Put or
-  /// Insert, either of which may grow the table.
+  /// The value of `key`, claimed as 0 when it was absent (`++map.At(k)`
+  /// counts). The reference is valid until the next Put, Insert or At.
+  uint64_t& At(uint64_t key) { return values_[Slot(key)]; }
+
+  /// nullptr when absent; the pointer is valid until the next Put, Insert
+  /// or At, any of which may grow the table.
   const uint64_t* Find(uint64_t key) const {
     size_t idx = IndexOf(key);
     while (keys_[idx] != kEmpty) {
@@ -56,6 +61,14 @@ class HashMap64 {
   }
 
   size_t size() const { return size_; }
+
+  /// Calls fn(key, value) for every entry, in slot (not key) order.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] != kEmpty) fn(keys_[i], values_[i]);
+    }
+  }
 
  private:
   size_t IndexOf(uint64_t key) const { return util::Mix64(key) & mask_; }

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,6 +11,13 @@
 
 namespace snb::obs {
 namespace {
+
+/// The whole request head must arrive within this window, however the
+/// client paces its bytes, so one connection holds the single serve thread
+/// for at most this long before it is answered from what arrived.
+constexpr std::chrono::milliseconds kRequestHeadDeadline{2000};
+/// Longest request head read; only the request line matters.
+constexpr size_t kMaxRequestHead = 16 * 1024;
 
 /// Sends the whole buffer, tolerating partial writes. MSG_NOSIGNAL keeps
 /// a client that hung up from killing the process with SIGPIPE.
@@ -127,22 +135,28 @@ void HttpExporter::ServeLoop() {
       if (errno == EINTR) continue;
       return;  // Listener shut down by Stop().
     }
-    // Bound how long a stalled client can hold the (single) serve thread.
-    timeval tv{};
-    tv.tv_sec = 2;
-    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     if (!ServeConnection(client)) ::close(client);
   }
 }
 
 bool HttpExporter::ServeConnection(int fd) {
-  // Read until the end of the request head (or a defensive size cap);
-  // only the request line matters.
+  // Read until the end of the request head, a size cap, EOF or the one
+  // deadline for the whole head: a per-recv timeout would let a client
+  // that drips a byte at a time hold the serve thread indefinitely.
   std::string request;
   char buf[1024];
+  const auto deadline = std::chrono::steady_clock::now() + kRequestHeadDeadline;
   while (request.find("\r\n\r\n") == std::string::npos &&
-         request.size() < 16 * 1024) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+         request.size() < kMaxRequestHead) {
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    pollfd readable{fd, POLLIN, 0};
+    int ready = ::poll(&readable, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;
+    ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
   }

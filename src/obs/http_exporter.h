@@ -24,7 +24,10 @@
 // routes throughout. One dynamic request runs at a time; a concurrent
 // one is refused immediately with 503 + JSON error rather than queued.
 // Serving is deliberately simple (HTTP/1.0-style close-after-response);
-// the clients are curl, Prometheus, and the raw-socket test.
+// the clients are curl, Prometheus, and the raw-socket tests. A request
+// head gets one fixed deadline (2 s) and a 16 KB cap in total, so a client
+// that drips bytes cannot keep /healthz waiting behind it for longer than
+// that (tests/http_fuzz_test.cc).
 #ifndef SNB_OBS_HTTP_EXPORTER_H_
 #define SNB_OBS_HTTP_EXPORTER_H_
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "exec/batch.h"
 #include "exec/dense_id_set.h"
@@ -207,27 +206,29 @@ std::vector<Q4Result> Query4(const GraphStore& store, PersonId start,
                              int limit) {
   auto pin = store.ReadLock();
   TimestampMs end_date = start_date + duration_days * util::kMillisPerDay;
-  std::unordered_map<schema::TagId, uint32_t> in_window;
-  std::unordered_set<schema::TagId> before_window;
+  exec::HashMap64 in_window;      // Tag -> posts in the window.
+  exec::HashMap64 before_window;  // Tags of earlier posts (values unused).
   for (PersonId fid : FriendIdsLocked(store, pin, start)) {
     const PersonRecord* f = store.FindPerson(pin, fid);
     if (f == nullptr) continue;
-    for (const MessageEdge& e : f->messages.view()) {
+    store::CreatedMessages messages = f->created_messages();
+    for (const MessageEdge& e : messages) {
       if (e.date >= end_date) break;  // Ascending dates.
       if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr) continue;
       if (e.date < start_date) {
-        for (schema::TagId t : m->data.tags) before_window.insert(t);
+        for (schema::TagId t : messages.tags(e)) before_window.Insert(t, 0);
       } else {
-        for (schema::TagId t : m->data.tags) ++in_window[t];
+        for (schema::TagId t : messages.tags(e)) ++in_window.At(t);
       }
     }
   }
   std::vector<Q4Result> results;
-  for (auto [tag, count] : in_window) {
-    if (before_window.count(tag) == 0) results.push_back({tag, count});
-  }
+  in_window.ForEach([&](uint64_t tag, uint64_t count) {
+    if (before_window.Find(tag) == nullptr) {
+      results.push_back({static_cast<schema::TagId>(tag),
+                         static_cast<uint32_t>(count)});
+    }
+  });
   std::sort(results.begin(), results.end(),
             [](const Q4Result& a, const Q4Result& b) {
               if (a.post_count != b.post_count) {
@@ -285,30 +286,26 @@ std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
 std::vector<Q6Result> Query6(const GraphStore& store, PersonId start,
                              schema::TagId tag, int limit) {
   auto pin = store.ReadLock();
-  std::unordered_map<schema::TagId, uint32_t> co_counts;
+  exec::HashMap64 co_counts;  // Co-occurring tag -> posts.
   for (PersonId pid : CircleOf(store, pin, start)) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
-    for (const MessageEdge& e : p->messages.view()) {
+    store::CreatedMessages messages = p->created_messages();
+    for (const MessageEdge& e : messages) {
       if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr) continue;
-      bool has_tag = false;
-      for (schema::TagId t : m->data.tags) {
-        if (t == tag) {
-          has_tag = true;
-          break;
-        }
-      }
-      if (!has_tag) continue;
-      for (schema::TagId t : m->data.tags) {
-        if (t != tag) ++co_counts[t];
+      std::span<const schema::TagId> tags = messages.tags(e);
+      if (std::find(tags.begin(), tags.end(), tag) == tags.end()) continue;
+      for (schema::TagId t : tags) {
+        if (t != tag) ++co_counts.At(t);
       }
     }
   }
   std::vector<Q6Result> results;
   results.reserve(co_counts.size());
-  for (auto [t, c] : co_counts) results.push_back({t, c});
+  co_counts.ForEach([&](uint64_t t, uint64_t c) {
+    results.push_back(
+        {static_cast<schema::TagId>(t), static_cast<uint32_t>(c)});
+  });
   std::sort(results.begin(), results.end(),
             [](const Q6Result& a, const Q6Result& b) {
               if (a.post_count != b.post_count) {
@@ -464,12 +461,12 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
                       (month == next_month && day < 22);
     if (!sign_match) return;
     int32_t common = 0, other = 0;
-    for (const MessageEdge& e : p->messages.view()) {
+    store::CreatedMessages messages = p->created_messages();
+    for (const MessageEdge& e : messages) {
       if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr) continue;
-      bool about_interest = std::any_of(
-          m->data.tags.begin(), m->data.tags.end(), [&](schema::TagId t) {
+      std::span<const schema::TagId> tags = messages.tags(e);
+      bool about_interest =
+          std::any_of(tags.begin(), tags.end(), [&](schema::TagId t) {
             return std::binary_search(interests.begin(), interests.end(), t);
           });
       if (about_interest) {
@@ -530,17 +527,15 @@ std::vector<Q12Result> Query12(const GraphStore& store, PersonId start,
     const PersonRecord* f = store.FindPerson(pin, fid);
     if (f == nullptr) continue;
     uint32_t count = 0;
-    for (const MessageEdge& e : f->messages.view()) {
-      // Only replies to posts (or photos) count; kinds ride inline.
+    store::CreatedMessages messages = f->created_messages();
+    for (const MessageEdge& e : messages) {
+      // Only replies to posts (or photos) count; kinds ride inline, and
+      // such a reply's span holds the replied-to post's tags.
       if (e.kind != MessageKind::kComment ||
           e.parent_kind == MessageKind::kComment) {
         continue;
       }
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr) continue;
-      const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
-      if (parent == nullptr) continue;
-      for (schema::TagId t : parent->data.tags) {
+      for (schema::TagId t : messages.tags(e)) {
         if (t < tag_in_class.size() && tag_in_class[t]) {
           ++count;
           break;

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "util/mutex.h"
@@ -375,20 +378,43 @@ Status GraphStore::MessageCreatorLink(const Message& message) {
   edge.date = message.creation_date;
   edge.country = message.country_id;
   edge.kind = message.kind;
+  std::span<const schema::TagId> tags = message.tags;
+  std::optional<util::EpochPin> parent_pin;
   if (message.kind == schema::MessageKind::kComment) {
     // The parent's shard lock is held by AddMessage's TxnLocks but not by
     // ApplyMessageCreatorLink, so the parent is read under an epoch pin of
-    // its shard (as MessagePresent does). Its creator and kind are fixed
-    // once it is published, so the copy can never go stale.
+    // its shard (as MessagePresent does). Its creator, kind and tags are
+    // fixed once it is published, so the copies can never go stale.
     const Shard& ps = shards_[ShardOfMessage(message.reply_to_id, num_shards_)];
-    util::EpochPin pin = ps.epoch->pin();
+    parent_pin.emplace(ps.epoch->pin());
     const MessageRecord* parent = ps.messages.Slot(message.reply_to_id);
     if (parent == nullptr || !parent->present()) {
       return Status::NotFound("comment parent missing");
     }
     edge.parent_creator = parent->data.creator_id;
     edge.parent_kind = parent->data.kind;
+    // A reply to a post or photo carries the post's tags (Q12 reads them);
+    // a reply to a comment carries none.
+    tags = parent->data.kind == schema::MessageKind::kComment
+               ? std::span<const schema::TagId>()
+               : std::span<const schema::TagId>(parent->data.tags);
   }
+  // The span's 32-bit offsets cap one person's pool at 2^32 - 1 tags
+  // (16 GiB of them); past that the link fails before it changes anything
+  // (under AddMessage, after the record is published: no dataset comes
+  // near the cap, so the transaction does not pre-check it).
+  const size_t pool = creator->tags.size();
+  if (tags.size() > std::numeric_limits<uint32_t>::max() - pool) {
+    return Status::InvalidArgument("tag pool full for person " +
+                                   std::to_string(message.creator_id));
+  }
+  // The tags go into the pool before the edge is published (the order
+  // PersonRecord::created_messages() reads in). The pool is never
+  // reordered, so the span stays valid wherever insert_sorted puts the
+  // edge.
+  edge.tags_begin = static_cast<uint32_t>(pool);
+  edge.tags_count = static_cast<uint32_t>(tags.size());
+  creator->tags.append(tags.data(), tags.size(), *s.epoch);
   // Keep the creator's message list sorted by (date, id) regardless of
   // application order. Q2/Q9 binary-search this list by date and S2 walks
   // it newest-first; the windowed and parallel-GCT drivers may apply two
@@ -523,7 +549,8 @@ StorageBreakdown GraphStore::ComputeStorageBreakdown() const {
       b.friends_bytes += p->friends.capacity_bytes();
       b.membership_bytes += p->forums.capacity_bytes();
       b.likes_bytes += p->likes.capacity_bytes();
-      b.message_bytes += p->messages.capacity_bytes();
+      b.message_bytes +=
+          p->messages.capacity_bytes() + p->tags.capacity_bytes();
     }
     uint64_t forum_bound = s.forums.bound();
     for (uint64_t id = 0; id < forum_bound; ++id) {

@@ -16,11 +16,18 @@
 // creation date, kind and country and, for a comment, its parent's creator
 // and kind; a forum's post edge (PostEdge) carries the post's creator. The
 // complex reads filter on exactly these facts, so they drop candidates
-// without loading the MessageRecord behind an edge. Each fact is copied
-// once, when the edge is linked, from records that never change after
-// their `ready` publication (a message's own data, and a comment's parent,
-// which must exist before the comment), so no later update rewrites an
-// edge and an inline fact always equals the record's.
+// without loading the MessageRecord behind an edge. Tags are variable
+// length, so a MessageEdge holds a span into its creator's append-only tag
+// pool (PersonRecord::tags) instead: a post's or photo's own tags (Q4, Q6,
+// Q10), the replied-to post's tags for a comment on a post or photo (Q12),
+// and nothing for a reply to a comment. Each fact is copied once, when the
+// edge is linked, from records that never change after their `ready`
+// publication (a message's own data, and a comment's parent, which must
+// exist before the comment), so no later update rewrites an edge and an
+// inline fact always equals the record's. The writer appends a message's
+// tags to the pool before it publishes the edge, so a reader must take the
+// edges before the pool; PersonRecord::created_messages() is the one place
+// that does, and the only way to read a span.
 //
 // Sharding: the store is partitioned into `num_shards` (1..kMaxShards)
 // shards by a salted hash of the entity id (store/shard_router.h). Each
@@ -76,6 +83,7 @@
 #include <cstdint>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "schema/entities.h"
@@ -107,9 +115,13 @@ struct DatedEdge {
 /// candidates without loading their MessageRecord. For a comment,
 /// `parent_creator` and `parent_kind` describe the message it replies to
 /// (Q12 keeps replies to posts; Q14 weighs replies between two persons);
-/// posts and photos hold kInvalidId and kPost there. All fields are
-/// copied at link time from the message and its parent record, both
-/// immutable once published, and never rewritten.
+/// posts and photos hold kInvalidId and kPost there. `tags_begin` and
+/// `tags_count` span the creator's tag pool (PersonRecord::tags): a post's
+/// or photo's own tags, the replied-to post's tags for a comment on a post
+/// or photo, and an empty span for a reply to a comment. Read a span only
+/// through PersonRecord::created_messages(). All fields are copied at link
+/// time from the message and its parent record, both immutable once
+/// published, and never rewritten.
 struct MessageEdge {
   schema::MessageId id = schema::kInvalidId;
   util::TimestampMs date = 0;  // Creation date (Q2/Q9 date cuts).
@@ -117,8 +129,38 @@ struct MessageEdge {
   schema::PlaceId country = schema::kInvalidId32;  // Posted from (Q3).
   schema::MessageKind kind = schema::MessageKind::kPost;
   schema::MessageKind parent_kind = schema::MessageKind::kPost;
+  uint32_t tags_begin = 0;  // Span in the creator's tag pool.
+  uint32_t tags_count = 0;
 };
-static_assert(sizeof(MessageEdge) == 32);
+static_assert(sizeof(MessageEdge) == 40);
+
+/// A snapshot of one person's created-message edges together with the tag
+/// pool their spans index (PersonRecord::created_messages()). Valid as
+/// long as the snapshot the record came from.
+class CreatedMessages {
+ public:
+  using Edges = util::RcuVector<MessageEdge>::View;
+
+  const MessageEdge* begin() const { return edges_.begin(); }
+  const MessageEdge* end() const { return edges_.end(); }
+  size_t size() const { return edges_.size(); }
+  const MessageEdge& operator[](size_t i) const { return edges_[i]; }
+
+  /// The tags an edge of this snapshot carries (see MessageEdge).
+  std::span<const schema::TagId> tags(const MessageEdge& e) const {
+    return {pool_.data() + e.tags_begin, e.tags_count};
+  }
+  /// Tags in the pool snapshot; every span of the edges lies below it.
+  size_t pool_size() const { return pool_.size(); }
+
+ private:
+  friend struct PersonRecord;
+  CreatedMessages(Edges edges, util::RcuVector<schema::TagId>::View pool)
+      : edges_(edges), pool_(pool) {}
+
+  Edges edges_;
+  util::RcuVector<schema::TagId>::View pool_;
+};
 
 /// A root post or photo in ForumRecord::posts, with its creator inline
 /// (Q5 counts a forum's posts by circle members from the list alone). The
@@ -140,9 +182,13 @@ struct PersonRecord {
   /// creator's messages out of due-time order (different forum
   /// partitions). Date, kind, country and the replied-to creator ride
   /// inline, so date-bounded scans (Q2/Q9) and kind/country/parent filters
-  /// (Q3, Q4, Q6, Q10, Q12, Q14) never touch the message table for
-  /// candidates they discard.
+  /// (Q3, Q14) never touch the message table; with the tag spans, Q4, Q6,
+  /// Q10 and Q12 never do either.
   util::RcuVector<MessageEdge> messages;
+  /// Tag pool the `messages` edges span, appended once per linked message
+  /// and never reordered, so a span stays valid when insert_sorted moves
+  /// its edge. Read it only through created_messages().
+  util::RcuVector<schema::TagId> tags;
   /// Forums joined, with join dates.
   util::RcuVector<DatedEdge> forums;
   /// Likes given: liked message + like date.
@@ -151,6 +197,14 @@ struct PersonRecord {
   std::atomic<uint32_t> ready{0};
 
   bool present() const { return ready.load(std::memory_order_acquire) != 0; }
+
+  /// The created-message edges with their tag spans. A message's tags
+  /// reach the pool before its edge is published, so the edges are read
+  /// first: every span they hold then lies inside the pool read after.
+  CreatedMessages created_messages() const {
+    CreatedMessages::Edges edges = messages.view();
+    return CreatedMessages(edges, tags.view());
+  }
 };
 
 /// Per-forum storage.
@@ -327,10 +381,12 @@ class GraphStore {
   /// Message record create + `ready` publish, on shard(message.id). Must
   /// complete before either link half (publication order).
   util::Status ApplyMessageCreate(const schema::Message& message);
-  /// creator.messages insert (sorted by date, id), on shard(creator_id).
-  /// A comment's edge copies its parent's creator and kind, read under an
-  /// epoch pin of the parent's shard; NotFound, linking nothing, when the
-  /// parent is absent.
+  /// creator.messages insert (sorted by date, id) and creator.tags append,
+  /// on shard(creator_id). A comment's edge copies its parent's creator,
+  /// kind and (for a post parent) tags, read under an epoch pin of the
+  /// parent's shard; NotFound, linking nothing, when the parent is absent,
+  /// and InvalidArgument, linking nothing, when the creator's tag pool
+  /// would pass 2^32 - 1 tags.
   util::Status ApplyMessageCreatorLink(const schema::Message& message);
   /// forum.posts / parent.replies append, on shard(forum_id/reply_to_id).
   util::Status ApplyMessageContainerLink(const schema::Message& message);

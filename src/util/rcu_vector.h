@@ -6,10 +6,11 @@
 // count, so a reader obtains a consistent (data, size) snapshot with one
 // pointer chase and no lock:
 //
-//   * append: the element is written into reserved capacity *before* the
-//     buffer-local size is bumped with a release store, so a reader that
-//     observes the new size also observes the element (capacity doubles on
-//     growth; the old buffer is retired through the EpochManager);
+//   * push_back / append: the elements are written into reserved capacity
+//     *before* the buffer-local size is bumped with one release store, so
+//     a reader that observes the new size also observes every element of
+//     the append (capacity at least doubles on growth; the old buffer is
+//     retired through the EpochManager);
 //   * insert_sorted: always copy-on-write — a fully built replacement
 //     buffer is published with a release store, because shifting elements
 //     in place would tear concurrent readers.
@@ -101,6 +102,20 @@ class RcuVector {
     b->size.store(n + 1, std::memory_order_release);
   }
 
+  /// Appends `count` elements as one publication: the buffer grows at most
+  /// once and the size is release-stored once, so a reader sees all of
+  /// them or none.
+  void append(const T* values, size_t count, EpochManager& epoch) {
+    if (count == 0) return;
+    Buffer* b = buf_.load(std::memory_order_relaxed);
+    size_t n = b == nullptr ? 0 : b->size.load(std::memory_order_relaxed);
+    if (b == nullptr || b->capacity - n < count) {
+      b = Grow(b, n, epoch, n + count);
+    }
+    std::memcpy(b->data() + n, values, count * sizeof(T));
+    b->size.store(n + count, std::memory_order_release);
+  }
+
   /// Copy-on-write insertion keeping `less` order (stable for equals:
   /// inserts after the last equal element). Appends in place when the value
   /// sorts last — the common case for datagen's mostly-ordered edge
@@ -163,8 +178,12 @@ class RcuVector {
     });
   }
 
-  Buffer* Grow(Buffer* old, size_t n, EpochManager& epoch) {
+  /// Publishes a copy of the first `n` elements in a buffer with room for
+  /// at least `min_capacity`.
+  Buffer* Grow(Buffer* old, size_t n, EpochManager& epoch,
+               size_t min_capacity = 0) {
     size_t cap = old == nullptr ? kMinCapacity : old->capacity * 2;
+    if (cap < min_capacity) cap = min_capacity;
     Buffer* fresh = AllocBuffer(cap);
     if (n > 0) std::memcpy(fresh->data(), old->data(), n * sizeof(T));
     fresh->size.store(n, std::memory_order_relaxed);

@@ -4,6 +4,7 @@
 // Test-local managers are intentionally leaked: thread-exit slot release
 // runs after the test body, so a manager must outlive every thread that
 // ever entered it (same reason EpochManager::Global() leaks).
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -137,6 +138,75 @@ TEST(RcuVectorTest, ViewsStayConsistentUnderConcurrentAppend) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(errors.load(), 0u);
   EXPECT_EQ(v.size(), kTotal);
+  epoch.DrainForTesting();
+}
+
+TEST(RcuVectorTest, AppendCrossesCapacityAndKeepsValues) {
+  EpochManager& epoch = EpochManager::Global();
+  RcuVector<uint32_t> v;
+  std::vector<uint32_t> expected;
+  v.append(nullptr, 0, epoch);  // Empty append on an empty vector.
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_EQ(v.capacity_bytes(), 0u);
+  // Chunk sizes straddle the doubling capacities (4, 8, 16, ...), and one
+  // chunk alone outgrows the doubled capacity.
+  uint32_t next = 0;
+  for (size_t chunk : {3, 1, 0, 5, 2, 40, 0, 7}) {
+    std::vector<uint32_t> values;
+    for (size_t i = 0; i < chunk; ++i) values.push_back(next++ * 7);
+    v.append(values.data(), values.size(), epoch);
+    expected.insert(expected.end(), values.begin(), values.end());
+    auto view = v.view();
+    ASSERT_EQ(view.size(), expected.size());
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), expected.begin()));
+    EXPECT_GE(v.capacity_bytes(), expected.size() * sizeof(uint32_t));
+  }
+  v.push_back(1, epoch);  // push_back continues after an append.
+  EXPECT_EQ(v.size(), expected.size() + 1);
+  EXPECT_EQ(v[expected.size()], 1u);
+  epoch.DrainForTesting();
+}
+
+TEST(RcuVectorTest, ConcurrentReadersNeverSeePartialAppend) {
+  // Append k holds k + 1 copies of the value k + 1, so a consistent
+  // snapshot is a run of complete appends: its size is a triangular
+  // number and the values step up by one at each append boundary. A
+  // reader that saw an append's size before its elements, or half of one,
+  // would see a size in between or a stale value.
+  EpochManager& epoch = EpochManager::Global();
+  RcuVector<uint64_t> v;
+  constexpr uint64_t kAppends = 300;
+  std::atomic<uint64_t> errors{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      for (bool last = false; !last;) {
+        last = done.load(std::memory_order_acquire);
+        EpochPin pin = epoch.pin();
+        auto view = v.view();
+        size_t pos = 0;
+        for (uint64_t k = 0; pos < view.size(); ++k) {
+          if (view.size() - pos < k + 1) {
+            errors.fetch_add(1);  // A partial append.
+            break;
+          }
+          for (uint64_t i = 0; i <= k; ++i) {
+            if (view[pos++] != k + 1) errors.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  std::vector<uint64_t> chunk;
+  for (uint64_t k = 0; k < kAppends; ++k) {
+    chunk.assign(k + 1, k + 1);
+    v.append(chunk.data(), chunk.size(), epoch);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(v.size(), kAppends * (kAppends + 1) / 2);
   epoch.DrainForTesting();
 }
 

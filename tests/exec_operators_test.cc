@@ -139,6 +139,31 @@ TEST(HashMap64Test, InsertKeepsFirstValuePastTheSizingHint) {
   EXPECT_EQ(map.Find(1000), nullptr);
 }
 
+TEST(HashMap64Test, AtCountsAndForEachVisitsEveryEntry) {
+  // Random increments through At() (the tag counters of Q4 and Q6) from
+  // an unsized table, so the counts survive several doublings.
+  HashMap64 map;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  util::Rng rng(0x7a65);
+  for (int i = 0; i < 5000; ++i) {
+    uint64_t key = rng.Next() % 700;
+    uint64_t step = 1 + rng.Next() % 3;
+    map.At(key) += step;
+    ref[key] += step;
+  }
+  EXPECT_EQ(map.At(100000), 0u);  // Claims an absent key as 0.
+  ref[100000] = 0;
+  EXPECT_EQ(map.size(), ref.size());
+  std::unordered_map<uint64_t, uint64_t> seen;
+  map.ForEach([&](uint64_t key, uint64_t value) {
+    EXPECT_TRUE(seen.emplace(key, value).second) << "visited twice: " << key;
+  });
+  EXPECT_EQ(seen, ref);
+  size_t visits = 0;
+  HashMap64().ForEach([&](uint64_t, uint64_t) { ++visits; });
+  EXPECT_EQ(visits, 0u);
+}
+
 // ---- TopK ----------------------------------------------------------------
 
 struct ScoredRow {

@@ -1,6 +1,9 @@
 // Tests for the transactional graph store.
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,23 +74,39 @@ Message MakeComment(schema::MessageId id, schema::PersonId creator,
   return m;
 }
 
-/// True when every inline fact of a created-message edge equals the
-/// records behind it: the message's date, kind and country and, for a
-/// comment, its parent's creator and kind (sentinels for posts).
+/// True when `tags` holds exactly `expected`.
+bool SpanEquals(std::span<const schema::TagId> tags,
+                const std::vector<schema::TagId>& expected) {
+  return std::equal(tags.begin(), tags.end(), expected.begin(),
+                    expected.end());
+}
+
+/// True when every inline fact of a created-message edge of `messages`
+/// equals the records behind it: the message's date, kind and country;
+/// for a comment, its parent's creator and kind (sentinels for posts); and
+/// the tag span (a post's own tags, the parent post's for a comment on a
+/// post, none for a reply to a comment), which must lie inside the pool.
 bool EdgeMatchesRecords(const GraphStore& store, const ShardSnapshot& pin,
-                        const MessageEdge& e) {
+                        const CreatedMessages& messages, const MessageEdge& e) {
   const MessageRecord* m = store.FindMessage(pin, e.id);
   if (m == nullptr || m->data.creation_date != e.date ||
-      m->data.kind != e.kind || m->data.country_id != e.country) {
+      m->data.kind != e.kind || m->data.country_id != e.country ||
+      uint64_t{e.tags_begin} + e.tags_count > messages.pool_size()) {
     return false;
   }
   if (m->data.kind != MessageKind::kComment) {
     return e.parent_creator == schema::kInvalidId &&
-           e.parent_kind == MessageKind::kPost;
+           e.parent_kind == MessageKind::kPost &&
+           SpanEquals(messages.tags(e), m->data.tags);
   }
   const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
-  return parent != nullptr && e.parent_creator == parent->data.creator_id &&
-         e.parent_kind == parent->data.kind;
+  if (parent == nullptr || e.parent_creator != parent->data.creator_id ||
+      e.parent_kind != parent->data.kind) {
+    return false;
+  }
+  return parent->data.kind == MessageKind::kComment
+             ? e.tags_count == 0
+             : SpanEquals(messages.tags(e), parent->data.tags);
 }
 
 TEST(GraphStoreTest, AddAndFindPerson) {
@@ -346,26 +365,36 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
             read_errors.fetch_add(1);
           }
         }
-        // Inline date, kind, country and parent facts match the records.
-        for (const MessageEdge& e : p->messages.view()) {
-          if (!EdgeMatchesRecords(store, pin, e)) read_errors.fetch_add(1);
+        // Inline date, kind, country, parent facts and tag spans match
+        // the records.
+        CreatedMessages messages = p->created_messages();
+        for (const MessageEdge& e : messages) {
+          if (!EdgeMatchesRecords(store, pin, messages, e)) {
+            read_errors.fetch_add(1);
+          }
         }
       }
     }
   });
   // Each round adds a post and a comment by the previous person, replying
   // to the post in even rounds and to the last comment in odd ones, so
-  // edges with both parent kinds are linked while the reader runs.
+  // edges with both parent kinds are linked while the reader runs. Posts
+  // carry 0-4 tags and comments tags of their own, so the reader checks
+  // spans of every length while the tag pools grow.
   for (schema::PersonId id = 1; id < 50; ++id) {
     ASSERT_TRUE(store.AddFriendship({0, id, 100}).ok());
     util::TimestampMs date = 3000 + 2 * static_cast<int64_t>(id);
     Message post = MakePost(id, id, 1000, date);
     post.country_id = static_cast<schema::PlaceId>(id % 7);
+    for (uint32_t t = 0; t < id % 5; ++t) {
+      post.tags.push_back(static_cast<schema::TagId>(id + t));
+    }
     ASSERT_TRUE(store.AddMessage(post).ok());
     schema::MessageId parent = id % 2 == 1 && id > 1 ? 100 + id - 1 : id;
     Message comment =
         MakeComment(100 + id, id - 1, parent, id, 1000, date + 1);
     comment.country_id = static_cast<schema::PlaceId>(id % 5);
+    comment.tags = {static_cast<schema::TagId>(500 + id)};
     ASSERT_TRUE(store.AddMessage(comment).ok());
   }
   stop.store(true);
@@ -378,7 +407,7 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
 TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
   // ApplyMessageCreatorLink holds only the creator's shard lock, so a
   // comment whose parent hashes to the other shard copies the parent's
-  // creator and kind under that shard's epoch pin.
+  // creator, kind and tags under that shard's epoch pin.
   GraphStore store(ReadConcurrency::kEpoch, 2);
   constexpr schema::ForumId kForum = 10;
   constexpr schema::PersonId poster = 1;
@@ -398,16 +427,21 @@ TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
   ASSERT_TRUE(store.AddForum(MakeForum(kForum, poster)).ok());
   Message post = MakePost(post_id, poster, kForum, 3000);
   post.country_id = 7;
+  post.tags = {4, 11, 2};
   ASSERT_TRUE(store.AddMessage(post).ok());
 
   // A comment on the post, then a reply to that comment, each applied
   // half by half in the writer pool's order: create, creator, container.
+  // Their own tags differ from the post's: the comment's edge must carry
+  // the post's tags, copied across shards, and the reply's none.
   Message comment =
       MakeComment(comment_id, replier, post_id, post_id, kForum, 3100);
   comment.country_id = 8;
+  comment.tags = {9};
   Message reply =
       MakeComment(reply_id, replier, comment_id, post_id, kForum, 3200);
   reply.country_id = 9;
+  reply.tags = {5, 6};
   for (const Message& m : {comment, reply}) {
     ASSERT_TRUE(store.ApplyMessageCreate(m).ok());
     ASSERT_TRUE(store.ApplyMessageCreatorLink(m).ok());
@@ -415,19 +449,22 @@ TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
   }
   {
     auto pin = store.ReadLock();
-    auto edges = store.FindPerson(pin, replier)->messages.view();
+    CreatedMessages edges = store.FindPerson(pin, replier)->created_messages();
     ASSERT_EQ(edges.size(), 2u);
     EXPECT_EQ(edges[0].id, comment_id);
     EXPECT_EQ(edges[0].kind, MessageKind::kComment);
     EXPECT_EQ(edges[0].country, 8u);
     EXPECT_EQ(edges[0].parent_creator, poster);
     EXPECT_EQ(edges[0].parent_kind, MessageKind::kPost);
+    EXPECT_TRUE(SpanEquals(edges.tags(edges[0]), {4, 11, 2}));
     EXPECT_EQ(edges[1].id, reply_id);
     EXPECT_EQ(edges[1].country, 9u);
     EXPECT_EQ(edges[1].parent_creator, replier);
     EXPECT_EQ(edges[1].parent_kind, MessageKind::kComment);
+    EXPECT_EQ(edges[1].tags_count, 0u);
+    EXPECT_EQ(edges.pool_size(), 3u);
     for (const MessageEdge& e : edges) {
-      EXPECT_TRUE(EdgeMatchesRecords(store, pin, e)) << e.id;
+      EXPECT_TRUE(EdgeMatchesRecords(store, pin, edges, e)) << e.id;
     }
     auto posts = store.FindForum(pin, kForum)->posts.view();
     ASSERT_EQ(posts.size(), 1u);
@@ -438,10 +475,13 @@ TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
   // A comment whose parent (on the other shard) is absent links nothing.
   Message orphan =
       MakeComment(missing_id + 1, replier, missing_id, post_id, kForum, 3300);
+  orphan.tags = {1};
   EXPECT_EQ(store.ApplyMessageCreatorLink(orphan).code(),
             StatusCode::kNotFound);
   auto pin = store.ReadLock();
-  EXPECT_EQ(store.FindPerson(pin, replier)->messages.size(), 2u);
+  CreatedMessages after = store.FindPerson(pin, replier)->created_messages();
+  EXPECT_EQ(after.size(), 2u);
+  EXPECT_EQ(after.pool_size(), 3u);  // Nor any tags.
 }
 
 // ---- Cross-shard edge battery ---------------------------------------------

@@ -2,8 +2,10 @@
 // (bulk only, or bulk + replayed update stream) the store's index
 // structures must be mutually consistent at every scale.
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,7 +157,8 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
   for (schema::PersonId id : store().PersonIds(pin)) {
     const PersonRecord* p = store().FindPerson(pin, id);
     util::TimestampMs last = 0;
-    for (const MessageEdge& e : p->messages.view()) {
+    CreatedMessages messages = p->created_messages();
+    for (const MessageEdge& e : messages) {
       const MessageRecord* m = store().FindMessage(pin, e.id);
       ASSERT_NE(m, nullptr);
       EXPECT_EQ(m->data.creator_id, id);
@@ -163,6 +166,13 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
       // Every other inline fact matches the records too.
       EXPECT_EQ(e.kind, m->data.kind) << "message " << e.id;
       EXPECT_EQ(e.country, m->data.country_id) << "message " << e.id;
+      // The tag span lies inside the pool, and holds the post's tags: the
+      // message's own for a post or photo, the parent's for a comment on
+      // one, none for a reply to a comment.
+      ASSERT_LE(uint64_t{e.tags_begin} + e.tags_count, messages.pool_size())
+          << "message " << e.id;
+      std::span<const schema::TagId> tags = messages.tags(e);
+      std::vector<schema::TagId> span(tags.begin(), tags.end());
       if (m->data.kind == schema::MessageKind::kComment) {
         const MessageRecord* parent =
             store().FindMessage(pin, m->data.reply_to_id);
@@ -170,10 +180,16 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
         EXPECT_EQ(e.parent_creator, parent->data.creator_id)
             << "message " << e.id;
         EXPECT_EQ(e.parent_kind, parent->data.kind) << "message " << e.id;
+        if (parent->data.kind == schema::MessageKind::kComment) {
+          EXPECT_EQ(e.tags_count, 0u) << "message " << e.id;
+        } else {
+          EXPECT_EQ(span, parent->data.tags) << "message " << e.id;
+        }
       } else {
         EXPECT_EQ(e.parent_creator, schema::kInvalidId) << "message " << e.id;
         EXPECT_EQ(e.parent_kind, schema::MessageKind::kPost)
             << "message " << e.id;
+        EXPECT_EQ(span, m->data.tags) << "message " << e.id;
       }
       EXPECT_GE(e.date, last);  // Date-ordered.
       last = e.date;
