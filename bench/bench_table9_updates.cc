@@ -2,13 +2,11 @@
 // measured by replaying the pre-generated update stream through the driver.
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "relational/rel_queries.h"
 #include "driver/driver.h"
 #include "driver/query_mix.h"
-#include "driver/shard_writers.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
 
@@ -63,36 +61,6 @@ void MeasureUpdates(double sf, const char* graph_label,
               (unsigned long long)failed);
 }
 
-// Multi-writer scaling: the same update stream pushed through the
-// ShardWriterPool (one writer thread per shard) at 1 and 4 shards.
-// Wall time covers Submit of every op plus Drain, so queueing and the
-// cross-shard presence waits are all inside the measured window.
-double MeasureShardedThroughput(const datagen::Dataset& dataset,
-                                uint32_t shards) {
-  store::GraphStore store(store::ReadConcurrency::kEpoch, shards);
-  if (!store.BulkLoad(dataset.bulk).ok()) std::abort();
-  driver::ShardWriterPool pool(&store);
-  util::Stopwatch watch;
-  for (const datagen::UpdateOperation& op : dataset.updates) {
-    if (!pool.Submit(op).ok()) std::abort();
-  }
-  if (!pool.Drain().ok()) std::abort();
-  double seconds = watch.ElapsedNanos() / 1e9;
-  return seconds > 0 ? dataset.updates.size() / seconds : 0.0;
-}
-
-void MeasureShardScaling(double sf, const char* sf_label) {
-  std::unique_ptr<BenchWorld> world = MakeWorld(sf, false);
-  std::printf("  %s: %zu updates via ShardWriterPool\n", sf_label,
-              world->dataset.updates.size());
-  double tput1 = MeasureShardedThroughput(world->dataset, 1);
-  double tput4 = MeasureShardedThroughput(world->dataset, 4);
-  std::printf("    1 shard : %10.0f updates/s\n", tput1);
-  std::printf("    4 shards: %10.0f updates/s\n", tput4);
-  std::printf("    speedup : %10.2fx (target > 1.5x on >= 4 cores)\n",
-              tput1 > 0 ? tput4 / tput1 : 0.0);
-}
-
 void Run() {
   PrintHeader("Table 9 — mean runtime of transactional updates (ms)");
   std::printf("  %-20s", "system,scale");
@@ -103,17 +71,6 @@ void Run() {
               "   U5 membership, U6 post, U7 comment, U8 friendship)\n");
   MeasureUpdates(kSmallSf, "graph,SF0.05", "relational,SF0.05");
   MeasureUpdates(kLargeSf, "graph,SF0.4", "relational,SF0.4");
-  std::printf("\n  Shard scaling — aggregate update throughput, one writer\n"
-              "  thread per shard (store/shard_router.h hash partition):\n");
-  MeasureShardScaling(kLargeSf, "SF0.4");
-  unsigned cores = std::thread::hardware_concurrency();
-  if (cores < 4) {
-    std::printf("    note: only %u core(s) visible here; the 4 writer\n"
-                "    threads time-slice one CPU, so the parallel speedup is\n"
-                "    not observable on this machine (the ratio above shows\n"
-                "    sharding overhead, not scaling). Re-run on >= 4 cores\n"
-                "    for the >1.5x acceptance figure.\n", cores);
-  }
   std::printf(
       "\n  Paper (ms): Sparksee,SF10 : 492 309 307 239 317 190 324 273\n"
       "              Virtuoso,SF300: 35 198 85 55 16 118 141 15\n"

@@ -160,12 +160,6 @@ echo "== validation smoke: golden emit + replay (serial and threaded) =="
   --threads 1 --mode sequential
 ./build/tools/validate_run --replay "${smoke_golden}" \
   --threads 8 --mode windowed
-# Sharded-store replay: the serial single-shard emission must replay
-# byte-identically on a 2-shard store (hash routing + multi-shard
-# snapshots + per-shard writer locks). The full {1,2,4,8} matrix runs in
-# tests/validate_golden_test.cc and CI's shard-matrix job.
-./build/tools/validate_run --replay "${smoke_golden}" \
-  --threads 2 --mode windowed --shards 2
 
 echo "== perf-regression gate: compare against committed baseline =="
 # Thresholds are deliberately generous: the gate exists to catch order-of-

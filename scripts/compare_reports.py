@@ -14,10 +14,10 @@ candidate regressed past the configured thresholds:
     --max-compliance-drop (absolute);
   * aggregate update-path throughput (the "update.*" ops' total count
     divided by their summed count x mean_ms wall time) dropped more than
-    --max-update-throughput-drop (fraction of baseline). This is the
-    sharded store's N=1 regression gate: the single-shard update path
-    must not pay for the sharding machinery. Engages only when both
-    reports carry update rows totalling at least --min-count ops;
+    --max-update-throughput-drop (fraction of baseline). This guards
+    the store's write path: a slower Add* transaction shows here even
+    when reads dominate the mix. Engages only when both reports carry
+    update rows totalling at least --min-count ops;
   * a shared op's hardware-counter ratios regressed: IPC dropped more
     than --max-ipc-drop (fraction of baseline), or LLC misses per kilo
     instruction inflated more than --max-llc-miss-inflation (fraction)
@@ -178,8 +178,7 @@ def main():
                         f"inflation {args.max_llc_miss_inflation:.0%})")
 
     # Aggregate update-path throughput: Σ count / Σ (count * mean_ms).
-    # The N=1 sharded-store gate — routing hashes, snapshot pins and the
-    # per-shard lock must not slow the degenerate single-shard update path.
+    # Guards the store's write path (the Add* transactions).
     def update_tput(ops):
         count = sum(o["count"] for n, o in ops.items()
                     if n.startswith("update.") and "mean_ms" in o)

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "driver/shard_writers.h"
 #include "queries/complex_queries.h"
 #include "queries/query9_plans.h"
 #include "queries/short_queries.h"
@@ -71,10 +70,10 @@ Status StoreConnector::Execute(const Operation& op) {
   // complex read runs under a single pin. Never wrap reads in a shared
   // lock here — a nested shared_lock would deadlock against a waiting
   // writer in kGlobalLock mode.
-  std::optional<store::ShardSnapshot> outer_pin;
+  std::optional<store::ReadGuard> outer_pin;
   if (op.type != OperationType::kUpdate &&
       store_->read_concurrency() == store::ReadConcurrency::kEpoch) {
-    outer_pin = store_->PinShards();
+    outer_pin = store_->ReadLock();
   }
   switch (op.type) {
     case OperationType::kComplexRead:
@@ -286,18 +285,7 @@ Status StoreConnector::ExecuteUpdate(const Operation& op) {
   Stopwatch watch;
   obs::perf::ScopedHwCounts hw_scope;
   SpinFor(dispatch_overhead_us_);
-  Status status;
-  if (pool_ != nullptr) {
-    // The dependency services release on submission; the pool's
-    // cross-shard creation watermark confirms the dependency actually
-    // applied on every shard it touched before this update is routed.
-    if (update.dependency_time > 0) {
-      pool_->WaitCompletedThrough(update.dependency_time);
-    }
-    status = pool_->Submit(update);
-  } else {
-    status = queries::ApplyUpdate(*store_, update);
-  }
+  Status status = queries::ApplyUpdate(*store_, update);
   uint64_t latency_ns = watch.ElapsedNanos();
   obs::perf::HwCounts hw = hw_scope.Delta();
   obs::OpType op_type = obs::UpdateOp(static_cast<int>(update.kind));

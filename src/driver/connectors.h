@@ -19,8 +19,6 @@
 
 namespace snb::driver {
 
-class ShardWriterPool;
-
 /// Abstract SUT connection. Execute() must be thread-safe.
 class Connector {
  public:
@@ -70,18 +68,6 @@ class StoreConnector : public Connector {
 
   util::Status Execute(const Operation& op) override;
 
-  /// Optional asynchronous update path. When set, ExecuteUpdate routes
-  /// the operation to the pool — which splits it into per-shard halves on
-  /// the owning shards' SPSC queues — instead of applying it inline.
-  /// Before routing a dependent update, the connector honors the pool's
-  /// cross-shard creation watermark (WaitCompletedThrough on the
-  /// operation's dependency time): the driver's dependency services track
-  /// submission, the pool's watermark confirms application on every shard
-  /// the dependency touched. Application errors surface on the pool's
-  /// Drain(), which the run owner must call after the driver finishes.
-  /// The pool must outlive the connector and wrap the same store.
-  void set_shard_writer_pool(ShardWriterPool* pool) { pool_ = pool; }
-
   /// Number of short reads spawned by the random walk so far.
   uint64_t short_reads_executed() const {
     return short_reads_.load(std::memory_order_relaxed);
@@ -106,7 +92,6 @@ class StoreConnector : public Connector {
                     std::vector<obs::DossierOperatorRow> operators);
 
   store::GraphStore* store_;
-  ShardWriterPool* pool_ = nullptr;
   const std::vector<datagen::UpdateOperation>* updates_;
   const schema::Dictionaries* dict_;
   obs::MetricsRegistry* metrics_;

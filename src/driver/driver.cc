@@ -12,7 +12,6 @@
 #include "driver/run_audit.h"
 #include "obs/perf_counters.h"
 #include "obs/prof.h"
-#include "store/shard_router.h"
 #include "util/mutex.h"
 #include "util/stopwatch.h"
 #include "util/thread_annotations.h"
@@ -134,17 +133,9 @@ class Throttle {
 };
 
 uint32_t PartitionOf(const Operation& op, uint32_t num_partitions,
-                     ExecutionMode mode, uint64_t index,
-                     uint32_t store_shards) {
+                     ExecutionMode mode, uint64_t index) {
   if (mode == ExecutionMode::kSequentialForum &&
       op.forum_partition != schema::kInvalidId) {
-    // Shard-affine routing: forums on one store shard share a stream, so
-    // a sharded store sees each shard's forum-tree updates from a single
-    // thread. Same-forum ops still share a stream either way.
-    if (store_shards > 0) {
-      return store::ShardOfForum(op.forum_partition, store_shards) %
-             num_partitions;
-    }
     return static_cast<uint32_t>(util::Mix64(op.forum_partition) %
                                  num_partitions);
   }
@@ -267,9 +258,8 @@ DriverReport RunStreamed(const std::vector<Operation>& operations,
   uint32_t partitions = std::max<uint32_t>(config.num_partitions, 1);
   std::vector<std::vector<const Operation*>> streams(partitions);
   for (size_t i = 0; i < operations.size(); ++i) {
-    streams[PartitionOf(operations[i], partitions, config.mode, i,
-                        config.store_shards)]
-        .push_back(&operations[i]);
+    streams[PartitionOf(operations[i], partitions, config.mode, i)].push_back(
+        &operations[i]);
   }
 
   GlobalDependencyService gds;
@@ -373,15 +363,7 @@ DriverReport RunWindowed(const std::vector<Operation>& operations,
     for (size_t i = next; i < end; ++i) {
       const Operation& op = operations[i];
       if (op.forum_partition != schema::kInvalidId) {
-        // With shard affinity, group by the forum's store shard: grouping
-        // by shard coarsens grouping by forum (same forum, same shard),
-        // so intra-forum sequencing survives and each shard's forum-tree
-        // updates run on one worker.
-        uint64_t group_key =
-            config.store_shards > 0
-                ? store::ShardOfForum(op.forum_partition, config.store_shards)
-                : op.forum_partition;
-        forum_groups[group_key].push_back(&op);
+        forum_groups[op.forum_partition].push_back(&op);
       } else {
         free_batches[free_index++ % partitions].push_back(&op);
       }

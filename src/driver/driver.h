@@ -78,13 +78,6 @@ struct DriverConfig {
   /// Fraction of scheduled operations that must be on time for the run
   /// to pass the compliance audit (the LDBC bar is 0.95).
   double compliance_threshold = 0.95;
-  /// When non-zero, forum partitioning keys on the store's shard of the
-  /// forum (store/shard_router.h) instead of a generic hash: every forum
-  /// living on one shard executes on one stream (kSequentialForum) or in
-  /// one window group (kWindowed), so the updates touching a shard funnel
-  /// through one thread and the shard's writer mutex stays uncontended.
-  /// Zero keeps the shard-oblivious legacy partitioning.
-  uint32_t store_shards = 0;
 };
 
 /// Outcome of a driver run.

@@ -44,9 +44,9 @@ struct Batch {
 
 /// Pull-based operator: fills `out` with up to kBatchCapacity rows and
 /// returns true, or returns false when exhausted (out->size is then 0).
-/// Operators that read the store hold the caller's ShardSnapshot by reference —
-/// the caller's ReadGuard must outlive the operator (the same discipline
-/// every snapshot accessor enforces by token).
+/// Operators that read the store hold the caller's ReadGuard by reference —
+/// the guard must outlive the operator (the same discipline every snapshot
+/// accessor enforces by token).
 class Operator {
  public:
   virtual ~Operator() = default;

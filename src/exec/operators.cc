@@ -9,7 +9,7 @@ using store::MessageEdge;
 using store::PersonRecord;
 
 TwoHopStats ExpandTwoHop(const store::GraphStore& store,
-                         const store::ShardSnapshot& pin, uint64_t start,
+                         const store::ReadGuard& pin, uint64_t start,
                          std::vector<uint64_t>* circle, DenseIdSet* members,
                          obs::OperatorStats* join1_sink,
                          obs::OperatorStats* join2_sink) {
@@ -48,7 +48,7 @@ TwoHopStats ExpandTwoHop(const store::GraphStore& store,
 }
 
 MessageScanOperator::MessageScanOperator(const store::GraphStore& store,
-                                         const store::ShardSnapshot& pin,
+                                         const store::ReadGuard& pin,
                                          const std::vector<uint64_t>& persons,
                                          util::TimestampMs max_date_exclusive,
                                          size_t per_person_limit,

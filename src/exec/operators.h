@@ -1,7 +1,7 @@
 // Physical operators of the query plans: two-hop expansion, the
 // date-bounded message scan, and the bounded top-k sink.
 //
-// Each operator takes the caller's ShardSnapshot (snapshot-read
+// Each operator takes the caller's ReadGuard (snapshot-read
 // capability, discipline identical to the store accessors) and an optional
 // obs::OperatorStats sink — a null sink disengages the TraceSpans
 // entirely, so unprofiled runs take no timestamps.
@@ -38,7 +38,7 @@ struct TwoHopStats {
 /// no set. Spans: join1 = direct expansion, join2 = friend-of-friend
 /// expansion; either sink may be null.
 TwoHopStats ExpandTwoHop(const store::GraphStore& store,
-                         const store::ShardSnapshot& pin, uint64_t start,
+                         const store::ReadGuard& pin, uint64_t start,
                          std::vector<uint64_t>* circle,
                          DenseIdSet* members = nullptr,
                          obs::OperatorStats* join1_sink = nullptr,
@@ -60,7 +60,7 @@ class MessageScanOperator : public Operator {
  public:
   /// `persons` must outlive the operator; `stats` may be null.
   MessageScanOperator(const store::GraphStore& store,
-                      const store::ShardSnapshot& pin,
+                      const store::ReadGuard& pin,
                       const std::vector<uint64_t>& persons,
                       util::TimestampMs max_date_exclusive,
                       size_t per_person_limit,
@@ -76,7 +76,7 @@ class MessageScanOperator : public Operator {
   bool OpenNextPerson();
 
   const store::GraphStore& store_;
-  const store::ShardSnapshot& pin_;
+  const store::ReadGuard& pin_;
   const std::vector<uint64_t>& persons_;
   const util::TimestampMs max_date_exclusive_;
   const size_t per_person_limit_;

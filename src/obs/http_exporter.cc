@@ -19,13 +19,28 @@ constexpr std::chrono::milliseconds kRequestHeadDeadline{2000};
 /// Longest request head read; only the request line matters.
 constexpr size_t kMaxRequestHead = 16 * 1024;
 
-/// Sends the whole buffer, tolerating partial writes. MSG_NOSIGNAL keeps
-/// a client that hung up from killing the process with SIGPIPE.
+/// The whole response must be sent within this window, however slowly the
+/// client reads, so a client that stops reading a response larger than the
+/// socket buffers holds the sending thread for at most this long.
+constexpr std::chrono::milliseconds kResponseDeadline{2000};
+
+/// Sends the whole buffer, tolerating partial writes, until the client
+/// hangs up or kResponseDeadline passes. MSG_NOSIGNAL keeps a client that
+/// hung up from killing the process with SIGPIPE.
 void SendAll(int fd, const std::string& data) {
+  const auto deadline = std::chrono::steady_clock::now() + kResponseDeadline;
   size_t off = 0;
   while (off < data.size()) {
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return;
+    pollfd writable{fd, POLLOUT, 0};
+    int ready = ::poll(&writable, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return;
     ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                       MSG_NOSIGNAL);
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
     if (n <= 0) return;
     off += static_cast<size_t>(n);
   }

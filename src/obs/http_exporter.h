@@ -25,9 +25,11 @@
 // one is refused immediately with 503 + JSON error rather than queued.
 // Serving is deliberately simple (HTTP/1.0-style close-after-response);
 // the clients are curl, Prometheus, and the raw-socket tests. A request
-// head gets one fixed deadline (2 s) and a 16 KB cap in total, so a client
-// that drips bytes cannot keep /healthz waiting behind it for longer than
-// that (tests/http_fuzz_test.cc).
+// head gets one fixed deadline (2 s) and a 16 KB cap in total, and a
+// response one fixed deadline (2 s) to be sent, so neither a client that
+// drips bytes nor one that stops reading a large response can keep
+// /healthz (or, on a dynamic route, the next capture) waiting behind it
+// for longer than that (tests/http_fuzz_test.cc).
 #ifndef SNB_OBS_HTTP_EXPORTER_H_
 #define SNB_OBS_HTTP_EXPORTER_H_
 

@@ -26,7 +26,7 @@ using store::PersonRecord;
 using MessageEdges = util::RcuVector<MessageEdge>::View;
 
 std::vector<PersonId> FriendIdsLocked(const GraphStore& store,
-                                      const store::ShardSnapshot& pin,
+                                      const store::ReadGuard& pin,
                                       PersonId start) {
   std::vector<PersonId> out;
   const PersonRecord* p = store.FindPerson(pin, start);
@@ -39,7 +39,7 @@ std::vector<PersonId> FriendIdsLocked(const GraphStore& store,
 
 /// The two-hop circle of `start`, ascending (exec::ExpandTwoHop).
 std::vector<PersonId> CircleOf(const GraphStore& store,
-                               const store::ShardSnapshot& pin,
+                               const store::ReadGuard& pin,
                                PersonId start) {
   std::vector<PersonId> circle;
   exec::ExpandTwoHop(store, pin, start, &circle);
@@ -583,7 +583,7 @@ uint64_t LevelOf(uint64_t entry) { return entry & 0xffffffffu; }
 /// endpoint, a friend in that side's previous layer (tested on a bitmap of
 /// the layer) is on a shortest path too.
 int ShortestPathLevels(const GraphStore& store,
-                       const store::ShardSnapshot& pin, PersonId person1,
+                       const store::ReadGuard& pin, PersonId person1,
                        PersonId person2, exec::HashMap64* levels) {
   // Side 0 searches from person1, side 1 from person2.
   const uint64_t bound = store.PersonIdBound();
@@ -648,7 +648,7 @@ int ShortestPathLevels(const GraphStore& store,
 /// a post of the other adds 1.0, to a comment of the other adds 0.5. A
 /// plain scan of both created-message lists: the replied-to creator and
 /// kind ride inline in each edge.
-double PairWeight(const GraphStore& store, const store::ShardSnapshot& pin,
+double PairWeight(const GraphStore& store, const store::ReadGuard& pin,
                   PersonId a, PersonId b) {
   double weight = 0.0;
   for (PersonId from : {a, b}) {

@@ -18,7 +18,7 @@ using store::PersonRecord;
 /// adjacency list (the cost a hash join pays that an index lookup does not).
 class FriendsHashTable {
  public:
-  FriendsHashTable(const GraphStore& store, const store::ShardSnapshot& pin,
+  FriendsHashTable(const GraphStore& store, const store::ReadGuard& pin,
                    Q9PlanStats* stats) {
     for (PersonId pid : store.PersonIds(pin)) {
       const PersonRecord* p = store.FindPerson(pin, pid);
@@ -45,7 +45,7 @@ class FriendsHashTable {
 /// Emits the friends of `id` through `emit`, via index lookup or the
 /// prebuilt hash table.
 template <typename EmitFn>
-void JoinFriends(const GraphStore& store, const store::ShardSnapshot& pin,
+void JoinFriends(const GraphStore& store, const store::ReadGuard& pin,
                  JoinStrategy strategy, const FriendsHashTable* hash,
                  PersonId id, EmitFn emit) {
   if (strategy == JoinStrategy::kIndexNestedLoop) {

@@ -41,9 +41,9 @@ struct Binding {
 };
 
 struct ThreadEpochState {
-  // A thread may bind the whole Domain() pool (kMaxDomains = 8) plus a
-  // handful of test-local managers; bindings are never released before
-  // thread exit, so the cap must cover the union, not the working set.
+  // A thread may bind Global() plus a handful of test-local managers;
+  // bindings are never released before thread exit, so the cap must cover
+  // every manager a thread ever entered, not the working set.
   static constexpr int kMaxBindings = 32;
   Binding bindings[kMaxBindings];
 
@@ -85,20 +85,6 @@ thread_local ThreadEpochState tls_epoch_state;
 EpochManager& EpochManager::Global() {
   static EpochManager* instance = new EpochManager();  // Intentional leak.
   return *instance;
-}
-
-EpochManager& EpochManager::Domain(size_t index) {
-  if (index >= kMaxDomains) {
-    std::fprintf(stderr, "EpochManager::Domain(%zu): only %zu domains\n",
-                 index, kMaxDomains);
-    std::abort();
-  }
-  if (index == 0) return Global();
-  // Intentional leak, same argument as Global(): a thread's cached slot
-  // binding is released only at thread exit, which must not race manager
-  // destruction.
-  static EpochManager* extra = new EpochManager[kMaxDomains - 1];
-  return extra[index - 1];
 }
 
 EpochManager::~EpochManager() {

@@ -81,19 +81,6 @@ class EpochManager {
   /// thread-exit slot release never races manager destruction.
   static EpochManager& Global();
 
-  /// Number of process-wide epoch domains reachable via Domain(). Sharded
-  /// stores give each shard its own domain so one shard's writer scans
-  /// only the reader slots of threads that actually pinned that shard.
-  static constexpr size_t kMaxDomains = 8;
-
-  /// Process-wide leaked domain pool. `Domain(0)` IS `Global()`, so a
-  /// single-shard store running on domain 0 behaves bit-for-bit like the
-  /// pre-sharding store; indices 1..kMaxDomains-1 are distinct managers.
-  /// Like Global(), every domain is leaked: threads cache slot bindings
-  /// until thread exit, so a domain must never be destructed. Aborts on
-  /// an out-of-range index.
-  static EpochManager& Domain(size_t index);
-
   // ---- Reader side ------------------------------------------------------
 
   /// Pins the current epoch for this thread and returns the capability

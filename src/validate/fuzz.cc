@@ -8,7 +8,6 @@
 #include "queries/short_queries.h"
 #include "relational/rel_queries.h"
 #include "store/graph_store.h"
-#include "store/shard_router.h"
 #include "util/rng.h"
 #include "validate/canonical.h"
 #include "validate/json_io.h"
@@ -17,18 +16,11 @@
 namespace snb::validate {
 namespace {
 
-constexpr char kArtifactTag[] = "snb-fuzz-regression-v2";
-// v1 artifacts (predating the sharded store) are still accepted on read;
-// they carry no shard_count and reproduce at 1 shard.
-constexpr char kArtifactTagV1[] = "snb-fuzz-regression-v1";
+// Artifacts are written as v1. v2 added the store's shard count, which no
+// longer selects anything, so a v2 artifact loads with it ignored.
+constexpr char kArtifactTag[] = "snb-fuzz-regression-v1";
+constexpr char kArtifactTagV2[] = "snb-fuzz-regression-v2";
 constexpr char kWhat[] = "fuzz artifact";
-
-/// Shard count for one fuzz graph: a power of two in [1, 8], a pure
-/// function of the graph seed so a campaign replay (and a regression
-/// artifact) lands on the same store topology.
-uint32_t ShardCountForSeed(uint64_t graph_seed) {
-  return 1u << (store::ShardMix64(graph_seed ^ 0x5AD5ULL) & 3);
-}
 
 // ---- Synthetic correlated domains ----------------------------------------
 //
@@ -264,10 +256,9 @@ struct Trial {
 };
 
 Trial RunTrial(const schema::SocialNetwork& net, const FuzzBinding& binding,
-               const StorePerturbation& perturb, uint32_t shard_count) {
+               const StorePerturbation& perturb) {
   Trial trial;
-  store::GraphStore store(store::ReadConcurrency::kEpoch,
-                          shard_count == 0 ? 1 : shard_count);
+  store::GraphStore store;
   rel::RelationalDb db;
   if (!store.BulkLoad(net).ok() || !db.BulkLoad(net).ok()) return trial;
   trial.loaded = true;
@@ -342,10 +333,9 @@ bool ForumReferenced(const schema::SocialNetwork& net, schema::ForumId id) {
 schema::SocialNetwork ShrinkNetwork(schema::SocialNetwork net,
                                     const FuzzBinding& binding,
                                     const StorePerturbation& perturb,
-                                    uint32_t shard_count,
                                     Trial* final_trial) {
   auto still_fails = [&](const schema::SocialNetwork& candidate) {
-    Trial t = RunTrial(candidate, binding, perturb, shard_count);
+    Trial t = RunTrial(candidate, binding, perturb);
     return t.loaded && t.mismatch;
   };
   bool changed = true;
@@ -418,7 +408,7 @@ schema::SocialNetwork ShrinkNetwork(schema::SocialNetwork net,
       }
     }
   }
-  *final_trial = RunTrial(net, binding, perturb, shard_count);
+  *final_trial = RunTrial(net, binding, perturb);
   return net;
 }
 
@@ -681,9 +671,8 @@ util::Status RunDifferentialFuzz(const FuzzConfig& config,
         util::Mix64(config.seed + static_cast<uint64_t>(g) * 0x9e3779b9ULL);
     schema::SocialNetwork net =
         GenerateFuzzNetwork(graph_seed, config.max_persons);
-    uint32_t shard_count = ShardCountForSeed(graph_seed);
 
-    store::GraphStore store(store::ReadConcurrency::kEpoch, shard_count);
+    store::GraphStore store;
     SNB_RETURN_IF_ERROR(store.BulkLoad(net));
     rel::RelationalDb db;
     SNB_RETURN_IF_ERROR(db.BulkLoad(net));
@@ -709,10 +698,8 @@ util::Status RunDifferentialFuzz(const FuzzConfig& config,
       }
       ++out->mismatches;
       Trial final_trial;
-      out->first.graph =
-          ShrinkNetwork(net, binding, perturb, shard_count, &final_trial);
+      out->first.graph = ShrinkNetwork(net, binding, perturb, &final_trial);
       out->first.graph_seed = graph_seed;
-      out->first.shard_count = shard_count;
       out->first.binding = binding;
       if (final_trial.mismatch) {
         out->first.backend = final_trial.backend;
@@ -739,8 +726,7 @@ util::Status RunDifferentialFuzz(const FuzzConfig& config,
 
 bool MismatchReproduces(const FuzzMismatch& mismatch,
                         const StorePerturbation& perturb) {
-  Trial trial =
-      RunTrial(mismatch.graph, mismatch.binding, perturb, mismatch.shard_count);
+  Trial trial = RunTrial(mismatch.graph, mismatch.binding, perturb);
   return trial.loaded && trial.mismatch && trial.backend == mismatch.backend;
 }
 
@@ -823,9 +809,6 @@ std::string MismatchToJson(const FuzzMismatch& mismatch) {
   out += ",";
   AppendKey(&out, "graph_seed");
   AppendEscaped(&out, FormatU64(mismatch.graph_seed));
-  out += ",";
-  AppendU64Field(&out, "shard_count",
-                 mismatch.shard_count == 0 ? 1 : mismatch.shard_count);
   out += ",";
   AppendStringField(&out, "backend", mismatch.backend);
   out += ",\n";
@@ -994,24 +977,13 @@ util::Status MismatchFromJson(const std::string& json, FuzzMismatch* out) {
   }
   std::string schema_tag;
   SNB_RETURN_IF_ERROR(jsonio::GetString(root, "schema", &schema_tag, kWhat));
-  if (schema_tag != kArtifactTag && schema_tag != kArtifactTagV1) {
+  if (schema_tag != kArtifactTag && schema_tag != kArtifactTagV2) {
     return util::Status::InvalidArgument(std::string(kWhat) +
                                          ": unsupported schema \"" +
                                          schema_tag + "\"");
   }
   SNB_RETURN_IF_ERROR(
       jsonio::GetU64(root, "graph_seed", &out->graph_seed, kWhat));
-  out->shard_count = 1;  // v1 artifacts predate sharding.
-  if (schema_tag == std::string(kArtifactTag)) {
-    uint64_t shards = 0;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(root, "shard_count", &shards, kWhat));
-    if (shards < 1 || shards > store::kMaxShards) {
-      return util::Status::InvalidArgument(
-          std::string(kWhat) + ": shard_count out of range [1, " +
-          FormatU64(store::kMaxShards) + "]");
-    }
-    out->shard_count = static_cast<uint32_t>(shards);
-  }
   SNB_RETURN_IF_ERROR(jsonio::GetString(root, "backend", &out->backend, kWhat));
 
   const obs::JsonValue* binding = root.Find("binding");

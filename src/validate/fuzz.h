@@ -7,17 +7,11 @@
 // The oracle is the arbiter: a backend whose rows differ from the oracle's
 // is the mismatch, regardless of whether the other backend agrees with it.
 //
-// Every graph additionally randomizes the store's shard count (1, 2, 4 or
-// 8, derived deterministically from the graph seed), so the campaign
-// continuously cross-checks the sharded store's routing and multi-shard
-// snapshots against the unsharded relational and oracle baselines.
-//
 // On a mismatch the failing graph is shrunk — entities are greedily removed
 // (respecting referential closure) while the mismatch persists — and the
 // minimal reproducer is packaged as a standalone JSON artifact
-// ("snb-fuzz-regression-v2", which records the shard count; v1 artifacts
-// still load with shard_count = 1) that embeds the graph, the binding and
-// both result sets, and can be re-run directly via LoadMismatch +
+// ("snb-fuzz-regression-v1") that embeds the graph, the binding and both
+// result sets, and can be re-run directly via ReadMismatch +
 // MismatchReproduces.
 #ifndef SNB_VALIDATE_FUZZ_H_
 #define SNB_VALIDATE_FUZZ_H_
@@ -58,9 +52,6 @@ struct FuzzBinding {
 /// A (possibly shrunk) reproducing counterexample.
 struct FuzzMismatch {
   uint64_t graph_seed = 0;  // Seed the original graph came from.
-  /// Store shard count the mismatch was found (and reproduces) at; 1 for
-  /// artifacts predating the sharded store ("snb-fuzz-regression-v1").
-  uint32_t shard_count = 1;
   std::string backend;      // "store" or "relational".
   FuzzBinding binding;
   std::vector<std::string> expected;  // Oracle rows.
@@ -100,8 +91,8 @@ schema::SocialNetwork GenerateFuzzNetwork(uint64_t seed, int max_persons);
 bool MismatchReproduces(const FuzzMismatch& mismatch,
                         const StorePerturbation& perturb = nullptr);
 
-/// Regression-artifact round-trip. Writes "snb-fuzz-regression-v2";
-/// reading also accepts v1 (which lacks shard_count — defaults to 1).
+/// Regression-artifact round-trip. Writes "snb-fuzz-regression-v1";
+/// reading also accepts v2, whose store shard count is ignored.
 std::string MismatchToJson(const FuzzMismatch& mismatch);
 util::Status MismatchFromJson(const std::string& json, FuzzMismatch* out);
 util::Status WriteMismatch(const FuzzMismatch& mismatch,

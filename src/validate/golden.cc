@@ -606,9 +606,6 @@ util::Status ReplayGoldenSetWith(const GoldenSet& golden,
   if (options.threads < 1) {
     return util::Status::InvalidArgument("threads must be >= 1");
   }
-  if (options.shards < 1 || options.shards > store::kMaxShards) {
-    return util::Status::InvalidArgument("shards must be in [1, 8]");
-  }
   if (dataset.config.seed != golden.seed ||
       dataset.config.num_persons != golden.num_persons) {
     return util::Status::InvalidArgument(
@@ -617,7 +614,7 @@ util::Status ReplayGoldenSetWith(const GoldenSet& golden,
   }
   BatteryContext ctx = MakeBatteryContext(dataset, dictionaries, golden.seed);
 
-  store::GraphStore store(store::ReadConcurrency::kEpoch, options.shards);
+  store::GraphStore store;
   SNB_RETURN_IF_ERROR(store.BulkLoad(dataset.bulk));
 
   std::unique_ptr<util::ThreadPool> pool;
@@ -644,7 +641,6 @@ util::Status ReplayGoldenSetWith(const GoldenSet& golden,
       driver::DriverConfig config;
       config.num_partitions = options.threads;
       config.mode = options.mode;
-      config.store_shards = options.shards > 1 ? options.shards : 0;
       driver::DriverReport report =
           driver::RunWorkload(ops, connector, config);
       if (report.operations_failed != 0) {

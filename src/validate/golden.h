@@ -88,11 +88,6 @@ struct ReplayOptions {
   /// Driver partitions for update segments and battery pool width.
   uint32_t threads = 1;
   driver::ExecutionMode mode = driver::ExecutionMode::kSequentialForum;
-  /// Store shard count for the replayed store (1..store::kMaxShards).
-  /// Results must be byte-identical at every count — the emission is
-  /// always serial single-shard, so any routing- or snapshot-dependent
-  /// divergence in the sharded store shows up as a diff.
-  uint32_t shards = 1;
   /// Optional: update-operation latencies of the replayed segments are
   /// recorded here (feeds the report.json "ops" table of validate_run).
   obs::MetricsRegistry* metrics = nullptr;

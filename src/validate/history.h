@@ -1,12 +1,12 @@
 // Snapshot-isolation history checking for the graph store's RCU read path.
 //
-// A stress run records a *history*: a single writer announces a commit
-// point (a release increment of a global commit counter) after each fully
-// published update, and concurrent readers record, per read, the counter
-// value loaded (acquire) before pinning an epoch plus what the pinned
-// snapshot showed (adjacency lengths, and whether every adjacency id
-// resolved to a ready record). CheckHistory then replays the log offline
-// and flags:
+// A stress run records a *history*: each writer announces a commit point
+// (a release increment of one global commit counter, shared by every
+// writer) after each fully published update, and concurrent readers
+// record, per read, the counter value loaded (acquire) before pinning an
+// epoch plus what the pinned snapshot showed (adjacency lengths, and
+// whether every adjacency id resolved to a ready record). CheckHistory
+// then replays the log offline and flags:
 //
 //   * "torn-update"   — an adjacency entry whose target record was not
 //                       resolvable under the same pin: the edge was linked
@@ -21,28 +21,26 @@
 //   * "non-monotonic" — one reader thread observed an entity shrink
 //                       between two of its own reads (snapshots moving
 //                       backwards in time).
-//   * "phantom-write" — a reader saw more edges than the writer ever
+//   * "phantom-write" — a reader saw more edges than were ever
 //                       committed.
 //
 // Tracked entities must start empty (the stress harnesses bulk-load only
-// the fixed scaffolding — persons and a forum — and grow adjacency lists
+// the fixed scaffolding — persons and forums — and grow adjacency lists
 // exclusively through recorded commits).
 //
-// RecordStoreHistory drives the real store concurrently (run it under
-// TSan); RecordBrokenWriterHistory is a deterministic, single-threaded
-// scripted interleaving whose writer announces commits *before*
-// publishing — the fixture CheckHistory must reject.
+// RecordStoreHistory drives the real store with one or more writers at
+// once (run it under TSan); RecordBrokenWriterHistory is a deterministic,
+// single-threaded scripted interleaving whose writer announces commits
+// *before* publishing — the fixture CheckHistory must reject.
 #ifndef SNB_VALIDATE_HISTORY_H_
 #define SNB_VALIDATE_HISTORY_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "store/shard_router.h"
 #include "util/status.h"
 
 namespace snb::validate {
@@ -51,33 +49,25 @@ namespace snb::validate {
 inline constexpr uint32_t kDomainPersonMessages = 0;
 inline constexpr uint32_t kDomainForumPosts = 1;
 
-/// One reader observation under a single multi-shard snapshot.
+/// One reader observation under a single snapshot.
 struct ReadObservation {
   uint64_t watermark = 0;   // Commit counter loaded before pinning.
   uint32_t domain = 0;      // kDomain* constant.
   uint64_t entity = 0;      // Person or forum id.
   uint64_t edges_seen = 0;  // Adjacency length under the pin.
   uint64_t dangling = 0;    // Adjacency ids that did not resolve.
-  /// Sharded runs: per-shard commit watermarks loaded in ascending shard
-  /// order *before* pinning — mirroring ShardSnapshot's pin order. When
-  /// non-empty, the checker evaluates each commit against the committing
-  /// shard's entry and the scalar `watermark` is ignored.
-  std::vector<uint64_t> watermarks;
 };
 
 /// One writer commit point. Multiple entries may share a `seq` when a
-/// single update touches several adjacency lists. Sharded runs have one
-/// independent commit counter per shard; `seq` is meaningful only within
-/// the committing shard's sequence.
+/// single update touches several adjacency lists.
 struct WriterCommit {
   uint64_t seq = 0;
   uint32_t domain = 0;
   uint64_t entity = 0;
   uint64_t edges_after = 0;  // Entity's adjacency length as of this commit.
-  uint32_t shard = 0;        // Shard whose counter issued `seq`.
 };
 
-/// A recorded run: the writer's commit log plus one observation log per
+/// A recorded run: every writer's commit log plus one observation log per
 /// reader thread.
 struct History {
   std::vector<WriterCommit> commits;
@@ -101,31 +91,19 @@ struct HistoryCheckOutcome {
 /// Offline checker; pure function of the recorded history.
 HistoryCheckOutcome CheckHistory(const History& history);
 
-/// Collects a history. The per-shard commit counters are the only shared
-/// state; per-reader logs are written by exactly one thread each, and
-/// each shard's commit log by exactly one writer thread.
+/// Collects a history. The commit counter is the only shared state;
+/// each reader's log is written by exactly one thread, and so is each
+/// writer's commit log.
 class HistoryRecorder {
  public:
-  explicit HistoryRecorder(int num_readers, uint32_t num_shards = 1)
-      : num_shards_(num_shards) {
+  explicit HistoryRecorder(int num_readers, int num_writers = 1) {
     history_.readers.resize(static_cast<size_t>(num_readers));
-    shard_logs_.resize(num_shards);
+    writer_logs_.resize(static_cast<size_t>(num_writers));
   }
 
-  /// Reader side: loads shard 0's watermark. Call before pinning.
+  /// Reader side: loads the commit watermark. Call before pinning.
   uint64_t BeginRead() const {
-    return counters_[0].load(std::memory_order_acquire);
-  }
-
-  /// Reader side: loads every shard's watermark in ascending shard
-  /// order — the same order ShardSnapshot acquires its pins. Call before
-  /// pinning; store the result in ReadObservation::watermarks.
-  std::vector<uint64_t> BeginReadVector() const {
-    std::vector<uint64_t> w(num_shards_);
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      w[s] = counters_[s].load(std::memory_order_acquire);
-    }
-    return w;
+    return counter_.load(std::memory_order_acquire);
   }
 
   /// Reader side: appends to reader `reader`'s log (single-threaded per
@@ -134,39 +112,28 @@ class HistoryRecorder {
     history_.readers[static_cast<size_t>(reader)].push_back(observation);
   }
 
-  /// Writer side: announces shard 0's next commit point and logs it.
-  uint64_t Commit(uint32_t domain, uint64_t entity, uint64_t edges_after) {
-    return CommitOnShard(0, domain, entity, edges_after);
+  /// Writer side: announces the next commit point and logs it in writer
+  /// `writer`'s log (single-threaded per writer index). Call after the
+  /// update returned.
+  uint64_t Commit(int writer, uint32_t domain, uint64_t entity,
+                  uint64_t edges_after) {
+    uint64_t seq = counter_.fetch_add(1, std::memory_order_release) + 1;
+    CommitAt(writer, seq, domain, entity, edges_after);
+    return seq;
   }
 
   /// Writer side: logs an additional entry under an already-announced
   /// commit point (one update touching a second adjacency list).
-  void CommitAt(uint64_t seq, uint32_t domain, uint64_t entity,
+  void CommitAt(int writer, uint64_t seq, uint32_t domain, uint64_t entity,
                 uint64_t edges_after) {
-    CommitAtOnShard(0, seq, domain, entity, edges_after);
+    writer_logs_[static_cast<size_t>(writer)].push_back(
+        {seq, domain, entity, edges_after});
   }
 
-  /// Writer side, sharded: announces shard `shard`'s next commit point.
-  /// Exactly one writer thread per shard.
-  uint64_t CommitOnShard(uint32_t shard, uint32_t domain, uint64_t entity,
-                         uint64_t edges_after) {
-    uint64_t seq =
-        counters_[shard].fetch_add(1, std::memory_order_release) + 1;
-    shard_logs_[shard].push_back({seq, domain, entity, edges_after, shard});
-    return seq;
-  }
-
-  /// Writer side, sharded: an additional entry under shard `shard`'s
-  /// already-announced commit point.
-  void CommitAtOnShard(uint32_t shard, uint64_t seq, uint32_t domain,
-                       uint64_t entity, uint64_t edges_after) {
-    shard_logs_[shard].push_back({seq, domain, entity, edges_after, shard});
-  }
-
-  /// Moves the history out (merging the per-shard commit logs). Call only
+  /// Moves the history out (merging the writers' commit logs). Call only
   /// after all threads have joined.
   History TakeHistory() {
-    for (std::vector<WriterCommit>& log : shard_logs_) {
+    for (std::vector<WriterCommit>& log : writer_logs_) {
       history_.commits.insert(history_.commits.end(), log.begin(), log.end());
       log.clear();
     }
@@ -174,9 +141,8 @@ class HistoryRecorder {
   }
 
  private:
-  uint32_t num_shards_;
-  std::array<std::atomic<uint64_t>, store::kMaxShards> counters_{};
-  std::vector<std::vector<WriterCommit>> shard_logs_;
+  std::atomic<uint64_t> counter_{0};
+  std::vector<std::vector<WriterCommit>> writer_logs_;
   History history_;
 };
 
@@ -184,13 +150,16 @@ class HistoryRecorder {
 struct HistoryConfig {
   int num_readers = 4;
   int reads_per_reader = 200;
+  /// Commits per writer.
   int num_commits = 400;
+  int num_writers = 1;
 };
 
-/// Concurrent stress of the real store: one writer posting messages (each
-/// growing a person's message list and a forum's post list) racing
-/// `num_readers` reader threads. Run under TSan; feed the result to
-/// CheckHistory.
+/// Concurrent stress of the real store: `num_writers` writer threads,
+/// each posting messages to its own creator person and forum (each post
+/// grows the person's message list and the forum's post list), racing
+/// `num_readers` reader threads that observe every writer's lists under
+/// one snapshot. Run under TSan; feed the result to CheckHistory.
 util::Status RecordStoreHistory(const HistoryConfig& config, History* out);
 
 /// Deterministic broken-writer fixture: a single-threaded scripted
@@ -199,30 +168,6 @@ util::Status RecordStoreHistory(const HistoryConfig& config, History* out);
 /// "stale-read" violation for every such read.
 util::Status RecordBrokenWriterHistory(const HistoryConfig& config,
                                        History* out);
-
-/// Sharded stress knobs.
-struct ShardedHistoryConfig {
-  uint32_t num_shards = 4;
-  int num_readers = 4;
-  int reads_per_reader = 100;
-  int commits_per_shard = 100;
-};
-
-/// Concurrent multi-writer stress of the sharded store: one writer thread
-/// per shard posting messages to that shard's creator person and forum,
-/// racing `num_readers` readers that record per-shard watermark vectors
-/// before taking a multi-shard snapshot and resolve every cross-shard
-/// edge under it. Run under TSan; feed the result to CheckHistory.
-util::Status RecordShardedStoreHistory(const ShardedHistoryConfig& config,
-                                       History* out);
-
-/// Deterministic broken fixture for the sharded checker: a reader whose
-/// shard list views predate an update but whose watermark vector was
-/// loaded after its commit — the observable signature of pinning shards
-/// at mismatched epochs. CheckHistory must flag a "stale-read" for every
-/// such observation.
-util::Status RecordMismatchedPinHistory(const ShardedHistoryConfig& config,
-                                        History* out);
 
 }  // namespace snb::validate
 

@@ -13,7 +13,6 @@
 #include "queries/update_queries.h"
 #include "relational/rel_queries.h"
 #include "store/graph_store.h"
-#include "store/shard_router.h"
 #include "validate/canonical.h"
 
 namespace snb::store {
@@ -86,7 +85,7 @@ bool SpanEquals(std::span<const schema::TagId> tags,
 /// for a comment, its parent's creator and kind (sentinels for posts); and
 /// the tag span (a post's own tags, the parent post's for a comment on a
 /// post, none for a reply to a comment), which must lie inside the pool.
-bool EdgeMatchesRecords(const GraphStore& store, const ShardSnapshot& pin,
+bool EdgeMatchesRecords(const GraphStore& store, const ReadGuard& pin,
                         const CreatedMessages& messages, const MessageEdge& e) {
   const MessageRecord* m = store.FindMessage(pin, e.id);
   if (m == nullptr || m->data.creation_date != e.date ||
@@ -299,39 +298,90 @@ TEST(GraphStoreTest, StorageBreakdownAccountsMajorStructures) {
 }
 
 TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
-  // The whole-store invariant (adjacency totals == counters) needs a frozen
-  // snapshot, which only the shared-lock mode provides; the epoch mode's
+  // Atomicity of every two-sided Add*: a frozen snapshot, which only the
+  // shared-lock mode provides, must see each update whole or not at all,
+  // so both sides of every edge and the counters agree. The epoch mode's
   // weaker per-object guarantees are covered by the test below and by
   // concurrency_stress_test.
   GraphStore store(ReadConcurrency::kGlobalLock);
-  for (schema::PersonId id = 0; id < 50; ++id) {
+  constexpr schema::PersonId kPersons = 50;
+  constexpr schema::ForumId kForum = 1000;
+  for (schema::PersonId id = 0; id < kPersons; ++id) {
     ASSERT_TRUE(store.AddPerson(MakePerson(id)).ok());
   }
-  ASSERT_TRUE(store.AddForum(MakeForum(1000, 0)).ok());
+  ASSERT_TRUE(store.AddForum(MakeForum(kForum, 0)).ok());
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> read_errors{0};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> friend_errors{0};
+  std::atomic<uint64_t> like_errors{0};
+  std::atomic<uint64_t> member_errors{0};
+  std::atomic<uint64_t> message_errors{0};
   std::thread reader([&] {
-    while (!stop.load()) {
+    // The last pass starts after the writer is done, so the final state
+    // is checked even when the writer outruns the reader.
+    for (bool done = false; !done;) {
+      done = stop.load();
       auto pin = store.ReadLock();
-      // Under the shared lock, edge counters and adjacency must agree.
-      uint64_t sum = 0;
-      for (schema::PersonId id = 0; id < 50; ++id) {
+      uint64_t friends = 0, person_likes = 0, person_forums = 0;
+      uint64_t creator_edges = 0;
+      for (schema::PersonId id = 0; id < kPersons; ++id) {
         const PersonRecord* p = store.FindPerson(pin, id);
-        if (p != nullptr) sum += p->friends.size();
+        if (p == nullptr) continue;
+        friends += p->friends.size();
+        person_likes += p->likes.size();
+        person_forums += p->forums.size();
+        creator_edges += p->messages.size();
       }
-      if (sum != 2 * store.NumKnowsEdges()) read_errors.fetch_add(1);
+      uint64_t message_likes = 0, replies = 0;
+      for (schema::MessageId id = 0; id < store.MessageIdBound(); ++id) {
+        const MessageRecord* m = store.FindMessage(pin, id);
+        if (m == nullptr) continue;
+        message_likes += m->likes.size();
+        replies += m->replies.size();
+      }
+      const ForumRecord* forum = store.FindForum(pin, kForum);
+      const uint64_t members = forum->members.size();
+      const uint64_t posts = forum->posts.size();
+      if (friends != 2 * store.NumKnowsEdges()) friend_errors.fetch_add(1);
+      if (person_likes != message_likes || person_likes != store.NumLikes()) {
+        like_errors.fetch_add(1);
+      }
+      if (person_forums != members || members != store.NumMemberships()) {
+        member_errors.fetch_add(1);
+      }
+      if (creator_edges != posts + replies ||
+          creator_edges != store.NumMessages()) {
+        message_errors.fetch_add(1);
+      }
+      reads.fetch_add(1);
     }
   });
-  for (schema::PersonId id = 1; id < 50; ++id) {
+  // Each round adds a friendship, a post, a membership, a comment on the
+  // post and three likes. The writer starts once the reader is running.
+  while (reads.load() == 0) std::this_thread::yield();
+  for (schema::PersonId id = 1; id < kPersons; ++id) {
+    util::TimestampMs date = 3000 + 2 * static_cast<int64_t>(id);
     ASSERT_TRUE(store.AddFriendship({0, id, 100}).ok());
-    Message m = MakePost(id, id, 1000, 3000 + static_cast<int64_t>(id));
-    ASSERT_TRUE(store.AddMessage(m).ok());
+    ASSERT_TRUE(store.AddMessage(MakePost(id, id, kForum, date)).ok());
+    ASSERT_TRUE(store.AddForumMembership({kForum, id, date}).ok());
+    Message comment = MakeComment(100 + id, id - 1, id, id, kForum, date + 1);
+    ASSERT_TRUE(store.AddMessage(comment).ok());
+    ASSERT_TRUE(store.AddLike({id, id, date + 1}).ok());
+    ASSERT_TRUE(store.AddLike({id - 1, id, date + 1}).ok());
+    ASSERT_TRUE(store.AddLike({id, 100 + id, date + 1}).ok());
   }
   stop.store(true);
   reader.join();
-  EXPECT_EQ(read_errors.load(), 0u);
+  EXPECT_GE(reads.load(), 2u);
+  EXPECT_EQ(friend_errors.load(), 0u);
+  EXPECT_EQ(like_errors.load(), 0u);
+  EXPECT_EQ(member_errors.load(), 0u);
+  EXPECT_EQ(message_errors.load(), 0u);
   EXPECT_EQ(store.NumKnowsEdges(), 49u);
+  EXPECT_EQ(store.NumMessages(), 98u);
+  EXPECT_EQ(store.NumMemberships(), 49u);
+  EXPECT_EQ(store.NumLikes(), 147u);
 }
 
 TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
@@ -404,23 +454,18 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
   EXPECT_EQ(store.NumMessages(), 98u);
 }
 
-TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
-  // ApplyMessageCreatorLink holds only the creator's shard lock, so a
-  // comment whose parent hashes to the other shard copies the parent's
-  // creator, kind and tags under that shard's epoch pin.
-  GraphStore store(ReadConcurrency::kEpoch, 2);
+TEST(GraphStoreTest, CommentEdgeCopiesParentFacts) {
+  // A comment's created-message edge copies its parent's creator and kind,
+  // and the parent's tags when the parent is a post; a reply to a comment
+  // carries no tags.
+  GraphStore store;
   constexpr schema::ForumId kForum = 10;
   constexpr schema::PersonId poster = 1;
   constexpr schema::PersonId replier = 2;
-  const uint32_t replier_shard = ShardOfPerson(replier, 2);
-  auto other_shard_message = [&](schema::MessageId from) {
-    while (ShardOfMessage(from, 2) == replier_shard) ++from;
-    return from;
-  };
-  const schema::MessageId post_id = other_shard_message(0);
-  const schema::MessageId comment_id = other_shard_message(post_id + 1);
-  const schema::MessageId reply_id = comment_id + 1;
-  const schema::MessageId missing_id = other_shard_message(reply_id + 1000);
+  constexpr schema::MessageId post_id = 0;
+  constexpr schema::MessageId comment_id = 1;
+  constexpr schema::MessageId reply_id = 2;
+  constexpr schema::MessageId missing_id = 1000;
   for (schema::PersonId id : {poster, replier}) {
     ASSERT_TRUE(store.AddPerson(MakePerson(id)).ok());
   }
@@ -430,10 +475,9 @@ TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
   post.tags = {4, 11, 2};
   ASSERT_TRUE(store.AddMessage(post).ok());
 
-  // A comment on the post, then a reply to that comment, each applied
-  // half by half in the writer pool's order: create, creator, container.
-  // Their own tags differ from the post's: the comment's edge must carry
-  // the post's tags, copied across shards, and the reply's none.
+  // A comment on the post, then a reply to that comment. Their own tags
+  // differ from the post's: the comment's edge must carry the post's tags,
+  // and the reply's none.
   Message comment =
       MakeComment(comment_id, replier, post_id, post_id, kForum, 3100);
   comment.country_id = 8;
@@ -442,11 +486,8 @@ TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
       MakeComment(reply_id, replier, comment_id, post_id, kForum, 3200);
   reply.country_id = 9;
   reply.tags = {5, 6};
-  for (const Message& m : {comment, reply}) {
-    ASSERT_TRUE(store.ApplyMessageCreate(m).ok());
-    ASSERT_TRUE(store.ApplyMessageCreatorLink(m).ok());
-    ASSERT_TRUE(store.ApplyMessageContainerLink(m).ok());
-  }
+  ASSERT_TRUE(store.AddMessage(comment).ok());
+  ASSERT_TRUE(store.AddMessage(reply).ok());
   {
     auto pin = store.ReadLock();
     CreatedMessages edges = store.FindPerson(pin, replier)->created_messages();
@@ -472,32 +513,29 @@ TEST(GraphStoreTest, CreatorLinkReadsParentOnAnotherShard) {
     EXPECT_EQ(posts[0].creator, poster);
   }
 
-  // A comment whose parent (on the other shard) is absent links nothing.
+  // A comment whose parent is absent fails and adds no edge and no tags.
   Message orphan =
       MakeComment(missing_id + 1, replier, missing_id, post_id, kForum, 3300);
   orphan.tags = {1};
-  EXPECT_EQ(store.ApplyMessageCreatorLink(orphan).code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(store.AddMessage(orphan).code(), StatusCode::kNotFound);
   auto pin = store.ReadLock();
   CreatedMessages after = store.FindPerson(pin, replier)->created_messages();
   EXPECT_EQ(after.size(), 2u);
   EXPECT_EQ(after.pool_size(), 3u);  // Nor any tags.
+  EXPECT_EQ(store.FindMessage(pin, missing_id + 1), nullptr);
+  EXPECT_EQ(store.NumMessages(), 3u);
 }
 
-// ---- Cross-shard edge battery ---------------------------------------------
+// ---- Edge battery -----------------------------------------------------------
 //
 // Every relationship kind the store models — friendships, likes, forum
-// memberships, message containment and replies — is exercised with
-// endpoints that hash to *different* shards, then verified by Q9 (both
-// engines) and the full short-read battery against the relational baseline
-// at every shard count {1, 2, 4, 8}. The fixture asserts its own premise:
-// at each N > 1 it must actually contain cross-shard instances of every
-// edge kind, so a router change cannot silently degrade this into a
-// single-shard test. The hermit and lonely-poster cases from
+// memberships, message containment and replies — is built through the
+// Add* transactions, then verified by Q9 and the full short-read battery
+// against the relational baseline. The hermit and lonely-poster cases from
 // queries_edge_test.cc ride along: a person with no edges at all and a
 // person with messages but zero friends must produce identical
-// (empty-but-found) results on every shard count.
-class CrossShardBatteryTest : public ::testing::Test {
+// (empty-but-found) results.
+class EdgeBatteryTest : public ::testing::Test {
  protected:
   static constexpr schema::PersonId kHermit = 555000;
   static constexpr schema::PersonId kLoner = 600;
@@ -535,8 +573,8 @@ class CrossShardBatteryTest : public ::testing::Test {
   }
 
   /// The deterministic fixture network, inserted through the public Add*
-  /// transactions on both SUTs (never BulkLoad, so the sharded write path
-  /// is the one under test). Persons 1..12 in a friendship ring plus
+  /// transactions on both SUTs (never BulkLoad, so each transaction is
+  /// the one under test). Persons 1..12 in a friendship ring plus
   /// +3 chords; four forums; one post per person in a rotating forum;
   /// replies by a *different* person than the post creator; likes rotated
   /// so liker and message land far apart in id space.
@@ -575,8 +613,8 @@ class CrossShardBatteryTest : public ::testing::Test {
     }
     // The lonely poster: messages and a membership but zero friends.
     AddMessageBoth(s, db, MakePost(20, kLoner, 102, 3500));
-    // Replies: comment 30+k on post k, by the post creator's ring
-    // neighbor's neighbor (so creator != replier, usually cross-shard).
+    // Replies: comment 30+k on post k, by a person other than the post's
+    // creator.
     for (schema::MessageId post = 0; post < 8; ++post) {
       Message c;
       c.id = 30 + post;
@@ -598,45 +636,9 @@ class CrossShardBatteryTest : public ::testing::Test {
     }
   }
 
-  /// Asserts the fixture's premise at shard count N: every edge kind has
-  /// at least one instance whose two endpoints live on different shards.
-  void ExpectCrossShardCoverage(uint32_t shards) {
-    int cross_friend = 0, cross_like = 0, cross_member = 0;
-    int cross_contain = 0, cross_reply = 0;
-    for (schema::PersonId id = 1; id <= kPersons; ++id) {
-      if (ShardOfPerson(id, shards) !=
-          ShardOfPerson(id % kPersons + 1, shards)) {
-        ++cross_friend;
-      }
-      if (ShardOfPerson(id, shards) !=
-          ShardOfMessage((id + 4) % kPersons, shards)) {
-        ++cross_like;
-      }
-      if (ShardOfPerson(id, shards) != ShardOfForum(101, shards)) {
-        ++cross_member;
-      }
-      if (ShardOfMessage(id - 1, shards) !=
-          ShardOfForum(101 + (id - 1) % 4, shards)) {
-        ++cross_contain;
-      }
-    }
-    for (schema::MessageId post = 0; post < 8; ++post) {
-      if (ShardOfMessage(post, shards) !=
-          ShardOfMessage(30 + post, shards)) {
-        ++cross_reply;
-      }
-    }
-    EXPECT_GT(cross_friend, 0) << "no cross-shard friendship at N=" << shards;
-    EXPECT_GT(cross_like, 0) << "no cross-shard like at N=" << shards;
-    EXPECT_GT(cross_member, 0) << "no cross-shard membership at N=" << shards;
-    EXPECT_GT(cross_contain, 0) << "no cross-shard post at N=" << shards;
-    EXPECT_GT(cross_reply, 0) << "no cross-shard reply at N=" << shards;
-  }
-
   /// Q9 plus the full short-read battery for every person and message,
   /// diffed row-by-row against the relational result in canonical form.
-  void ExpectBatteryMatches(const GraphStore& s, const rel::RelationalDb& db,
-                            uint32_t shards) {
+  void ExpectBatteryMatches(const GraphStore& s, const rel::RelationalDb& db) {
     std::vector<schema::PersonId> persons;
     for (schema::PersonId id = 1; id <= kPersons; ++id) persons.push_back(id);
     persons.push_back(kHermit);
@@ -645,106 +647,64 @@ class CrossShardBatteryTest : public ::testing::Test {
       auto rel_rows = validate::CanonicalRows(rel::Query9(db, p, kBatteryDate));
       EXPECT_EQ(validate::CanonicalRows(queries::Query9(s, p, kBatteryDate)),
                 rel_rows)
-          << "Q9, shards=" << shards << " person=" << p;
+          << "Q9, person=" << p;
       EXPECT_EQ(validate::CanonicalRow(queries::ShortQuery1PersonProfile(s, p)),
                 validate::CanonicalRow(rel::ShortQuery1PersonProfile(db, p)))
-          << "S1, shards=" << shards << " person=" << p;
+          << "S1, person=" << p;
       EXPECT_EQ(
           validate::CanonicalRows(queries::ShortQuery2RecentMessages(s, p)),
           validate::CanonicalRows(rel::ShortQuery2RecentMessages(db, p)))
-          << "S2, shards=" << shards << " person=" << p;
+          << "S2, person=" << p;
       EXPECT_EQ(validate::CanonicalRows(queries::ShortQuery3Friends(s, p)),
                 validate::CanonicalRows(rel::ShortQuery3Friends(db, p)))
-          << "S3, shards=" << shards << " person=" << p;
+          << "S3, person=" << p;
     }
     for (schema::MessageId m : message_ids_) {
       EXPECT_EQ(
           validate::CanonicalRow(queries::ShortQuery4MessageContent(s, m)),
           validate::CanonicalRow(rel::ShortQuery4MessageContent(db, m)))
-          << "S4, shards=" << shards << " message=" << m;
+          << "S4, message=" << m;
       EXPECT_EQ(
           validate::CanonicalRow(queries::ShortQuery5MessageCreator(s, m)),
           validate::CanonicalRow(rel::ShortQuery5MessageCreator(db, m)))
-          << "S5, shards=" << shards << " message=" << m;
+          << "S5, message=" << m;
       EXPECT_EQ(validate::CanonicalRow(queries::ShortQuery6MessageForum(s, m)),
                 validate::CanonicalRow(rel::ShortQuery6MessageForum(db, m)))
-          << "S6, shards=" << shards << " message=" << m;
+          << "S6, message=" << m;
       EXPECT_EQ(
           validate::CanonicalRows(queries::ShortQuery7MessageReplies(s, m)),
           validate::CanonicalRows(rel::ShortQuery7MessageReplies(db, m)))
-          << "S7, shards=" << shards << " message=" << m;
+          << "S7, message=" << m;
     }
   }
 
   std::vector<schema::MessageId> message_ids_;
 };
 
-TEST_F(CrossShardBatteryTest, EdgeBatteryMatchesRelationalAtEveryShardCount) {
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    if (shards > 1) ExpectCrossShardCoverage(shards);
-    GraphStore store(ReadConcurrency::kEpoch, shards);
-    rel::RelationalDb db;
-    BuildNetwork(&store, &db);
-    if (HasFatalFailure()) return;
-    ExpectBatteryMatches(store, db, shards);
-  }
+TEST_F(EdgeBatteryTest, EdgeBatteryMatchesRelational) {
+  GraphStore store;
+  rel::RelationalDb db;
+  BuildNetwork(&store, &db);
+  if (HasFatalFailure()) return;
+  ExpectBatteryMatches(store, db);
 }
 
-// Hermit and zero-friend semantics, shard-count invariant: present but
-// empty everywhere (mirrors queries_edge_test.cc on the sharded store).
-TEST_F(CrossShardBatteryTest, HermitAndLonerAreEmptyButFoundAtEveryCount) {
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    GraphStore store(ReadConcurrency::kEpoch, shards);
-    rel::RelationalDb db;
-    BuildNetwork(&store, &db);
-    if (HasFatalFailure()) return;
-    EXPECT_TRUE(queries::Query9(store, kHermit, kBatteryDate).empty());
-    EXPECT_TRUE(queries::ShortQuery1PersonProfile(store, kHermit).found);
-    EXPECT_TRUE(queries::ShortQuery2RecentMessages(store, kHermit).empty());
-    EXPECT_TRUE(queries::ShortQuery3Friends(store, kHermit).empty());
-    // The loner has messages (S2 non-empty) but no friends, so the
-    // friends-of-friends Q9 frontier is empty.
-    EXPECT_TRUE(queries::Query9(store, kLoner, kBatteryDate).empty());
-    EXPECT_FALSE(queries::ShortQuery2RecentMessages(store, kLoner).empty());
-    EXPECT_TRUE(queries::ShortQuery3Friends(store, kLoner).empty());
-  }
-}
-
-// Same fixture, updates routed through the multi-writer pool instead of
-// the synchronous Add* transactions — exercised separately in
-// driver-level tests; here we only pin the router's determinism: the
-// shard of an id is a pure function of the id and the count.
-TEST(ShardRouterTest, RoutingIsDeterministicAndInRange) {
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    for (uint64_t id = 0; id < 1000; ++id) {
-      uint32_t p = ShardOfPerson(id, shards);
-      EXPECT_LT(p, shards);
-      EXPECT_EQ(p, ShardOfPerson(id, shards));
-      EXPECT_LT(ShardOfForum(id, shards), shards);
-      EXPECT_LT(ShardOfMessage(id, shards), shards);
-    }
-  }
-}
-
-TEST(ShardRouterTest, ShardsArePopulatedAtEveryCount) {
-  // 1000 consecutive ids must hit every shard for each kind — uniformity
-  // of the salted splitmix64 placement, and a regression guard against a
-  // modulus typo collapsing the distribution.
-  for (uint32_t shards : {2u, 4u, 8u}) {
-    std::vector<int> p(shards), f(shards), m(shards);
-    for (uint64_t id = 0; id < 1000; ++id) {
-      ++p[ShardOfPerson(id, shards)];
-      ++f[ShardOfForum(id, shards)];
-      ++m[ShardOfMessage(id, shards)];
-    }
-    for (uint32_t i = 0; i < shards; ++i) {
-      EXPECT_GT(p[i], 0) << "empty person shard " << i << "/" << shards;
-      EXPECT_GT(f[i], 0) << "empty forum shard " << i << "/" << shards;
-      EXPECT_GT(m[i], 0) << "empty message shard " << i << "/" << shards;
-    }
-  }
+// Hermit and zero-friend semantics: present but empty everywhere (mirrors
+// queries_edge_test.cc).
+TEST_F(EdgeBatteryTest, HermitAndLonerAreEmptyButFound) {
+  GraphStore store;
+  rel::RelationalDb db;
+  BuildNetwork(&store, &db);
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(queries::Query9(store, kHermit, kBatteryDate).empty());
+  EXPECT_TRUE(queries::ShortQuery1PersonProfile(store, kHermit).found);
+  EXPECT_TRUE(queries::ShortQuery2RecentMessages(store, kHermit).empty());
+  EXPECT_TRUE(queries::ShortQuery3Friends(store, kHermit).empty());
+  // The loner has messages (S2 non-empty) but no friends, so the
+  // friends-of-friends Q9 frontier is empty.
+  EXPECT_TRUE(queries::Query9(store, kLoner, kBatteryDate).empty());
+  EXPECT_FALSE(queries::ShortQuery2RecentMessages(store, kLoner).empty());
+  EXPECT_TRUE(queries::ShortQuery3Friends(store, kLoner).empty());
 }
 
 }  // namespace

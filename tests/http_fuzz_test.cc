@@ -4,8 +4,11 @@
 // and every variant must get a status line or a close while the server
 // keeps serving. A slow-drip client (one byte every 50 ms, never a blank
 // line) must not keep a concurrent /healthz waiting past the request-head
-// deadline. scripts/check.sh and CI also run this test under
-// AddressSanitizer and UndefinedBehaviorSanitizer (ctest -L hostile).
+// deadline, and a client that requests a response far larger than the
+// socket buffers and never reads it must not keep /healthz, or the next
+// dynamic capture, waiting past the response deadline. scripts/check.sh
+// and CI also run this test under AddressSanitizer and
+// UndefinedBehaviorSanitizer (ctest -L hostile).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -31,13 +34,22 @@ namespace {
 /// Mutations per kind.
 constexpr int kMutationsPerKind = 40;
 
-/// A connected client socket with a receive timeout, or -1.
-int Connect(uint16_t port, int recv_timeout_s) {
+/// Body of the bulk routes: far larger than the socket buffers, so the
+/// server cannot finish sending it to a client that does not read.
+constexpr size_t kBulkBodyBytes = size_t{32} << 20;
+
+/// A connected client socket with a receive timeout, or -1. A non-zero
+/// `recv_buffer_bytes` pins the receive buffer to that size.
+int Connect(uint16_t port, int recv_timeout_s, int recv_buffer_bytes = 0) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   timeval tv{};
   tv.tv_sec = recv_timeout_s;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (recv_buffer_bytes > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &recv_buffer_bytes,
+                 sizeof(recv_buffer_bytes));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -158,7 +170,24 @@ class HttpFuzzTest : public ::testing::Test {
       resp.body = "query=" + query + "\n";
       return resp;
     });
+    exporter_.Handle("/bulk", "application/octet-stream",
+                     [] { return std::string(kBulkBodyBytes, 'b'); });
+    exporter_.HandleDynamic("/bulk-capture", [](const std::string&) {
+      HttpExporter::HttpResponse resp;
+      resp.body.assign(kBulkBodyBytes, 'c');
+      return resp;
+    });
     ASSERT_TRUE(exporter_.Start(0).ok());
+  }
+
+  /// A client that requests `path` and never reads the response, with a
+  /// small pinned receive buffer so the server's sends stall early; -1 on
+  /// failure. The caller closes it.
+  int StalledReader(const std::string& path) {
+    int fd = Connect(exporter_.port(), /*recv_timeout_s=*/1,
+                     /*recv_buffer_bytes=*/4096);
+    if (fd >= 0) SendAll(fd, "GET " + path + " HTTP/1.1\r\n\r\n");
+    return fd;
   }
 
   bool Healthy() {
@@ -227,6 +256,46 @@ TEST_F(HttpFuzzTest, SlowDripClientDoesNotStarveHealthz) {
   // unbounded read would hold /healthz until the drip gave up (30 s).
   EXPECT_LT(waited, std::chrono::seconds(8));
   EXPECT_TRUE(drip_answered.load());
+}
+
+TEST_F(HttpFuzzTest, StalledReaderDoesNotStarveHealthz) {
+  // The serve thread sends /bulk to a client that never reads; it must give
+  // up on that response at the response deadline rather than block in send
+  // until the client leaves.
+  int stalled = StalledReader("/bulk");
+  ASSERT_GE(stalled, 0);
+  // Give the serve thread time to pick up the stalled connection first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(Healthy());
+  auto waited = std::chrono::steady_clock::now() - start;
+  ::close(stalled);
+  // One response deadline (2 s) plus slack for a loaded machine; an
+  // unbounded send would hold /healthz until the client left.
+  EXPECT_LT(waited, std::chrono::seconds(8));
+}
+
+TEST_F(HttpFuzzTest, StalledReaderDoesNotWedgeDynamicRoutes) {
+  // The same stall on a dynamic route: its worker must give up on the
+  // response and clear the one-capture-at-a-time flag, or every later
+  // capture is refused with 503.
+  int stalled = StalledReader("/bulk-capture");
+  ASSERT_GE(stalled, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto start = std::chrono::steady_clock::now();
+  bool served = false;
+  while (!served &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    bool timed_out = false;
+    std::string response = Exchange(
+        exporter_.port(), "GET /profile?x HTTP/1.1\r\n\r\n", &timed_out);
+    served = response.rfind("HTTP/1.1 200 OK\r\n", 0) == 0;
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  auto waited = std::chrono::steady_clock::now() - start;
+  ::close(stalled);
+  EXPECT_TRUE(served);
+  EXPECT_LT(waited, std::chrono::seconds(8));
 }
 
 }  // namespace

@@ -100,11 +100,6 @@ TEST(DifferentialFuzzTest, PerturbationIsCaughtShrunkAndRoundTrips) {
   ASSERT_TRUE(WriteMismatch(mismatch, path).ok());
   FuzzMismatch loaded;
   ASSERT_TRUE(ReadMismatch(path, &loaded).ok());
-  // The shard count the mismatch was found at travels with the artifact,
-  // so the reproducer rebuilds the same store topology.
-  EXPECT_GE(mismatch.shard_count, 1u);
-  EXPECT_LE(mismatch.shard_count, 8u);
-  EXPECT_EQ(loaded.shard_count, mismatch.shard_count);
   EXPECT_EQ(loaded.backend, mismatch.backend);
   EXPECT_EQ(loaded.binding.op, mismatch.binding.op);
   EXPECT_EQ(loaded.expected, mismatch.expected);
@@ -132,12 +127,13 @@ TEST(FuzzArtifactTest, RejectsForeignAndCorruptDocuments) {
       MismatchFromJson("{\"schema\":\"snb-fuzz-regression-v1\"}", &out).ok());
 }
 
-// v2 artifacts persist the shard count; v1 artifacts (written before the
-// sharded store) must still load, defaulting to a single shard.
-TEST(FuzzArtifactTest, ShardCountRoundTripsAndV1StaysAccepted) {
+// Written artifacts use the v1 layout, with no store shard count. Both
+// schema versions still load: v2 writers added one integer field after
+// graph_seed (the store's shard count), and the reader reads only the
+// fields it knows, so that field is ignored like any other extra one.
+TEST(FuzzArtifactTest, WrittenArtifactRoundTripsAndV1V2StayAccepted) {
   FuzzMismatch m;
   m.graph_seed = 7;
-  m.shard_count = 4;
   m.backend = "store";
   m.binding.op = "short.S3";
   m.binding.person = 1;
@@ -154,32 +150,32 @@ TEST(FuzzArtifactTest, ShardCountRoundTripsAndV1StaysAccepted) {
   m.graph.knows = {{1, 2, 100}};
 
   std::string json = MismatchToJson(m);
-  EXPECT_NE(json.find("snb-fuzz-regression-v2"), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"snb-fuzz-regression-v1\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("shard"), std::string::npos);
   FuzzMismatch loaded;
   ASSERT_TRUE(MismatchFromJson(json, &loaded).ok());
-  EXPECT_EQ(loaded.shard_count, 4u);
   EXPECT_EQ(loaded.graph_seed, 7u);
+  EXPECT_EQ(loaded.backend, "store");
+  EXPECT_EQ(loaded.binding.op, "short.S3");
+  EXPECT_EQ(loaded.expected, m.expected);
   EXPECT_EQ(loaded.graph.persons.size(), 2u);
+  EXPECT_EQ(loaded.graph.knows.size(), 1u);
 
-  // Downgrade the document to v1 by hand: old tag, no shard_count field.
-  std::string v1 = json;
-  size_t tag = v1.find("snb-fuzz-regression-v2");
+  // A v2 document: the v2 tag, and an extra integer field after
+  // graph_seed where v2 writers put the shard count.
+  std::string v2 = json;
+  size_t tag = v2.find("snb-fuzz-regression-v1");
   ASSERT_NE(tag, std::string::npos);
-  v1.replace(tag, 22, "snb-fuzz-regression-v1");
-  size_t field = v1.find("\"shard_count\":4,");
-  ASSERT_NE(field, std::string::npos);
-  v1.erase(field, 16);
-  FuzzMismatch from_v1;
-  ASSERT_TRUE(MismatchFromJson(v1, &from_v1).ok());
-  EXPECT_EQ(from_v1.shard_count, 1u);
-  EXPECT_EQ(from_v1.graph.persons.size(), 2u);
-
-  // A v2 document with an out-of-range count is rejected.
-  std::string bad = json;
-  size_t count = bad.find("\"shard_count\":4");
-  ASSERT_NE(count, std::string::npos);
-  bad.replace(count, 15, "\"shard_count\":9");
-  EXPECT_FALSE(MismatchFromJson(bad, &loaded).ok());
+  v2.replace(tag, 22, "snb-fuzz-regression-v2");
+  size_t backend = v2.find("\"backend\"");
+  ASSERT_NE(backend, std::string::npos);
+  v2.insert(backend, "\"retired_field\":4,");
+  FuzzMismatch from_v2;
+  ASSERT_TRUE(MismatchFromJson(v2, &from_v2).ok());
+  EXPECT_EQ(from_v2.graph_seed, 7u);
+  EXPECT_EQ(from_v2.backend, "store");
+  EXPECT_EQ(from_v2.graph.persons.size(), 2u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Golden validation sets: serial emission, JSON round-trip, and replay
-// through the real driver at several thread counts, driver modes and shard
-// counts — including the mutation test proving an injected query bug is
-// caught.
+// through the real driver at several thread counts and driver modes —
+// including the mutation test proving an injected query bug is caught.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -139,42 +138,6 @@ TEST_F(GoldenSetTest, ReplayPassesSerialAndThreadedInEveryMode) {
       EXPECT_GT(outcome.rows_compared, 0u);
     }
   }
-}
-
-// The shard-matrix acceptance battery: the serial single-shard emission
-// must replay byte-identically at every shard count, in both driver
-// modes. A routing bug (an edge half landing on the wrong shard) or a
-// snapshot bug (a read missing a shard's pin) surfaces as row diffs here.
-TEST_F(GoldenSetTest, ReplayMatrixPassesAtEveryShardCount) {
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    for (driver::ExecutionMode mode :
-         {driver::ExecutionMode::kSequentialForum,
-          driver::ExecutionMode::kWindowed}) {
-      ReplayOptions options;
-      options.threads = 2;
-      options.mode = mode;
-      options.shards = shards;
-      ReplayOutcome outcome;
-      util::Status st = ReplayGoldenSetWith(*golden_, *dataset_,
-                                            *dictionaries_, options, &outcome);
-      ASSERT_TRUE(st.ok()) << st.message();
-      EXPECT_TRUE(outcome.passed)
-          << "shards=" << shards
-          << " mode=" << driver::ExecutionModeName(mode) << " first diff: "
-          << outcome.first.op << "(" << outcome.first.params << ") expected "
-          << outcome.first.expected << " got " << outcome.first.actual;
-      EXPECT_EQ(outcome.diffs, 0u);
-    }
-  }
-}
-
-TEST_F(GoldenSetTest, ReplayRejectsOutOfRangeShardCount) {
-  ReplayOptions options;
-  options.shards = 9;
-  ReplayOutcome outcome;
-  EXPECT_FALSE(ReplayGoldenSetWith(*golden_, *dataset_, *dictionaries_,
-                                   options, &outcome)
-                   .ok());
 }
 
 // The mutation test from the acceptance criteria: corrupting one op's

@@ -1,7 +1,10 @@
 // Snapshot-isolation history checking: the offline checker's violation
-// taxonomy on hand-built histories, a concurrent stress of the real store
-// (the TSan payload — labelled `concurrency`), and the deliberately broken
-// writer fixture the checker must reject.
+// taxonomy on hand-built histories, a concurrent multi-writer stress of the
+// real store (the TSan payload — labelled `concurrency`), and the
+// deliberately broken writer fixture the checker must reject.
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "validate/history.h"
@@ -23,9 +26,9 @@ TEST(CheckHistoryTest, EmptyAndBenignHistoriesAreConsistent) {
                {2, kDomainPersonMessages, 1, 2}};
   // Watermark 1 guarantees one edge; seeing two (an in-flight publish
   // whose commit lands later) is legal under snapshot isolation.
-  h.readers.push_back({{1, kDomainPersonMessages, 1, 1, 0, {}},
-                       {1, kDomainPersonMessages, 1, 2, 0, {}},
-                       {2, kDomainPersonMessages, 1, 2, 0, {}}});
+  h.readers.push_back({{1, kDomainPersonMessages, 1, 1, 0},
+                       {1, kDomainPersonMessages, 1, 2, 0},
+                       {2, kDomainPersonMessages, 1, 2, 0}});
   HistoryCheckOutcome outcome = CheckHistory(h);
   EXPECT_TRUE(outcome.consistent) << outcome.violations[0].detail;
   EXPECT_EQ(outcome.observations_checked, 3u);
@@ -36,7 +39,7 @@ TEST(CheckHistoryTest, FlagsStaleRead) {
   h.commits = {{1, kDomainPersonMessages, 1, 1}};
   // Watermark 1 promises the first message, but the snapshot was empty:
   // the read-your-GCT-dependency violation.
-  h.readers = {{{1, kDomainPersonMessages, 1, 0, 0, {}}}};
+  h.readers = {{{1, kDomainPersonMessages, 1, 0, 0}}};
   HistoryCheckOutcome outcome = CheckHistory(h);
   ASSERT_FALSE(outcome.consistent);
   ASSERT_EQ(outcome.violation_count, 1u);
@@ -44,7 +47,7 @@ TEST(CheckHistoryTest, FlagsStaleRead) {
 }
 
 TEST(CheckHistoryTest, FlagsTornUpdate) {
-  History h = OneReaderHistory({{0, kDomainForumPosts, 1, 3, 2, {}}});
+  History h = OneReaderHistory({{0, kDomainForumPosts, 1, 3, 2}});
   h.commits = {{1, kDomainForumPosts, 1, 3}};
   HistoryCheckOutcome outcome = CheckHistory(h);
   ASSERT_FALSE(outcome.consistent);
@@ -54,8 +57,8 @@ TEST(CheckHistoryTest, FlagsTornUpdate) {
 TEST(CheckHistoryTest, FlagsNonMonotonicReader) {
   History h;
   h.commits = {{1, kDomainPersonMessages, 1, 5}};
-  h.readers = {{{1, kDomainPersonMessages, 1, 5, 0, {}},
-                {1, kDomainPersonMessages, 1, 3, 0, {}}}};
+  h.readers = {{{1, kDomainPersonMessages, 1, 5, 0},
+                {1, kDomainPersonMessages, 1, 3, 0}}};
   HistoryCheckOutcome outcome = CheckHistory(h);
   ASSERT_FALSE(outcome.consistent);
   // The shrink is both non-monotonic and below the watermark guarantee.
@@ -69,7 +72,7 @@ TEST(CheckHistoryTest, FlagsNonMonotonicReader) {
 TEST(CheckHistoryTest, FlagsPhantomWrite) {
   History h;
   h.commits = {{1, kDomainPersonMessages, 1, 2}};
-  h.readers = {{{1, kDomainPersonMessages, 1, 7, 0, {}}}};
+  h.readers = {{{1, kDomainPersonMessages, 1, 7, 0}}};
   HistoryCheckOutcome outcome = CheckHistory(h);
   ASSERT_FALSE(outcome.consistent);
   EXPECT_EQ(outcome.violations[0].kind, "phantom-write");
@@ -78,37 +81,52 @@ TEST(CheckHistoryTest, FlagsPhantomWrite) {
 TEST(CheckHistoryTest, ViolationDetailsAreCappedButCounted) {
   History h;
   h.commits = {{1, kDomainPersonMessages, 1, 1}};
-  std::vector<ReadObservation> reads(100, {1, kDomainPersonMessages, 1, 0, 0, {}});
+  std::vector<ReadObservation> reads(100, {1, kDomainPersonMessages, 1, 0, 0});
   h.readers = {reads};
   HistoryCheckOutcome outcome = CheckHistory(h);
   EXPECT_EQ(outcome.violation_count, 100u);
   EXPECT_LE(outcome.violations.size(), 16u);
 }
 
-// The real store under concurrent load: single writer posting messages,
-// several pinned readers. Run under TSan via the check.sh sanitizer legs
-// (ctest -L concurrency); the recorded history must check clean.
+// The real store under concurrent load: writers posting messages to
+// their own person and forum, several pinned readers. Run at one writer
+// and at four writers sharing the store's writer lock, under TSan via the
+// check.sh sanitizer legs (ctest -L concurrency); the recorded history
+// must check clean.
 TEST(StoreHistoryTest, ConcurrentStressIsSnapshotConsistent) {
-  HistoryConfig config;
-  config.num_readers = 4;
-  config.reads_per_reader = 150;
-  config.num_commits = 300;
-  History history;
-  util::Status st = RecordStoreHistory(config, &history);
-  ASSERT_TRUE(st.ok()) << st.message();
-  // Two observations (person messages + forum posts) per read.
-  uint64_t expected_observations = 2ULL *
-                                   static_cast<uint64_t>(config.num_readers) *
-                                   static_cast<uint64_t>(config.reads_per_reader);
-  HistoryCheckOutcome outcome = CheckHistory(history);
-  EXPECT_EQ(outcome.observations_checked, expected_observations);
-  EXPECT_TRUE(outcome.consistent)
-      << outcome.violation_count << " violations; first: "
-      << outcome.violations[0].kind << " — " << outcome.violations[0].detail;
-  // The writer committed everything it was asked to.
-  ASSERT_FALSE(history.commits.empty());
-  EXPECT_EQ(history.commits.back().edges_after,
-            static_cast<uint64_t>(config.num_commits));
+  for (int writers : {1, 4}) {
+    SCOPED_TRACE("writers=" + std::to_string(writers));
+    HistoryConfig config;
+    config.num_writers = writers;
+    config.num_readers = 4;
+    config.reads_per_reader = writers == 1 ? 150 : 60;
+    config.num_commits = writers == 1 ? 300 : 120;
+    History history;
+    util::Status st = RecordStoreHistory(config, &history);
+    ASSERT_TRUE(st.ok()) << st.message();
+    // Two observations (person messages + forum posts) per writer per
+    // read.
+    uint64_t expected_observations =
+        2ULL * static_cast<uint64_t>(writers) *
+        static_cast<uint64_t>(config.num_readers) *
+        static_cast<uint64_t>(config.reads_per_reader);
+    HistoryCheckOutcome outcome = CheckHistory(history);
+    EXPECT_EQ(outcome.observations_checked, expected_observations);
+    EXPECT_TRUE(outcome.consistent)
+        << outcome.violation_count << " violations; first: "
+        << outcome.violations[0].kind << " — "
+        << outcome.violations[0].detail;
+    // Every writer committed everything it was asked to: two entries per
+    // commit, the last of each list at full length.
+    EXPECT_EQ(history.commits.size(),
+              2ULL * static_cast<uint64_t>(writers) *
+                  static_cast<uint64_t>(config.num_commits));
+    uint64_t longest = 0;
+    for (const WriterCommit& c : history.commits) {
+      longest = std::max(longest, c.edges_after);
+    }
+    EXPECT_EQ(longest, static_cast<uint64_t>(config.num_commits));
+  }
 }
 
 // The deliberately broken writer (commit point announced before the
@@ -125,108 +143,6 @@ TEST(StoreHistoryTest, BrokenWriterIsDetected) {
   EXPECT_EQ(outcome.violation_count,
             2ULL * static_cast<uint64_t>(config.num_commits));
   EXPECT_EQ(outcome.violations[0].kind, "stale-read");
-}
-
-// Vector watermarks: per-shard commit counters are independent, so a
-// commit only binds the observation through the committing shard's entry.
-TEST(CheckHistoryTest, VectorWatermarksBindPerShard) {
-  History h;
-  // Shard 0 committed seq 1 (one edge on entity 1); shard 1 committed
-  // seq 1 (one edge on entity 2).
-  h.commits = {{1, kDomainPersonMessages, 1, 1, 0},
-               {1, kDomainPersonMessages, 2, 1, 1}};
-  ReadObservation covered;
-  covered.domain = kDomainPersonMessages;
-  covered.entity = 1;
-  covered.edges_seen = 1;
-  covered.watermarks = {1, 0};  // Shard 0 covered, shard 1 not.
-  ReadObservation uncovered_ok;
-  uncovered_ok.domain = kDomainPersonMessages;
-  uncovered_ok.entity = 2;
-  uncovered_ok.edges_seen = 0;  // Legal: shard 1's watermark is 0.
-  uncovered_ok.watermarks = {1, 0};
-  History h_ok = OneReaderHistory({covered, uncovered_ok});
-  h_ok.commits = h.commits;
-  EXPECT_TRUE(CheckHistory(h_ok).consistent);
-
-  ReadObservation stale;
-  stale.domain = kDomainPersonMessages;
-  stale.entity = 2;
-  stale.edges_seen = 0;
-  stale.watermarks = {0, 1};  // Shard 1's commit is covered: 0 edges is stale.
-  History h2 = OneReaderHistory({stale});
-  h2.commits = h.commits;
-  HistoryCheckOutcome outcome = CheckHistory(h2);
-  ASSERT_FALSE(outcome.consistent);
-  EXPECT_EQ(outcome.violations[0].kind, "stale-read");
-}
-
-// The multi-writer sharded stress (the shard-matrix TSan payload): one
-// writer per shard racing multi-shard snapshot readers; every cross-shard
-// edge must resolve and every vector watermark must be honored.
-TEST(StoreHistoryTest, ShardedConcurrentStressIsSnapshotConsistent) {
-  ShardedHistoryConfig config;
-  config.num_shards = 4;
-  config.num_readers = 3;
-  config.reads_per_reader = 60;
-  config.commits_per_shard = 120;
-  History history;
-  util::Status st = RecordShardedStoreHistory(config, &history);
-  ASSERT_TRUE(st.ok()) << st.message();
-  // Two observations (creator messages + forum posts) per shard per read.
-  uint64_t expected_observations =
-      2ULL * config.num_shards *
-      static_cast<uint64_t>(config.num_readers) *
-      static_cast<uint64_t>(config.reads_per_reader);
-  HistoryCheckOutcome outcome = CheckHistory(history);
-  EXPECT_EQ(outcome.observations_checked, expected_observations);
-  EXPECT_TRUE(outcome.consistent)
-      << outcome.violation_count << " violations; first: "
-      << outcome.violations[0].kind << " — " << outcome.violations[0].detail;
-  // Every shard's writer committed everything it was asked to.
-  EXPECT_EQ(history.commits.size(),
-            2ULL * config.num_shards *
-                static_cast<uint64_t>(config.commits_per_shard));
-}
-
-// Single-shard sharded run must agree with the legacy scalar recorder's
-// semantics (N=1 is the degenerate case of the vector checker).
-TEST(StoreHistoryTest, ShardedStressAtOneShardIsConsistent) {
-  ShardedHistoryConfig config;
-  config.num_shards = 1;
-  config.num_readers = 2;
-  config.reads_per_reader = 40;
-  config.commits_per_shard = 80;
-  History history;
-  ASSERT_TRUE(RecordShardedStoreHistory(config, &history).ok());
-  EXPECT_TRUE(CheckHistory(history).consistent);
-}
-
-// The deliberately broken fixture: observations whose shard views predate
-// the commit their watermark vector covers — the signature of pinning
-// shards at mismatched epochs. The checker must flag every one.
-TEST(StoreHistoryTest, MismatchedPinFixtureIsDetected) {
-  ShardedHistoryConfig config;
-  config.num_shards = 4;
-  config.commits_per_shard = 10;
-  History history;
-  ASSERT_TRUE(RecordMismatchedPinHistory(config, &history).ok());
-  HistoryCheckOutcome outcome = CheckHistory(history);
-  ASSERT_FALSE(outcome.consistent);
-  EXPECT_EQ(outcome.violation_count,
-            static_cast<uint64_t>(config.num_shards) *
-                static_cast<uint64_t>(config.commits_per_shard));
-  for (const HistoryViolation& v : outcome.violations) {
-    EXPECT_EQ(v.kind, "stale-read") << v.detail;
-  }
-}
-
-TEST(StoreHistoryTest, ShardedRecorderRejectsBadConfig) {
-  ShardedHistoryConfig config;
-  config.num_shards = 9;
-  History history;
-  EXPECT_FALSE(RecordShardedStoreHistory(config, &history).ok());
-  EXPECT_FALSE(RecordMismatchedPinHistory(config, &history).ok());
 }
 
 }  // namespace

@@ -29,11 +29,6 @@ volatile auto g_find_person = &snb::store::GraphStore::FindPerson;
 volatile auto g_find_forum = &snb::store::GraphStore::FindForum;
 volatile auto g_find_message = &snb::store::GraphStore::FindMessage;
 volatile auto g_are_friends = &snb::store::GraphStore::AreFriends;
-// Presence probes (graph_store.cc): the shard writer lanes' spin-wait
-// targets; tagged "lockfree" at their out-of-line definitions.
-volatile auto g_person_present = &snb::store::GraphStore::PersonPresent;
-volatile auto g_forum_present = &snb::store::GraphStore::ForumPresent;
-volatile auto g_message_present = &snb::store::GraphStore::MessagePresent;
 volatile auto g_record_latency = &snb::obs::MetricsRegistry::RecordLatencyNs;
 volatile auto g_add_counter = &snb::obs::MetricsRegistry::AddCounter;
 volatile auto g_record_hw = &snb::obs::MetricsRegistry::RecordHwCounts;

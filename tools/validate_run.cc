@@ -10,15 +10,13 @@
 //
 //   ./tools/validate_run --replay validation_set.json
 //                        [--threads N] [--mode sequential|parallel|windowed]
-//                        [--shards N] [--report report.json]
-//                        [--mutate <op>]
+//                        [--report report.json] [--mutate <op>]
 //
 //     Regenerates the dataset from the golden file's parameters, replays
 //     the update segments through the real driver at the requested thread
-//     count, execution mode and store shard count, re-runs the battery
-//     and diffs every canonical row. --shards runs the sharded store
-//     (1..8); the serial single-shard emission must replay
-//     byte-identically at every count. Writes report.json (schema
+//     count and execution mode, re-runs the battery and diffs every
+//     canonical row; the serial emission must replay byte-identically at
+//     every thread count and mode. Writes report.json (schema
 //     snb-report-v3) with the "validation" section and the replayed
 //     updates' latency table.
 //     --mutate injects a result corruption for the named op (e.g.
@@ -34,7 +32,6 @@
 #include "driver/driver.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "store/shard_router.h"
 #include "validate/canonical.h"
 #include "validate/golden.h"
 
@@ -45,7 +42,7 @@ int Usage(const char* argv0) {
                "usage: %s --emit [--out FILE] [--seed S] [--persons N] "
                "[--segments K]\n"
                "       %s --replay FILE [--threads N] "
-               "[--mode sequential|parallel|windowed] [--shards N] "
+               "[--mode sequential|parallel|windowed] "
                "[--report FILE] [--mutate OP]\n",
                argv0, argv0);
   return 1;
@@ -211,14 +208,6 @@ int main(int argc, char** argv) {
       if (value == nullptr || !ParseMode(value, &replay_options.mode)) {
         return Usage(argv[0]);
       }
-    } else if (arg == "--shards") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      int shards = std::atoi(value);
-      if (shards < 1 || shards > static_cast<int>(snb::store::kMaxShards)) {
-        return Usage(argv[0]);
-      }
-      replay_options.shards = static_cast<uint32_t>(shards);
     } else if (arg == "--report") {
       const char* value = next();
       if (value == nullptr) return Usage(argv[0]);
