@@ -3,28 +3,29 @@
 // replacing the index-nested-loop joins of the intended plan with hash
 // joins costs ~50% in HyPer/Virtuoso. We execute Q9 under the join-type
 // plan variants of queries/query9_plans.h AND the production plan
-// (queries::Query9: bitmap two-hop circle, block-at-a-time message scan,
-// top-k heap), and report runtime, de-facto intermediate cardinalities, a
-// per-operator wall-time profile (where inside each plan the time goes),
-// and the production plan's speedup over the intended plan. The
-// production plan's rows are cross-checked against the intended plan's on
-// every parameter — a mismatch fails the bench.
+// (queries::Query9: bitmap two-hop circle, per-member newest-20 scan into
+// a top-k heap), and report runtime, de-facto intermediate cardinalities,
+// a per-operator wall-time profile (where inside each plan the time goes),
+// and the production plan's speedup over the intended plan. Each plan's
+// parameter loop runs under one obs::ScopedOperatorProfile: the
+// cardinality columns and the operator rows are that profile's span rows.
+// The production plan's rows are cross-checked against the intended
+// plan's on every parameter — a mismatch fails the bench.
 //
 // Usage:
 //   bench_fig4_q9_plan_ablation [--report <path>] [--params N]
 //                               [--perf-counters] [--cpu-profile <path>]
 // With --report the bench also writes a self-validated report.json
-// carrying the intended plan's operator profile — the smoke artifact
+// carrying the Q9 latencies and build provenance — the smoke artifact
 // checked by scripts/check.sh. Exits nonzero when the emitted report
 // fails validation. With --perf-counters the per-operator rows gain
 // hardware-counter columns (IPC, LLC misses per kilo instruction) from
 // the perf_event group each TraceSpan scopes, so the hash-vs-INL
-// penalty can be located micro-architecturally — and the report's
-// q9_profile rows carry the same counters for compare_reports.py to
-// gate on. Degrades to wall-clock-only where perf_event_open is denied.
-// With --cpu-profile the sampling profiler runs across the ablation and
-// the folded stacks land at <path> (operator labels from the same
-// TraceSpans), plus a report "profile" section when --report is given.
+// penalty can be located micro-architecturally. Degrades to
+// wall-clock-only where perf_event_open is denied. With --cpu-profile the
+// sampling profiler runs across the ablation and the folded stacks land
+// at <path> (operator labels from the same TraceSpans), plus a report
+// "profile" section when --report is given.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -37,6 +38,7 @@
 #include "obs/perf_counters.h"
 #include "obs/prof.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "queries/complex_queries.h"
 #include "queries/query9_plans.h"
 #include "util/histogram.h"
@@ -46,8 +48,6 @@ namespace snb::bench {
 namespace {
 
 using queries::JoinStrategy;
-using queries::Q9OperatorProfile;
-using queries::Q9PlanStats;
 
 const char* Short(JoinStrategy s) {
   return s == JoinStrategy::kIndexNestedLoop ? "INL " : "HASH";
@@ -60,16 +60,26 @@ struct Options {
   bool perf_counters = false;
 };
 
-/// One per-operator profile row: wall time, rows, and — when the
+/// The per-operator profile rows: wall time, rows, and — when the
 /// invocations ran with live counters — IPC and LLC miss rate.
-void PrintProfileRow(const std::string& op, const obs::OperatorStats& s) {
-  std::printf("    %-26s %10.3f ms %12llu rows", op.c_str(), s.TimeMs(),
-              (unsigned long long)s.rows);
-  if (s.hw.valid() && s.hw_invocations > 0) {
-    std::printf("   ipc=%.2f llc/ki=%.2f", s.hw.Ipc(),
-                s.hw.LlcMissesPerKiloInstr());
+void PrintOperatorRows(const obs::OperatorProfile& profile) {
+  for (const obs::OperatorRow& row : profile.rows()) {
+    const obs::OperatorStats& s = row.stats;
+    std::printf("    %-26s %10.3f ms %12llu rows", row.label, s.TimeMs(),
+                (unsigned long long)s.rows);
+    if (s.hw.valid() && s.hw_invocations > 0) {
+      std::printf("   ipc=%.2f llc/ki=%.2f", s.hw.Ipc(),
+                  s.hw.LlcMissesPerKiloInstr());
+    }
+    std::printf("\n");
   }
-  std::printf("\n");
+}
+
+/// `label`'s rows per execution (0 when no span carried it).
+unsigned long long RowsPerRun(const obs::OperatorProfile& profile,
+                              const char* label, size_t runs) {
+  const obs::OperatorStats* s = profile.Find(label);
+  return s == nullptr ? 0 : s->rows / runs;
 }
 
 int Run(const Options& options) {
@@ -110,8 +120,6 @@ int Run(const Options& options) {
               "mean ms", "|join1|", "|join2|", "|join3|", "build",
               "note");
   double intended_ms = 0;
-  Q9OperatorProfile intended_profile;
-  std::string intended_name;
   // The intended plan's rows per parameter: the production plan must match.
   std::vector<std::vector<queries::Q9Result>> intended_rows;
   double production_ms = 0;
@@ -124,61 +132,46 @@ int Run(const Options& options) {
         static_cast<uint16_t>(obs::ComplexOp(9)));
     for (const Plan& plan : plans) {
       util::SampleStats stats;
-      Q9PlanStats agg{};
-      Q9OperatorProfile profile;
-      for (uint64_t p : params) {
-        Q9PlanStats s;
-        util::Stopwatch watch;
-        std::vector<queries::Q9Result> rows = queries::Query9WithPlan(
-            world->store, p, max_date, 20, plan.j1, plan.j2, plan.j3, &s,
-            &profile);
-        double micros = watch.ElapsedMicros();
-        stats.Add(micros / 1000.0);
-        metrics.RecordLatencyMicros(obs::ComplexOp(9), micros);
-        agg.join1_output += s.join1_output;
-        agg.join2_output += s.join2_output;
-        agg.join3_output += s.join3_output;
-        agg.build_tuples += s.build_tuples;
-        if (plan.note[0] == 'i') intended_rows.push_back(std::move(rows));
+      obs::OperatorProfile profile;
+      {
+        obs::ScopedOperatorProfile profiling(&profile);
+        for (uint64_t p : params) {
+          util::Stopwatch watch;
+          std::vector<queries::Q9Result> rows = queries::Query9WithPlan(
+              world->store, p, max_date, 20, plan.j1, plan.j2, plan.j3);
+          double micros = watch.ElapsedMicros();
+          stats.Add(micros / 1000.0);
+          metrics.RecordLatencyMicros(obs::ComplexOp(9), micros);
+          if (plan.note[0] == 'i') intended_rows.push_back(std::move(rows));
+        }
       }
       char name[32];
       std::snprintf(name, sizeof(name), "%s-%s-%s", Short(plan.j1),
                     Short(plan.j2), Short(plan.j3));
       std::printf("  %-16s %10.3f %10llu %10llu %10llu %10llu  %s\n", name,
-                  stats.Mean(),
-                  (unsigned long long)(agg.join1_output / params.size()),
-                  (unsigned long long)(agg.join2_output / params.size()),
-                  (unsigned long long)(agg.join3_output / params.size()),
-                  (unsigned long long)(agg.build_tuples / params.size()),
+                  stats.Mean(), RowsPerRun(profile, "join1", params.size()),
+                  RowsPerRun(profile, "join2", params.size()),
+                  RowsPerRun(profile, "join3", params.size()),
+                  RowsPerRun(profile, "hash_build", params.size()),
                   plan.note);
-      for (const auto& [op, op_stats] : queries::ProfileRows(profile)) {
-        PrintProfileRow(op, op_stats);
-      }
-      if (plan.note[0] == 'i') {
-        intended_ms = stats.Mean();
-        intended_profile = profile;
-        intended_name = name;
-      }
+      PrintOperatorRows(profile);
+      if (plan.note[0] == 'i') intended_ms = stats.Mean();
     }
-    // The production plan: bitmap circle, columnar message scan with
-    // per-person top-`limit` truncation, bounded top-k heap. Cross-checked
-    // against the intended plan's rows on every parameter.
+    // The production plan: bitmap circle, per-member newest-`limit` scan
+    // into a bounded top-k heap. Cross-checked against the intended plan's
+    // rows on every parameter.
+    util::SampleStats stats;
+    obs::OperatorProfile profile;
     {
-      util::SampleStats stats;
-      Q9PlanStats agg{};
-      Q9OperatorProfile profile;
+      obs::ScopedOperatorProfile profiling(&profile);
       for (size_t i = 0; i < params.size(); ++i) {
         uint64_t p = params[i];
-        Q9PlanStats s;
         util::Stopwatch watch;
         std::vector<queries::Q9Result> rows =
-            queries::Query9(world->store, p, max_date, 20, &s, &profile);
+            queries::Query9(world->store, p, max_date, 20);
         double micros = watch.ElapsedMicros();
         stats.Add(micros / 1000.0);
         metrics.RecordLatencyMicros(obs::ComplexOp(9), micros);
-        agg.join1_output += s.join1_output;
-        agg.join2_output += s.join2_output;
-        agg.join3_output += s.join3_output;
         const std::vector<queries::Q9Result>& expect = intended_rows[i];
         bool same = rows.size() == expect.size();
         for (size_t r = 0; same && r < rows.size(); ++r) {
@@ -193,17 +186,14 @@ int Run(const Options& options) {
           return 1;
         }
       }
-      production_ms = stats.Mean();
-      std::printf("  %-16s %10.3f %10llu %10llu %10llu %10s  %s\n", "Query9",
-                  production_ms,
-                  (unsigned long long)(agg.join1_output / params.size()),
-                  (unsigned long long)(agg.join2_output / params.size()),
-                  (unsigned long long)(agg.join3_output / params.size()), "-",
-                  "production plan (src/exec)");
-      for (const auto& [op, op_stats] : queries::ProfileRows(profile)) {
-        PrintProfileRow(op, op_stats);
-      }
     }
+    production_ms = stats.Mean();
+    std::printf("  %-16s %10.3f %10llu %10llu %10llu %10s  %s\n", "Query9",
+                production_ms, RowsPerRun(profile, "join1", params.size()),
+                RowsPerRun(profile, "join2", params.size()),
+                RowsPerRun(profile, "join3", params.size()), "-",
+                "production plan (src/exec)");
+    PrintOperatorRows(profile);
   }
 
   std::printf(
@@ -213,9 +203,9 @@ int Run(const Options& options) {
       "  Friends-table build for a ~120-tuple input. The operator rows\n"
       "  show the penalty's location: hash plans sink their time into\n"
       "  hash_build, INL plans into the joins themselves. The production\n"
-      "  plan's |join3| is smaller by construction: the columnar scan\n"
-      "  truncates each person to the newest `limit` rows, which the\n"
-      "  top-k bound makes exact.\n");
+      "  plan's |join3| is smaller by construction: its scan keeps\n"
+      "  each person's newest `limit` rows, which the top-k bound makes\n"
+      "  exact.\n");
   std::printf("  intended-plan mean: %.3f ms\n", intended_ms);
   std::printf("  production-plan mean: %.3f ms\n", production_ms);
   std::printf("  production vs intended plan speedup: %.2fx\n\n",
@@ -231,9 +221,6 @@ int Run(const Options& options) {
   if (options.report_path.empty()) return 0;
 
   report.metrics = metrics.Snapshot();
-  report.has_q9_profile = true;
-  report.q9_profile = queries::MakeQ9ProfileSection(
-      intended_profile, intended_name + " (intended)");
   std::string json = obs::ToJson(report);
   util::Status valid = obs::ValidateReportJson(json);
   if (!valid.ok()) {

@@ -11,9 +11,10 @@
 //      compliance audit passed (>= 95% of operations started within the
 //      lateness window); report the acceleration factor and per-query
 //      latencies (p50/p95/p99), and write the machine-readable artifacts:
-//      report.json (schema snb-report-v5, incl. the compliance audit, a
-//      Q9 per-operator profile, build provenance and the CPU-profile
-//      section) and report.prom (Prometheus text exposition).
+//      report.json (schema snb-report-v5, incl. the compliance audit,
+//      build provenance, the CPU-profile section and, with
+//      --perf-counters, slow-query dossiers carrying each kept complex
+//      read's operator rows) and report.prom (Prometheus text exposition).
 //
 //   ./examples/benchmark_run [scale_factor] [acceleration] [report_path]
 //                            [--listen <port>] [--trace-out <path>]
@@ -23,7 +24,8 @@
 //                      GET /report.json (live snapshot), GET /healthz and
 //                      GET /profile?seconds=N (on-demand folded-stack
 //                      capture; 503 while the profiler backend is no-op)
-//                      while the run executes (0 picks an ephemeral port).
+//                      while the run executes (0 picks an ephemeral port;
+//                      anything but a number in 0..65535 is rejected).
 //   --trace-out <path> record every executed operation into a bounded
 //                      ring and flush a Chrome-trace/Perfetto JSON
 //                      (one lane per driver thread, T_GC-wait sub-spans,
@@ -31,18 +33,23 @@
 //   --perf-counters    attach per-thread perf_event counter groups
 //                      (cycles/instructions/LLC/branch misses) so every
 //                      op row carries IPC and miss rates, and collect
-//                      slow-query dossiers for the tail of every op type.
+//                      slow-query dossiers for the tail of every op type;
+//                      a complex read's dossier carries its plan's
+//                      operator rows (obs/trace.h spans).
 //                      Falls back to a no-op backend (run still valid,
 //                      counters marked unavailable) where perf_event_open
 //                      is denied — containers, CI.
 //   --cpu-profile <path>  additionally write the sampling CPU profile as
 //                      collapsed stacks ("folded" text, one line per
 //                      unique stack) to <path>; scripts/profile_view.py
-//                      turns it into a flamegraph SVG or speedscope JSON.
+//                      turns it into a flamegraph SVG or speedscope JSON;
+//                      samples inside a plan's spans fold under
+//                      "opr:<label>".
 //                      The profiler itself is always on (it degrades to a
 //                      no-op backend under seccomp/sanitizers or with
 //                      SNB_PROF_FORCE_NOOP=1); the flag only adds the
 //                      artifact.
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,9 +69,7 @@
 #include "obs/prof.h"
 #include "obs/report.h"
 #include "obs/trace_buffer.h"
-#include "queries/query9_plans.h"
 #include "store/graph_store.h"
-#include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
   using namespace snb;
@@ -80,7 +85,19 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
-      listen_port = std::atoi(argv[++i]);
+      const char* port = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      long value = std::strtol(port, &end, 10);
+      if (end == port || *end != '\0' || errno != 0 || value < 0 ||
+          value > 65535) {
+        std::fprintf(stderr,
+                     "--listen: port must be a number in 0..65535, got "
+                     "\"%s\"\n",
+                     port);
+        return 1;
+      }
+      listen_port = static_cast<int>(value);
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--perf-counters") == 0) {
@@ -297,50 +314,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Profile the intended Q9 plan (INL-INL-HASH, Figure 4) on a handful of
-  // real parameters so the report carries a per-operator section.
-  queries::Q9OperatorProfile q9_profile;
-  {
-    // The main thread joins the profiled population only for this block,
-    // attributed to complex.Q9 — its report-assembly work stays unsampled.
-    obs::prof::ScopedThreadRegistration prof_main("main");
-    obs::prof::ScopedOpContext prof_q9(
-        static_cast<uint16_t>(obs::ComplexOp(9)));
-    std::vector<schema::PersonId> persons;
-    {
-      auto pin = store.ReadLock();
-      persons = store.PersonIds(pin);
-    }
-    // At least 5 executions for the operator rows; keep going (bounded)
-    // until the block has burned ~60 ms of CPU so the sampling profiler
-    // collects a meaningful number of operator-labelled samples even at
-    // kernel-tick sampling granularity (per-thread CPU timers fire at
-    // multi-ms resolution on HZ=250 kernels regardless of the requested
-    // interval).
-    util::Stopwatch block_watch;
-    int runs = 0;
-    for (size_t i = 0; runs < 150; i += 17, ++runs) {
-      if (i >= persons.size()) {
-        if (persons.empty()) break;
-        i %= persons.size();
-      }
-      if (runs >= 5 && block_watch.ElapsedNanos() > 60'000'000) break;
-      queries::Query9WithPlan(
-          store, persons[i], workload.operations.back().due_time, 20,
-          queries::JoinStrategy::kIndexNestedLoop,
-          queries::JoinStrategy::kIndexNestedLoop,
-          queries::JoinStrategy::kIndexNestedLoop, nullptr, &q9_profile);
-    }
-  }
-  std::printf("\nQ9 operator profile (INL-INL-INL):\n");
-  for (const auto& [name, stats] : queries::ProfileRows(q9_profile)) {
-    std::printf("  %-26s %6llu calls %10.3f ms %10llu rows\n", name.c_str(),
-                (unsigned long long)stats.invocations, stats.TimeMs(),
-                (unsigned long long)stats.rows);
-  }
-
-  // Collected after the Q9 block so its samples (main-thread lane) are
-  // folded in; driver lanes folded their totals when their threads exited.
+  // Driver lanes folded their totals when their threads exited.
   obs::prof::FoldedProfile folded = obs::prof::Collect();
   {
     const obs::prof::SampleAccounting& acc = folded.accounting;
@@ -366,9 +340,6 @@ int main(int argc, char** argv) {
   run_report.driver = driver::MakeDriverSection(report);
   run_report.has_compliance = report.has_compliance;
   run_report.compliance = report.compliance;
-  run_report.has_q9_profile = true;
-  run_report.q9_profile =
-      queries::MakeQ9ProfileSection(q9_profile, "INL-INL-INL");
   run_report.has_provenance = true;
   run_report.provenance = obs::BuildProvenance();
   run_report.has_profile = true;

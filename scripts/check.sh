@@ -58,10 +58,11 @@ rm -rf "${mutdir}"
 
 echo "== obs: registry/report/exporter tests + bench smoke with profiling =="
 (cd build && ctest -L obs --output-on-failure)
-# One complex-read bench with operator profiling on, emitting report.json.
-# The binary self-validates the report (schema tag, non-empty op table,
-# monotone percentiles, populated q9_profile) and exits nonzero otherwise;
-# here we only re-check that the artifact landed non-empty.
+# The Fig. 4 plan ablation with operator profiling on, emitting
+# report.json. The binary exits nonzero when the production Q9 diverges
+# from the intended plan or the report fails self-validation (schema tag,
+# non-empty op table, monotone percentiles); here we only re-check that the
+# artifact landed non-empty.
 smoke_report="$(mktemp -t snb-smoke-report.XXXXXX.json)"
 smoke_trace="$(mktemp -t snb-smoke-trace.XXXXXX.json)"
 smoke_golden="$(mktemp -t snb-smoke-golden.XXXXXX.json)"
@@ -102,8 +103,10 @@ echo "== driver smoke: throttled run with trace export + compliance audit =="
   --cpu-profile "${smoke_folded}"
 # The trace must be valid JSON with per-thread lanes (Chrome-trace format);
 # the obs tests check B/E pairing, here we gate on parse + shape. The
-# report must carry tail attribution: at least one slow-query dossier and
-# the perf/provenance sections, whatever backend the probe landed on.
+# report must carry tail attribution: at least one slow-query dossier, an
+# operator breakdown in every complex-read dossier (each runs its plan
+# under spans), and the perf/provenance sections, whatever backend the
+# probe landed on.
 python3 - "${smoke_trace}" "${bench_today}" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -117,6 +120,9 @@ assert report["perf"]["backend"] in ("noop", "linux"), report["perf"]
 assert report["provenance"]["git_sha"], "provenance missing git sha"
 dossiers = report.get("dossiers", [])
 assert len(dossiers) >= 1, "driver smoke kept no slow-query dossiers"
+bare = [d["op"] for d in dossiers
+        if d["op"].startswith("complex.") and not d.get("operators")]
+assert not bare, f"complex-read dossiers without operator rows: {bare}"
 with_ops = sum(1 for d in dossiers if d.get("operators"))
 print(f"report OK: backend={report['perf']['backend']}, "
       f"{len(dossiers)} dossiers ({with_ops} with operator breakdowns)")
@@ -134,11 +140,17 @@ if prof["backend"] == "timer":
 else:
     print(f"profile OK: backend=noop ({prof.get('message', '')})")
 EOF
-# The folded artifact must carry per-lane stacks and render through the
-# dependency-free viewer (flamegraph SVG) when sampling was live.
+# The folded artifact must carry per-lane stacks, op attribution and the
+# plans' operator labels (the spans of every complex read push "opr:"),
+# and render through the dependency-free viewer (flamegraph SVG), when
+# sampling was live.
 if grep -q "^thread:" "${smoke_folded}"; then
   grep -q "op:" "${smoke_folded}" || {
     echo "folded profile has no op-attributed stacks" >&2
+    exit 1
+  }
+  grep -q "opr:" "${smoke_folded}" || {
+    echo "folded profile has no operator-labelled stacks" >&2
     exit 1
   }
   python3 scripts/profile_view.py "${smoke_folded}" --svg "${smoke_svg}"

@@ -6,8 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "obs/trace.h"
 #include "queries/complex_queries.h"
-#include "queries/query9_plans.h"
 #include "queries/short_queries.h"
 #include "queries/update_queries.h"
 #include "util/stopwatch.h"
@@ -93,10 +93,11 @@ Status StoreConnector::ExecuteComplex(const Operation& op) {
   SpinFor(dispatch_overhead_us_);
   std::vector<schema::PersonId> result_persons;
   std::vector<schema::MessageId> result_messages;
-  // Filled for Q9 when dossiers are armed: the tail-attribution pass needs
-  // the per-operator breakdown, and only the profiled plan entry points
-  // produce one.
-  std::optional<queries::Q9OperatorProfile> q9_profile;
+  // Armed dossiers get the plan's operator rows: the spans inside it time
+  // themselves into this profile while it is installed.
+  obs::OperatorProfile profile;
+  std::optional<obs::ScopedOperatorProfile> profiling;
+  if (dossiers_ != nullptr) profiling.emplace(&profile);
   switch (op.query_id) {
     case 1: {
       auto rows = queries::Query1(*store_, op.person_param,
@@ -155,11 +156,8 @@ Status StoreConnector::ExecuteComplex(const Operation& op) {
       break;
     }
     case 9: {
-      auto max_date = static_cast<util::TimestampMs>(op.aux0);
-      // Armed dossiers only attach a profile sink to the same plan.
-      if (dossiers_ != nullptr) q9_profile.emplace();
-      auto rows = queries::Query9(*store_, op.person_param, max_date, 20,
-                                  nullptr, q9_profile ? &*q9_profile : nullptr);
+      auto rows = queries::Query9(*store_, op.person_param,
+                                  static_cast<util::TimestampMs>(op.aux0));
       for (const auto& r : rows) {
         result_persons.push_back(r.creator_id);
         result_messages.push_back(r.message_id);
@@ -198,27 +196,15 @@ Status StoreConnector::ExecuteComplex(const Operation& op) {
     default:
       return Status::InvalidArgument("complex query id out of range");
   }
+  profiling.reset();  // The short-read walk below is not this plan.
   uint64_t latency_ns = watch.ElapsedNanos();
   obs::perf::HwCounts hw = hw_scope.Delta();
   if (metrics_ != nullptr) {
     metrics_->RecordLatencyNs(obs::ComplexOp(op.query_id), latency_ns);
     metrics_->RecordHwCounts(obs::ComplexOp(op.query_id), hw);
   }
-  std::vector<obs::DossierOperatorRow> operators;
-  if (q9_profile.has_value()) {
-    for (auto& [name, stats] : queries::ProfileRows(*q9_profile)) {
-      obs::DossierOperatorRow row;
-      row.name = name;
-      row.invocations = stats.invocations;
-      row.time_ns = stats.time_ns;
-      row.rows = stats.rows;
-      row.hw = stats.hw;
-      row.hw_invocations = stats.hw_invocations;
-      operators.push_back(std::move(row));
-    }
-  }
   OfferDossier(obs::ComplexOp(op.query_id), latency_ns, hw,
-               std::move(operators));
+               profile.TakeRows());
   RunShortReadWalk(op, result_persons, result_messages);
   return Status::Ok();
 }
@@ -299,7 +285,7 @@ Status StoreConnector::ExecuteUpdate(const Operation& op) {
 
 void StoreConnector::OfferDossier(
     obs::OpType op, uint64_t latency_ns, const obs::perf::HwCounts& hw,
-    std::vector<obs::DossierOperatorRow> operators) {
+    std::vector<obs::OperatorRow> operators) {
   if (dossiers_ == nullptr) return;
   uint64_t seq = op_seq_.fetch_add(1, std::memory_order_relaxed);
   if (!dossiers_->WouldKeep(op, latency_ns)) return;

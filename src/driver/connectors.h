@@ -53,10 +53,10 @@ class StoreConnector : public Connector {
   /// particular the walk-spawned ones the driver never sees) records a
   /// trace span, nesting inside the seeding complex read's span.
   /// `dossiers` may be null; when set, every executed operation is offered
-  /// to the collector with its whole-op hardware-counter delta, and Q9
-  /// additionally runs through its profiled plan so tail dossiers carry a
-  /// per-operator breakdown (results are identical to Query9 — see
-  /// queries/query9_plans.h).
+  /// to the collector with its whole-op hardware-counter delta, and every
+  /// complex read runs under an obs::ScopedOperatorProfile so its dossier
+  /// carries the plan's operator rows (the same plan as unobserved runs;
+  /// the spans inside it only start timing).
   StoreConnector(store::GraphStore* store,
                  const std::vector<datagen::UpdateOperation>* updates,
                  const schema::Dictionaries* dictionaries,
@@ -89,7 +89,7 @@ class StoreConnector : public Connector {
   /// collection is off or the instance is not a tail candidate).
   void OfferDossier(obs::OpType op, uint64_t latency_ns,
                     const obs::perf::HwCounts& hw,
-                    std::vector<obs::DossierOperatorRow> operators);
+                    std::vector<obs::OperatorRow> operators);
 
   store::GraphStore* store_;
   const std::vector<datagen::UpdateOperation>* updates_;

@@ -3,8 +3,8 @@
 // Percentile tables say the p99 of Q9 is 40x its median; they cannot say
 // which operator inside those tail instances burned the time, or whether
 // the tail is cache misses rather than extra rows. A dossier captures one
-// query instance's full story — latency, per-operator span tree
-// (invocations, wall time, rows) and hardware-counter deltas — and the
+// query instance's full story — latency, the plan's per-operator span
+// rows (invocations, wall time, rows) and hardware-counter deltas — and the
 // collector keeps the slowest N instances per operation type, so
 // report.json always explains its own tail.
 //
@@ -18,24 +18,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
+#include "obs/trace.h"
 #include "util/mutex.h"
 
 namespace snb::obs {
-
-/// One operator row inside a dossier (a flattened span-tree node).
-struct DossierOperatorRow {
-  std::string name;
-  uint64_t invocations = 0;
-  uint64_t time_ns = 0;
-  uint64_t rows = 0;
-  perf::HwCounts hw;
-  uint64_t hw_invocations = 0;
-};
 
 /// Everything captured about one slow query instance.
 struct SlowQueryDossier {
@@ -45,8 +35,9 @@ struct SlowQueryDossier {
                             // percentile tables record).
   perf::HwCounts hw;        // Whole-operation counter delta; mask == 0
                             // when counters were unavailable.
-  std::vector<DossierOperatorRow> operators;  // Empty when the op has no
-                                              // instrumented plan.
+  /// The plan's operator profile (trace.h): one row per span label.
+  /// Empty for short reads and updates, which run no spans.
+  std::vector<OperatorRow> operators;
 };
 
 /// Keeps the slowest `keep_per_op` dossiers for every operation type.

@@ -9,7 +9,7 @@
 // group (cycles, instructions, LLC load misses, branch misses, task
 // clock — a fixed enum like metrics.h, extensible the same way) whose
 // deltas can be scoped to any code region and accumulated into the
-// existing OperatorStats sinks.
+// operator rows of an installed obs::OperatorProfile (trace.h).
 //
 // Availability is a runtime property, not a build property: containers and
 // CI commonly deny perf_event_open (seccomp default, perf_event_paranoid),

@@ -525,37 +525,6 @@ std::string ToJson(const RunReport& report) {
     out += "]}";
   }
 
-  if (report.has_q9_profile) {
-    const Q9ProfileSection& q9 = report.q9_profile;
-    out += ",";
-    AppendKey(&out, "q9_profile");
-    out += "{";
-    AppendKey(&out, "plan");
-    AppendEscaped(&out, q9.plan);
-    out += ",";
-    AppendKey(&out, "operators");
-    out += "[";
-    for (size_t i = 0; i < q9.operators.size(); ++i) {
-      const OperatorEntry& entry = q9.operators[i];
-      if (i != 0) out += ",";
-      out += "{";
-      AppendKey(&out, "name");
-      AppendEscaped(&out, entry.name);
-      out += ",";
-      AppendKey(&out, "invocations");
-      AppendU64(&out, entry.stats.invocations);
-      out += ",";
-      AppendKey(&out, "time_ms");
-      AppendDouble(&out, entry.stats.TimeMs());
-      out += ",";
-      AppendKey(&out, "rows");
-      AppendU64(&out, entry.stats.rows);
-      AppendHwFields(&out, entry.stats.hw, entry.stats.hw_invocations);
-      out += "}";
-    }
-    out += "]}";
-  }
-
   if (report.has_validation) {
     const ValidationSection& v = report.validation;
     out += ",";
@@ -649,21 +618,21 @@ std::string ToJson(const RunReport& report) {
       AppendKey(&out, "operators");
       out += "[";
       for (size_t j = 0; j < d.operators.size(); ++j) {
-        const DossierOperatorRow& row = d.operators[j];
+        const OperatorRow& row = d.operators[j];
         if (j != 0) out += ",";
         out += "{";
         AppendKey(&out, "name");
-        AppendEscaped(&out, row.name);
+        AppendEscaped(&out, row.label);
         out += ",";
         AppendKey(&out, "invocations");
-        AppendU64(&out, row.invocations);
+        AppendU64(&out, row.stats.invocations);
         out += ",";
         AppendKey(&out, "time_ms");
-        AppendDouble(&out, static_cast<double>(row.time_ns) / 1e6);
+        AppendDouble(&out, row.stats.TimeMs());
         out += ",";
         AppendKey(&out, "rows");
-        AppendU64(&out, row.rows);
-        AppendHwFields(&out, row.hw, row.hw_invocations);
+        AppendU64(&out, row.stats.rows);
+        AppendHwFields(&out, row.stats.hw, row.stats.hw_invocations);
         out += "}";
       }
       out += "]}";
@@ -1031,23 +1000,6 @@ util::Status ValidateReportJson(const std::string& json) {
           "compliance histogram does not sum to scheduled_ops");
     }
   }
-  const JsonValue* q9 = root.Find("q9_profile");
-  if (q9 != nullptr) {
-    const JsonValue* operators = q9->Find("operators");
-    if (operators == nullptr ||
-        operators->kind != JsonValue::Kind::kArray ||
-        operators->array.empty()) {
-      return util::Status::InvalidArgument(
-          "q9_profile lacks a non-empty operators array");
-    }
-    for (const JsonValue& entry : operators->array) {
-      if (NumberOr(entry, "time_ms", -1.0) < 0.0 ||
-          NumberOr(entry, "invocations", -1.0) < 0.0) {
-        return util::Status::InvalidArgument(
-            "q9_profile operator entry lacks time/invocations");
-      }
-    }
-  }
   const JsonValue* validation = root.Find("validation");
   if (validation != nullptr) {
     const JsonValue* passed = validation->Find("passed");
@@ -1117,6 +1069,18 @@ util::Status ValidateReportJson(const std::string& json) {
           operators->kind != JsonValue::Kind::kArray) {
         return util::Status::InvalidArgument(
             "dossier " + op->string + " lacks an operators array");
+      }
+      for (const JsonValue& row : operators->array) {
+        const JsonValue* name = row.Find("name");
+        if (name == nullptr || name->kind != JsonValue::Kind::kString ||
+            NumberOr(row, "invocations", -1.0) < 0.0 ||
+            NumberOr(row, "time_ms", -1.0) < 0.0 ||
+            NumberOr(row, "rows", -1.0) < 0.0) {
+          return util::Status::InvalidArgument(
+              "dossier " + op->string +
+              " has an operator row without a name or with a negative "
+              "invocations/time_ms/rows");
+        }
       }
     }
   }

@@ -7,8 +7,9 @@
 // p50/p90/p95/p99/max, counters, gauges — the layout of Tables 6/7/9),
 // optionally a driver section (throughput, scheduling-lag time series), a
 // schedule-compliance audit (LDBC-style on-time-fraction pass/fail with a
-// lateness histogram and per-op worst offenders) and a Q9 per-operator
-// profile (the Figure 4 choke point).
+// lateness histogram and per-op worst offenders) and slow-query dossiers
+// whose operator rows break each kept complex read down by plan operator
+// (obs/trace.h spans; the Figure 4 choke point).
 //
 // The JSON schema ("snb-report-v5") is stable and self-validating:
 // ValidateReportJson re-parses an emitted document and checks structural
@@ -19,15 +20,17 @@
 // section, v3 the optional "validation" section (golden-replay outcome,
 // see src/validate/golden.h), v4 the optional "provenance", "perf",
 // "dossiers" and "trace" sections plus hardware-counter fields (ipc,
-// cycles_per_op, ...) on op and q9_profile rows, and v5 adds the
+// cycles_per_op, ...) on op and operator rows, and v5 adds the
 // optional "profile" section (sampling-profiler accounting + top frames
 // per op, see src/obs/prof.h) — and the validator still accepts v1–v4
 // documents, so pre-existing readers and archived baselines keep
-// working. The writer no longer emits the top-level "exec_mode" string
-// that runs made while Q5 and Q9 had two engines carried; the validator
-// still accepts it. A deliberately small JSON parser is exposed for tests and
-// validation; it handles exactly what the writer emits (objects,
-// arrays, strings, finite numbers, bools, null).
+// working. The writer no longer emits two optional sections older runs
+// carried: the top-level "exec_mode" string (from while Q5 and Q9 had two
+// engines) and the separate Q9 operator-profile section (from a
+// non-production Q9 plan run after the driver; the dossiers' operator
+// rows replace it). The validator ignores both. A deliberately small JSON
+// parser is exposed for tests and validation; it handles exactly what the
+// writer emits (objects, arrays, strings, finite numbers, bools, null).
 #ifndef SNB_OBS_REPORT_H_
 #define SNB_OBS_REPORT_H_
 
@@ -41,7 +44,6 @@
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/prof.h"
-#include "obs/trace.h"
 #include "util/status.h"
 
 namespace snb::obs {
@@ -115,18 +117,6 @@ struct ComplianceSection {
   /// Per-op-type rows with at least one scheduled execution, sorted by
   /// max lateness descending — the worst offenders lead.
   std::vector<ComplianceOpEntry> per_op;
-};
-
-/// One operator row of a physical-plan profile.
-struct OperatorEntry {
-  std::string name;
-  OperatorStats stats;
-};
-
-/// Per-operator profile of a Q9 plan execution (Figure 4).
-struct Q9ProfileSection {
-  std::string plan;  // e.g. "INL-INL-HASH (intended)".
-  std::vector<OperatorEntry> operators;
 };
 
 /// Outcome of a golden-set replay (tools/validate_run). Mirrors
@@ -224,8 +214,6 @@ struct RunReport {
   DriverSection driver;
   bool has_compliance = false;
   ComplianceSection compliance;
-  bool has_q9_profile = false;
-  Q9ProfileSection q9_profile;
   bool has_validation = false;
   ValidationSection validation;
   bool has_provenance = false;
@@ -258,8 +246,9 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 /// percentiles (p50 <= p90 <= p95 <= p99 <= max), and — when present —
 /// compliance-section consistency (fraction in [0,1], on-time count not
 /// exceeding scheduled count), validation-section consistency (a passing
-/// replay must report zero diffs), perf/provenance shape, dossier rows
-/// (op name + non-negative latency), trace accounting (per-lane
+/// replay must report zero diffs), perf/provenance shape, dossiers (op
+/// name + non-negative latency; every operator row a name with
+/// non-negative invocations, time and rows), trace accounting (per-lane
 /// recorded == retained + dropped) and profile accounting (captured ==
 /// attributed + unattributed + dropped, self-overhead not exceeding the
 /// task clock, samples only under the timer backend). Used by tests and

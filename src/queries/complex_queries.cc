@@ -4,12 +4,10 @@
 #include <bit>
 #include <span>
 
-#include "exec/batch.h"
 #include "exec/dense_id_set.h"
 #include "exec/hash_join.h"
 #include "exec/operators.h"
 #include "obs/trace.h"
-#include "queries/query9_plans.h"
 
 namespace snb::queries {
 namespace {
@@ -25,15 +23,18 @@ using store::PersonRecord;
 
 using MessageEdges = util::RcuVector<MessageEdge>::View;
 
+/// Direct friends of `start`, ascending (span join1).
 std::vector<PersonId> FriendIdsLocked(const GraphStore& store,
                                       const store::ReadGuard& pin,
                                       PersonId start) {
   std::vector<PersonId> out;
   const PersonRecord* p = store.FindPerson(pin, start);
   if (p == nullptr) return out;
+  obs::TraceSpan span("join1");
   auto friends = p->friends.view();
   out.reserve(friends.size());
   for (const FriendEdge& e : friends) out.push_back(e.other);
+  span.AddRows(out.size());
   return out;  // friends are sorted by id already.
 }
 
@@ -64,6 +65,17 @@ size_t LowerBoundByDate(const MessageEdges& messages, TimestampMs min_date) {
   return static_cast<size_t>(it - messages.begin());
 }
 
+/// A plan's final sort-and-cut (span sort_limit): `rows` ordered by `less`,
+/// first `limit` kept.
+template <typename Row, typename Less>
+std::vector<Row> SortLimit(std::vector<Row> rows, int limit, Less less) {
+  obs::TraceSpan span("sort_limit");
+  std::sort(rows.begin(), rows.end(), less);
+  if (static_cast<int>(rows.size()) > limit) rows.resize(limit);
+  span.AddRows(rows.size());
+  return rows;
+}
+
 }  // namespace
 
 std::vector<PersonId> FriendIds(const GraphStore& store, PersonId start) {
@@ -85,45 +97,51 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
   const PersonRecord* root = store.FindPerson(pin, start);
   if (root == nullptr) return results;
 
-  // 3-level BFS collecting name matches; the last level builds no
-  // frontier.
-  exec::DenseIdSet visited(store.PersonIdBound());
-  visited.Insert(start);
-  std::vector<PersonId> frontier = {start};
-  std::vector<PersonId> next;
-  for (uint32_t distance = 1; distance <= 3 && !frontier.empty();
-       ++distance) {
-    next.clear();
-    for (PersonId pid : frontier) {
-      const PersonRecord* p = store.FindPerson(pin, pid);
-      if (p == nullptr) continue;
-      for (const FriendEdge& e : p->friends.view()) {
-        if (!visited.Insert(e.other)) continue;
-        if (distance < 3) next.push_back(e.other);
-        const PersonRecord* candidate = store.FindPerson(pin, e.other);
-        if (candidate != nullptr &&
-            candidate->data.first_name == first_name) {
-          Q1Result r;
-          r.person_id = e.other;
-          r.distance = distance;
-          r.last_name = candidate->data.last_name;
-          r.city_id = candidate->data.city_id;
-          r.university_id = candidate->data.university_id;
-          r.company_id = candidate->data.company_id;
-          results.push_back(std::move(r));
+  {
+    // 3-level BFS collecting name matches; the last level builds no
+    // frontier.
+    obs::TraceSpan span("knows_bfs");
+    exec::DenseIdSet visited(store.PersonIdBound());
+    visited.Insert(start);
+    std::vector<PersonId> frontier = {start};
+    std::vector<PersonId> next;
+    for (uint32_t distance = 1; distance <= 3 && !frontier.empty();
+         ++distance) {
+      next.clear();
+      for (PersonId pid : frontier) {
+        const PersonRecord* p = store.FindPerson(pin, pid);
+        if (p == nullptr) continue;
+        for (const FriendEdge& e : p->friends.view()) {
+          if (!visited.Insert(e.other)) continue;
+          if (distance < 3) next.push_back(e.other);
+          const PersonRecord* candidate = store.FindPerson(pin, e.other);
+          if (candidate != nullptr &&
+              candidate->data.first_name == first_name) {
+            Q1Result r;
+            r.person_id = e.other;
+            r.distance = distance;
+            r.last_name = candidate->data.last_name;
+            r.city_id = candidate->data.city_id;
+            r.university_id = candidate->data.university_id;
+            r.company_id = candidate->data.company_id;
+            results.push_back(std::move(r));
+          }
         }
       }
+      frontier.swap(next);
     }
-    frontier.swap(next);
+    span.AddRows(results.size());
   }
-  std::sort(results.begin(), results.end(),
-            [](const Q1Result& a, const Q1Result& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              if (a.last_name != b.last_name) return a.last_name < b.last_name;
-              return a.person_id < b.person_id;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return SortLimit(std::move(results), limit,
+                   [](const Q1Result& a, const Q1Result& b) {
+                     if (a.distance != b.distance) {
+                       return a.distance < b.distance;
+                     }
+                     if (a.last_name != b.last_name) {
+                       return a.last_name < b.last_name;
+                     }
+                     return a.person_id < b.person_id;
+                   });
 }
 
 // ---- Q2 -----------------------------------------------------------------------
@@ -131,26 +149,29 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
 std::vector<Q2Result> Query2(const GraphStore& store, PersonId start,
                              TimestampMs max_date, int limit) {
   auto pin = store.ReadLock();
+  std::vector<PersonId> friends = FriendIdsLocked(store, pin, start);
   std::vector<Q2Result> candidates;
-  for (PersonId fid : FriendIdsLocked(store, pin, start)) {
-    const PersonRecord* f = store.FindPerson(pin, fid);
-    if (f == nullptr) continue;
-    auto messages = f->messages.view();
-    size_t upper = UpperBoundByDate(messages, max_date);
-    size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
-    for (size_t i = upper - take; i < upper; ++i) {
-      candidates.push_back({messages[i].id, fid, messages[i].date});
+  {
+    obs::TraceSpan span("join3");
+    for (PersonId fid : friends) {
+      const PersonRecord* f = store.FindPerson(pin, fid);
+      if (f == nullptr) continue;
+      auto messages = f->messages.view();
+      size_t upper = UpperBoundByDate(messages, max_date);
+      size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
+      for (size_t i = upper - take; i < upper; ++i) {
+        candidates.push_back({messages[i].id, fid, messages[i].date});
+      }
     }
+    span.AddRows(candidates.size());
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Q2Result& a, const Q2Result& b) {
-              if (a.creation_date != b.creation_date) {
-                return a.creation_date > b.creation_date;
-              }
-              return a.message_id < b.message_id;
-            });
-  if (static_cast<int>(candidates.size()) > limit) candidates.resize(limit);
-  return candidates;
+  return SortLimit(std::move(candidates), limit,
+                   [](const Q2Result& a, const Q2Result& b) {
+                     if (a.creation_date != b.creation_date) {
+                       return a.creation_date > b.creation_date;
+                     }
+                     return a.message_id < b.message_id;
+                   });
 }
 
 // ---- Q3 -----------------------------------------------------------------------
@@ -163,40 +184,43 @@ std::vector<Q3Result> Query3(const GraphStore& store, PersonId start,
                              int limit) {
   auto pin = store.ReadLock();
   TimestampMs end_date = start_date + duration_days * util::kMillisPerDay;
+  std::vector<PersonId> circle = CircleOf(store, pin, start);
   std::vector<Q3Result> results;
-  for (PersonId pid : CircleOf(store, pin, start)) {
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    // Residents of X or Y are excluded: posting from home is not travel.
-    if (p->data.city_id < city_country.size()) {
-      schema::PlaceId home = city_country[p->data.city_id];
-      if (home == country_x || home == country_y) continue;
-    }
-    // Countries ride inline in the date-ordered edges: no record loads.
-    uint32_t count_x = 0, count_y = 0;
-    auto messages = p->messages.view();
-    size_t lower = LowerBoundByDate(messages, start_date);
-    size_t upper = UpperBoundByDate(messages, end_date - 1);
-    for (size_t i = lower; i < upper; ++i) {
-      if (messages[i].country == country_x) {
-        ++count_x;
-      } else if (messages[i].country == country_y) {
-        ++count_y;
+  {
+    obs::TraceSpan span("join3");
+    for (PersonId pid : circle) {
+      const PersonRecord* p = store.FindPerson(pin, pid);
+      if (p == nullptr) continue;
+      // Residents of X or Y are excluded: posting from home is not travel.
+      if (p->data.city_id < city_country.size()) {
+        schema::PlaceId home = city_country[p->data.city_id];
+        if (home == country_x || home == country_y) continue;
+      }
+      // Countries ride inline in the date-ordered edges: no record loads.
+      uint32_t count_x = 0, count_y = 0;
+      auto messages = p->messages.view();
+      size_t lower = LowerBoundByDate(messages, start_date);
+      size_t upper = UpperBoundByDate(messages, end_date - 1);
+      for (size_t i = lower; i < upper; ++i) {
+        if (messages[i].country == country_x) {
+          ++count_x;
+        } else if (messages[i].country == country_y) {
+          ++count_y;
+        }
+      }
+      if (count_x > 0 && count_y > 0) {
+        results.push_back({pid, count_x, count_y});
       }
     }
-    if (count_x > 0 && count_y > 0) {
-      results.push_back({pid, count_x, count_y});
-    }
+    span.AddRows(results.size());
   }
-  std::sort(results.begin(), results.end(),
-            [](const Q3Result& a, const Q3Result& b) {
-              uint64_t ta = a.count_x + a.count_y;
-              uint64_t tb = b.count_x + b.count_y;
-              if (ta != tb) return ta > tb;
-              return a.person_id < b.person_id;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return SortLimit(std::move(results), limit,
+                   [](const Q3Result& a, const Q3Result& b) {
+                     uint64_t ta = a.count_x + a.count_y;
+                     uint64_t tb = b.count_x + b.count_y;
+                     if (ta != tb) return ta > tb;
+                     return a.person_id < b.person_id;
+                   });
 }
 
 // ---- Q4 -----------------------------------------------------------------------
@@ -206,38 +230,41 @@ std::vector<Q4Result> Query4(const GraphStore& store, PersonId start,
                              int limit) {
   auto pin = store.ReadLock();
   TimestampMs end_date = start_date + duration_days * util::kMillisPerDay;
-  exec::HashMap64 in_window;      // Tag -> posts in the window.
-  exec::HashMap64 before_window;  // Tags of earlier posts (values unused).
-  for (PersonId fid : FriendIdsLocked(store, pin, start)) {
-    const PersonRecord* f = store.FindPerson(pin, fid);
-    if (f == nullptr) continue;
-    store::CreatedMessages messages = f->created_messages();
-    for (const MessageEdge& e : messages) {
-      if (e.date >= end_date) break;  // Ascending dates.
-      if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-      if (e.date < start_date) {
-        for (schema::TagId t : messages.tags(e)) before_window.Insert(t, 0);
-      } else {
-        for (schema::TagId t : messages.tags(e)) ++in_window.At(t);
+  std::vector<PersonId> friends = FriendIdsLocked(store, pin, start);
+  std::vector<Q4Result> results;
+  {
+    obs::TraceSpan span("join3");
+    exec::HashMap64 in_window;      // Tag -> posts in the window.
+    exec::HashMap64 before_window;  // Tags of earlier posts (values unused).
+    for (PersonId fid : friends) {
+      const PersonRecord* f = store.FindPerson(pin, fid);
+      if (f == nullptr) continue;
+      store::CreatedMessages messages = f->created_messages();
+      for (const MessageEdge& e : messages) {
+        if (e.date >= end_date) break;  // Ascending dates.
+        if (e.kind == MessageKind::kComment) continue;  // Inline kind.
+        if (e.date < start_date) {
+          for (schema::TagId t : messages.tags(e)) before_window.Insert(t, 0);
+        } else {
+          for (schema::TagId t : messages.tags(e)) ++in_window.At(t);
+        }
       }
     }
+    in_window.ForEach([&](uint64_t tag, uint64_t count) {
+      if (before_window.Find(tag) == nullptr) {
+        results.push_back({static_cast<schema::TagId>(tag),
+                           static_cast<uint32_t>(count)});
+      }
+    });
+    span.AddRows(results.size());
   }
-  std::vector<Q4Result> results;
-  in_window.ForEach([&](uint64_t tag, uint64_t count) {
-    if (before_window.Find(tag) == nullptr) {
-      results.push_back({static_cast<schema::TagId>(tag),
-                         static_cast<uint32_t>(count)});
-    }
-  });
-  std::sort(results.begin(), results.end(),
-            [](const Q4Result& a, const Q4Result& b) {
-              if (a.post_count != b.post_count) {
-                return a.post_count > b.post_count;
-              }
-              return a.tag < b.tag;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return SortLimit(std::move(results), limit,
+                   [](const Q4Result& a, const Q4Result& b) {
+                     if (a.post_count != b.post_count) {
+                       return a.post_count > b.post_count;
+                     }
+                     return a.tag < b.tag;
+                   });
 }
 
 // ---- Q5 -----------------------------------------------------------------------
@@ -251,15 +278,19 @@ std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
 
   // Forums joined by circle members after min_date, deduplicated by sort.
   std::vector<schema::ForumId> forums;
-  for (PersonId pid : circle) {
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    for (const DatedEdge& membership : p->forums.view()) {
-      if (membership.date > min_date) forums.push_back(membership.id);
+  {
+    obs::TraceSpan span("forum_join");
+    for (PersonId pid : circle) {
+      const PersonRecord* p = store.FindPerson(pin, pid);
+      if (p == nullptr) continue;
+      for (const DatedEdge& membership : p->forums.view()) {
+        if (membership.date > min_date) forums.push_back(membership.id);
+      }
     }
+    std::sort(forums.begin(), forums.end());
+    forums.erase(std::unique(forums.begin(), forums.end()), forums.end());
+    span.AddRows(forums.size());
   }
-  std::sort(forums.begin(), forums.end());
-  forums.erase(std::unique(forums.begin(), forums.end()), forums.end());
 
   // Rank by posts in the forum created by circle members. The comparator
   // is a total order (forum ids are distinct), so the top-k heap keeps
@@ -269,16 +300,23 @@ std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
     return a.forum_id < b.forum_id;
   };
   exec::TopK<Q5Result, decltype(less)> top(static_cast<size_t>(limit), less);
-  for (schema::ForumId fid : forums) {
-    const store::ForumRecord* forum = store.FindForum(pin, fid);
-    if (forum == nullptr) continue;
-    uint32_t count = 0;
-    for (const store::PostEdge& post : forum->posts.view()) {
-      if (members.Contains(post.creator)) ++count;  // Inline creator.
+  {
+    obs::TraceSpan span("post_count");
+    for (schema::ForumId fid : forums) {
+      const store::ForumRecord* forum = store.FindForum(pin, fid);
+      if (forum == nullptr) continue;
+      uint32_t count = 0;
+      for (const store::PostEdge& post : forum->posts.view()) {
+        if (members.Contains(post.creator)) ++count;  // Inline creator.
+      }
+      top.Push({fid, count});
+      span.AddRows(1);
     }
-    top.Push({fid, count});
   }
-  return top.Drain();
+  obs::TraceSpan span("sort_limit");
+  std::vector<Q5Result> out = top.Drain();
+  span.AddRows(out.size());
+  return out;
 }
 
 // ---- Q6 -----------------------------------------------------------------------
@@ -286,35 +324,38 @@ std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
 std::vector<Q6Result> Query6(const GraphStore& store, PersonId start,
                              schema::TagId tag, int limit) {
   auto pin = store.ReadLock();
-  exec::HashMap64 co_counts;  // Co-occurring tag -> posts.
-  for (PersonId pid : CircleOf(store, pin, start)) {
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    store::CreatedMessages messages = p->created_messages();
-    for (const MessageEdge& e : messages) {
-      if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-      std::span<const schema::TagId> tags = messages.tags(e);
-      if (std::find(tags.begin(), tags.end(), tag) == tags.end()) continue;
-      for (schema::TagId t : tags) {
-        if (t != tag) ++co_counts.At(t);
+  std::vector<PersonId> circle = CircleOf(store, pin, start);
+  std::vector<Q6Result> results;
+  {
+    obs::TraceSpan span("join3");
+    exec::HashMap64 co_counts;  // Co-occurring tag -> posts.
+    for (PersonId pid : circle) {
+      const PersonRecord* p = store.FindPerson(pin, pid);
+      if (p == nullptr) continue;
+      store::CreatedMessages messages = p->created_messages();
+      for (const MessageEdge& e : messages) {
+        if (e.kind == MessageKind::kComment) continue;  // Inline kind.
+        std::span<const schema::TagId> tags = messages.tags(e);
+        if (std::find(tags.begin(), tags.end(), tag) == tags.end()) continue;
+        for (schema::TagId t : tags) {
+          if (t != tag) ++co_counts.At(t);
+        }
       }
     }
+    results.reserve(co_counts.size());
+    co_counts.ForEach([&](uint64_t t, uint64_t c) {
+      results.push_back(
+          {static_cast<schema::TagId>(t), static_cast<uint32_t>(c)});
+    });
+    span.AddRows(results.size());
   }
-  std::vector<Q6Result> results;
-  results.reserve(co_counts.size());
-  co_counts.ForEach([&](uint64_t t, uint64_t c) {
-    results.push_back(
-        {static_cast<schema::TagId>(t), static_cast<uint32_t>(c)});
-  });
-  std::sort(results.begin(), results.end(),
-            [](const Q6Result& a, const Q6Result& b) {
-              if (a.post_count != b.post_count) {
-                return a.post_count > b.post_count;
-              }
-              return a.tag < b.tag;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return SortLimit(std::move(results), limit,
+                   [](const Q6Result& a, const Q6Result& b) {
+                     if (a.post_count != b.post_count) {
+                       return a.post_count > b.post_count;
+                     }
+                     return a.tag < b.tag;
+                   });
 }
 
 // ---- Q7 -----------------------------------------------------------------------
@@ -325,27 +366,31 @@ std::vector<Q7Result> Query7(const GraphStore& store, PersonId start,
   std::vector<Q7Result> likes;
   const PersonRecord* p = store.FindPerson(pin, start);
   if (p == nullptr) return likes;
-  for (const MessageEdge& e : p->messages.view()) {
-    const MessageRecord* m = store.FindMessage(pin, e.id);
-    if (m == nullptr) continue;
-    for (const DatedEdge& like : m->likes.view()) {
-      Q7Result r;
-      r.liker_id = like.id;
-      r.message_id = e.id;
-      r.like_date = like.date;
-      r.latency_minutes =
-          (like.date - m->data.creation_date) / util::kMillisPerMinute;
-      r.is_outside_friendship = !store.AreFriends(pin, start, like.id);
-      likes.push_back(r);
+  {
+    obs::TraceSpan span("likes_join");
+    for (const MessageEdge& e : p->messages.view()) {
+      const MessageRecord* m = store.FindMessage(pin, e.id);
+      if (m == nullptr) continue;
+      for (const DatedEdge& like : m->likes.view()) {
+        Q7Result r;
+        r.liker_id = like.id;
+        r.message_id = e.id;
+        r.like_date = like.date;
+        r.latency_minutes =
+            (like.date - m->data.creation_date) / util::kMillisPerMinute;
+        r.is_outside_friendship = !store.AreFriends(pin, start, like.id);
+        likes.push_back(r);
+      }
     }
+    span.AddRows(likes.size());
   }
-  std::sort(likes.begin(), likes.end(),
-            [](const Q7Result& a, const Q7Result& b) {
-              if (a.like_date != b.like_date) return a.like_date > b.like_date;
-              return a.liker_id < b.liker_id;
-            });
-  if (static_cast<int>(likes.size()) > limit) likes.resize(limit);
-  return likes;
+  return SortLimit(std::move(likes), limit,
+                   [](const Q7Result& a, const Q7Result& b) {
+                     if (a.like_date != b.like_date) {
+                       return a.like_date > b.like_date;
+                     }
+                     return a.liker_id < b.liker_id;
+                   });
 }
 
 // ---- Q8 -----------------------------------------------------------------------
@@ -356,50 +401,42 @@ std::vector<Q8Result> Query8(const GraphStore& store, PersonId start,
   std::vector<Q8Result> replies;
   const PersonRecord* p = store.FindPerson(pin, start);
   if (p == nullptr) return replies;
-  for (const MessageEdge& e : p->messages.view()) {
-    const MessageRecord* m = store.FindMessage(pin, e.id);
-    if (m == nullptr) continue;
-    for (MessageId rid : m->replies.view()) {
-      const MessageRecord* reply = store.FindMessage(pin, rid);
-      if (reply == nullptr) continue;
-      replies.push_back(
-          {rid, reply->data.creator_id, reply->data.creation_date});
+  {
+    obs::TraceSpan span("replies_join");
+    for (const MessageEdge& e : p->messages.view()) {
+      const MessageRecord* m = store.FindMessage(pin, e.id);
+      if (m == nullptr) continue;
+      for (MessageId rid : m->replies.view()) {
+        const MessageRecord* reply = store.FindMessage(pin, rid);
+        if (reply == nullptr) continue;
+        replies.push_back(
+            {rid, reply->data.creator_id, reply->data.creation_date});
+      }
     }
+    span.AddRows(replies.size());
   }
-  std::sort(replies.begin(), replies.end(),
-            [](const Q8Result& a, const Q8Result& b) {
-              if (a.creation_date != b.creation_date) {
-                return a.creation_date > b.creation_date;
-              }
-              return a.comment_id < b.comment_id;
-            });
-  if (static_cast<int>(replies.size()) > limit) replies.resize(limit);
-  return replies;
+  return SortLimit(std::move(replies), limit,
+                   [](const Q8Result& a, const Q8Result& b) {
+                     if (a.creation_date != b.creation_date) {
+                       return a.creation_date > b.creation_date;
+                     }
+                     return a.comment_id < b.comment_id;
+                   });
 }
 
 // ---- Q9 -----------------------------------------------------------------------
 
 std::vector<Q9Result> Query9(const GraphStore& store, PersonId start,
-                             TimestampMs max_date, int limit,
-                             Q9PlanStats* stats, Q9OperatorProfile* profile) {
+                             TimestampMs max_date, int limit) {
   auto pin = store.ReadLock();
-  Q9PlanStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = Q9PlanStats();
-  auto sink = [profile](obs::OperatorStats Q9OperatorProfile::* member) {
-    return profile == nullptr ? nullptr : &(profile->*member);
-  };
+  std::vector<PersonId> circle = CircleOf(store, pin, start);
+  return Query9OverCircle(store, pin, circle, max_date, limit);
+}
 
-  std::vector<PersonId> circle;
-  exec::TwoHopStats hop = exec::ExpandTwoHop(
-      store, pin, start, &circle, nullptr, sink(&Q9OperatorProfile::join1),
-      sink(&Q9OperatorProfile::join2));
-  stats->join1_output = hop.direct;
-  stats->join2_output = hop.fof_tuples;
-
-  // Per circle person only the newest `limit` messages before max_date
-  // can reach the global top `limit` under (date desc, id asc); message
-  // ids are unique, so the top-k heap equals full sort + truncate.
+std::vector<Q9Result> Query9OverCircle(const GraphStore& store,
+                                       const store::ReadGuard& pin,
+                                       const std::vector<PersonId>& circle,
+                                       TimestampMs max_date, int limit) {
   auto less = [](const Q9Result& a, const Q9Result& b) {
     if (a.creation_date != b.creation_date) {
       return a.creation_date > b.creation_date;
@@ -407,20 +444,22 @@ std::vector<Q9Result> Query9(const GraphStore& store, PersonId start,
     return a.message_id < b.message_id;
   };
   exec::TopK<Q9Result, decltype(less)> top(static_cast<size_t>(limit), less);
-  exec::MessageScanOperator scan(store, pin, circle, max_date,
-                                 static_cast<size_t>(limit),
-                                 sink(&Q9OperatorProfile::join3));
-  exec::Batch batch;
-  while (scan.Next(&batch)) {
-    obs::TraceSpan span(sink(&Q9OperatorProfile::sort_limit), "sort_limit");
-    for (size_t r = 0; r < batch.size; ++r) {
-      top.Push({batch.a[r], batch.b[r], batch.date[r]});
+  {
+    obs::TraceSpan span("join3");
+    for (PersonId pid : circle) {
+      const PersonRecord* p = store.FindPerson(pin, pid);
+      if (p == nullptr) continue;
+      // Edges [0, upper) predate max_date; push the newest `limit`.
+      auto messages = p->messages.view();
+      size_t upper = LowerBoundByDate(messages, max_date);
+      size_t take = std::min(upper, static_cast<size_t>(limit));
+      for (size_t i = upper - take; i < upper; ++i) {
+        top.Push({messages[i].id, pid, messages[i].date});
+      }
+      span.AddRows(take);
     }
-    span.AddRows(batch.size);
   }
-  stats->join3_output = scan.rows_emitted();
-
-  obs::TraceSpan span(sink(&Q9OperatorProfile::sort_limit), "sort_limit");
+  obs::TraceSpan span("sort_limit");
   std::vector<Q9Result> out = top.Drain();
   span.AddRows(out.size());
   return out;
@@ -439,53 +478,65 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
   auto root_friends = root->friends.view();
   const uint64_t bound = store.PersonIdBound();
   exec::DenseIdSet direct(bound);
-  direct.Insert(start);
-  for (const FriendEdge& e : root_friends) direct.Insert(e.other);
+  {
+    obs::TraceSpan span("join1");
+    direct.Insert(start);
+    for (const FriendEdge& e : root_friends) direct.Insert(e.other);
+    span.AddRows(root_friends.size());
+  }
 
   exec::DenseIdSet fof(bound);
-  for (const FriendEdge& e : root_friends) {
-    const PersonRecord* f = store.FindPerson(pin, e.other);
-    if (f == nullptr) continue;
-    for (const FriendEdge& e2 : f->friends.view()) {
-      if (!direct.Contains(e2.other)) fof.Insert(e2.other);
+  {
+    obs::TraceSpan span("join2");
+    for (const FriendEdge& e : root_friends) {
+      const PersonRecord* f = store.FindPerson(pin, e.other);
+      if (f == nullptr) continue;
+      auto friends = f->friends.view();
+      for (const FriendEdge& e2 : friends) {
+        if (!direct.Contains(e2.other)) fof.Insert(e2.other);
+      }
+      span.AddRows(friends.size());
     }
   }
 
-  const int next_month = horoscope_month % 12 + 1;
-  fof.ForEach([&](PersonId pid) {
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) return;
-    int month = 0, day = 0;
-    util::MonthDayOf(p->data.birthday, &month, &day);
-    bool sign_match = (month == horoscope_month && day >= 21) ||
-                      (month == next_month && day < 22);
-    if (!sign_match) return;
-    int32_t common = 0, other = 0;
-    store::CreatedMessages messages = p->created_messages();
-    for (const MessageEdge& e : messages) {
-      if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-      std::span<const schema::TagId> tags = messages.tags(e);
-      bool about_interest =
-          std::any_of(tags.begin(), tags.end(), [&](schema::TagId t) {
-            return std::binary_search(interests.begin(), interests.end(), t);
-          });
-      if (about_interest) {
-        ++common;
-      } else {
-        ++other;
-      }
-    }
-    results.push_back({pid, common - other});
-  });
-  std::sort(results.begin(), results.end(),
-            [](const Q10Result& a, const Q10Result& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.person_id < b.person_id;
+  {
+    obs::TraceSpan span("join3");
+    const int next_month = horoscope_month % 12 + 1;
+    fof.ForEach([&](PersonId pid) {
+      const PersonRecord* p = store.FindPerson(pin, pid);
+      if (p == nullptr) return;
+      int month = 0, day = 0;
+      util::MonthDayOf(p->data.birthday, &month, &day);
+      bool sign_match = (month == horoscope_month && day >= 21) ||
+                        (month == next_month && day < 22);
+      if (!sign_match) return;
+      int32_t common = 0, other = 0;
+      store::CreatedMessages messages = p->created_messages();
+      for (const MessageEdge& e : messages) {
+        if (e.kind == MessageKind::kComment) continue;  // Inline kind.
+        std::span<const schema::TagId> tags = messages.tags(e);
+        bool about_interest =
+            std::any_of(tags.begin(), tags.end(), [&](schema::TagId t) {
+              return std::binary_search(interests.begin(), interests.end(),
+                                        t);
             });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+        if (about_interest) {
+          ++common;
+        } else {
+          ++other;
+        }
+      }
+      results.push_back({pid, common - other});
+    });
+    span.AddRows(results.size());
+  }
+  return SortLimit(std::move(results), limit,
+                   [](const Q10Result& a, const Q10Result& b) {
+                     if (a.similarity != b.similarity) {
+                       return a.similarity > b.similarity;
+                     }
+                     return a.person_id < b.person_id;
+                   });
 }
 
 // ---- Q11 ----------------------------------------------------------------------
@@ -496,24 +547,29 @@ std::vector<Q11Result> Query11(const GraphStore& store, PersonId start,
                                schema::PlaceId country,
                                uint16_t max_work_year, int limit) {
   auto pin = store.ReadLock();
+  std::vector<PersonId> circle = CircleOf(store, pin, start);
   std::vector<Q11Result> results;
-  for (PersonId pid : CircleOf(store, pin, start)) {
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    schema::OrganizationId company = p->data.company_id;
-    if (company == schema::kInvalidId32) continue;
-    if (company >= company_country.size()) continue;
-    if (company_country[company] != country) continue;
-    if (p->data.work_year >= max_work_year) continue;
-    results.push_back({pid, company, p->data.work_year});
+  {
+    obs::TraceSpan span("company_filter");
+    for (PersonId pid : circle) {
+      const PersonRecord* p = store.FindPerson(pin, pid);
+      if (p == nullptr) continue;
+      schema::OrganizationId company = p->data.company_id;
+      if (company == schema::kInvalidId32) continue;
+      if (company >= company_country.size()) continue;
+      if (company_country[company] != country) continue;
+      if (p->data.work_year >= max_work_year) continue;
+      results.push_back({pid, company, p->data.work_year});
+    }
+    span.AddRows(results.size());
   }
-  std::sort(results.begin(), results.end(),
-            [](const Q11Result& a, const Q11Result& b) {
-              if (a.work_year != b.work_year) return a.work_year < b.work_year;
-              return a.person_id < b.person_id;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return SortLimit(std::move(results), limit,
+                   [](const Q11Result& a, const Q11Result& b) {
+                     if (a.work_year != b.work_year) {
+                       return a.work_year < b.work_year;
+                     }
+                     return a.person_id < b.person_id;
+                   });
 }
 
 // ---- Q12 ----------------------------------------------------------------------
@@ -522,37 +578,40 @@ std::vector<Q12Result> Query12(const GraphStore& store, PersonId start,
                                const std::vector<bool>& tag_in_class,
                                int limit) {
   auto pin = store.ReadLock();
+  std::vector<PersonId> friends = FriendIdsLocked(store, pin, start);
   std::vector<Q12Result> results;
-  for (PersonId fid : FriendIdsLocked(store, pin, start)) {
-    const PersonRecord* f = store.FindPerson(pin, fid);
-    if (f == nullptr) continue;
-    uint32_t count = 0;
-    store::CreatedMessages messages = f->created_messages();
-    for (const MessageEdge& e : messages) {
-      // Only replies to posts (or photos) count; kinds ride inline, and
-      // such a reply's span holds the replied-to post's tags.
-      if (e.kind != MessageKind::kComment ||
-          e.parent_kind == MessageKind::kComment) {
-        continue;
-      }
-      for (schema::TagId t : messages.tags(e)) {
-        if (t < tag_in_class.size() && tag_in_class[t]) {
-          ++count;
-          break;
+  {
+    obs::TraceSpan span("join3");
+    for (PersonId fid : friends) {
+      const PersonRecord* f = store.FindPerson(pin, fid);
+      if (f == nullptr) continue;
+      uint32_t count = 0;
+      store::CreatedMessages messages = f->created_messages();
+      for (const MessageEdge& e : messages) {
+        // Only replies to posts (or photos) count; kinds ride inline, and
+        // such a reply's span holds the replied-to post's tags.
+        if (e.kind != MessageKind::kComment ||
+            e.parent_kind == MessageKind::kComment) {
+          continue;
+        }
+        for (schema::TagId t : messages.tags(e)) {
+          if (t < tag_in_class.size() && tag_in_class[t]) {
+            ++count;
+            break;
+          }
         }
       }
+      if (count > 0) results.push_back({fid, count});
     }
-    if (count > 0) results.push_back({fid, count});
+    span.AddRows(results.size());
   }
-  std::sort(results.begin(), results.end(),
-            [](const Q12Result& a, const Q12Result& b) {
-              if (a.reply_count != b.reply_count) {
-                return a.reply_count > b.reply_count;
-              }
-              return a.person_id < b.person_id;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return SortLimit(std::move(results), limit,
+                   [](const Q12Result& a, const Q12Result& b) {
+                     if (a.reply_count != b.reply_count) {
+                       return a.reply_count > b.reply_count;
+                     }
+                     return a.person_id < b.person_id;
+                   });
 }
 
 // ---- Q13, Q14: shortest paths -------------------------------------------------
@@ -585,6 +644,7 @@ uint64_t LevelOf(uint64_t entry) { return entry & 0xffffffffu; }
 int ShortestPathLevels(const GraphStore& store,
                        const store::ReadGuard& pin, PersonId person1,
                        PersonId person2, exec::HashMap64* levels) {
+  obs::TraceSpan span("shortest_path");
   // Side 0 searches from person1, side 1 from person2.
   const uint64_t bound = store.PersonIdBound();
   exec::DenseIdSet seen[2] = {exec::DenseIdSet(bound),
@@ -725,41 +785,45 @@ std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
     pair_weights.Put(lo << 32 | hi, std::bit_cast<uint64_t>(w));
     return w;
   };
-  std::vector<Frame> stack{frame_of(person2, *top)};
-  while (!stack.empty() && results.size() < kMaxPaths) {
-    Frame& frame = stack.back();
-    if (frame.node == person1) {
-      Q14Result r;
-      r.path.reserve(stack.size());
-      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (it != stack.rbegin()) r.weight += weight(*(it - 1), *it);
-        r.path.push_back(it->node);
+  {
+    obs::TraceSpan span("path_enum");
+    std::vector<Frame> stack{frame_of(person2, *top)};
+    while (!stack.empty() && results.size() < kMaxPaths) {
+      Frame& frame = stack.back();
+      if (frame.node == person1) {
+        Q14Result r;
+        r.path.reserve(stack.size());
+        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+          if (it != stack.rbegin()) r.weight += weight(*(it - 1), *it);
+          r.path.push_back(it->node);
+        }
+        results.push_back(std::move(r));
+        stack.pop_back();
+        continue;
       }
-      results.push_back(std::move(r));
-      stack.pop_back();
-      continue;
-    }
-    const uint64_t* parent = nullptr;
-    PersonId parent_id = 0;
-    while (parent == nullptr && frame.next < frame.friends.size()) {
-      parent_id = frame.friends[frame.next++].other;
-      parent = levels.Find(parent_id);
-      if (parent != nullptr && LevelOf(*parent) + 1 != LevelOf(frame.entry)) {
-        parent = nullptr;
+      const uint64_t* parent = nullptr;
+      PersonId parent_id = 0;
+      while (parent == nullptr && frame.next < frame.friends.size()) {
+        parent_id = frame.friends[frame.next++].other;
+        parent = levels.Find(parent_id);
+        if (parent != nullptr &&
+            LevelOf(*parent) + 1 != LevelOf(frame.entry)) {
+          parent = nullptr;
+        }
+      }
+      if (parent == nullptr) {
+        stack.pop_back();
+      } else {
+        stack.push_back(frame_of(parent_id, *parent));
       }
     }
-    if (parent == nullptr) {
-      stack.pop_back();
-    } else {
-      stack.push_back(frame_of(parent_id, *parent));
-    }
+    span.AddRows(results.size());
   }
-  std::sort(results.begin(), results.end(),
-            [](const Q14Result& a, const Q14Result& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              return a.path < b.path;
-            });
-  return results;
+  return SortLimit(std::move(results), static_cast<int>(kMaxPaths),
+                   [](const Q14Result& a, const Q14Result& b) {
+                     if (a.weight != b.weight) return a.weight > b.weight;
+                     return a.path < b.path;
+                   });
 }
 
 }  // namespace snb::queries

@@ -9,6 +9,20 @@
 // circle of Q3, Q5, Q6, Q9 and Q11 comes from exec::ExpandTwoHop. The
 // Figure 4 join-type variants of Q9 live in queries/query9_plans.h and
 // serve only the plan-ablation bench and tests.
+//
+// Every plan body runs under phase-level obs::TraceSpans (obs/trace.h),
+// never one per row, so a thread with an obs::OperatorProfile installed
+// gets each query's operator breakdown and profiler samples carry the
+// operator. One logical operator has one label in every query:
+//   join1        person -> direct friends
+//   join2        friends -> friends of friends (before deduplication)
+//   join3        persons -> their created messages, up to the rows handed
+//                to the final ranking
+//   sort_limit   the final sort-and-cut (or top-k drain)
+// and the rest are query-specific: knows_bfs (Q1), forum_join and
+// post_count (Q5), likes_join (Q7), replies_join (Q8), company_filter
+// (Q11), shortest_path (Q13, Q14) and path_enum (Q14). A span's rows are
+// the rows it hands to the next operator.
 #ifndef SNB_QUERIES_COMPLEX_QUERIES_H_
 #define SNB_QUERIES_COMPLEX_QUERIES_H_
 
@@ -24,10 +38,6 @@ namespace snb::queries {
 
 using store::GraphStore;
 using util::TimestampMs;
-
-// Q9's optional counters and operator profile (queries/query9_plans.h).
-struct Q9PlanStats;
-struct Q9OperatorProfile;
 
 // ---- Q1: friends with a given name ------------------------------------------
 
@@ -155,15 +165,10 @@ struct Q9Result {
 
 /// Most recent messages created before `max_date` by friends or
 /// friends-of-friends; top 20 by (date desc, id asc). The plan expands the
-/// circle, scans each member's newest `limit` messages before the date and
-/// keeps a top-`limit` heap. When `stats` / `profile` are non-null they
-/// receive the join cardinalities and the join1/join2/join3/sort_limit
-/// operator times of this same plan (hash_build stays untouched); the rows
-/// do not depend on them.
+/// circle (spans join1, join2) and runs Query9OverCircle on it (join3,
+/// sort_limit).
 std::vector<Q9Result> Query9(const GraphStore& store, schema::PersonId start,
-                             TimestampMs max_date, int limit = 20,
-                             Q9PlanStats* stats = nullptr,
-                             Q9OperatorProfile* profile = nullptr);
+                             TimestampMs max_date, int limit = 20);
 
 // ---- Q10: friend recommendation ---------------------------------------------------------------
 
@@ -243,6 +248,18 @@ std::vector<schema::PersonId> FriendIds(const GraphStore& store,
 /// Friends plus friends-of-friends, excluding `start` itself (sorted).
 std::vector<schema::PersonId> TwoHopCircle(const GraphStore& store,
                                            schema::PersonId start);
+
+/// Q9 after the circle expansion: each member's newest `limit` messages
+/// created before `max_date` (a binary search on the inline date column,
+/// no record loads) go straight into a top-`limit` heap (span join3), which
+/// is then drained (span sort_limit). Per member only its newest `limit`
+/// rows can reach the global top `limit`, and under the total order (date
+/// desc, id asc) the heap returns exactly what sort-then-cut would, for any
+/// member order. Query9Recycled runs it on a recycled circle.
+std::vector<Q9Result> Query9OverCircle(
+    const GraphStore& store, const store::ReadGuard& pin,
+    const std::vector<schema::PersonId>& circle, TimestampMs max_date,
+    int limit);
 
 }  // namespace snb::queries
 

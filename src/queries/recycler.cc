@@ -1,6 +1,5 @@
 #include "queries/recycler.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace snb::queries {
@@ -68,31 +67,7 @@ std::vector<Q9Result> Query9Recycled(const GraphStore& store,
   std::shared_ptr<const std::vector<schema::PersonId>> circle =
       recycler.Get(store, start);
   auto pin = store.ReadLock();
-  std::vector<Q9Result> candidates;
-  for (schema::PersonId pid : *circle) {
-    const store::PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    // Binary search the date-ordered per-creator message list; creation
-    // dates ride inline, so no message record is touched per probe.
-    auto messages = p->messages.view();
-    auto it = std::partition_point(
-        messages.begin(), messages.end(),
-        [&](const store::MessageEdge& e) { return e.date < max_date; });
-    size_t upper = static_cast<size_t>(it - messages.begin());
-    size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
-    for (size_t i = upper - take; i < upper; ++i) {
-      candidates.push_back({messages[i].id, pid, messages[i].date});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Q9Result& a, const Q9Result& b) {
-              if (a.creation_date != b.creation_date) {
-                return a.creation_date > b.creation_date;
-              }
-              return a.message_id < b.message_id;
-            });
-  if (static_cast<int>(candidates.size()) > limit) candidates.resize(limit);
-  return candidates;
+  return Query9OverCircle(store, pin, *circle, max_date, limit);
 }
 
 }  // namespace snb::queries

@@ -81,7 +81,8 @@ class TwoHopRecycler {
 };
 
 /// Query 9 on top of the recycler: identical results to Query9(), with the
-/// 2-hop retrieval recycled across invocations.
+/// 2-hop retrieval recycled across invocations and the rest of the plan
+/// shared with it (Query9OverCircle).
 std::vector<Q9Result> Query9Recycled(const GraphStore& store,
                                      TwoHopRecycler& recycler,
                                      schema::PersonId start,

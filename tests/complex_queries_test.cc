@@ -2,6 +2,7 @@
 // independent brute-force reference over the generated dataset.
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
+#include "obs/trace.h"
 #include "queries/complex_queries.h"
 #include "queries/query9_plans.h"
 #include "schema/dictionaries.h"
@@ -445,38 +447,49 @@ TEST_F(ComplexQueriesTest, Q9AllPlanVariantsAgree) {
          {JoinStrategy::kIndexNestedLoop, JoinStrategy::kHash}) {
       for (JoinStrategy j3 :
            {JoinStrategy::kIndexNestedLoop, JoinStrategy::kHash}) {
-        Q9PlanStats stats;
-        std::vector<Q9Result> plan_result = Query9WithPlan(
-            world().store, start, max_date, 20, j1, j2, j3, &stats);
+        obs::OperatorProfile profile;
+        std::vector<Q9Result> plan_result;
+        {
+          obs::ScopedOperatorProfile profiling(&profile);
+          plan_result = Query9WithPlan(world().store, start, max_date, 20,
+                                       j1, j2, j3);
+        }
         ASSERT_EQ(plan_result.size(), reference.size());
         for (size_t i = 0; i < plan_result.size(); ++i) {
           EXPECT_EQ(plan_result[i].message_id, reference[i].message_id);
         }
-        EXPECT_GT(stats.join1_output, 0u);
-        EXPECT_GT(stats.join2_output, 0u);
+        ASSERT_NE(profile.Find("join1"), nullptr);
+        ASSERT_NE(profile.Find("join2"), nullptr);
+        EXPECT_GT(profile.Find("join1")->rows, 0u);
+        EXPECT_GT(profile.Find("join2")->rows, 0u);
         // Hash plans scan the base relation to build.
+        const obs::OperatorStats* build = profile.Find("hash_build");
         if (j1 == JoinStrategy::kHash || j2 == JoinStrategy::kHash ||
             j3 == JoinStrategy::kHash) {
-          EXPECT_GT(stats.build_tuples, 0u);
+          ASSERT_NE(build, nullptr);
+          EXPECT_GT(build->rows, 0u);
         } else {
-          EXPECT_EQ(stats.build_tuples, 0u);
+          EXPECT_EQ(build, nullptr);
         }
       }
     }
   }
 }
 
-// Observing Q9 must not change its plan: the stats and profile sinks
-// attach to the same plan and leave the rows untouched.
-TEST_F(ComplexQueriesTest, Q9FillsPlanStatsWithoutChangingRows) {
+// Observing Q9 must not change its plan: an installed profile only starts
+// the spans' clocks and leaves the rows untouched.
+TEST_F(ComplexQueriesTest, Q9RowsDoNotDependOnAProfile) {
   util::TimestampMs max_date =
       util::kNetworkStartMs + 40 * util::kMillisPerMonth;
   for (PersonId start : {world().hub, PersonId{0}, PersonId{17}}) {
     std::vector<Q9Result> plain = Query9(world().store, start, max_date, 20);
-    Q9PlanStats stats;
-    Q9OperatorProfile profile;
-    std::vector<Q9Result> observed =
-        Query9(world().store, start, max_date, 20, &stats, &profile);
+    obs::OperatorProfile profile;
+    std::vector<Q9Result> observed;
+    {
+      obs::ScopedOperatorProfile profiling(&profile);
+      observed = Query9(world().store, start, max_date, 20);
+    }
+    EXPECT_FALSE(profile.rows().empty());
     ASSERT_EQ(observed.size(), plain.size()) << "person " << start;
     for (size_t i = 0; i < plain.size(); ++i) {
       EXPECT_EQ(observed[i].message_id, plain[i].message_id) << i;
@@ -484,25 +497,33 @@ TEST_F(ComplexQueriesTest, Q9FillsPlanStatsWithoutChangingRows) {
       EXPECT_EQ(observed[i].creation_date, plain[i].creation_date) << i;
     }
   }
+}
 
-  Q9PlanStats stats;
-  Q9OperatorProfile profile;
-  std::vector<Q9Result> rows =
-      Query9(world().store, world().hub, max_date, 20, &stats, &profile);
+TEST_F(ComplexQueriesTest, Q9SpansRunOncePerExecution) {
+  util::TimestampMs max_date =
+      util::kNetworkStartMs + 40 * util::kMillisPerMonth;
+  obs::OperatorProfile profile;
+  std::vector<Q9Result> rows;
+  {
+    obs::ScopedOperatorProfile profiling(&profile);
+    rows = Query9(world().store, world().hub, max_date, 20);
+  }
   EXPECT_FALSE(rows.empty());
-  EXPECT_GT(stats.join1_output, 0u);
-  EXPECT_GE(stats.join2_output, stats.join1_output);
-  EXPECT_GE(stats.join3_output, rows.size());
-  EXPECT_EQ(stats.build_tuples, 0u);
-  EXPECT_EQ(profile.join1.invocations, 1u);
-  EXPECT_EQ(profile.join1.rows, stats.join1_output);
-  EXPECT_EQ(profile.join2.invocations, 1u);
-  EXPECT_EQ(profile.join2.rows, stats.join2_output);
-  EXPECT_GT(profile.join3.invocations, 0u);
-  EXPECT_EQ(profile.join3.rows, stats.join3_output);
-  EXPECT_GT(profile.sort_limit.invocations, 0u);
-  EXPECT_GT(profile.sort_limit.rows, 0u);
-  EXPECT_EQ(profile.hash_build.invocations, 0u);
+  ASSERT_EQ(profile.rows().size(), 4u);
+  const char* const kOrder[] = {"join1", "join2", "join3", "sort_limit"};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_STREQ(profile.rows()[i].label, kOrder[i]);
+    EXPECT_EQ(profile.rows()[i].stats.invocations, 1u) << kOrder[i];
+  }
+  const obs::OperatorStats& join1 = *profile.Find("join1");
+  const obs::OperatorStats& join2 = *profile.Find("join2");
+  const obs::OperatorStats& join3 = *profile.Find("join3");
+  EXPECT_EQ(join1.rows, world().adjacency[world().hub].size());
+  EXPECT_GE(join2.rows, join1.rows);
+  // Each member hands at most its newest 20 rows to the heap.
+  EXPECT_GE(join3.rows, rows.size());
+  EXPECT_LE(join3.rows, 20 * TwoHopCircle(world().store, world().hub).size());
+  EXPECT_EQ(profile.Find("sort_limit")->rows, rows.size());
 }
 
 // ---- Q10 ---------------------------------------------------------------
@@ -668,6 +689,48 @@ TEST_F(ComplexQueriesTest, Q14SelfAndUnreachable) {
   ASSERT_EQ(self.size(), 1u);
   EXPECT_EQ(self[0].path.size(), 1u);
   EXPECT_TRUE(Query14(world().store, start, 999999).empty());
+}
+
+// ---- Operator profiles ----------------------------------------------------
+
+// Every complex read runs its plan under spans, so each one yields an
+// operator breakdown on a person with friends.
+TEST_F(ComplexQueriesTest, EveryQueryProfilesOnTheHub) {
+  const GraphStore& store = world().store;
+  PersonId hub = world().hub;
+  PersonId other = world().adjacency[hub].front();
+  util::TimestampMs date = util::kNetworkStartMs + 24 * util::kMillisPerMonth;
+  std::vector<bool> all_tags(world().dict->tags().size(), true);
+  std::vector<std::function<void()>> queries = {
+      [&] { Query1(store, hub, PersonById(other).first_name); },
+      [&] { Query2(store, hub, date); },
+      [&] {
+        Query3(store, hub, world().city_country, 0, 1,
+               util::kNetworkStartMs, 365);
+      },
+      [&] { Query4(store, hub, util::kNetworkStartMs, 365); },
+      [&] { Query5(store, hub, util::kNetworkStartMs); },
+      [&] { Query6(store, hub, 0); },
+      [&] { Query7(store, hub); },
+      [&] { Query8(store, hub); },
+      [&] { Query9(store, hub, date); },
+      [&] { Query10(store, hub, 1); },
+      [&] { Query11(store, hub, world().company_country, 0, 2020); },
+      [&] { Query12(store, hub, all_tags); },
+      [&] { Query13(store, hub, other); },
+      [&] { Query14(store, hub, other); },
+  };
+  for (size_t q = 0; q < queries.size(); ++q) {
+    obs::OperatorProfile profile;
+    {
+      obs::ScopedOperatorProfile profiling(&profile);
+      queries[q]();
+    }
+    EXPECT_FALSE(profile.rows().empty()) << "Q" << q + 1;
+    for (const obs::OperatorRow& row : profile.rows()) {
+      EXPECT_GE(row.stats.invocations, 1u) << "Q" << q + 1 << " " << row.label;
+    }
+  }
 }
 
 // ---- Helpers ------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Unit tests for the query plans' physical operators: the person bitmap
 // (DenseIdSet) against std::set, the flat hash map (HashMap64) against
 // std::unordered_map, the bounded TopK sink against
-// full-sort-then-truncate, and the store-backed operators (ExpandTwoHop,
-// MessageScanOperator) against brute-force references over a generated
-// dataset.
+// full-sort-then-truncate, and the two-hop expansion (ExpandTwoHop, with
+// the rows of its join1/join2 spans) against brute-force references over a
+// generated dataset.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -14,10 +14,10 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
-#include "exec/batch.h"
 #include "exec/dense_id_set.h"
 #include "exec/hash_join.h"
 #include "exec/operators.h"
+#include "obs/trace.h"
 #include "store/graph_store.h"
 #include "util/rng.h"
 
@@ -231,6 +231,13 @@ class ExecOperatorsTest : public ::testing::Test {
     return *w;
   }
 
+  /// Rows of `label` in `profile`; 0 when no span carried it.
+  static uint64_t Rows(const obs::OperatorProfile& profile,
+                       const char* label) {
+    const obs::OperatorStats* stats = profile.Find(label);
+    return stats == nullptr ? 0 : stats->rows;
+  }
+
   /// Brute-force two-hop circle: friends plus friends-of-friends, start
   /// excluded, sorted.
   static std::vector<uint64_t> ReferenceCircle(uint64_t start) {
@@ -255,8 +262,11 @@ TEST_F(ExecOperatorsTest, ExpandTwoHopMatchesBruteForce) {
     if (checked++ >= 40) break;
     std::vector<uint64_t> circle;
     DenseIdSet members(world().store.PersonIdBound());
-    TwoHopStats stats =
-        ExpandTwoHop(world().store, pin, p.id, &circle, &members);
+    obs::OperatorProfile profile;
+    {
+      obs::ScopedOperatorProfile profiling(&profile);
+      ExpandTwoHop(world().store, pin, p.id, &circle, &members);
+    }
     std::vector<uint64_t> expect = ReferenceCircle(p.id);
     EXPECT_EQ(circle, expect) << "person " << p.id;
     EXPECT_EQ(Members(members), expect) << "person " << p.id;
@@ -265,7 +275,7 @@ TEST_F(ExecOperatorsTest, ExpandTwoHopMatchesBruteForce) {
     EXPECT_EQ(without_set, expect) << "person " << p.id;
     auto it = world().adjacency.find(p.id);
     uint64_t direct = it == world().adjacency.end() ? 0 : it->second.size();
-    EXPECT_EQ(stats.direct, direct) << "person " << p.id;
+    EXPECT_EQ(Rows(profile, "join1"), direct) << "person " << p.id;
     // join2's Cout: one tuple per (friend, friend-of-friend) edge scanned.
     uint64_t fof_tuples = 0;
     if (it != world().adjacency.end()) {
@@ -274,7 +284,7 @@ TEST_F(ExecOperatorsTest, ExpandTwoHopMatchesBruteForce) {
         if (fit != world().adjacency.end()) fof_tuples += fit->second.size();
       }
     }
-    EXPECT_EQ(stats.fof_tuples, fof_tuples) << "person " << p.id;
+    EXPECT_EQ(Rows(profile, "join2"), fof_tuples) << "person " << p.id;
   }
 }
 
@@ -282,13 +292,16 @@ TEST_F(ExecOperatorsTest, ExpandTwoHopMissingPerson) {
   auto pin = world().store.ReadLock();
   std::vector<uint64_t> circle = {123};
   DenseIdSet members;
-  TwoHopStats stats = ExpandTwoHop(world().store, pin,
-                                   /*start=*/(uint64_t{1} << 39) + 7,
-                                   &circle, &members);
+  obs::OperatorProfile profile;
+  {
+    obs::ScopedOperatorProfile profiling(&profile);
+    ExpandTwoHop(world().store, pin, /*start=*/(uint64_t{1} << 39) + 7,
+                 &circle, &members);
+  }
   EXPECT_TRUE(circle.empty());
   EXPECT_EQ(members.size(), 0u);
-  EXPECT_EQ(stats.direct, 0u);
-  EXPECT_EQ(stats.fof_tuples, 0u);
+  // No start person, no join: the spans never open.
+  EXPECT_TRUE(profile.rows().empty());
 }
 
 TEST(ExpandTwoHopTest, PersonAddedAfterTheSetWasSizedJoinsTheCircle) {
@@ -311,86 +324,20 @@ TEST(ExpandTwoHopTest, PersonAddedAfterTheSetWasSizedJoinsTheCircle) {
 
   auto pin = store.ReadLock();
   std::vector<uint64_t> circle;
-  TwoHopStats stats = ExpandTwoHop(store, pin, 0, &circle, &members);
+  obs::OperatorProfile profile;
+  {
+    obs::ScopedOperatorProfile profiling(&profile);
+    ExpandTwoHop(store, pin, 0, &circle, &members);
+  }
   std::set<uint64_t> expect = {1, 2, 300};  // 0's friend 1, and 1's friends.
   EXPECT_EQ(circle, std::vector<uint64_t>(expect.begin(), expect.end()));
   EXPECT_EQ(Members(members), circle);
   EXPECT_FALSE(members.Contains(0));
   EXPECT_FALSE(members.Contains(3));
-  EXPECT_EQ(stats.direct, 1u);
-  EXPECT_EQ(stats.fof_tuples, 3u);  // 1's friends: 0, 2, 300.
-}
-
-TEST_F(ExecOperatorsTest, MessageScanMatchesBruteForce) {
-  // Per person: messages with date < max_date, date-ascending; only the
-  // newest min(count, limit) emitted, persons in list order.
-  auto pin = world().store.ReadLock();
-  std::vector<uint64_t> persons;
-  for (const schema::Person& p : world().dataset.bulk.persons) {
-    persons.push_back(p.id);
-  }
-  persons.push_back(99999999);  // Missing person: skipped, not fatal.
-  std::sort(persons.begin(), persons.end());
-
-  int64_t mid_date = world()
-                         .dataset.bulk
-                         .messages[world().dataset.bulk.messages.size() / 2]
-                         .creation_date;
-  for (size_t limit : {size_t{3}, size_t{20}, SIZE_MAX}) {
-    struct Row {
-      uint64_t id, person;
-      int64_t date;
-    };
-    std::vector<Row> expect;
-    for (uint64_t pid : persons) {
-      std::vector<Row> mine;
-      for (const schema::Message& m : world().dataset.bulk.messages) {
-        if (m.creator_id == pid && m.creation_date < mid_date) {
-          mine.push_back({m.id, pid, m.creation_date});
-        }
-      }
-      // Bulk messages are date-ascending, so `mine` already is; keep the
-      // newest `limit`.
-      size_t take = std::min(mine.size(), limit);
-      expect.insert(expect.end(), mine.end() - take, mine.end());
-    }
-
-    MessageScanOperator scan(world().store, pin, persons, mid_date, limit);
-    std::vector<Row> got;
-    Batch batch;
-    while (scan.Next(&batch)) {
-      ASSERT_LE(batch.size, kBatchCapacity);
-      for (size_t r = 0; r < batch.size; ++r) {
-        got.push_back({batch.a[r], batch.b[r], batch.date[r]});
-      }
-    }
-    EXPECT_EQ(scan.rows_emitted(), got.size());
-    ASSERT_EQ(got.size(), expect.size()) << "limit=" << limit;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, expect[i].id) << i;
-      EXPECT_EQ(got[i].person, expect[i].person) << i;
-      EXPECT_EQ(got[i].date, expect[i].date) << i;
-    }
-    // Exhausted operator stays exhausted.
-    EXPECT_FALSE(scan.Next(&batch));
-    EXPECT_EQ(batch.size, 0u);
-  }
-}
-
-TEST_F(ExecOperatorsTest, MessageScanEmptyCases) {
-  auto pin = world().store.ReadLock();
-  Batch batch;
-  std::vector<uint64_t> nobody;
-  MessageScanOperator empty_list(world().store, pin, nobody, 1 << 30, 10);
-  EXPECT_FALSE(empty_list.Next(&batch));
-
-  std::vector<uint64_t> persons = {world().dataset.bulk.persons[0].id};
-  MessageScanOperator no_dates(world().store, pin, persons,
-                               /*max_date_exclusive=*/0, 10);
-  EXPECT_FALSE(no_dates.Next(&batch));
-
-  MessageScanOperator zero_limit(world().store, pin, persons, 1LL << 60, 0);
-  EXPECT_FALSE(zero_limit.Next(&batch));
+  ASSERT_NE(profile.Find("join1"), nullptr);
+  ASSERT_NE(profile.Find("join2"), nullptr);
+  EXPECT_EQ(profile.Find("join1")->rows, 1u);
+  EXPECT_EQ(profile.Find("join2")->rows, 3u);  // 1's friends: 0, 2, 300.
 }
 
 }  // namespace

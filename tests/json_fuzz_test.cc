@@ -78,14 +78,6 @@ std::string ReportJson() {
   report.compliance.on_time_fraction = 0.99;
   report.compliance.lateness_histogram_ms = {{0.0, 99}, {128.0, 1}};
   report.compliance.per_op = {{"complex.Q9", 50, 1, 130.0}};
-  report.has_q9_profile = true;
-  report.q9_profile.plan = "production";
-  obs::OperatorEntry join;
-  join.name = "join1";
-  join.stats.invocations = 50;
-  join.stats.time_ns = 1000;
-  join.stats.rows = 500;
-  report.q9_profile.operators.push_back(join);
   report.has_validation = true;
   report.validation.passed = true;
   report.validation.golden_path = "golden.json";
@@ -99,6 +91,12 @@ std::string ReportJson() {
   dossier.op = obs::ComplexOp(9);
   dossier.seq = 3;
   dossier.latency_ns = 5000;
+  obs::OperatorRow join;
+  join.label = "join1";
+  join.stats.invocations = 1;
+  join.stats.time_ns = 1000;
+  join.stats.rows = 500;
+  dossier.operators.push_back(join);
   report.dossiers.push_back(dossier);
   report.has_trace_stats = true;
   report.trace_stats.recorded = 10;

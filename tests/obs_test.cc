@@ -1,8 +1,9 @@
 // Tests of the snb::obs subsystem: log-bucket histogram accuracy against
 // exact sample statistics, lock-free registry semantics under concurrency
-// (run under TSan via scripts/check.sh), TraceSpan engagement, the
-// report.json writer/parser round trip, and the Q9 operator profile's
-// consistency with the plan's cardinality counters.
+// (run under TSan via scripts/check.sh), the TraceSpan / OperatorProfile
+// span model, the report.json writer/parser round trip and validator, and
+// the Q9 plans' operator rows.
+#include <array>
 #include <cmath>
 #include <map>
 #include <string>
@@ -194,37 +195,109 @@ TEST(MetricsRegistryTest, NamesAreStable) {
 
 // ---- TraceSpan ------------------------------------------------------------
 
-TEST(TraceSpanTest, AccumulatesIntoSink) {
-  OperatorStats stats;
+TEST(TraceSpanTest, RecordsIntoTheInstalledProfile) {
+  OperatorProfile profile;
   {
-    TraceSpan span(&stats);
-    EXPECT_TRUE(span.engaged());
-    span.AddRows(5);
-    span.AddRows(2);
+    ScopedOperatorProfile profiling(&profile);
+    {
+      TraceSpan span("scan");
+      span.AddRows(5);
+      span.AddRows(2);
+    }
+    {
+      TraceSpan span("sort");
+      span.AddRows(1);
+    }
+    {
+      TraceSpan span("scan");
+      span.AddRows(3);
+    }
   }
-  {
-    TraceSpan span(&stats);
-    span.AddRows(3);
-  }
-  EXPECT_EQ(stats.invocations, 2u);
-  EXPECT_EQ(stats.rows, 10u);
-  EXPECT_GT(stats.time_ns, 0u);
+  // One row per label, in first-seen order; repeated labels accumulate.
+  ASSERT_EQ(profile.rows().size(), 2u);
+  EXPECT_STREQ(profile.rows()[0].label, "scan");
+  EXPECT_STREQ(profile.rows()[1].label, "sort");
+  const OperatorStats* scan = profile.Find("scan");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->invocations, 2u);
+  EXPECT_EQ(scan->rows, 10u);
+  EXPECT_GT(scan->time_ns, 0u);
+  EXPECT_EQ(profile.Find("sort")->invocations, 1u);
+  EXPECT_EQ(profile.Find("missing"), nullptr);
 
-  OperatorStats other;
-  other.invocations = 1;
-  other.rows = 90;
-  other.time_ns = 1000;
-  stats.Merge(other);
-  EXPECT_EQ(stats.invocations, 3u);
-  EXPECT_EQ(stats.rows, 100u);
+  std::vector<OperatorRow> rows = profile.TakeRows();
+  EXPECT_EQ(rows.size(), 2u);
+  EXPECT_TRUE(profile.rows().empty());
 }
 
-TEST(TraceSpanTest, NullSinkIsDisengaged) {
-  TraceSpan span(nullptr);
-  EXPECT_FALSE(span.engaged());
-  span.AddRows(7);  // Must be a harmless no-op.
-  TraceSpan default_constructed;
-  EXPECT_FALSE(default_constructed.engaged());
+TEST(TraceSpanTest, RecordsNothingWithoutAProfile) {
+  OperatorProfile profile;
+  {
+    TraceSpan span("scan");
+    span.AddRows(7);
+  }
+  {
+    // Closing the scope uninstalls the profile: later spans miss it.
+    ScopedOperatorProfile profiling(&profile);
+  }
+  {
+    TraceSpan span("scan");
+    span.AddRows(7);
+  }
+  EXPECT_TRUE(profile.rows().empty());
+}
+
+TEST(TraceSpanTest, NestedScopeRestoresTheOuterProfile) {
+  OperatorProfile outer;
+  OperatorProfile inner;
+  {
+    ScopedOperatorProfile outer_scope(&outer);
+    { TraceSpan span("before"); }
+    {
+      ScopedOperatorProfile inner_scope(&inner);
+      TraceSpan span("nested");
+    }
+    { TraceSpan span("after"); }
+  }
+  ASSERT_EQ(outer.rows().size(), 2u);
+  EXPECT_STREQ(outer.rows()[0].label, "before");
+  EXPECT_STREQ(outer.rows()[1].label, "after");
+  ASSERT_EQ(inner.rows().size(), 1u);
+  EXPECT_STREQ(inner.rows()[0].label, "nested");
+  { TraceSpan span("unprofiled"); }
+  EXPECT_EQ(outer.rows().size(), 2u);
+}
+
+TEST(TraceSpanTest, OuterSpanSurvivesInnerSpansAddingRows) {
+  // Labels need static storage; these strings live for the process.
+  static const std::array<std::string, 200> kLabels = [] {
+    std::array<std::string, 200> labels;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = "inner_" + std::to_string(i);
+    }
+    return labels;
+  }();
+  OperatorProfile profile;
+  {
+    ScopedOperatorProfile profiling(&profile);
+    TraceSpan outer("outer");
+    outer.AddRows(1);
+    // Each inner span adds a row while the outer one is open, so the
+    // profile grows far past any small initial capacity under it.
+    for (const std::string& label : kLabels) {
+      TraceSpan inner(label.c_str());
+      inner.AddRows(2);
+    }
+    outer.AddRows(1);
+  }
+  ASSERT_EQ(profile.rows().size(), kLabels.size() + 1);
+  EXPECT_STREQ(profile.rows()[0].label, "outer");
+  EXPECT_EQ(profile.rows()[0].stats.invocations, 1u);
+  EXPECT_EQ(profile.rows()[0].stats.rows, 2u);
+  for (size_t i = 0; i < kLabels.size(); ++i) {
+    EXPECT_EQ(profile.rows()[i + 1].stats.invocations, 1u) << i;
+    EXPECT_EQ(profile.rows()[i + 1].stats.rows, 2u) << i;
+  }
 }
 
 // ---- JSON parser ----------------------------------------------------------
@@ -281,14 +354,17 @@ RunReport MakeSampleReport() {
   report.driver.max_schedule_lag_ms = 42.0;
   report.driver.sustained = true;
   report.driver.lag_timeline_ms = {{0.0, 1.0}, {1.0, 42.0}};
-  report.has_q9_profile = true;
-  report.q9_profile.plan = "INL-INL-HASH (intended)";
-  OperatorEntry entry;
-  entry.name = "join1_friends";
-  entry.stats.invocations = 200;
-  entry.stats.time_ns = 5000000;
-  entry.stats.rows = 2400;
-  report.q9_profile.operators.push_back(entry);
+  SlowQueryDossier dossier;
+  dossier.op = ComplexOp(9);
+  dossier.seq = 7;
+  dossier.latency_ns = 20'000'000;
+  OperatorRow row;
+  row.label = "join1";
+  row.stats.invocations = 1;
+  row.stats.time_ns = 5'000'000;
+  row.stats.rows = 24;
+  dossier.operators.push_back(row);
+  report.dossiers.push_back(dossier);
   return report;
 }
 
@@ -318,12 +394,16 @@ TEST(ReportTest, JsonRoundTripPreservesStructure) {
   EXPECT_TRUE(driver->Find("sustained")->boolean);
   ASSERT_EQ(driver->Find("lag_timeline_ms")->array.size(), 2u);
 
-  const JsonValue* profile = v.Find("q9_profile");
-  ASSERT_NE(profile, nullptr);
-  EXPECT_EQ(profile->Find("plan")->string, "INL-INL-HASH (intended)");
-  ASSERT_EQ(profile->Find("operators")->array.size(), 1u);
-  EXPECT_EQ(profile->Find("operators")->array[0].Find("name")->string,
-            "join1_friends");
+  const JsonValue* dossiers = v.Find("dossiers");
+  ASSERT_NE(dossiers, nullptr);
+  ASSERT_EQ(dossiers->array.size(), 1u);
+  const JsonValue* operators = dossiers->array[0].Find("operators");
+  ASSERT_NE(operators, nullptr);
+  ASSERT_EQ(operators->array.size(), 1u);
+  EXPECT_EQ(operators->array[0].Find("name")->string, "join1");
+  EXPECT_DOUBLE_EQ(operators->array[0].Find("invocations")->number, 1.0);
+  EXPECT_DOUBLE_EQ(operators->array[0].Find("time_ms")->number, 5.0);
+  EXPECT_DOUBLE_EQ(operators->array[0].Find("rows")->number, 24.0);
 
   EXPECT_TRUE(ValidateReportJson(json).ok());
 }
@@ -363,6 +443,42 @@ TEST(ReportTest, ValidationCatchesBrokenReports) {
                    "\"count\":0,\"p50_ms\":1.0,\"p90_ms\":1.0,"
                    "\"p95_ms\":1.0,\"p99_ms\":1.0,\"max_ms\":1.0}]}")
                    .ok());
+}
+
+// Every dossier operator row must carry a name and non-negative counts;
+// an empty operators array (short reads, updates) stays valid.
+TEST(ReportTest, ValidatorChecksOperatorRowsInDossiers) {
+  std::string json = ToJson(MakeSampleReport());
+  ASSERT_TRUE(ValidateReportJson(json).ok());
+
+  auto with = [&json](const std::string& from, const std::string& to) {
+    size_t at = json.find(from, json.find("\"operators\""));
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string mutated = json;
+    if (at != std::string::npos) mutated.replace(at, from.size(), to);
+    return mutated;
+  };
+  // A negative time: the old value survives under another key, so the
+  // document still parses and only time_ms is wrong.
+  util::Status negative_time =
+      ValidateReportJson(with("\"time_ms\":", "\"time_ms\":-1,\"was\":"));
+  EXPECT_FALSE(negative_time.ok());
+  EXPECT_NE(negative_time.message().find("operator row"), std::string::npos)
+      << negative_time.ToString();
+  EXPECT_FALSE(
+      ValidateReportJson(with("\"rows\":", "\"rows\":-1,\"was\":")).ok());
+  EXPECT_FALSE(ValidateReportJson(
+                   with("\"invocations\":", "\"invocations\":-1,\"was\":"))
+                   .ok());
+  // No name.
+  EXPECT_FALSE(ValidateReportJson(with("\"name\":", "\"label\":")).ok());
+  // A name that is not a string.
+  EXPECT_FALSE(
+      ValidateReportJson(with("\"name\":\"join1\"", "\"name\":1")).ok());
+
+  RunReport report = MakeSampleReport();
+  report.dossiers[0].operators.clear();
+  EXPECT_TRUE(ValidateReportJson(ToJson(report)).ok());
 }
 
 TEST(ReportTest, PrometheusTextExposesSeries) {
@@ -794,81 +910,128 @@ TEST(TraceBufferTest, SchedArgsOnlyOnScheduledOps) {
   EXPECT_EQ(with_args, 1);
 }
 
-// ---- Q9 operator profile --------------------------------------------------
+// ---- Q9 plans' operator rows -------------------------------------------
 
-TEST(Q9ProfileTest, ProfileConsistentWithPlanStats) {
-  datagen::DatagenConfig config;
-  config.num_persons = 250;
-  config.split_update_stream = false;
-  datagen::Dataset dataset = datagen::Generate(config);
-  store::GraphStore store;
-  ASSERT_TRUE(store.BulkLoad(dataset.bulk).ok());
-  util::TimestampMs max_date =
-      util::kNetworkStartMs + 30 * util::kMillisPerMonth;
-
-  queries::Q9OperatorProfile inl_profile;
-  queries::Q9OperatorProfile hash_profile;
-  queries::Q9PlanStats stats_sum{};
-  int executions = 0;
-  std::vector<schema::PersonId> person_ids;
-  {
-    auto pin = store.ReadLock();
-    person_ids = store.PersonIds(pin);
+class Q9ProfileTest : public ::testing::Test {
+ protected:
+  static store::GraphStore& Store() {
+    static store::GraphStore* store = [] {
+      datagen::DatagenConfig config;
+      config.num_persons = 250;
+      config.split_update_stream = false;
+      datagen::Dataset dataset = datagen::Generate(config);
+      auto* s = new store::GraphStore();
+      EXPECT_TRUE(s->BulkLoad(dataset.bulk).ok());
+      return s;
+    }();
+    return *store;
   }
-  for (schema::PersonId p : person_ids) {
-    if (p % 23 != 0) continue;
-    queries::Q9PlanStats s{};
-    std::vector<queries::Q9Result> with_profile = queries::Query9WithPlan(
-        store, p, max_date, 20, queries::JoinStrategy::kIndexNestedLoop,
-        queries::JoinStrategy::kIndexNestedLoop,
-        queries::JoinStrategy::kIndexNestedLoop, &s, &inl_profile);
-    std::vector<queries::Q9Result> reference =
-        queries::Query9(store, p, max_date, 20);
-    ASSERT_EQ(with_profile.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(with_profile[i].message_id, reference[i].message_id);
+
+  static std::vector<schema::PersonId> Persons() {
+    std::vector<schema::PersonId> ids;
+    auto pin = Store().ReadLock();
+    for (schema::PersonId p : Store().PersonIds(pin)) {
+      if (p % 23 == 0) ids.push_back(p);
     }
-    (void)queries::Query9WithPlan(
-        store, p, max_date, 20, queries::JoinStrategy::kHash,
-        queries::JoinStrategy::kHash, queries::JoinStrategy::kHash, nullptr,
-        &hash_profile);
-    stats_sum.join1_output += s.join1_output;
-    stats_sum.join2_output += s.join2_output;
-    stats_sum.join3_output += s.join3_output;
-    ++executions;
+    return ids;
   }
-  ASSERT_GT(executions, 0);
 
-  // Operator row counts mirror the cardinality counters exactly.
-  EXPECT_EQ(inl_profile.join1.invocations, (uint64_t)executions);
-  EXPECT_EQ(inl_profile.join1.rows, stats_sum.join1_output);
-  EXPECT_EQ(inl_profile.join2.rows, stats_sum.join2_output);
-  EXPECT_EQ(inl_profile.join3.rows, stats_sum.join3_output);
-  // A pure-INL plan never builds a hash table; ProfileRows drops the row.
-  EXPECT_EQ(inl_profile.hash_build.invocations, 0u);
-  for (const auto& [name, op] : queries::ProfileRows(inl_profile)) {
-    EXPECT_NE(name, "hash_build");
-    EXPECT_GT(op.invocations, 0u);
+  /// The rows of one plan's spans over every sampled person.
+  static OperatorProfile RunPlan(queries::JoinStrategy j1,
+                                 queries::JoinStrategy j2,
+                                 queries::JoinStrategy j3) {
+    OperatorProfile profile;
+    ScopedOperatorProfile profiling(&profile);
+    for (schema::PersonId p : Persons()) {
+      (void)queries::Query9WithPlan(Store(), p, kMaxDate, 20, j1, j2, j3);
+    }
+    return profile;
   }
-  // The all-hash plan does build, and its profile keeps the row.
-  EXPECT_GT(hash_profile.hash_build.invocations, 0u);
 
-  obs::Q9ProfileSection section =
-      queries::MakeQ9ProfileSection(inl_profile, "INL-INL-INL");
-  EXPECT_EQ(section.plan, "INL-INL-INL");
-  EXPECT_EQ(section.operators.size(),
-            queries::ProfileRows(inl_profile).size());
+  static constexpr util::TimestampMs kMaxDate =
+      util::kNetworkStartMs + 30 * util::kMillisPerMonth;
+};
 
-  // And the section survives the JSON round trip inside a report.
+TEST_F(Q9ProfileTest, InlAndHashPlansAgreeOnJoinRows) {
+  using queries::JoinStrategy;
+  const size_t runs = Persons().size();
+  ASSERT_GT(runs, 0u);
+  OperatorProfile inl = RunPlan(JoinStrategy::kIndexNestedLoop,
+                                JoinStrategy::kIndexNestedLoop,
+                                JoinStrategy::kIndexNestedLoop);
+  OperatorProfile hash =
+      RunPlan(JoinStrategy::kHash, JoinStrategy::kHash, JoinStrategy::kHash);
+  for (const char* join : {"join1", "join2", "join3"}) {
+    ASSERT_NE(inl.Find(join), nullptr) << join;
+    ASSERT_NE(hash.Find(join), nullptr) << join;
+    EXPECT_EQ(inl.Find(join)->invocations, runs) << join;
+    EXPECT_EQ(hash.Find(join)->invocations, runs) << join;
+    EXPECT_EQ(inl.Find(join)->rows, hash.Find(join)->rows) << join;
+  }
+  EXPECT_GT(inl.Find("join1")->rows, 0u);
+  EXPECT_GE(inl.Find("join2")->rows, inl.Find("join1")->rows);
+  ASSERT_NE(inl.Find("sort_limit"), nullptr);
+  EXPECT_EQ(inl.Find("sort_limit")->invocations, runs);
+}
+
+TEST_F(Q9ProfileTest, HashBuildAppearsExactlyWithAHashJoin) {
+  using queries::JoinStrategy;
+  for (JoinStrategy j1 : {JoinStrategy::kIndexNestedLoop, JoinStrategy::kHash}) {
+    for (JoinStrategy j2 :
+         {JoinStrategy::kIndexNestedLoop, JoinStrategy::kHash}) {
+      for (JoinStrategy j3 :
+           {JoinStrategy::kIndexNestedLoop, JoinStrategy::kHash}) {
+        bool any_hash = j1 == JoinStrategy::kHash ||
+                        j2 == JoinStrategy::kHash ||
+                        j3 == JoinStrategy::kHash;
+        OperatorProfile profile = RunPlan(j1, j2, j3);
+        const OperatorStats* build = profile.Find("hash_build");
+        EXPECT_EQ(build != nullptr, any_hash)
+            << static_cast<int>(j1) << static_cast<int>(j2)
+            << static_cast<int>(j3);
+        if (build != nullptr) {
+          EXPECT_GT(build->rows, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(Q9ProfileTest, DossierWithProductionRowsRoundTrips) {
+  OperatorProfile profile;
+  {
+    ScopedOperatorProfile profiling(&profile);
+    (void)queries::Query9(Store(), Persons().front(), kMaxDate, 20);
+  }
+  SlowQueryDossier dossier;
+  dossier.op = ComplexOp(9);
+  dossier.latency_ns = 123'000;
+  dossier.operators = profile.TakeRows();
+  ASSERT_EQ(dossier.operators.size(), 4u);
+
   RunReport report;
   report.title = "q9 profile test";
   MetricsRegistry registry;
   registry.RecordLatencyMicros(ComplexOp(9), 123.0);
   report.metrics = registry.Snapshot();
-  report.has_q9_profile = true;
-  report.q9_profile = section;
+  report.dossiers.push_back(dossier);
   std::string json = ToJson(report);
-  EXPECT_TRUE(ValidateReportJson(json).ok());
+  ASSERT_TRUE(ValidateReportJson(json).ok());
+
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(json, &doc, &error)) << error;
+  const JsonValue* operators =
+      doc.Find("dossiers")->array[0].Find("operators");
+  ASSERT_NE(operators, nullptr);
+  ASSERT_EQ(operators->array.size(), dossier.operators.size());
+  for (size_t i = 0; i < dossier.operators.size(); ++i) {
+    const JsonValue& row = operators->array[i];
+    EXPECT_EQ(row.Find("name")->string, dossier.operators[i].label);
+    EXPECT_DOUBLE_EQ(row.Find("invocations")->number, 1.0);
+    EXPECT_DOUBLE_EQ(row.Find("rows")->number,
+                     static_cast<double>(dossier.operators[i].stats.rows));
+  }
 }
 
 }  // namespace

@@ -164,11 +164,14 @@ TEST(PerfBackendTest, NoopBackendStillTimesSpansWithoutCounters) {
   PerfReset reset;
   perf::SetPerfEventOpenErrnoForTest(EACCES);
   perf::Enable();
-  OperatorStats stats;
+  OperatorProfile profile;
   {
-    TraceSpan span(&stats);
+    ScopedOperatorProfile profiling(&profile);
+    TraceSpan span("scan");
     span.AddRows(7);
   }
+  ASSERT_EQ(profile.rows().size(), 1u);
+  const OperatorStats& stats = profile.rows()[0].stats;
   EXPECT_EQ(stats.invocations, 1u);
   EXPECT_EQ(stats.rows, 7u);
   EXPECT_EQ(stats.hw_invocations, 0u);
@@ -181,12 +184,15 @@ TEST(PerfBackendTest, LiveCountersMeasureRealWork) {
     GTEST_SKIP() << "perf_event_open unavailable here: "
                  << perf::BackendMessage();
   }
-  OperatorStats stats;
+  OperatorProfile profile;
   volatile uint64_t sink = 0;
   {
-    TraceSpan span(&stats);
+    ScopedOperatorProfile profiling(&profile);
+    TraceSpan span("loop");
     for (uint64_t i = 0; i < 2'000'000; ++i) sink = sink + i;
   }
+  ASSERT_NE(profile.Find("loop"), nullptr);
+  const OperatorStats& stats = *profile.Find("loop");
   ASSERT_EQ(stats.hw_invocations, 1u);
   ASSERT_TRUE(stats.hw.valid());
   // 2M additions retire at least 1M instructions on any ISA.
@@ -313,13 +319,13 @@ TEST(ReportV4Test, DossierAndTraceSectionsRoundTrip) {
 
   SlowQueryDossier d = MakeDossier(ComplexOp(9), 42, 7'000'000);
   d.hw = MakeCounts(1000, 2000, 3, 4);
-  DossierOperatorRow row;
-  row.name = "join3_messages";
-  row.invocations = 1;
-  row.time_ns = 5'000'000;
-  row.rows = 1234;
-  row.hw = MakeCounts(800, 1500);
-  row.hw_invocations = 1;
+  OperatorRow row;
+  row.label = "join3";
+  row.stats.invocations = 1;
+  row.stats.time_ns = 5'000'000;
+  row.stats.rows = 1234;
+  row.stats.hw = MakeCounts(800, 1500);
+  row.stats.hw_invocations = 1;
   d.operators.push_back(row);
   report.dossiers.push_back(d);
 
@@ -351,7 +357,7 @@ TEST(ReportV4Test, DossierAndTraceSectionsRoundTrip) {
   const JsonValue* operators = entry.Find("operators");
   ASSERT_NE(operators, nullptr);
   ASSERT_EQ(operators->array.size(), 1u);
-  EXPECT_EQ(operators->array[0].Find("name")->string, "join3_messages");
+  EXPECT_EQ(operators->array[0].Find("name")->string, "join3");
   EXPECT_EQ(operators->array[0].Find("rows")->number, 1234.0);
 
   const JsonValue* trace = doc.Find("trace");

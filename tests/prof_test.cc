@@ -237,16 +237,19 @@ TEST(ProfSamplingTest, TraceSpanLabelFlowsIntoFoldedStacks) {
     GTEST_SKIP() << "sampling unavailable here: " << prof::BackendMessage();
   }
   prof::ScopedThreadRegistration reg("test.span");
-  OperatorStats stats;
+  OperatorProfile profile;
   {
     // The TraceSpan label hook is the integration surface the query
-    // plans use — no direct prof:: calls in their code.
-    TraceSpan span(&stats, "span_label");
+    // plans use — no direct prof:: calls in their code. The installed
+    // profile and the profiler see the same span.
+    ScopedOperatorProfile profiling(&profile);
+    TraceSpan span("span_label");
     BurnCpuMs(200);
   }
   std::string folded = prof::ToFoldedText(prof::Collect());
   EXPECT_NE(folded.find("opr:span_label"), std::string::npos) << folded;
-  EXPECT_GT(stats.invocations, 0u);
+  ASSERT_NE(profile.Find("span_label"), nullptr);
+  EXPECT_EQ(profile.Find("span_label")->invocations, 1u);
 }
 
 // ---- Pure folded-data helpers (deterministic, no timers) ------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
+#include "obs/trace.h"
 #include "queries/bi_queries.h"
 #include "queries/complex_queries.h"
 #include "queries/query9_plans.h"
@@ -103,12 +104,18 @@ TEST(QueriesEdgeTest, Q9PlanVariantsOnTinyGraph) {
   ASSERT_TRUE(store.AddMessage(m).ok());
 
   for (JoinStrategy j : {JoinStrategy::kIndexNestedLoop, JoinStrategy::kHash}) {
-    Q9PlanStats stats;
-    auto rows = Query9WithPlan(store, 0, 10000, 20, j, j, j, &stats);
+    obs::OperatorProfile profile;
+    std::vector<Q9Result> rows;
+    {
+      obs::ScopedOperatorProfile profiling(&profile);
+      rows = Query9WithPlan(store, 0, 10000, 20, j, j, j);
+    }
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].message_id, 0u);
-    EXPECT_EQ(stats.join1_output, 1u);
-    EXPECT_EQ(stats.join3_output, 1u);
+    ASSERT_NE(profile.Find("join1"), nullptr);
+    ASSERT_NE(profile.Find("join3"), nullptr);
+    EXPECT_EQ(profile.Find("join1")->rows, 1u);
+    EXPECT_EQ(profile.Find("join3")->rows, 1u);
   }
   // Date cutoff excludes the message.
   EXPECT_TRUE(Query9(store, 0, 3000).empty());   // Strictly before.
