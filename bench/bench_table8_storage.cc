@@ -25,7 +25,8 @@ void Run() {
   std::printf("  %-34s %12.2f\n", "forum_person memberships",
               mb(b.membership_bytes));
   std::printf("  %-34s %12.2f\n", "knows edges", mb(b.friends_bytes));
-  std::printf("  %-34s %12.2f\n", "person attributes", mb(b.person_bytes));
+  std::printf("  %-34s %12.2f\n", "person attributes + name index",
+              mb(b.person_bytes));
   std::printf("  %-34s %12.2f\n", "forum attributes", mb(b.forum_bytes));
   std::printf("  %-34s %12.2f\n", "TOTAL", mb(b.Total()));
   std::printf("\n  CSV-GB equivalent of this dataset: %.4f GB\n",

@@ -97,38 +97,57 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
   const PersonRecord* root = store.FindPerson(pin, start);
   if (root == nullptr) return results;
 
+  // Persons within one hop and within two hops, the start person in both.
+  // Friend lists are symmetric, so a person outside two hops is at
+  // distance 3 exactly when one of its friends is inside.
+  const schema::PersonId bound = store.PersonIdBound();
+  exec::DenseIdSet one_hop(bound);
+  exec::DenseIdSet two_hops(bound);
   {
-    // 3-level BFS collecting name matches; the last level builds no
-    // frontier.
     obs::TraceSpan span("knows_bfs");
-    exec::DenseIdSet visited(store.PersonIdBound());
-    visited.Insert(start);
-    std::vector<PersonId> frontier = {start};
-    std::vector<PersonId> next;
-    for (uint32_t distance = 1; distance <= 3 && !frontier.empty();
-         ++distance) {
-      next.clear();
-      for (PersonId pid : frontier) {
-        const PersonRecord* p = store.FindPerson(pin, pid);
-        if (p == nullptr) continue;
-        for (const FriendEdge& e : p->friends.view()) {
-          if (!visited.Insert(e.other)) continue;
-          if (distance < 3) next.push_back(e.other);
-          const PersonRecord* candidate = store.FindPerson(pin, e.other);
-          if (candidate != nullptr &&
-              candidate->data.first_name == first_name) {
-            Q1Result r;
-            r.person_id = e.other;
-            r.distance = distance;
-            r.last_name = candidate->data.last_name;
-            r.city_id = candidate->data.city_id;
-            r.university_id = candidate->data.university_id;
-            r.company_id = candidate->data.company_id;
-            results.push_back(std::move(r));
-          }
+    one_hop.Insert(start);
+    two_hops.Insert(start);
+    auto friends = root->friends.view();
+    for (const FriendEdge& e : friends) {
+      one_hop.Insert(e.other);
+      two_hops.Insert(e.other);
+    }
+    for (const FriendEdge& e : friends) {
+      const PersonRecord* f = store.FindPerson(pin, e.other);
+      if (f == nullptr) continue;
+      for (const FriendEdge& g : f->friends.view()) two_hops.Insert(g.other);
+    }
+    span.AddRows(two_hops.size() - 1);  // The start person is no row.
+  }
+  {
+    // The persons who carry the name, placed by the two sets.
+    obs::TraceSpan span("name_probe");
+    for (PersonId pid : store.PersonsByFirstName(pin, first_name)) {
+      if (pid == start) continue;
+      const PersonRecord* p = store.FindPerson(pin, pid);
+      if (p == nullptr || p->data.first_name != first_name) continue;
+      uint32_t distance = 3;
+      if (one_hop.Contains(pid)) {
+        distance = 1;
+      } else if (two_hops.Contains(pid)) {
+        distance = 2;
+      } else {
+        auto friends = p->friends.view();
+        if (std::none_of(friends.begin(), friends.end(),
+                         [&](const FriendEdge& e) {
+                           return two_hops.Contains(e.other);
+                         })) {
+          continue;
         }
       }
-      frontier.swap(next);
+      Q1Result r;
+      r.person_id = pid;
+      r.distance = distance;
+      r.last_name = p->data.last_name;
+      r.city_id = p->data.city_id;
+      r.university_id = p->data.university_id;
+      r.company_id = p->data.company_id;
+      results.push_back(std::move(r));
     }
     span.AddRows(results.size());
   }

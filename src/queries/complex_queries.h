@@ -19,10 +19,12 @@
 //   join3        persons -> their created messages, up to the rows handed
 //                to the final ranking
 //   sort_limit   the final sort-and-cut (or top-k drain)
-// and the rest are query-specific: knows_bfs (Q1), forum_join and
-// post_count (Q5), likes_join (Q7), replies_join (Q8), company_filter
-// (Q11), shortest_path (Q13, Q14) and path_enum (Q14). A span's rows are
-// the rows it hands to the next operator.
+// and the rest are query-specific: knows_bfs (Q1, the persons one or two
+// hops away), name_probe (Q1, the persons who carry the name and lie
+// within three hops), forum_join and post_count (Q5), likes_join (Q7),
+// replies_join (Q8), company_filter (Q11), shortest_path (Q13, Q14) and
+// path_enum (Q14). A span's rows are the rows it hands to the next
+// operator.
 #ifndef SNB_QUERIES_COMPLEX_QUERIES_H_
 #define SNB_QUERIES_COMPLEX_QUERIES_H_
 
@@ -51,7 +53,11 @@ struct Q1Result {
 };
 
 /// Up to 20 persons named `first_name` within 3 Knows-hops of `start`,
-/// sorted by (distance, last_name, id).
+/// sorted by (distance, last_name, id). The plan expands two Knows levels
+/// from `start` (span knows_bfs), then takes the persons who carry the name
+/// from the store's first-name index and places each at distance 1 or 2 by
+/// those levels, or at 3 when one of its friends lies within them (span
+/// name_probe); the 3-hop ball is never walked.
 std::vector<Q1Result> Query1(const GraphStore& store, schema::PersonId start,
                              const std::string& first_name, int limit = 20);
 

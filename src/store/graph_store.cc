@@ -94,6 +94,10 @@ Status GraphStore::AddPerson(const Person& person) {
   }
   rec->data = person;
   rec->ready.store(1, std::memory_order_release);
+  // Indexed only once published, so a reader that finds the id in its
+  // bucket can resolve the record.
+  first_name_index_[FirstNameBucket(person.first_name)].push_back(person.id,
+                                                                  epoch_);
   num_persons_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
@@ -303,6 +307,10 @@ StorageBreakdown GraphStore::ComputeStorageBreakdown() const {
     b.likes_bytes += p->likes.capacity_bytes();
     b.message_bytes +=
         p->messages.capacity_bytes() + p->tags.capacity_bytes();
+  }
+  b.person_bytes += sizeof(first_name_index_);
+  for (const auto& bucket : first_name_index_) {
+    b.person_bytes += bucket.capacity_bytes();
   }
   uint64_t forum_bound = forums_.bound();
   for (uint64_t id = 0; id < forum_bound; ++id) {

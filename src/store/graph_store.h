@@ -29,6 +29,14 @@
 // edges before the pool; PersonRecord::created_messages() is the one place
 // that does, and the only way to read a span.
 //
+// First-name index: a fixed array of RcuVector buckets of person ids,
+// picked by a fixed hash of the first name (FirstNameBucket). Q1 reads the
+// persons who carry its name from it instead of walking the start person's
+// 3-hop ball. A bucket holds the persons of every name that hashes to it,
+// so a reader tests `data.first_name`. AddPerson appends the id after the
+// record's `ready` release-store, so every indexed id resolves through
+// FindPerson.
+//
 // Concurrency: one writer lock, many readers. Each Add* is one critical
 // section under the store's exclusive writer mutex: it checks every
 // reference under the lock, then writes, so concurrent writers serialize
@@ -60,10 +68,13 @@
 #ifndef SNB_STORE_GRAPH_STORE_H_
 #define SNB_STORE_GRAPH_STORE_H_
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <shared_mutex>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -218,7 +229,7 @@ struct StorageBreakdown {
   uint64_t likes_bytes = 0;        // Like edges (both directions).
   uint64_t membership_bytes = 0;   // forum_person edges (both directions).
   uint64_t friends_bytes = 0;      // Knows edges (both directions).
-  uint64_t person_bytes = 0;       // Person attributes.
+  uint64_t person_bytes = 0;       // Person attributes, first-name index.
   uint64_t forum_bytes = 0;        // Forum attributes.
 
   uint64_t Total() const {
@@ -333,6 +344,32 @@ class GraphStore {
     return m != nullptr && m->present() ? m : nullptr;
   }
 
+  /// The first-name index bucket `first_name` hashes to: the ids of every
+  /// present person with that first name, plus those of any person whose
+  /// name shares the bucket, so the caller tests `data.first_name`. Ids
+  /// are in AddPerson order and each resolves through FindPerson.
+  util::RcuVector<schema::PersonId>::View PersonsByFirstName(
+      const ReadGuard& /*pin*/, std::string_view first_name) const {
+    SNB_INVARIANT_ROOT("pinned_read");
+    return first_name_index_[FirstNameBucket(first_name)].view();
+  }
+
+  /// Number of first-name index buckets. A constant, not an option: the
+  /// index never rehashes, so a bucket never moves under a reader and a
+  /// name's bucket is the same in every store.
+  static constexpr size_t kFirstNameBuckets = 4096;
+  static_assert(std::has_single_bit(kFirstNameBuckets));
+
+  /// The index bucket of `first_name`: FNV-1a (64-bit), masked.
+  static constexpr size_t FirstNameBucket(std::string_view first_name) {
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (char c : first_name) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+    return static_cast<size_t>(hash & (kFirstNameBuckets - 1));
+  }
+
   /// True when a and b are friends (binary search on a's friend list).
   bool AreFriends(const ReadGuard& pin, schema::PersonId a,
                   schema::PersonId b) const;
@@ -432,6 +469,9 @@ class GraphStore {
   /// cost one null directory entry.
   DenseTable<ForumRecord> forums_;
   DenseTable<MessageRecord> messages_;
+  /// Person ids by FirstNameBucket(first_name), appended by AddPerson.
+  std::array<util::RcuVector<schema::PersonId>, kFirstNameBuckets>
+      first_name_index_;
 
   std::atomic<uint64_t> knows_version_{0};
   std::atomic<uint64_t> num_persons_{0};

@@ -1,6 +1,7 @@
 #include "validate/fuzz.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "obs/report.h"
@@ -55,7 +56,6 @@ std::vector<bool> TagClassVector(uint64_t tag_class) {
   return v;
 }
 
-const char* const kFirstNames[] = {"Ada", "Bela", "Chen", "Ada"};
 const char* const kLastNames[] = {"Ng", "Okafor", "Ng", "Petrov"};
 
 // ---- Backend dispatch -----------------------------------------------------
@@ -445,7 +445,7 @@ std::vector<FuzzBinding> BuildBindings(const schema::SocialNetwork& net,
     {
       FuzzBinding b = base;
       b.op = "complex.Q1";
-      b.name = kFirstNames[rng.NextBounded(4)];
+      b.name = kFuzzFirstNames[rng.NextBounded(std::size(kFuzzFirstNames))];
       bindings.push_back(b);
     }
     for (const char* op : {"complex.Q2", "complex.Q5", "complex.Q9"}) {
@@ -537,7 +537,8 @@ schema::SocialNetwork GenerateFuzzNetwork(uint64_t seed, int max_persons) {
   for (size_t i = 0; i < num_persons; ++i) {
     schema::Person p;
     p.id = i + 1;  // Dense ids 1..P.
-    p.first_name = kFirstNames[rng.NextBounded(4)];
+    p.first_name =
+        kFuzzFirstNames[rng.NextBounded(std::size(kFuzzFirstNames))];
     p.last_name = kLastNames[rng.NextBounded(4)];
     p.gender = static_cast<uint8_t>(rng.NextBounded(2));
     // Birthdays spread over ~4 years so every horoscope month occurs.

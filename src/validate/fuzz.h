@@ -35,6 +35,13 @@ struct FuzzConfig {
   int max_persons = 12;
 };
 
+/// First names of generated persons and of Q1 bindings ("Ada" twice, so it
+/// is the most common). "Marco" and "Ravi" share a first-name index bucket
+/// of the store, so Q1 must tell them apart by the record's name
+/// (validate_fuzz_test asserts the collision).
+inline constexpr const char* kFuzzFirstNames[] = {"Ada",  "Bela",  "Chen",
+                                                  "Ada",  "Marco", "Ravi"};
+
 /// One query binding — a superset of every query's parameters so bindings
 /// serialize uniformly into regression artifacts.
 struct FuzzBinding {

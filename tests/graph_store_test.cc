@@ -1,7 +1,9 @@
 // Tests for the transactional graph store.
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -300,14 +302,24 @@ TEST(GraphStoreTest, StorageBreakdownAccountsMajorStructures) {
 TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
   // Atomicity of every two-sided Add*: a frozen snapshot, which only the
   // shared-lock mode provides, must see each update whole or not at all,
-  // so both sides of every edge and the counters agree. The epoch mode's
-  // weaker per-object guarantees are covered by the test below and by
-  // concurrency_stress_test.
+  // so both sides of every edge, the first-name index and the counters
+  // agree. The epoch mode's weaker per-object guarantees are covered by
+  // the test below and by concurrency_stress_test.
   GraphStore store(ReadConcurrency::kGlobalLock);
   constexpr schema::PersonId kPersons = 50;
   constexpr schema::ForumId kForum = 1000;
+  // "Marco" and "Ravi" share an index bucket, so counting a name's
+  // carriers needs the record's name, not the bucket's size.
+  const std::string kNames[] = {"Ada", "Marco", "Ravi"};
+  ASSERT_EQ(GraphStore::FirstNameBucket(kNames[1]),
+            GraphStore::FirstNameBucket(kNames[2]));
+  auto named_person = [&](schema::PersonId id) {
+    Person p = MakePerson(id);
+    p.first_name = kNames[id % std::size(kNames)];
+    return p;
+  };
   for (schema::PersonId id = 0; id < kPersons; ++id) {
-    ASSERT_TRUE(store.AddPerson(MakePerson(id)).ok());
+    ASSERT_TRUE(store.AddPerson(named_person(id)).ok());
   }
   ASSERT_TRUE(store.AddForum(MakeForum(kForum, 0)).ok());
 
@@ -317,12 +329,25 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
   std::atomic<uint64_t> like_errors{0};
   std::atomic<uint64_t> member_errors{0};
   std::atomic<uint64_t> message_errors{0};
+  std::atomic<uint64_t> index_errors{0};
   std::thread reader([&] {
     // The last pass starts after the writer is done, so the final state
     // is checked even when the writer outruns the reader.
     for (bool done = false; !done;) {
       done = stop.load();
       auto pin = store.ReadLock();
+      uint64_t named = 0;
+      for (const std::string& name : kNames) {
+        for (schema::PersonId id : store.PersonsByFirstName(pin, name)) {
+          const PersonRecord* p = store.FindPerson(pin, id);
+          if (p == nullptr) {
+            index_errors.fetch_add(1);
+          } else if (p->data.first_name == name) {
+            ++named;
+          }
+        }
+      }
+      if (named != store.NumPersons()) index_errors.fetch_add(1);
       uint64_t friends = 0, person_likes = 0, person_forums = 0;
       uint64_t creator_edges = 0;
       for (schema::PersonId id = 0; id < kPersons; ++id) {
@@ -357,11 +382,13 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
       reads.fetch_add(1);
     }
   });
-  // Each round adds a friendship, a post, a membership, a comment on the
-  // post and three likes. The writer starts once the reader is running.
+  // Each round adds a person, a friendship, a post, a membership, a comment
+  // on the post and three likes. The writer starts once the reader is
+  // running.
   while (reads.load() == 0) std::this_thread::yield();
   for (schema::PersonId id = 1; id < kPersons; ++id) {
     util::TimestampMs date = 3000 + 2 * static_cast<int64_t>(id);
+    ASSERT_TRUE(store.AddPerson(named_person(kPersons + id)).ok());
     ASSERT_TRUE(store.AddFriendship({0, id, 100}).ok());
     ASSERT_TRUE(store.AddMessage(MakePost(id, id, kForum, date)).ok());
     ASSERT_TRUE(store.AddForumMembership({kForum, id, date}).ok());
@@ -378,6 +405,8 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
   EXPECT_EQ(like_errors.load(), 0u);
   EXPECT_EQ(member_errors.load(), 0u);
   EXPECT_EQ(message_errors.load(), 0u);
+  EXPECT_EQ(index_errors.load(), 0u);
+  EXPECT_EQ(store.NumPersons(), 99u);
   EXPECT_EQ(store.NumKnowsEdges(), 49u);
   EXPECT_EQ(store.NumMessages(), 98u);
   EXPECT_EQ(store.NumMemberships(), 49u);

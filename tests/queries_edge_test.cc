@@ -1,6 +1,8 @@
 // Edge-case tests for the read queries: missing entities, empty graphs,
 // boundary limits, and degenerate parameters.
 #include <memory>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -254,6 +256,71 @@ TEST_F(LoadedEdgeTest, LimitZeroIsEmptyForEveryLimitedQuery) {
     EXPECT_TRUE(Query10(store, p, 6, 0).empty());
     EXPECT_TRUE(Query11(store, p, company_country, 0, 2030, 0).empty());
     EXPECT_TRUE(Query12(store, p, tag_class, 0).empty());
+  }
+}
+
+// ---- Q1 on a hand-built graph -----------------------------------------------
+
+TEST(QueriesEdgeTest, Q1PlacesNameCarriersByDistance) {
+  // 0 - 1 - 4, 0 - 2 - 3 - 4, 2 - 5 - 6 - 7; 8 knows nobody; 9 and 10 are
+  // friends of 0. Persons 0, 1, 3, 4, 6, 7 and 8 are named "Nia"; 9 is
+  // "Marco" and 10 "Ravi", two names that share an index bucket.
+  schema::SocialNetwork net;
+  for (schema::PersonId id = 0; id <= 10; ++id) {
+    schema::Person p = MakePerson(id);
+    p.first_name = "Other";
+    p.last_name = "L" + std::to_string(id);
+    net.persons.push_back(p);
+  }
+  for (schema::PersonId id : {0u, 1u, 3u, 4u, 6u, 7u, 8u}) {
+    net.persons[id].first_name = "Nia";
+  }
+  net.persons[9].first_name = "Marco";
+  net.persons[10].first_name = "Ravi";
+  ASSERT_EQ(store::GraphStore::FirstNameBucket("Marco"),
+            store::GraphStore::FirstNameBucket("Ravi"));
+  const std::pair<schema::PersonId, schema::PersonId> edges[] = {
+      {0, 1}, {1, 4}, {0, 2}, {2, 3}, {3, 4},
+      {2, 5}, {5, 6}, {6, 7}, {0, 9}, {0, 10}};
+  for (auto [a, b] : edges) net.knows.push_back({a, b, 2000});
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(net).ok());
+
+  auto placed = [&](const std::string& name) {
+    std::vector<std::pair<schema::PersonId, uint32_t>> out;
+    for (const Q1Result& r : Query1(store, 0, name)) {
+      out.emplace_back(r.person_id, r.distance);
+    }
+    return out;
+  };
+  using Placed = std::vector<std::pair<schema::PersonId, uint32_t>>;
+  // 1 at one hop, 3 at two, 4 at two (not three: 0-2-3-4 is longer than
+  // 0-1-4), 6 at three. Excluded: the start person 0, 7 at four hops and
+  // the friendless 8.
+  EXPECT_EQ(placed("Nia"), (Placed{{1, 1}, {3, 2}, {4, 2}, {6, 3}}));
+  {
+    // knows_bfs rows are the persons one or two hops away (1, 2, 9, 10;
+    // 3, 4, 5), name_probe rows the matches.
+    obs::OperatorProfile profile;
+    obs::ScopedOperatorProfile profiling(&profile);
+    Query1(store, 0, "Nia");
+    ASSERT_NE(profile.Find("knows_bfs"), nullptr);
+    ASSERT_NE(profile.Find("name_probe"), nullptr);
+    EXPECT_EQ(profile.Find("knows_bfs")->rows, 7u);
+    EXPECT_EQ(profile.Find("name_probe")->rows, 4u);
+  }
+  // A shared bucket returns only the queried name.
+  EXPECT_EQ(placed("Marco"), (Placed{{9, 1}}));
+  EXPECT_EQ(placed("Ravi"), (Placed{{10, 1}}));
+  EXPECT_TRUE(placed("Zed").empty());
+
+  validate::Oracle oracle(net);
+  for (const char* name : {"Nia", "Marco", "Ravi", "Zed", "Other"}) {
+    for (schema::PersonId start : {0u, 5u, 7u, 8u}) {
+      EXPECT_EQ(validate::CanonicalRows(Query1(store, start, name)),
+                validate::CanonicalRows(oracle.Query1(start, name)))
+          << name << " from " << start;
+    }
   }
 }
 

@@ -1,8 +1,10 @@
 // Parameterized integration invariants: after loading a generated dataset
 // (bulk only, or bulk + replayed update stream) the store's index
 // structures must be mutually consistent at every scale.
+#include <algorithm>
 #include <map>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -197,6 +199,47 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
     }
   }
   EXPECT_EQ(via_creators, store().NumMessages());
+}
+
+/// One name per first-name bucket, so a test can read every bucket through
+/// PersonsByFirstName.
+std::vector<std::string> NamePerBucket() {
+  std::vector<std::string> names(GraphStore::kFirstNameBuckets);
+  size_t found = 0;
+  for (uint64_t i = 0; found < names.size(); ++i) {
+    std::string name = "n" + std::to_string(i);
+    std::string& slot = names[GraphStore::FirstNameBucket(name)];
+    if (slot.empty()) {
+      slot = std::move(name);
+      ++found;
+    }
+  }
+  return names;
+}
+
+TEST_P(StoreInvariantsTest, FirstNameIndexHoldsEveryPersonOnce) {
+  auto pin = store().ReadLock();
+  // Every present person sits exactly once in its own name's bucket.
+  for (schema::PersonId id : store().PersonIds(pin)) {
+    const PersonRecord* p = store().FindPerson(pin, id);
+    auto bucket = store().PersonsByFirstName(pin, p->data.first_name);
+    EXPECT_EQ(std::count(bucket.begin(), bucket.end(), id), 1)
+        << "person " << id;
+  }
+  // Every indexed id is a present person filed under its own name, and
+  // the buckets together hold NumPersons() ids.
+  uint64_t indexed = 0;
+  for (const std::string& probe : NamePerBucket()) {
+    for (schema::PersonId id : store().PersonsByFirstName(pin, probe)) {
+      const PersonRecord* p = store().FindPerson(pin, id);
+      ASSERT_NE(p, nullptr) << "indexed id " << id;
+      EXPECT_EQ(GraphStore::FirstNameBucket(p->data.first_name),
+                GraphStore::FirstNameBucket(probe))
+          << "person " << id;
+      ++indexed;
+    }
+  }
+  EXPECT_EQ(indexed, store().NumPersons());
 }
 
 TEST_P(StoreInvariantsTest, CountsMatchDatasetStats) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "store/graph_store.h"
 #include "validate/fuzz.h"
 
 namespace snb::validate {
@@ -45,6 +46,23 @@ TEST(FuzzGeneratorTest, CommentsReplyToEarlierMessages) {
       }
     }
   }
+}
+
+TEST(FuzzGeneratorTest, NamePoolSharesAFirstNameBucket) {
+  // Q1 reads candidates from the store's first-name index, whose buckets
+  // also hold other names that hash alike. Only a pool with two such names
+  // makes the differential check Q1's test on the record's name, so a hash
+  // change that separates them must change the pool too.
+  int shared = 0;
+  for (const char* a : kFuzzFirstNames) {
+    for (const char* b : kFuzzFirstNames) {
+      if (std::string(a) < b && store::GraphStore::FirstNameBucket(a) ==
+                                    store::GraphStore::FirstNameBucket(b)) {
+        ++shared;
+      }
+    }
+  }
+  EXPECT_GE(shared, 1);
 }
 
 // The acceptance gate: >= 200 random graphs, all 21 read queries, zero

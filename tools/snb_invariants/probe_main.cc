@@ -29,6 +29,8 @@ volatile auto g_find_person = &snb::store::GraphStore::FindPerson;
 volatile auto g_find_forum = &snb::store::GraphStore::FindForum;
 volatile auto g_find_message = &snb::store::GraphStore::FindMessage;
 volatile auto g_are_friends = &snb::store::GraphStore::AreFriends;
+volatile auto g_persons_by_first_name =
+    &snb::store::GraphStore::PersonsByFirstName;
 volatile auto g_record_latency = &snb::obs::MetricsRegistry::RecordLatencyNs;
 volatile auto g_add_counter = &snb::obs::MetricsRegistry::AddCounter;
 volatile auto g_record_hw = &snb::obs::MetricsRegistry::RecordHwCounts;
