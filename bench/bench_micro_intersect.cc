@@ -1,22 +1,21 @@
 // Microbenchmark of the sorted-set intersection kernels (src/exec):
-// branch-free scalar merge vs galloping vs SIMD vs the adaptive
-// Intersect() entry point, swept across list-length ratios from 1:1 to
+// branch-free scalar merge vs galloping vs the adaptive Intersect() entry
+// point, swept across list-length ratios from 1:1 to
 // 1:1000 — the shapes friend-of-friend expansion and mutual-friend
 // counting actually produce (comparable lists for two average persons,
 // extreme ratios when a hub's list meets a small circle).
 //
 // Every (ratio, kernel) cell is cross-checked against
 // std::set_intersection before timing; any divergence exits nonzero, so
-// the bench doubles as a correctness gate (scripts/check.sh runs it with
-// --smoke: small lists, one reported rep, full cross-check).
+// the bench doubles as a correctness gate (scripts/check.sh and CI run it
+// with --smoke: small lists, one reported rep, full cross-check).
 //
 // With --perf-counters every (ratio, kernel) cell additionally reports
 // hardware-counter columns (IPC, LLC misses and branch misses per kilo
 // instruction) from a perf_event group scoped to the timed loop, so the
-// scalar/gallop/SIMD crossover can be read micro-architecturally: the
-// galloping win past 1:64 shows up as fewer retired instructions, the
-// SIMD win as higher IPC at equal miss rates. Where perf_event_open is
-// denied the bench degrades to the wall-clock table.
+// scalar/gallop crossover can be read micro-architecturally: the
+// galloping win past 1:64 shows up as fewer retired instructions. Where
+// perf_event_open is denied the bench degrades to the wall-clock table.
 //
 // Usage: bench_micro_intersect [--smoke] [--perf-counters]
 #include <algorithm>
@@ -69,9 +68,7 @@ void PrintHwCell(const obs::perf::HwCounts& hw) {
 }
 
 int RunSweep(bool smoke, bool perf_counters) {
-  PrintHeader("micro: sorted-set intersection kernels (scalar/gallop/SIMD)");
-  std::printf("  simd available: %s\n",
-              exec::SimdAvailable() ? "yes (AVX2)" : "no (scalar fallback)");
+  PrintHeader("micro: sorted-set intersection kernels (scalar/gallop)");
   if (perf_counters) EnablePerfCounters();
 
   const size_t base = smoke ? 512 : 4096;
@@ -80,7 +77,6 @@ int RunSweep(bool smoke, bool perf_counters) {
   const Cell cells[] = {
       {"scalar", exec::IntersectScalar},
       {"gallop", exec::IntersectGalloping},
-      {"simd", exec::IntersectSimd},
       {"adaptive", exec::Intersect},
   };
 
@@ -143,8 +139,7 @@ int RunSweep(bool smoke, bool perf_counters) {
   std::printf(
       "\n  Expected shape: scalar wins near 1:1 (branch-free merge is\n"
       "  O(na+nb) but with tiny constants), galloping takes over past\n"
-      "  ~1:%zu (O(na log nb)); SIMD tracks scalar with a constant-factor\n"
-      "  win where supported. `adaptive` should ride the envelope.\n\n",
+      "  ~1:%zu (O(na log nb)). `adaptive` should ride the envelope.\n\n",
       exec::kGallopRatio);
   return 0;
 }

@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the store's primitive operations —
 // the building blocks whose costs compose into Tables 6/7/9 — plus the
 // snb::obs record path, and a closing Prometheus-style dump of the store's
-// health gauges (epoch reclamation, table occupancy, recycler hit rate).
+// health gauges (epoch reclamation, table occupancy) with the 2-hop
+// recycler's hit/miss/eviction counts.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -23,13 +24,6 @@ BenchWorld& SharedWorld() {
   return *world;
 }
 
-BenchWorld& GlobalLockWorld() {
-  static BenchWorld* world =
-      MakeWorld(kMediumSf, true, true, store::ReadConcurrency::kGlobalLock)
-          .release();
-  return *world;
-}
-
 // Per-operation snapshot acquisition: epoch pin vs. shared-mutex lock.
 // Run with ->Threads(8) this is the read-path scalability ablation in
 // miniature (bench_table5 has the end-to-end version with a live writer).
@@ -43,9 +37,9 @@ void BM_ReadLockEpoch(benchmark::State& state) {
 BENCHMARK(BM_ReadLockEpoch)->Threads(1)->Threads(8);
 
 void BM_ReadLockGlobal(benchmark::State& state) {
-  BenchWorld& world = GlobalLockWorld();
+  BenchWorld& world = SharedWorld();
   for (auto _ : state) {
-    auto pin = world.store.ReadLock();
+    auto pin = world.store.FrozenReadLock();
     benchmark::DoNotOptimize(world.store.FindPerson(pin, 7));
   }
 }
@@ -162,9 +156,10 @@ void BM_MetricsRecordLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsRecordLatency)->Threads(1)->Threads(8);
 
-// Store-health dump: exercise the recycler a little, then publish epoch,
-// occupancy, and recycler gauges into a registry and print the Prometheus
-// text exposition — the same gauges report.json carries after a driver run.
+// Store-health dump: exercise the recycler a little and print its counts,
+// then publish epoch and occupancy gauges into a registry and print the
+// Prometheus text exposition — the same gauges report.json carries after a
+// driver run.
 void DumpStoreGauges() {
   BenchWorld& world = SharedWorld();
   queries::TwoHopRecycler recycler(64);
@@ -178,9 +173,14 @@ void DumpStoreGauges() {
         queries::Query9Recycled(world.store, recycler, p, mid, 20));
   }
 
+  std::printf("\n--- 2-hop recycler ---\n"
+              "hits %llu misses %llu evictions %llu\n",
+              static_cast<unsigned long long>(recycler.hits()),
+              static_cast<unsigned long long>(recycler.misses()),
+              static_cast<unsigned long long>(recycler.evictions()));
+
   obs::MetricsRegistry registry;
   driver::PublishStoreMetrics(world.store, &registry);
-  recycler.PublishMetrics(&registry);
   std::printf("\n--- store health gauges (Prometheus exposition) ---\n%s",
               obs::ToPrometheusText(registry.Snapshot()).c_str());
 }

@@ -23,14 +23,15 @@ namespace {
 /// Read-path ablation: N reader threads hammer point reads (FindPerson +
 /// friend probe — the primitive under every short read) while one writer
 /// continuously inserts likes. Measures sustained reads/second per
-/// snapshot mode. The paper's premise (section 4.2) is that the driver is
-/// only as fast as the SUT lets concurrent clients be; a global reader
-/// lock caps exactly this number.
+/// snapshot: the store's epoch pin (ReadLock) or the pin plus the writer
+/// mutex held shared (FrozenReadLock). The paper's premise (section 4.2)
+/// is that the driver is only as fast as the SUT lets concurrent clients
+/// be; a global reader lock caps exactly this number.
 std::atomic<uint64_t> ablation_sink{0};
 
-double RunReadAblation(store::ReadConcurrency mode, int reader_threads,
+double RunReadAblation(bool frozen, int reader_threads,
                        std::chrono::milliseconds window) {
-  std::unique_ptr<BenchWorld> world = MakeWorld(kMediumSf, true, true, mode);
+  std::unique_ptr<BenchWorld> world = MakeWorld(kMediumSf, true, true);
   store::GraphStore& store = world->store;
   std::vector<schema::PersonId> persons;
   {
@@ -59,8 +60,13 @@ double RunReadAblation(store::ReadConcurrency mode, int reader_threads,
       while (!stop.load(std::memory_order_acquire)) {
         schema::PersonId pid = persons[cursor & kWindowMask];
         ++cursor;
-        auto pin = store.ReadLock();
-        sink += store.FindPerson(pin, pid) != nullptr;
+        if (frozen) {
+          auto pin = store.FrozenReadLock();
+          sink += store.FindPerson(pin, pid) != nullptr;
+        } else {
+          auto pin = store.ReadLock();
+          sink += store.FindPerson(pin, pid) != nullptr;
+        }
         ++reads;
       }
       ablation_sink.fetch_add(sink & 1, std::memory_order_relaxed);
@@ -134,12 +140,10 @@ AblationSample RunStoreMetricsAblation(BenchWorld& world,
 }
 
 double RunOnce(const std::vector<driver::Operation>& ops,
-               int64_t sleep_micros, uint32_t partitions,
-               driver::ExecutionMode mode) {
+               int64_t sleep_micros, uint32_t partitions) {
   driver::SleepingConnector connector(sleep_micros);
   driver::DriverConfig config;
   config.num_partitions = partitions;
-  config.mode = mode;
   driver::DriverReport report =
       driver::RunWorkload(ops, connector, config);
   if (report.operations_failed != 0) {
@@ -233,8 +237,7 @@ void Run() {
     std::printf("  %-12s",
                 sleep_us == 1000 ? "1ms" : "100us");
     for (uint32_t p : partition_counts) {
-      double rate = RunOnce(ops, sleep_us, p,
-                            driver::ExecutionMode::kSequentialForum);
+      double rate = RunOnce(ops, sleep_us, p);
       std::printf("%9.0f", rate);
     }
     std::printf("\n");
@@ -251,20 +254,31 @@ void Run() {
       workload.operations.begin(),
       workload.operations.begin() +
           std::min<size_t>(40000, workload.operations.size()));
+  // The strawman — every update tracked through T_GC — is the same
+  // stream rewritten, replayed by the sequential-forum driver.
+  const std::vector<driver::Operation> every_update_ops =
+      driver::TrackEveryUpdate(ablation_ops);
+  struct ModeRow {
+    const char* name;
+    driver::ExecutionMode mode;
+    const std::vector<driver::Operation>* ops;
+  };
+  const ModeRow rows[] = {
+      {"sequential-forum", driver::ExecutionMode::kSequentialForum,
+       &ablation_ops},
+      {"every-update-gct", driver::ExecutionMode::kSequentialForum,
+       &every_update_ops},
+      {"windowed", driver::ExecutionMode::kWindowed, &ablation_ops},
+  };
   std::printf("  %-18s %10s %14s %14s\n", "mode", "ops/s",
               "deps tracked", "T_GC waits");
-  for (driver::ExecutionMode mode :
-       {driver::ExecutionMode::kSequentialForum,
-        driver::ExecutionMode::kParallelGct,
-        driver::ExecutionMode::kWindowed}) {
+  for (const ModeRow& row : rows) {
     driver::SleepingConnector connector(100);
     driver::DriverConfig config;
     config.num_partitions = 8;
-    config.mode = mode;
-    driver::DriverReport r =
-        driver::RunWorkload(ablation_ops, connector, config);
-    std::printf("  %-18s %10.0f %14llu %14llu\n",
-                driver::ExecutionModeName(mode), r.ops_per_second,
+    config.mode = row.mode;
+    driver::DriverReport r = driver::RunWorkload(*row.ops, connector, config);
+    std::printf("  %-18s %10.0f %14llu %14llu\n", row.name, r.ops_per_second,
                 (unsigned long long)r.dependencies_tracked,
                 (unsigned long long)r.dependent_waits);
   }
@@ -282,11 +296,9 @@ void Run() {
   double epoch_rate = 0, lock_rate = 0;
   for (int i = 0; i < kTrials; ++i) {
     epoch_rate = std::max(
-        epoch_rate, RunReadAblation(store::ReadConcurrency::kEpoch,
-                                    kReaderThreads, kWindow));
+        epoch_rate, RunReadAblation(/*frozen=*/false, kReaderThreads, kWindow));
     lock_rate = std::max(
-        lock_rate, RunReadAblation(store::ReadConcurrency::kGlobalLock,
-                                   kReaderThreads, kWindow));
+        lock_rate, RunReadAblation(/*frozen=*/true, kReaderThreads, kWindow));
   }
   std::printf("  %-22s %14s\n", "mode", "point reads/s");
   std::printf("  %-22s %14.0f\n", "epoch (default)", epoch_rate);

@@ -5,9 +5,8 @@
 namespace snb::bench {
 
 std::unique_ptr<BenchWorld> MakeWorld(double scale_factor, bool load_updates,
-                                      bool split_update_stream,
-                                      store::ReadConcurrency read_mode) {
-  auto world = std::make_unique<BenchWorld>(read_mode);
+                                      bool split_update_stream) {
+  auto world = std::make_unique<BenchWorld>();
   datagen::DatagenConfig config =
       datagen::DatagenConfig::ForScaleFactor(scale_factor);
   config.split_update_stream = split_update_stream;

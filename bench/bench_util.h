@@ -27,10 +27,6 @@ inline constexpr double kLargeSf = 0.4;    // ~2400 persons.
 
 /// A generated dataset plus a bulk-loaded store, shared by query benches.
 struct BenchWorld {
-  explicit BenchWorld(
-      store::ReadConcurrency mode = store::ReadConcurrency::kEpoch)
-      : store(mode) {}
-
   datagen::Dataset dataset;
   std::unique_ptr<schema::Dictionaries> dictionaries;
   store::GraphStore store;
@@ -40,12 +36,10 @@ struct BenchWorld {
 
 /// Generates a world at the given mini scale factor. When `load_updates` is
 /// true the update stream is applied on top of the bulk load (full final
-/// state); otherwise the store holds the 32-month bulk image. `read_mode`
-/// picks the store's snapshot mechanism (epoch vs. global-lock ablation).
-std::unique_ptr<BenchWorld> MakeWorld(
-    double scale_factor, bool load_updates = true,
-    bool split_update_stream = true,
-    store::ReadConcurrency read_mode = store::ReadConcurrency::kEpoch);
+/// state); otherwise the store holds the 32-month bulk image.
+std::unique_ptr<BenchWorld> MakeWorld(double scale_factor,
+                                      bool load_updates = true,
+                                      bool split_update_stream = true);
 
 /// Prints a horizontal rule and a centered title.
 void PrintHeader(const std::string& title);
@@ -74,7 +68,7 @@ void EnableCpuProfiler();
 /// when non-empty. Call after the measured region, before WriteReport.
 void StampProfile(obs::RunReport* report, const std::string& path);
 
-/// Stamps build provenance (git SHA, compiler, SIMD, sanitizer) and —
+/// Stamps build provenance (git SHA, compiler, build type, sanitizer) and —
 /// once the perf subsystem has been enabled — the perf backend state
 /// into the report (schema snb-report-v4 superset fields).
 inline void StampProvenance(obs::RunReport* report) {

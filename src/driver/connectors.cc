@@ -64,17 +64,12 @@ StoreConnector::StoreConnector(
 }
 
 Status StoreConnector::Execute(const Operation& op) {
-  // In epoch mode, pin once for the whole operation: the guards taken
-  // inside each query then nest for free (a thread-local counter bump
-  // instead of an epoch publish), and the short-read walk spawned by a
-  // complex read runs under a single pin. Never wrap reads in a shared
-  // lock here — a nested shared_lock would deadlock against a waiting
-  // writer in kGlobalLock mode.
+  // Pin once for the whole read: the guards taken inside each query then
+  // nest for free (a thread-local counter bump instead of an epoch
+  // publish), and the short-read walk spawned by a complex read runs under
+  // a single pin.
   std::optional<store::ReadGuard> outer_pin;
-  if (op.type != OperationType::kUpdate &&
-      store_->read_concurrency() == store::ReadConcurrency::kEpoch) {
-    outer_pin = store_->ReadLock();
-  }
+  if (op.type != OperationType::kUpdate) outer_pin = store_->ReadLock();
   switch (op.type) {
     case OperationType::kComplexRead:
       return ExecuteComplex(op);

@@ -77,17 +77,9 @@ LocalDependencyService* GlobalDependencyService::AddStream() {
   return streams_.back().get();
 }
 
-void GlobalDependencyService::AddChild(DependencyWatermark* child) {
-  util::MutexLock lock(&mu_);
-  children_.push_back(child);
-}
-
 TimestampMs GlobalDependencyService::TGI() const {
   TimestampMs tgi = kTimeMax;
   for (const auto& lds : streams_) tgi = std::min(tgi, lds->TLI());
-  for (const DependencyWatermark* child : children_) {
-    tgi = std::min(tgi, child->WatermarkTLI());
-  }
   return tgi;
 }
 
@@ -100,10 +92,6 @@ TimestampMs GlobalDependencyService::TGC() const {
   for (const auto& lds : streams_) {
     tgi = std::min(tgi, lds->TLI());
     max_tlc = std::max(max_tlc, lds->TLC());
-  }
-  for (const DependencyWatermark* child : children_) {
-    tgi = std::min(tgi, child->WatermarkTLI());
-    max_tlc = std::max(max_tlc, child->WatermarkTLC());
   }
   if (tgi == kTimeMax) return max_tlc;
   return std::max<TimestampMs>(0, std::min(tgi - 1, max_tlc));

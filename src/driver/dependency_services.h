@@ -41,22 +41,9 @@ inline constexpr TimestampMs kTimeMax =
 
 class GlobalDependencyService;
 
-/// Anything exposing the (T_LI, T_LC) watermark pair: a stream-local
-/// service or a whole GlobalDependencyService — which is what makes GDS
-/// composable ("a GDS instance could track other GDS instances in the same
-/// manner as it tracks LDS instances", section 4.2).
-class DependencyWatermark {
- public:
-  virtual ~DependencyWatermark() = default;
-  /// No operation with a smaller timestamp will ever start. Monotone.
-  virtual TimestampMs WatermarkTLI() const = 0;
-  /// Every operation at or before this timestamp completed. Monotone.
-  virtual TimestampMs WatermarkTLC() const = 0;
-};
-
 /// Per-stream dependency bookkeeping. Thread-safe; one writer stream plus
 /// concurrent readers.
-class LocalDependencyService : public DependencyWatermark {
+class LocalDependencyService {
  public:
   LocalDependencyService() = default;
   LocalDependencyService(const LocalDependencyService&) = delete;
@@ -81,9 +68,6 @@ class LocalDependencyService : public DependencyWatermark {
   /// timestamp <= t has completed. Monotone.
   TimestampMs TLC() const;
 
-  TimestampMs WatermarkTLI() const override { return TLI(); }
-  TimestampMs WatermarkTLC() const override { return TLC(); }
-
  private:
   friend class GlobalDependencyService;
 
@@ -102,11 +86,9 @@ class LocalDependencyService : public DependencyWatermark {
   GlobalDependencyService* gds_ = nullptr;  // Notified on progress.
 };
 
-/// Aggregates watermark sources (LDS instances or child GDS instances);
-/// dependent operations wait on T_GC. T_GI/T_GC are exposed exactly as in
-/// Figure 7, and the service itself implements DependencyWatermark, so GDS
-/// trees model hierarchical/distributed driver deployments.
-class GlobalDependencyService : public DependencyWatermark {
+/// Aggregates the stream-local services; dependent operations wait on T_GC.
+/// T_GI/T_GC are exposed exactly as in Figure 7.
+class GlobalDependencyService {
  public:
   GlobalDependencyService() = default;
   GlobalDependencyService(const GlobalDependencyService&) = delete;
@@ -115,11 +97,6 @@ class GlobalDependencyService : public DependencyWatermark {
   /// Creates and registers a new stream-local service. All registrations
   /// must happen before execution starts.
   LocalDependencyService* AddStream();
-
-  /// Registers a child watermark source (typically another GDS) without
-  /// taking ownership. The child must outlive this service and must notify
-  /// progress through its own waiters; parents poll on progress events.
-  void AddChild(DependencyWatermark* child);
 
   /// Global Initiation Time: min over streams of T_LI.
   TimestampMs TGI() const;
@@ -139,20 +116,16 @@ class GlobalDependencyService : public DependencyWatermark {
   /// Wakes waiters; called by LDS on every progress event.
   void NotifyProgress();
 
-  TimestampMs WatermarkTLI() const override { return TGI(); }
-  TimestampMs WatermarkTLC() const override { return TGC(); }
-
  private:
   mutable util::Mutex mu_;
   // Waits on the MutexLock itself (BasicLockable) so the capability stays
   // analysable across the wait.
   std::condition_variable_any progress_;
-  // Mutated only during the registration phase (AddStream/AddChild, under
-  // mu_, before execution starts); TGI/TGC read them lock-free afterwards.
+  // Mutated only during the registration phase (AddStream, under mu_,
+  // before execution starts); TGI/TGC read it lock-free afterwards.
   // Deliberately not SNB_GUARDED_BY: the registration-then-frozen protocol
   // is the synchronisation, not the mutex.
   std::vector<std::unique_ptr<LocalDependencyService>> streams_;
-  std::vector<DependencyWatermark*> children_;
 };
 
 }  // namespace snb::driver

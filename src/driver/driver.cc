@@ -133,35 +133,27 @@ class Throttle {
 };
 
 uint32_t PartitionOf(const Operation& op, uint32_t num_partitions,
-                     ExecutionMode mode, uint64_t index) {
-  if (mode == ExecutionMode::kSequentialForum &&
-      op.forum_partition != schema::kInvalidId) {
+                     uint64_t index) {
+  if (op.forum_partition != schema::kInvalidId) {
     return static_cast<uint32_t>(util::Mix64(op.forum_partition) %
                                  num_partitions);
   }
   return static_cast<uint32_t>(index % num_partitions);
 }
 
-/// Stream loop shared by the sequential-forum and parallel-GCT modes
-/// (Figure 8 of the paper).
+/// Stream loop of the sequential-forum mode (Figure 8 of the paper).
 void RunStream(const std::vector<const Operation*>& ops,
-               Connector& connector, ExecutionMode mode,
-               LocalDependencyService* lds, GlobalDependencyService* gds,
-               const Throttle& throttle, RunState* state,
-               obs::MetricsRegistry* metrics, obs::TraceBuffer* trace) {
+               Connector& connector, LocalDependencyService* lds,
+               GlobalDependencyService* gds, const Throttle& throttle,
+               RunState* state, obs::MetricsRegistry* metrics,
+               obs::TraceBuffer* trace) {
   for (const Operation* op : ops) {
     // CPU burned anywhere in this iteration — dependency wait, throttle
     // spin, execution — is on behalf of this op; attribute all of it.
     obs::prof::ScopedOpContext prof_op(
         static_cast<uint16_t>(TraceOpType(*op)));
-    bool is_dependency =
-        op->is_dependency ||
-        (mode == ExecutionMode::kParallelGct &&
-         op->type == OperationType::kUpdate);
-    util::TimestampMs wait_for = mode == ExecutionMode::kParallelGct
-                                     ? op->dependency_time
-                                     : op->person_dependency_time;
-    if (is_dependency) {
+    const util::TimestampMs wait_for = op->person_dependency_time;
+    if (op->is_dependency) {
       lds->Initiate(op->due_time);
       state->dependencies_tracked.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -212,7 +204,7 @@ void RunStream(const std::vector<const Operation*>& ops,
     } else {
       state->RecordResult(connector.Execute(*op));
     }
-    if (is_dependency) lds->Complete(op->due_time);
+    if (op->is_dependency) lds->Complete(op->due_time);
   }
   lds->MarkTime(kTimeMax);
 }
@@ -258,7 +250,7 @@ DriverReport RunStreamed(const std::vector<Operation>& operations,
   uint32_t partitions = std::max<uint32_t>(config.num_partitions, 1);
   std::vector<std::vector<const Operation*>> streams(partitions);
   for (size_t i = 0; i < operations.size(); ++i) {
-    streams[PartitionOf(operations[i], partitions, config.mode, i)].push_back(
+    streams[PartitionOf(operations[i], partitions, i)].push_back(
         &operations[i]);
   }
 
@@ -281,8 +273,8 @@ DriverReport RunStreamed(const std::vector<Operation>& operations,
     workers.emplace_back([&, p] {
       std::string lane = "driver." + std::to_string(p);
       obs::prof::ScopedThreadRegistration prof_thread(lane.c_str());
-      RunStream(streams[p], connector, config.mode, lds[p], &gds, throttle,
-                &state, config.metrics, config.trace);
+      RunStream(streams[p], connector, lds[p], &gds, throttle, &state,
+                config.metrics, config.trace);
     });
   }
   for (std::thread& t : workers) t.join();
@@ -413,8 +405,6 @@ const char* ExecutionModeName(ExecutionMode mode) {
   switch (mode) {
     case ExecutionMode::kSequentialForum:
       return "sequential-forum";
-    case ExecutionMode::kParallelGct:
-      return "parallel-gct";
     case ExecutionMode::kWindowed:
       return "windowed";
   }

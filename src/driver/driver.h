@@ -1,7 +1,7 @@
 // The SNB-Interactive workload driver (paper section 4.2).
 //
 // Executes a due-time-ordered operation stream against a Connector using one
-// of three execution modes:
+// of two execution modes:
 //
 //  * kSequentialForum (the SNB default): forum-tree operations (forum,
 //    membership, post, comment, like) are partitioned by forum into streams
@@ -9,11 +9,11 @@
 //    all. Person-graph operations (add person, add friendship) are the
 //    Dependencies set, tracked via the Global Dependency Service; dependent
 //    operations wait until T_GC passes their person-graph dependency time.
-//
-//  * kParallelGct: no forum partitioning shortcut — every update is both a
-//    Dependency and a Dependent and all cross-operation ordering goes
-//    through T_GC. This is the "excessive synchronization" strawman the
-//    paper argues against; the mode exists for the ablation bench.
+//    Which operations are dependencies, what they wait on and how they
+//    partition is data on each Operation (driver/query_mix.h builds it), so
+//    the paper's "excessive synchronization" strawman — every update
+//    tracked through T_GC — is a rewritten stream (TrackEveryUpdate), not a
+//    mode.
 //
 //  * kWindowed: operations are grouped into windows of T_SAFE simulation
 //    time and executed window-by-window with a barrier. DATAGEN guarantees
@@ -44,7 +44,6 @@ namespace snb::driver {
 /// How the driver schedules dependent operations.
 enum class ExecutionMode {
   kSequentialForum,
-  kParallelGct,
   kWindowed,
 };
 

@@ -37,7 +37,9 @@ struct Operation {
   util::TimestampMs due_time = 0;
   /// Latest dependency timestamp (T_DEP); 0 when independent.
   util::TimestampMs dependency_time = 0;
-  /// T_DEP restricted to person-graph dependencies (see UpdateOperation).
+  /// What the sequential-forum driver waits on T_GC for: T_DEP restricted
+  /// to person-graph dependencies (see UpdateOperation), or the full T_DEP
+  /// in a TrackEveryUpdate stream.
   util::TimestampMs person_dependency_time = 0;
   /// Forum-tree partition key, or kInvalidId for person-graph ops / reads.
   schema::ForumId forum_partition = schema::kInvalidId;

@@ -77,6 +77,30 @@ double FrequencyLogScale(uint64_t num_persons) {
   return std::max(now / base, 0.1);
 }
 
+Operation MakeUpdateOperation(const datagen::UpdateOperation& update,
+                              uint32_t index) {
+  Operation op;
+  op.type = OperationType::kUpdate;
+  op.update_index = index;
+  op.update_kind = static_cast<uint8_t>(update.kind);
+  op.due_time = update.due_time;
+  op.dependency_time = update.dependency_time;
+  op.person_dependency_time = update.person_dependency_time;
+  op.forum_partition = update.forum_partition;
+  op.is_dependency = update.kind == datagen::UpdateKind::kAddPerson ||
+                     update.kind == datagen::UpdateKind::kAddFriendship;
+  return op;
+}
+
+std::vector<Operation> TrackEveryUpdate(std::vector<Operation> operations) {
+  for (Operation& op : operations) {
+    if (op.type == OperationType::kUpdate) op.is_dependency = true;
+    op.person_dependency_time = op.dependency_time;
+    op.forum_partition = schema::kInvalidId;
+  }
+  return operations;
+}
+
 Workload BuildWorkload(const datagen::Dataset& dataset,
                        const schema::Dictionaries& dictionaries,
                        const QueryMixConfig& config) {
@@ -174,20 +198,8 @@ Workload BuildWorkload(const datagen::Dataset& dataset,
   if (config.include_updates) {
     for (size_t i = 0; i < dataset.updates.size(); ++i) {
       const datagen::UpdateOperation& u = dataset.updates[i];
-      Operation op;
-      op.type = OperationType::kUpdate;
-      op.update_index = static_cast<uint32_t>(i);
-      op.update_kind = static_cast<uint8_t>(u.kind);
-      op.due_time = u.due_time;
-      op.dependency_time = u.dependency_time;
-      op.person_dependency_time = u.person_dependency_time;
-      op.forum_partition = u.forum_partition;
-      // Person-graph operations are what other operations depend on across
-      // streams; forum-tree dependencies are captured by sequential
-      // per-forum execution.
-      op.is_dependency = u.kind == datagen::UpdateKind::kAddPerson ||
-                         u.kind == datagen::UpdateKind::kAddFriendship;
-      workload.operations.push_back(op);
+      workload.operations.push_back(
+          MakeUpdateOperation(u, static_cast<uint32_t>(i)));
       ++workload.num_updates;
 
       if (config.include_complex_reads) {

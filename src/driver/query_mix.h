@@ -53,6 +53,21 @@ struct Workload {
   uint64_t num_complex_reads = 0;
 };
 
+/// The driver operation for update `index` of an update stream: its due and
+/// dependency times and forum partition, and whether other operations
+/// depend on it. Person-graph updates (add person, add friendship) are the
+/// dependencies other streams wait on; forum-tree dependencies are captured
+/// by sequential per-forum execution.
+Operation MakeUpdateOperation(const datagen::UpdateOperation& update,
+                              uint32_t index);
+
+/// The "excessive synchronization" strawman of section 4.2 as a stream:
+/// every update becomes a dependency, every operation waits on its full
+/// dependency_time and none keeps a forum partition, so the
+/// sequential-forum driver orders all updates through T_GC. Table 5's
+/// execution-mode ablation replays it.
+std::vector<Operation> TrackEveryUpdate(std::vector<Operation> operations);
+
 /// Builds the interleaved update + complex-read operation stream for
 /// `dataset`. Complex-read person parameters are curated from the dataset's
 /// generation statistics (section 4.1); date/tag/country parameters derive

@@ -4,22 +4,6 @@
 
 namespace snb::exec {
 
-#if defined(SNB_EXEC_HAVE_AVX2)
-// Defined in intersect_avx2.cc, the only translation unit built -mavx2.
-size_t IntersectAvx2(const uint64_t* a, size_t na, const uint64_t* b,
-                     size_t nb, uint64_t* out);
-#endif
-
-bool SimdAvailable() {
-#if defined(SNB_EXEC_HAVE_AVX2) && defined(__GNUC__)
-  // CPUID is not free; resolve once. The answer cannot change mid-process.
-  static const bool available = __builtin_cpu_supports("avx2");
-  return available;
-#else
-  return false;
-#endif
-}
-
 size_t IntersectScalar(const uint64_t* a, size_t na, const uint64_t* b,
                        size_t nb, uint64_t* out) {
   size_t i = 0, j = 0, k = 0;
@@ -74,20 +58,12 @@ size_t IntersectGalloping(const uint64_t* a, size_t na, const uint64_t* b,
   return k;
 }
 
-size_t IntersectSimd(const uint64_t* a, size_t na, const uint64_t* b,
-                     size_t nb, uint64_t* out) {
-#if defined(SNB_EXEC_HAVE_AVX2)
-  if (SimdAvailable()) return IntersectAvx2(a, na, b, nb, out);
-#endif
-  return IntersectScalar(a, na, b, nb, out);
-}
-
 size_t Intersect(const uint64_t* a, size_t na, const uint64_t* b, size_t nb,
                  uint64_t* out) {
   if (na > nb) return Intersect(b, nb, a, na, out);
   if (na == 0) return 0;
   if (nb / na >= kGallopRatio) return IntersectGalloping(a, na, b, nb, out);
-  return IntersectSimd(a, na, b, nb, out);
+  return IntersectScalar(a, na, b, nb, out);
 }
 
 size_t IntersectCount(const uint64_t* a, size_t na, const uint64_t* b,

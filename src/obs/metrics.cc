@@ -40,9 +40,6 @@ const char* const kGaugeNames[kNumGauges] = {
     "epoch.retired_total",
     "epoch.freed_total",
     "epoch.pending",
-    "recycler.hits",
-    "recycler.misses",
-    "recycler.evictions",
     "store.person_slots_used",
     "store.person_slots_allocated",
     "store.forum_slots_used",

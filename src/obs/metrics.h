@@ -22,8 +22,8 @@
 // no map lookup per record. OpType covers the 29 SNB operation types plus
 // driver-internal series (scheduling lag, T_GC waits); Counter and Gauge
 // cover the subsystems that already counted things but surfaced nothing
-// (epoch advances and retired-buffer backlog, recycler hits/misses/
-// evictions, DenseTable occupancy, dependency-service traffic).
+// (epoch advances and retired-buffer backlog, DenseTable occupancy,
+// dependency-service traffic).
 #ifndef SNB_OBS_METRICS_H_
 #define SNB_OBS_METRICS_H_
 
@@ -90,9 +90,6 @@ enum class Gauge : uint16_t {
   kEpochRetired,            // Objects ever retired to the limbo list.
   kEpochFreed,              // Objects reclaimed out of the limbo list.
   kEpochPending,            // Retired-but-unfreed backlog right now.
-  kRecyclerHits,
-  kRecyclerMisses,
-  kRecyclerEvictions,
   kPersonSlotsUsed,         // Live records vs chunk capacity: DenseTable
   kPersonSlotsAllocated,    // occupancy per entity table.
   kForumSlotsUsed,

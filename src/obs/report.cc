@@ -23,9 +23,6 @@
 #ifndef SNB_PROVENANCE_SANITIZE
 #define SNB_PROVENANCE_SANITIZE "none"
 #endif
-#ifndef SNB_PROVENANCE_SIMD
-#define SNB_PROVENANCE_SIMD 0
-#endif
 
 namespace snb::obs {
 namespace {
@@ -573,9 +570,6 @@ std::string ToJson(const RunReport& report) {
     AppendKey(&out, "build_type");
     AppendEscaped(&out, p.build_type);
     out += ",";
-    AppendKey(&out, "simd");
-    out += p.simd ? "true" : "false";
-    out += ",";
     AppendKey(&out, "sanitizer");
     AppendEscaped(&out, p.sanitizer);
     out += "}";
@@ -746,7 +740,6 @@ ProvenanceSection BuildProvenance() {
   p.git_sha = SNB_PROVENANCE_GIT_SHA;
   p.compiler = SNB_PROVENANCE_COMPILER;
   p.build_type = SNB_PROVENANCE_BUILD_TYPE;
-  p.simd = SNB_PROVENANCE_SIMD != 0;
   p.sanitizer = SNB_PROVENANCE_SANITIZE;
   if (p.sanitizer.empty()) p.sanitizer = "none";
   return p;

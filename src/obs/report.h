@@ -141,7 +141,6 @@ struct ProvenanceSection {
   std::string git_sha;     // HEAD at configure time; "unknown" outside git.
   std::string compiler;    // e.g. "GNU 13.2.0".
   std::string build_type;  // CMAKE_BUILD_TYPE; may be empty.
-  bool simd = false;       // SNB_SIMD at build time.
   std::string sanitizer;   // SNB_SANITIZE value or "none".
 };
 

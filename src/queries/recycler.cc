@@ -10,7 +10,7 @@ std::shared_ptr<const std::vector<schema::PersonId>> TwoHopRecycler::Get(
   // entry is stored under the older version and simply recomputed next
   // time — stale entries are never served because the stored version must
   // match the current one at lookup.
-  uint64_t version = store.KnowsVersion();
+  uint64_t version = store.NumKnowsEdges();
   {
     util::MutexLock lock(&mu_);
     auto it = cache_.find(person);

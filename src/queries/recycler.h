@@ -5,8 +5,10 @@
 // the Person domain is small, so partial results of "high value" — large,
 // expensive, frequently recomputed — are worth caching across queries. The
 // recycler caches 2-hop circles keyed by person and invalidates them
-// through the store's Knows-graph version (any new friendship could extend
-// any circle, so invalidation is conservative and global).
+// through the store's Knows-edge count: friendships are insert-only, so the
+// count changes exactly when the Knows graph does (any new friendship could
+// extend any circle, so invalidation is conservative and global). Not on
+// the driver path: bench_recycling_ablation measures it against Query9.
 #ifndef SNB_QUERIES_RECYCLER_H_
 #define SNB_QUERIES_RECYCLER_H_
 
@@ -16,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "queries/complex_queries.h"
@@ -37,7 +38,7 @@ class TwoHopRecycler {
   TwoHopRecycler& operator=(const TwoHopRecycler&) = delete;
 
   /// The 2-hop circle of `person` (excluding the person, sorted), recycled
-  /// when the Knows graph has not changed since it was computed.
+  /// when no friendship has been added since it was computed.
   std::shared_ptr<const std::vector<schema::PersonId>> Get(
       const GraphStore& store, schema::PersonId person);
 
@@ -49,17 +50,9 @@ class TwoHopRecycler {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Publishes hits/misses/evictions as registry gauges. No-op when
-  /// `metrics` is null.
-  void PublishMetrics(obs::MetricsRegistry* metrics) const {
-    if (metrics == nullptr) return;
-    metrics->SetGauge(obs::Gauge::kRecyclerHits, hits());
-    metrics->SetGauge(obs::Gauge::kRecyclerMisses, misses());
-    metrics->SetGauge(obs::Gauge::kRecyclerEvictions, evictions());
-  }
-
  private:
   struct Entry {
+    /// GraphStore::NumKnowsEdges() when the circle was computed.
     uint64_t version = 0;
     /// Second-chance bit: set on hit, cleared when the hand sweeps by.
     bool referenced = false;

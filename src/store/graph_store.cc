@@ -27,16 +27,15 @@ Status BadId(const char* what, uint64_t id) {
 
 }  // namespace
 
-GraphStore::GraphStore(ReadConcurrency mode)
-    : mode_(mode), epoch_(util::EpochManager::Global()) {}
+GraphStore::GraphStore() : epoch_(util::EpochManager::Global()) {}
 
 // ---- Public transactional API ----------------------------------------------
 //
 // Each transaction takes the writer lock once, checks every record it
-// references, then writes. A kGlobalLock reader takes the same lock
+// references, then writes. A FrozenReadLock() reader takes the same lock
 // shared, so it sees a transaction whole or not at all.
 //
-// Publication order is what makes kEpoch readers safe: a record's payload
+// Publication order is what makes epoch-pinned readers safe: a record's payload
 // is stored, then its `ready` flag release-published, and only then is its
 // id linked into adjacency lists (whose RcuVector appends are themselves
 // release stores). A reader that can see an id in any list therefore sees
@@ -114,7 +113,6 @@ Status GraphStore::AddFriendship(const Knows& knows) {
   p2->friends.insert_sorted({knows.person1_id, knows.creation_date},
                             kFriendLess, epoch_);
   num_knows_.fetch_add(1, std::memory_order_release);
-  knows_version_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -210,10 +208,10 @@ Status GraphStore::AddMessage(const Message& message) {
   creator->tags.append(tags.data(), tags.size(), epoch_);
   // Keep the creator's message list sorted by (date, id) regardless of
   // application order. Q2/Q9 binary-search this list by date and S2 walks
-  // it newest-first; the windowed and parallel-GCT drivers may apply two
-  // messages of one creator out of due-time order when they fall into
-  // different forum partitions, so insertion — not arrival — establishes
-  // the invariant. Datagen streams are mostly ordered, so this is an O(1)
+  // it newest-first; the windowed driver and a TrackEveryUpdate stream may
+  // apply two messages of one creator out of due-time order when they run
+  // on different streams, so insertion — not arrival — establishes the
+  // invariant. Datagen streams are mostly ordered, so this is an O(1)
   // append except for the rare cross-partition inversion.
   creator->messages.insert_sorted(
       edge,

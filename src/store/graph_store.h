@@ -40,27 +40,24 @@
 // Concurrency: one writer lock, many readers. Each Add* is one critical
 // section under the store's exclusive writer mutex: it checks every
 // reference under the lock, then writes, so concurrent writers serialize
-// and each update is applied whole. The read path depends on the store's
-// ReadConcurrency mode:
+// and each update is applied whole. Readers never touch the writer mutex.
+// ReadLock() returns a ReadGuard holding one EpochPin (two uncontended
+// atomic ops on a thread-private cache line — see util/epoch.h) and every
+// shared structure is published RCU-style: entity records live at stable
+// addresses in chunked DenseTables, adjacency lists are RcuVectors whose
+// buffers embed their element count, and a record becomes visible only
+// after its `ready` flag is release-stored — *before* the record's id is
+// linked into any adjacency list, so a reader can always resolve every id
+// it can see. Updates are insert-only single statements, which is why
+// these per-object snapshots preserve the paper's observation that
+// "systems providing snapshot isolation behave identically to
+// serializable" for this workload (section 4); DESIGN.md spells out the
+// argument.
 //
-//   * kEpoch (default): readers never touch the writer mutex. ReadLock()
-//     returns a ReadGuard holding one EpochPin (two uncontended atomic ops
-//     on a thread-private cache line — see util/epoch.h) and every shared
-//     structure is published RCU-style: entity records live at stable
-//     addresses in chunked DenseTables, adjacency lists are RcuVectors
-//     whose buffers embed their element count, and a record becomes
-//     visible only after its `ready` flag is release-stored — *before*
-//     the record's id is linked into any adjacency list, so a reader can
-//     always resolve every id it can see. Updates are insert-only single
-//     statements, which is why these per-object snapshots preserve the
-//     paper's observation that "systems providing snapshot isolation
-//     behave identically to serializable" for this workload (section 4);
-//     DESIGN.md spells out the argument.
-//   * kGlobalLock: the pre-epoch behaviour — ReadLock() additionally takes
-//     the writer mutex shared, so a reader sees each update whole or not
-//     at all. Retained as the ablation baseline for
-//     bench_table5_driver_scalability and for tests that want a frozen
-//     whole-store snapshot.
+// FrozenReadLock() additionally holds the writer mutex shared, so no Add*
+// runs while its guard lives and the reader sees each update whole or not
+// at all. It is not on the production read path: the atomicity test and
+// the read-path ablation benches (epoch pin vs. shared lock) take it.
 //
 // Writers validate referential integrity and fail with NotFound when a
 // dependency is missing; the workload driver's dependency tracking is what
@@ -238,17 +235,9 @@ struct StorageBreakdown {
   }
 };
 
-/// How ReadLock() provides snapshot semantics.
-enum class ReadConcurrency {
-  /// Lock-free epoch pins; readers scale with threads. Default.
-  kEpoch,
-  /// Shared mutexes; the pre-epoch baseline, kept for ablation and for
-  /// callers that need a frozen whole-store snapshot.
-  kGlobalLock,
-};
+class FrozenReadGuard;
 
-/// RAII read snapshot: one EpochPin plus, in kGlobalLock mode, the
-/// store's writer mutex held shared. Record pointers and adjacency Views
+/// RAII read snapshot: one EpochPin. Record pointers and adjacency Views
 /// obtained from the store are valid while the guard lives.
 ///
 /// The guard is the capability token every store read accessor demands:
@@ -256,25 +245,38 @@ enum class ReadConcurrency {
 ///   store::ReadGuard pin = store.ReadLock();
 ///   const PersonRecord* p = store.FindPerson(pin, id);
 ///
-/// Guards are obtainable only from GraphStore::ReadLock(), and the pin
-/// inside only from EpochManager::pin(); there is no default-constructed
-/// disengaged state (a moved-from guard is disengaged, but passing the
-/// moved-to guard is what the move sites do). "Read without a snapshot"
-/// is a compile error — see tests/negative/. Taking a guard never
-/// allocates.
+/// Guards are obtainable only from GraphStore::ReadLock() and
+/// FrozenReadLock(), and the pin inside only from EpochManager::pin();
+/// there is no default-constructed disengaged state (a moved-from guard is
+/// disengaged, but passing the moved-to guard is what the move sites do).
+/// "Read without a snapshot" is a compile error — see tests/negative/.
+/// Taking a guard never allocates.
 class ReadGuard {
  public:
   ReadGuard(ReadGuard&&) noexcept = default;
   ReadGuard& operator=(ReadGuard&&) noexcept = default;
+  /// Moving a frozen guard into a plain one would drop its lock.
+  ReadGuard(FrozenReadGuard&&) = delete;
+  ReadGuard& operator=(FrozenReadGuard&&) = delete;
 
  private:
   friend class GraphStore;
+  friend class FrozenReadGuard;
   explicit ReadGuard(util::EpochPin pin) : pin_(std::move(pin)) {}
 
   util::EpochPin pin_;
-  // Engaged only in kGlobalLock mode; default-constructed (unlocked)
-  // otherwise, so kEpoch guards pay nothing for it. Declared after the
-  // pin, so the lock is released before the pin.
+};
+
+/// A ReadGuard that also holds the store's writer mutex shared: a frozen
+/// whole-store snapshot. Accepted wherever a `const ReadGuard&` is.
+class FrozenReadGuard : public ReadGuard {
+ private:
+  friend class GraphStore;
+  FrozenReadGuard(util::EpochPin pin, std::shared_mutex& mu)
+      : ReadGuard(std::move(pin)), lock_(mu) {}
+
+  // Declared after the pin (in the base), so the lock is released before
+  // the pin.
   std::shared_lock<std::shared_mutex> lock_;
 };
 
@@ -284,11 +286,9 @@ class ReadGuard {
 /// lock.
 class GraphStore {
  public:
-  explicit GraphStore(ReadConcurrency mode = ReadConcurrency::kEpoch);
+  GraphStore();
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
-
-  ReadConcurrency read_concurrency() const { return mode_; }
 
   // ---- Loading & updates (each call is one ACID transaction) ----------
 
@@ -306,14 +306,13 @@ class GraphStore {
   // ---- Read snapshot --------------------------------------------------
 
   /// Snapshot for a consistent multi-accessor read; hold it for the
-  /// duration of a query. Pins the epoch (and takes the writer mutex
-  /// shared in kGlobalLock mode).
-  ReadGuard ReadLock() const {
-    ReadGuard guard(epoch_.pin());
-    if (mode_ == ReadConcurrency::kGlobalLock) {
-      guard.lock_ = std::shared_lock<std::shared_mutex>(mu_.native());
-    }
-    return guard;
+  /// duration of a query. Pins the epoch.
+  ReadGuard ReadLock() const { return ReadGuard(epoch_.pin()); }
+
+  /// ReadLock() plus the writer mutex held shared: blocks until no Add* is
+  /// running and keeps every Add* out until the guard is released.
+  FrozenReadGuard FrozenReadLock() const {
+    return FrozenReadGuard(epoch_.pin(), mu_.native());
   }
 
   // Every snapshot-read accessor takes a `const ReadGuard&` purely as a
@@ -375,8 +374,8 @@ class GraphStore {
                   schema::PersonId b) const;
 
   /// Number of message ids ever allocated; message ids are < this bound
-  /// and ascend with creation date. (Under kEpoch a bound-covered id may
-  /// still be in flight — FindMessage returns nullptr for it.)
+  /// and ascend with creation date. (A bound-covered id may still be in
+  /// flight — FindMessage returns nullptr for it.)
   schema::MessageId MessageIdBound() const { return messages_.bound(); }
 
   /// One past the largest person id ever added: person ids are dense from
@@ -430,13 +429,6 @@ class GraphStore {
     return {NumMessages(), messages_.allocated_slots(), messages_.bound()};
   }
 
-  /// Version of the Knows graph: bumped by every AddFriendship. Cached
-  /// derived results over the friendship graph (e.g. recycled 2-hop
-  /// neighbourhoods) are valid as long as this does not change.
-  uint64_t KnowsVersion() const {
-    return knows_version_.load(std::memory_order_acquire);
-  }
-
   /// Reclamation stats of the epoch domain the store retires to.
   util::EpochManager::EpochStats AggregateEpochStats() const {
     return epoch_.stats();
@@ -454,10 +446,9 @@ class GraphStore {
   ForumRecord* MutableForum(schema::ForumId id);
   MessageRecord* MutableMessage(schema::MessageId id);
 
-  const ReadConcurrency mode_;
   util::EpochManager& epoch_;
   /// The writer capability. The DenseTables are deliberately NOT
-  /// SNB_GUARDED_BY(mu_): kEpoch readers access them lock-free under an
+  /// SNB_GUARDED_BY(mu_): readers access them lock-free under an
   /// EpochPin (the RCU publication protocol in the file comment), which
   /// the mutex analysis cannot model — the ReadGuard token parameter on
   /// the read accessors is the compile-time check for that side. Every
@@ -473,7 +464,6 @@ class GraphStore {
   std::array<util::RcuVector<schema::PersonId>, kFirstNameBuckets>
       first_name_index_;
 
-  std::atomic<uint64_t> knows_version_{0};
   std::atomic<uint64_t> num_persons_{0};
   std::atomic<uint64_t> num_forums_{0};
   std::atomic<uint64_t> num_knows_{0};

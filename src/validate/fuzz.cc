@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "obs/report.h"
@@ -769,15 +770,25 @@ void AppendRows(std::string* out, const char* key,
   *out += "]";
 }
 
+util::Status BadField(const char* key) {
+  return util::Status::InvalidArgument(std::string(kWhat) + ": bad \"" + key +
+                                       "\"");
+}
+
 util::Status GetTagArray(const obs::JsonValue& obj, const char* key,
                          std::vector<schema::TagId>* out) {
   const obs::JsonValue* v = obj.Find(key);
   if (v == nullptr || v->kind != obs::JsonValue::Kind::kArray) {
-    return util::Status::InvalidArgument(std::string(kWhat) + ": bad \"" +
-                                         key + "\"");
+    return BadField(key);
   }
   for (const obs::JsonValue& e : v->array) {
-    out->push_back(static_cast<schema::TagId>(e.number));
+    uint64_t tag = 0;
+    if (e.kind != obs::JsonValue::Kind::kNumber ||
+        !jsonio::NumberToU64(e.number, &tag) ||
+        tag > std::numeric_limits<schema::TagId>::max()) {
+      return BadField(key);
+    }
+    out->push_back(static_cast<schema::TagId>(tag));
   }
   return util::Status::Ok();
 }
@@ -786,10 +797,10 @@ util::Status GetRows(const obs::JsonValue& obj, const char* key,
                      std::vector<std::string>* out) {
   const obs::JsonValue* v = obj.Find(key);
   if (v == nullptr || v->kind != obs::JsonValue::Kind::kArray) {
-    return util::Status::InvalidArgument(std::string(kWhat) + ": bad \"" +
-                                         key + "\"");
+    return BadField(key);
   }
   for (const obs::JsonValue& e : v->array) {
+    if (e.kind != obs::JsonValue::Kind::kString) return BadField(key);
     out->push_back(e.string);
   }
   return util::Status::Ok();

@@ -7,6 +7,7 @@
 
 #include "driver/connectors.h"
 #include "driver/operation.h"
+#include "driver/query_mix.h"
 #include "obs/report.h"
 #include "queries/complex_queries.h"
 #include "queries/short_queries.h"
@@ -363,27 +364,17 @@ util::Status GetString(const obs::JsonValue& obj, const char* key,
 
 // ---- Replay helpers -------------------------------------------------------
 
-/// Builds driver operations for the update-stream slice [begin, end) using
-/// the same recipe as the benchmark workload builder (query_mix.cc), so the
-/// replay exercises the exact driver scheduling paths the benchmark uses.
+/// Builds driver operations for the update-stream slice [begin, end) with
+/// the benchmark workload builder's mapping, so the replay exercises the
+/// exact driver scheduling paths the benchmark uses.
 std::vector<driver::Operation> BuildUpdateOps(
     const std::vector<datagen::UpdateOperation>& updates, uint64_t begin,
     uint64_t end) {
   std::vector<driver::Operation> ops;
   ops.reserve(end - begin);
   for (uint64_t i = begin; i < end; ++i) {
-    const datagen::UpdateOperation& u = updates[i];
-    driver::Operation op;
-    op.type = driver::OperationType::kUpdate;
-    op.update_index = static_cast<uint32_t>(i);
-    op.update_kind = static_cast<uint8_t>(u.kind);
-    op.due_time = u.due_time;
-    op.dependency_time = u.dependency_time;
-    op.person_dependency_time = u.person_dependency_time;
-    op.forum_partition = u.forum_partition;
-    op.is_dependency = u.kind == datagen::UpdateKind::kAddPerson ||
-                       u.kind == datagen::UpdateKind::kAddFriendship;
-    ops.push_back(op);
+    ops.push_back(
+        driver::MakeUpdateOperation(updates[i], static_cast<uint32_t>(i)));
   }
   return ops;
 }

@@ -1,8 +1,10 @@
 #include "validate/json_io.h"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace snb::validate::jsonio {
 namespace {
@@ -13,7 +15,29 @@ util::Status FieldError(const char* what, const char* key,
                                        "\" " + problem);
 }
 
+/// Parses all of `text` as a base-10 integer: no sign for unsigned types,
+/// no spaces, no trailing characters, and nothing out of T's range.
+template <typename T>
+bool ParseDecimal(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// True when `v` is a whole number in [lo, hi). The callers' bounds are
+/// powers of two, exact as doubles; NaN and infinities fail the
+/// comparisons.
+bool IsWholeInRange(double v, double lo, double hi) {
+  return v >= lo && v < hi && std::trunc(v) == v;
+}
+
 }  // namespace
+
+bool NumberToU64(double number, uint64_t* out) {
+  if (!IsWholeInRange(number, 0.0, 0x1p64)) return false;
+  *out = static_cast<uint64_t>(number);
+  return true;
+}
 
 void AppendEscaped(std::string* out, const std::string& s) {
   out->push_back('"');
@@ -80,11 +104,15 @@ util::Status GetU64(const obs::JsonValue& obj, const char* key, uint64_t* out,
   const obs::JsonValue* v = obj.Find(key);
   if (v == nullptr) return FieldError(what, key, "is missing");
   if (v->kind == obs::JsonValue::Kind::kNumber) {
-    *out = static_cast<uint64_t>(v->number);
+    if (!NumberToU64(v->number, out)) {
+      return FieldError(what, key, "is not an unsigned 64-bit integer");
+    }
     return util::Status::Ok();
   }
   if (v->kind == obs::JsonValue::Kind::kString) {
-    *out = std::strtoull(v->string.c_str(), nullptr, 10);
+    if (!ParseDecimal(v->string, out)) {
+      return FieldError(what, key, "is not an unsigned 64-bit integer");
+    }
     return util::Status::Ok();
   }
   return FieldError(what, key, "is not a number");
@@ -95,11 +123,16 @@ util::Status GetI64(const obs::JsonValue& obj, const char* key, int64_t* out,
   const obs::JsonValue* v = obj.Find(key);
   if (v == nullptr) return FieldError(what, key, "is missing");
   if (v->kind == obs::JsonValue::Kind::kNumber) {
+    if (!IsWholeInRange(v->number, -0x1p63, 0x1p63)) {
+      return FieldError(what, key, "is not a signed 64-bit integer");
+    }
     *out = static_cast<int64_t>(v->number);
     return util::Status::Ok();
   }
   if (v->kind == obs::JsonValue::Kind::kString) {
-    *out = std::strtoll(v->string.c_str(), nullptr, 10);
+    if (!ParseDecimal(v->string, out)) {
+      return FieldError(what, key, "is not a signed 64-bit integer");
+    }
     return util::Status::Ok();
   }
   return FieldError(what, key, "is not a number");

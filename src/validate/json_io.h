@@ -28,8 +28,15 @@ void AppendI64Field(std::string* out, const char* key, int64_t v);
 /// (e.g. schema::kInvalidId); GetU64 reads either encoding.
 void AppendU64StrField(std::string* out, const char* key, uint64_t v);
 
+/// Converts a parsed JSON number to uint64_t; false unless it is whole and
+/// in [0, 2^64).
+bool NumberToU64(double number, uint64_t* out);
+
 /// Reads an unsigned/signed integer stored as a JSON number or a decimal
-/// string. `what` names the artifact for error messages.
+/// string. A number must be whole and in the type's range; a string must be
+/// all decimal digits (a leading '-' for GetI64 only) and in range. Anything
+/// else is InvalidArgument naming the field. `what` names the artifact for
+/// error messages.
 util::Status GetU64(const obs::JsonValue& obj, const char* key, uint64_t* out,
                     const char* what);
 util::Status GetI64(const obs::JsonValue& obj, const char* key, int64_t* out,

@@ -161,8 +161,7 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
   datagen::Dataset ds = datagen::Generate(config);
   ASSERT_FALSE(ds.updates.empty());
 
-  GraphStore store;  // Default mode: epoch snapshot reads.
-  ASSERT_EQ(store.read_concurrency(), ReadConcurrency::kEpoch);
+  GraphStore store;
   ASSERT_TRUE(store.BulkLoad(ds.bulk).ok());
 
   std::vector<schema::PersonId> persons;

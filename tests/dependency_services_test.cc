@@ -104,37 +104,6 @@ TEST(GdsTest, WaitUnblocksWhenDependencyCompletes) {
   EXPECT_TRUE(released.load());
 }
 
-TEST(GdsTest, HierarchicalCompositionTracksChildren) {
-  // "A GDS instance could track other GDS instances in the same manner as
-  // it tracks LDS instances" — the distributed-driver setting.
-  GlobalDependencyService site_a;
-  GlobalDependencyService site_b;
-  GlobalDependencyService root;
-  root.AddChild(&site_a);
-  root.AddChild(&site_b);
-
-  LocalDependencyService* a1 = site_a.AddStream();
-  LocalDependencyService* a2 = site_a.AddStream();
-  LocalDependencyService* b1 = site_b.AddStream();
-
-  a1->Initiate(100);
-  a2->MarkTime(900);
-  b1->Initiate(400);
-  // Root must not pass the globally oldest in-flight op (100 in site A).
-  EXPECT_LT(root.TGC(), 100);
-  a1->Complete(100);
-  a1->MarkTime(1000);
-  // Site A caught up; now site B's 400 pins the root.
-  EXPECT_GE(root.TGC(), 100);
-  EXPECT_LT(root.TGC(), 400);
-  b1->Complete(400);
-  b1->MarkTime(1000);
-  EXPECT_GE(root.TGC(), 400);
-  // Root watermark interface reports the same values.
-  EXPECT_EQ(root.WatermarkTLC(), root.TGC());
-  EXPECT_EQ(root.WatermarkTLI(), root.TGI());
-}
-
 TEST(GdsTest, ManyStreamsConcurrentProgress) {
   // Hammer the services from several threads; watermarks must stay monotone
   // and the final TGC must cover the whole range.

@@ -55,13 +55,20 @@ TEST_F(DriverTest, WorkloadIsDueTimeSorted) {
 // The core correctness property: replaying the update stream through the
 // driver in ANY mode with ANY parallelism must produce zero dependency
 // violations (the store rejects an op whose dependencies are missing).
+// The every-update-tracked stream (TrackEveryUpdate) replays in the
+// sequential-forum mode.
+enum class Replay { kSequentialForum, kEveryUpdateTracked, kWindowed };
+
 class DriverModeTest
     : public DriverTest,
-      public ::testing::WithParamInterface<std::tuple<ExecutionMode, int>> {};
+      public ::testing::WithParamInterface<std::tuple<Replay, int>> {};
 
 TEST_P(DriverModeTest, ReplaysUpdateStreamWithoutViolations) {
-  auto [mode, partitions] = GetParam();
+  auto [replay, partitions] = GetParam();
   Workload workload = UpdateOnlyWorkload();
+  if (replay == Replay::kEveryUpdateTracked) {
+    workload.operations = TrackEveryUpdate(std::move(workload.operations));
+  }
 
   store::GraphStore store;
   ASSERT_TRUE(store.BulkLoad(world().dataset.bulk).ok());
@@ -70,7 +77,8 @@ TEST_P(DriverModeTest, ReplaysUpdateStreamWithoutViolations) {
                            &metrics);
 
   DriverConfig config;
-  config.mode = mode;
+  config.mode = replay == Replay::kWindowed ? ExecutionMode::kWindowed
+                                            : ExecutionMode::kSequentialForum;
   config.num_partitions = partitions;
   config.metrics = &metrics;
   DriverReport report =
@@ -78,6 +86,9 @@ TEST_P(DriverModeTest, ReplaysUpdateStreamWithoutViolations) {
 
   EXPECT_EQ(report.operations_executed, workload.operations.size());
   EXPECT_EQ(report.operations_failed, 0u) << report.first_error;
+  if (replay == Replay::kEveryUpdateTracked) {
+    EXPECT_EQ(report.dependencies_tracked, workload.num_updates);
+  }
   // The final store state matches the full dataset.
   EXPECT_EQ(store.NumPersons(), world().dataset.stats.num_persons);
   EXPECT_EQ(store.NumKnowsEdges(), world().dataset.stats.num_knows);
@@ -87,25 +98,25 @@ TEST_P(DriverModeTest, ReplaysUpdateStreamWithoutViolations) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, DriverModeTest,
-    ::testing::Combine(
-        ::testing::Values(ExecutionMode::kSequentialForum,
-                          ExecutionMode::kParallelGct,
-                          ExecutionMode::kWindowed),
-        ::testing::Values(1, 4, 8)),
+    ::testing::Combine(::testing::Values(Replay::kSequentialForum,
+                                         Replay::kEveryUpdateTracked,
+                                         Replay::kWindowed),
+                       ::testing::Values(1, 4, 8)),
     [](const auto& info) {
-      const char* mode = "Unknown";
+      const char* replay = "Unknown";
       switch (std::get<0>(info.param)) {
-        case ExecutionMode::kSequentialForum:
-          mode = "SequentialForum";
+        case Replay::kSequentialForum:
+          replay = "SequentialForum";
           break;
-        case ExecutionMode::kParallelGct:
-          mode = "ParallelGct";
+        case Replay::kEveryUpdateTracked:
+          replay = "EveryUpdateTracked";
           break;
-        case ExecutionMode::kWindowed:
-          mode = "Windowed";
+        case Replay::kWindowed:
+          replay = "Windowed";
           break;
       }
-      return std::string(mode) + "P" + std::to_string(std::get<1>(info.param));
+      return std::string(replay) + "P" +
+             std::to_string(std::get<1>(info.param));
     });
 
 TEST_F(DriverTest, FullMixRunsReadsAndWalk) {

@@ -300,12 +300,12 @@ TEST(GraphStoreTest, StorageBreakdownAccountsMajorStructures) {
 }
 
 TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
-  // Atomicity of every two-sided Add*: a frozen snapshot, which only the
-  // shared-lock mode provides, must see each update whole or not at all,
+  // Atomicity of every two-sided Add*: a frozen snapshot, which only
+  // FrozenReadLock() provides, must see each update whole or not at all,
   // so both sides of every edge, the first-name index and the counters
-  // agree. The epoch mode's weaker per-object guarantees are covered by
+  // agree. The epoch pin's weaker per-object guarantees are covered by
   // the test below and by concurrency_stress_test.
-  GraphStore store(ReadConcurrency::kGlobalLock);
+  GraphStore store;
   constexpr schema::PersonId kPersons = 50;
   constexpr schema::ForumId kForum = 1000;
   // "Marco" and "Ravi" share an index bucket, so counting a name's
@@ -335,7 +335,7 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
     // is checked even when the writer outruns the reader.
     for (bool done = false; !done;) {
       done = stop.load();
-      auto pin = store.ReadLock();
+      auto pin = store.FrozenReadLock();
       uint64_t named = 0;
       for (const std::string& name : kNames) {
         for (schema::PersonId id : store.PersonsByFirstName(pin, name)) {
@@ -418,7 +418,6 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
   // list stays sorted and every id reachable through an adjacency list
   // resolves to a fully built record, even mid-write.
   GraphStore store;
-  ASSERT_EQ(store.read_concurrency(), ReadConcurrency::kEpoch);
   for (schema::PersonId id = 0; id < 50; ++id) {
     ASSERT_TRUE(store.AddPerson(MakePerson(id)).ok());
   }

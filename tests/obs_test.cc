@@ -190,7 +190,8 @@ TEST(MetricsRegistryTest, NamesAreStable) {
   EXPECT_STREQ(OpTypeName(OpType::kSchedLag), "driver.sched_lag");
   EXPECT_STREQ(CounterName(Counter::kGctDependentWaits),
                "driver.gct_dependent_waits");
-  EXPECT_STREQ(GaugeName(Gauge::kRecyclerEvictions), "recycler.evictions");
+  EXPECT_STREQ(GaugeName(Gauge::kMessageSlotsAllocated),
+               "store.message_slots_allocated");
 }
 
 // ---- TraceSpan ------------------------------------------------------------

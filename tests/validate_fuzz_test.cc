@@ -145,6 +145,50 @@ TEST(FuzzArtifactTest, RejectsForeignAndCorruptDocuments) {
       MismatchFromJson("{\"schema\":\"snb-fuzz-regression-v1\"}", &out).ok());
 }
 
+// Integer fields must hold a whole number in range or a decimal string,
+// tag arrays whole numbers that fit a TagId and row arrays strings; the
+// loader refuses anything else, naming the field, rather than converting it.
+TEST(FuzzArtifactTest, RejectsMistypedAndOutOfRangeValues) {
+  FuzzMismatch m;
+  m.backend = "store";
+  m.binding.op = "complex.Q2";
+  m.binding.person = 1;
+  m.binding.date = 1300000000000;
+  m.expected = {"1|2|3"};
+  schema::Person p;
+  p.id = 1;
+  p.interests = {3, 5};
+  m.graph.persons = {p};
+  const std::string json = MismatchToJson(m);
+  FuzzMismatch loaded;
+  ASSERT_TRUE(MismatchFromJson(json, &loaded).ok());
+
+  const std::string cases[][2] = {
+      {"date", "1e30"},          {"date", "1.5"},
+      {"date", "\"12abc\""},     {"days", "-1e19"},
+      {"person", "\"-5\""},      {"person", "-1"},
+      {"interests", "[\"x\"]"},  {"interests", "[1.5]"},
+      {"interests", "[-1]"},     {"interests", "[4294967296]"},
+      {"expected", "[1]"},       {"actual", "[null]"},
+  };
+  for (const auto& [field, value] : cases) {
+    const std::string key = "\"" + field + "\":";
+    std::string bad = json;
+    size_t begin = bad.find(key);
+    ASSERT_NE(begin, std::string::npos) << field;
+    begin += key.size();
+    size_t end = bad[begin] == '[' ? bad.find(']', begin) + 1
+                 : bad[begin] == '"' ? bad.find('"', begin + 1) + 1
+                                     : bad.find_first_of(",}", begin);
+    bad.replace(begin, end - begin, value);
+    util::Status st = MismatchFromJson(bad, &loaded);
+    EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument)
+        << field << "=" << value;
+    EXPECT_NE(st.message().find("\"" + field + "\""), std::string::npos)
+        << st.message();
+  }
+}
+
 // Written artifacts use the v1 layout, with no store shard count. Both
 // schema versions still load: v2 writers added one integer field after
 // graph_seed (the store's shard count), and the reader reads only the

@@ -116,6 +116,36 @@ TEST_F(GoldenSetTest, RejectsCorruptDocuments) {
           .ok());
 }
 
+// Integer fields must hold a whole number in range or a decimal string and
+// nothing else; the loader refuses anything else, naming the field, rather
+// than converting it ("num_persons": -1 used to load as 2^64 - 1 persons).
+TEST_F(GoldenSetTest, RejectsIntegersOutOfRangeOrMalformed) {
+  const std::string json = GoldenSetToJson(*golden_);
+  const std::string cases[][2] = {
+      {"num_persons", "-1"},   {"num_persons", "1e30"},
+      {"num_persons", "1.5"},  {"seed", "\"12abc\""},
+      {"seed", "\"-5\""},      {"seed", "\"\""},
+      {"seed", "\"18446744073709551616\""},
+      {"updates_end", "1e300"},
+  };
+  for (const auto& [field, value] : cases) {
+    const std::string key = "\"" + field + "\":";
+    std::string bad = json;
+    size_t begin = bad.find(key);
+    ASSERT_NE(begin, std::string::npos) << field;
+    begin += key.size();
+    size_t end = bad[begin] == '"' ? bad.find('"', begin + 1) + 1
+                                   : bad.find_first_of(",}", begin);
+    bad.replace(begin, end - begin, value);
+    GoldenSet out;
+    util::Status st = GoldenSetFromJson(bad, &out);
+    EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument)
+        << field << "=" << value;
+    EXPECT_NE(st.message().find("\"" + field + "\""), std::string::npos)
+        << st.message();
+  }
+}
+
 TEST_F(GoldenSetTest, ReplayPassesSerialAndThreadedInEveryMode) {
   for (uint32_t threads : {1u, 2u}) {
     for (driver::ExecutionMode mode :

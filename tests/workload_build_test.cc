@@ -116,6 +116,23 @@ TEST_F(WorkloadBuildTest, UpdateOpsCarryDependencyMetadata) {
   EXPECT_GT(forum_ops, dependencies);  // Forum-tree ops dominate.
 }
 
+TEST_F(WorkloadBuildTest, TrackEveryUpdateRoutesUpdatesThroughTgc) {
+  QueryMixConfig mix;
+  for (auto& f : mix.frequencies) f = 20;
+  Workload workload = BuildWorkload(world().dataset, *world().dict, mix);
+  std::vector<Operation> tracked = TrackEveryUpdate(workload.operations);
+  ASSERT_EQ(tracked.size(), workload.operations.size());
+  for (size_t i = 0; i < tracked.size(); ++i) {
+    const Operation& before = workload.operations[i];
+    const Operation& after = tracked[i];
+    EXPECT_EQ(after.type, before.type);
+    EXPECT_EQ(after.due_time, before.due_time);
+    EXPECT_EQ(after.is_dependency, before.type == OperationType::kUpdate);
+    EXPECT_EQ(after.person_dependency_time, before.dependency_time);
+    EXPECT_EQ(after.forum_partition, schema::kInvalidId);
+  }
+}
+
 TEST_F(WorkloadBuildTest, ReadOnlyWorkloadWithoutUpdates) {
   QueryMixConfig mix;
   mix.include_updates = false;

@@ -9,7 +9,7 @@
 //     ("snb-validation-v1").
 //
 //   ./tools/validate_run --replay validation_set.json
-//                        [--threads N] [--mode sequential|parallel|windowed]
+//                        [--threads N] [--mode sequential|windowed]
 //                        [--report report.json] [--mutate <op>]
 //
 //     Regenerates the dataset from the golden file's parameters, replays
@@ -42,7 +42,7 @@ int Usage(const char* argv0) {
                "usage: %s --emit [--out FILE] [--seed S] [--persons N] "
                "[--segments K]\n"
                "       %s --replay FILE [--threads N] "
-               "[--mode sequential|parallel|windowed] "
+               "[--mode sequential|windowed] "
                "[--report FILE] [--mutate OP]\n",
                argv0, argv0);
   return 1;
@@ -51,8 +51,6 @@ int Usage(const char* argv0) {
 bool ParseMode(const std::string& name, snb::driver::ExecutionMode* out) {
   if (name == "sequential") {
     *out = snb::driver::ExecutionMode::kSequentialForum;
-  } else if (name == "parallel") {
-    *out = snb::driver::ExecutionMode::kParallelGct;
   } else if (name == "windowed") {
     *out = snb::driver::ExecutionMode::kWindowed;
   } else {
