@@ -1,14 +1,15 @@
-// Bitmap set over person ids: the per-query person sets of the complex
+// Bitmap set over dense ids: the per-query person sets of the complex
 // reads (two-hop circles, Q1's one- and two-hop levels, BFS visited sets,
-// BFS layers).
+// BFS layers, Q14's shortest-path persons), Q14's swept pair slots and
+// Q10's interest tags.
 //
-// Person ids are dense by construction: datagen counts them up from zero,
-// and the store's DenseTables index by them. A query's person set covers
-// a large share of that range — at SF0.4 (2,400 persons) a two-hop circle
-// holds about 14% of the ids — so one bit per id below
-// GraphStore::PersonIdBound() beats a hash set: 300 bytes to zero and
-// scan, one load and mask per probe, and members come out in ascending id
-// order with no sort.
+// These ids are dense by construction: datagen counts person ids up from
+// zero, and the store's DenseTables index by them; tag ids number the tag
+// dictionary. A query's person set covers a large share of that range —
+// at SF0.4 (2,400 persons) a two-hop circle holds about 14% of the ids —
+// so one bit per id below GraphStore::PersonIdBound() beats a hash set:
+// 300 bytes to zero and scan, one load and mask per probe, and members
+// come out in ascending id order with no sort.
 //
 // The set grows on insert, so a person added after the bound was read (a
 // concurrent AddPerson whose id then shows up in a friend list the query

@@ -1,6 +1,7 @@
-// Flat u64 hash map: the shortest-path level table and pair-weight memo
-// of Q14, and the tag counters of Q4 and Q6. (Per-query person sets are
-// exec::DenseIdSet bitmaps instead.)
+// Flat u64 hash map: the shortest-path level table and pair-weight table
+// of Q14, and the tag counters of Q4 and Q6. (Per-query sets of dense
+// ids, persons and Q10's interest tags, are exec::DenseIdSet bitmaps
+// instead.)
 //
 // std::unordered_map pays a pointer chase and an allocation per node on
 // small keys. This table is a flat power-of-two array with linear probing
@@ -25,7 +26,7 @@
 namespace snb::exec {
 
 /// Flat hash map u64 -> u64 (Q14's shortest-path level table and
-/// pair-weight memo, Q4's and Q6's tag counts).
+/// pair-weight table, Q4's and Q6's tag counts).
 class HashMap64 {
  public:
   static constexpr uint64_t kEmpty = ~0ULL;

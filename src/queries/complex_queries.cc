@@ -1,7 +1,6 @@
 #include "queries/complex_queries.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "exec/dense_id_set.h"
@@ -12,7 +11,6 @@
 namespace snb::queries {
 namespace {
 
-using schema::MessageId;
 using schema::MessageKind;
 using schema::PersonId;
 using store::DatedEdge;
@@ -417,30 +415,29 @@ std::vector<Q7Result> Query7(const GraphStore& store, PersonId start,
 std::vector<Q8Result> Query8(const GraphStore& store, PersonId start,
                              int limit) {
   auto pin = store.ReadLock();
-  std::vector<Q8Result> replies;
   const PersonRecord* p = store.FindPerson(pin, start);
-  if (p == nullptr) return replies;
+  if (p == nullptr) return {};
+  // The comment id breaks date ties, so the top-k heap keeps exactly the
+  // rows a full sort would, in the same order.
+  auto less = [](const Q8Result& a, const Q8Result& b) {
+    if (a.creation_date != b.creation_date) {
+      return a.creation_date > b.creation_date;
+    }
+    return a.comment_id < b.comment_id;
+  };
+  exec::TopK<Q8Result, decltype(less)> top(static_cast<size_t>(limit), less);
   {
     obs::TraceSpan span("replies_join");
-    for (const MessageEdge& e : p->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr) continue;
-      for (MessageId rid : m->replies.view()) {
-        const MessageRecord* reply = store.FindMessage(pin, rid);
-        if (reply == nullptr) continue;
-        replies.push_back(
-            {rid, reply->data.creator_id, reply->data.creation_date});
-      }
+    auto replies = p->replies_received.view();
+    for (const store::ReplyEdge& r : replies) {
+      top.Push({r.id, r.replier, r.date});  // Inline facts: no record loads.
     }
     span.AddRows(replies.size());
   }
-  return SortLimit(std::move(replies), limit,
-                   [](const Q8Result& a, const Q8Result& b) {
-                     if (a.creation_date != b.creation_date) {
-                       return a.creation_date > b.creation_date;
-                     }
-                     return a.comment_id < b.comment_id;
-                   });
+  obs::TraceSpan span("sort_limit");
+  std::vector<Q8Result> out = top.Drain();
+  span.AddRows(out.size());
+  return out;
 }
 
 // ---- Q9 -----------------------------------------------------------------------
@@ -492,8 +489,9 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
   std::vector<Q10Result> results;
   const PersonRecord* root = store.FindPerson(pin, start);
   if (root == nullptr) return results;
-  std::vector<schema::TagId> interests = root->data.interests;
-  std::sort(interests.begin(), interests.end());
+  // Tag ids are dense dictionary ids, so the interests fit a small bitmap.
+  exec::DenseIdSet interests;
+  for (schema::TagId t : root->data.interests) interests.Insert(t);
   auto root_friends = root->friends.view();
   const uint64_t bound = store.PersonIdBound();
   exec::DenseIdSet direct(bound);
@@ -536,8 +534,7 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
         std::span<const schema::TagId> tags = messages.tags(e);
         bool about_interest =
             std::any_of(tags.begin(), tags.end(), [&](schema::TagId t) {
-              return std::binary_search(interests.begin(), interests.end(),
-                                        t);
+              return interests.Contains(t);
             });
         if (about_interest) {
           ++common;
@@ -643,11 +640,16 @@ using FriendEdges = util::RcuVector<FriendEdge>::View;
 constexpr size_t kMaxPaths = 1000;
 
 /// A person's entry in the shortest-path level table: a dense slot (its
-/// insertion rank, which keys the pair-weight memo) above its hop distance
+/// insertion rank, which keys the pair-weight table) above its hop distance
 /// from person1.
 uint64_t PackLevel(uint64_t slot, uint64_t level) { return slot << 32 | level; }
 uint64_t SlotOf(uint64_t entry) { return entry >> 32; }
 uint64_t LevelOf(uint64_t entry) { return entry & 0xffffffffu; }
+
+/// The pair-weight table key of two slots, the same in either order.
+uint64_t PairKey(uint64_t slot_a, uint64_t slot_b) {
+  return std::min(slot_a, slot_b) << 32 | std::max(slot_a, slot_b);
+}
 
 /// Hop distance between two distinct present persons, or -1 when they are
 /// not connected, by a layered bidirectional BFS. Each side keeps one
@@ -657,12 +659,14 @@ uint64_t LevelOf(uint64_t entry) { return entry & 0xffffffffu; }
 /// side has already seen fixes the distance, and those persons are exactly
 /// the shortest-path persons at that depth. When `levels` is non-null it
 /// then receives every person on a shortest path, keyed to PackLevel(slot,
-/// distance from person1): walking out of the meeting layer toward either
-/// endpoint, a friend in that side's previous layer (tested on a bitmap of
-/// the layer) is on a shortest path too.
+/// distance from person1), and `on_path` the same persons as a bitmap:
+/// walking out of the meeting layer toward either endpoint, a friend in
+/// that side's previous layer (tested on a bitmap of the layer) is on a
+/// shortest path too.
 int ShortestPathLevels(const GraphStore& store,
                        const store::ReadGuard& pin, PersonId person1,
-                       PersonId person2, exec::HashMap64* levels) {
+                       PersonId person2, exec::HashMap64* levels,
+                       exec::DenseIdSet* on_path) {
   obs::TraceSpan span("shortest_path");
   // Side 0 searches from person1, side 1 from person2.
   const uint64_t bound = store.PersonIdBound();
@@ -694,9 +698,12 @@ int ShortestPathLevels(const GraphStore& store,
   const uint64_t distance = reached[0] + reached[1];
   if (levels == nullptr) return static_cast<int>(distance);
 
-  for (PersonId pid : meet) {
-    levels->Insert(pid, PackLevel(levels->size(), reached[0]));
-  }
+  auto place = [&](PersonId pid, uint64_t level) {
+    if (!levels->Insert(pid, PackLevel(levels->size(), level))) return false;
+    on_path->Insert(pid);
+    return true;
+  };
+  for (PersonId pid : meet) place(pid, reached[0]);
   exec::DenseIdSet previous(bound);
   std::vector<PersonId> next;
   for (int side : {0, 1}) {
@@ -710,8 +717,7 @@ int ShortestPathLevels(const GraphStore& store,
         const PersonRecord* p = store.FindPerson(pin, pid);
         if (p == nullptr) continue;
         for (const FriendEdge& e : p->friends.view()) {
-          if (previous.Contains(e.other) &&
-              levels->Insert(e.other, PackLevel(levels->size(), level))) {
+          if (previous.Contains(e.other) && place(e.other, level)) {
             next.push_back(e.other);
           }
         }
@@ -723,35 +729,16 @@ int ShortestPathLevels(const GraphStore& store,
   return static_cast<int>(distance);
 }
 
-/// Interaction weight between two persons: each comment by one replying to
-/// a post of the other adds 1.0, to a comment of the other adds 0.5. A
-/// plain scan of both created-message lists: the replied-to creator and
-/// kind ride inline in each edge.
-double PairWeight(const GraphStore& store, const store::ReadGuard& pin,
-                  PersonId a, PersonId b) {
-  double weight = 0.0;
-  for (PersonId from : {a, b}) {
-    PersonId to = from == a ? b : a;
-    const PersonRecord* p = store.FindPerson(pin, from);
-    if (p == nullptr) continue;
-    for (const MessageEdge& e : p->messages.view()) {
-      if (e.kind != MessageKind::kComment || e.parent_creator != to) continue;
-      weight += e.parent_kind == MessageKind::kComment ? 0.5 : 1.0;
-    }
-  }
-  return weight;
-}
-
 }  // namespace
 
 int Query13(const GraphStore& store, PersonId person1, PersonId person2) {
   auto pin = store.ReadLock();
-  if (person1 == person2) return 0;
   if (store.FindPerson(pin, person1) == nullptr ||
       store.FindPerson(pin, person2) == nullptr) {
     return -1;
   }
-  return ShortestPathLevels(store, pin, person1, person2, nullptr);
+  if (person1 == person2) return 0;
+  return ShortestPathLevels(store, pin, person1, person2, nullptr, nullptr);
 }
 
 std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
@@ -767,7 +754,9 @@ std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
     return results;
   }
   exec::HashMap64 levels;
-  if (ShortestPathLevels(store, pin, person1, person2, &levels) < 0) {
+  exec::DenseIdSet on_path(store.PersonIdBound());
+  if (ShortestPathLevels(store, pin, person1, person2, &levels, &on_path) <
+      0) {
     return results;
   }
   const uint64_t* top = levels.Find(person2);
@@ -791,18 +780,36 @@ std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
     return Frame{id, entry, p == nullptr ? FriendEdges() : p->friends.view(),
                  0};
   };
-  // PairWeight once per distinct unordered pair, keyed by the two slots;
-  // path weights still add the same doubles in path order.
-  exec::HashMap64 pair_weights;
-  auto weight = [&](const Frame& a, const Frame& b) {
-    uint64_t lo = std::min(SlotOf(a.entry), SlotOf(b.entry));
-    uint64_t hi = std::max(SlotOf(a.entry), SlotOf(b.entry));
-    if (const uint64_t* w = pair_weights.Find(lo << 32 | hi)) {
-      return std::bit_cast<double>(*w);
+  // Pair weights in half units (a reply to a comment weighs 0.5, to a post
+  // or photo 1.0), keyed by the two slots. Every reply sits in the received
+  // list of the person it answers, so the first time a pair is needed each
+  // of its persons not yet swept scans that list once and credits every
+  // reply from a path person one level away: the pair's total is complete
+  // once both are swept. Halves are exact in a double, so a pair's weight
+  // does not depend on the order its replies are credited in.
+  exec::HashMap64 pair_halves;
+  exec::DenseIdSet swept;  // Slots.
+  auto sweep = [&](const Frame& f) {
+    if (!swept.Insert(SlotOf(f.entry))) return;
+    const PersonRecord* p = store.FindPerson(pin, f.node);
+    if (p == nullptr) return;
+    for (const store::ReplyEdge& r : p->replies_received.view()) {
+      if (!on_path.Contains(r.replier)) continue;
+      const uint64_t entry = *levels.Find(r.replier);
+      if (LevelOf(entry) + 1 != LevelOf(f.entry) &&
+          LevelOf(f.entry) + 1 != LevelOf(entry)) {
+        continue;
+      }
+      pair_halves.At(PairKey(SlotOf(entry), SlotOf(f.entry))) +=
+          r.parent_kind == MessageKind::kComment ? 1 : 2;
     }
-    double w = PairWeight(store, pin, a.node, b.node);
-    pair_weights.Put(lo << 32 | hi, std::bit_cast<uint64_t>(w));
-    return w;
+  };
+  auto weight = [&](const Frame& a, const Frame& b) {
+    sweep(a);
+    sweep(b);
+    const uint64_t* halves =
+        pair_halves.Find(PairKey(SlotOf(a.entry), SlotOf(b.entry)));
+    return halves == nullptr ? 0.0 : 0.5 * static_cast<double>(*halves);
   };
   {
     obs::TraceSpan span("path_enum");
@@ -824,11 +831,9 @@ std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
       PersonId parent_id = 0;
       while (parent == nullptr && frame.next < frame.friends.size()) {
         parent_id = frame.friends[frame.next++].other;
+        if (!on_path.Contains(parent_id)) continue;
         parent = levels.Find(parent_id);
-        if (parent != nullptr &&
-            LevelOf(*parent) + 1 != LevelOf(frame.entry)) {
-          parent = nullptr;
-        }
+        if (LevelOf(*parent) + 1 != LevelOf(frame.entry)) parent = nullptr;
       }
       if (parent == nullptr) {
         stack.pop_back();

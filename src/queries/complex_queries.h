@@ -157,7 +157,10 @@ struct Q8Result {
 };
 
 /// The 20 most recent reply comments to any message of the start person;
-/// (date desc, comment id asc).
+/// (date desc, comment id asc). The plan reads the start person's received
+/// replies (store::ReplyEdge: comment id, date and replier inline) into a
+/// top-k heap (span replies_join), then drains it (sort_limit); it loads
+/// no message record.
 std::vector<Q8Result> Query8(const GraphStore& store, schema::PersonId start,
                              int limit = 20);
 
@@ -223,8 +226,8 @@ std::vector<Q12Result> Query12(
 
 // ---- Q13: single shortest path -----------------------------------------------------------------------
 
-/// Length of the shortest Knows-path between two persons; -1 when
-/// unreachable, 0 when identical.
+/// Length of the shortest Knows-path between two persons; -1 when either
+/// is absent or they are unreachable, 0 when identical.
 int Query13(const GraphStore& store, schema::PersonId person1,
             schema::PersonId person2);
 
@@ -240,7 +243,13 @@ struct Q14Result {
 /// replying to the other's post adds 1.0, to the other's comment adds 0.5.
 /// At most 1000 paths (the first in depth-first order from person2, parents
 /// by ascending id), sorted by (weight desc, path asc). The paths come from
-/// the same bidirectional BFS as Q13.
+/// the same bidirectional BFS as Q13 (span shortest_path), which also
+/// marks the path persons in a bitmap that the DFS tests before it probes
+/// their levels. Pair weights come from a lazy sweep (inside path_enum):
+/// the first time the DFS weighs a pair, each of its persons not swept yet
+/// scans its received replies once and credits every reply from a path
+/// person one level away, so each path person is read at most once.
+/// Weights are sums of halves, exact in a double.
 std::vector<Q14Result> Query14(const GraphStore& store,
                                schema::PersonId person1,
                                schema::PersonId person2);

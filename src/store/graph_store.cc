@@ -154,10 +154,13 @@ Status GraphStore::AddMessage(const Message& message) {
   PersonRecord* creator = MutablePerson(message.creator_id);
   if (creator == nullptr) return Status::NotFound("message creator missing");
   MessageRecord* parent = nullptr;
+  PersonRecord* parent_creator = nullptr;
   ForumRecord* forum = nullptr;
   if (message.kind == schema::MessageKind::kComment) {
     parent = MutableMessage(message.reply_to_id);
     if (parent == nullptr) return Status::NotFound("comment parent missing");
+    // Present: the parent was linked to it, and persons are never removed.
+    parent_creator = MutablePerson(parent->data.creator_id);
   } else {
     forum = MutableForum(message.forum_id);
     if (forum == nullptr) return Status::NotFound("post forum missing");
@@ -167,9 +170,9 @@ Status GraphStore::AddMessage(const Message& message) {
   }
 
   // The creator's edge carries the message's facts and, for a comment,
-  // its parent's creator and kind. The writer lock is all the parent read
-  // needs: records never move, and the parent's fields are fixed once it
-  // is published, so the copies can never go stale.
+  // its parent's kind. The writer lock is all the parent read needs:
+  // records never move, and the parent's fields are fixed once it is
+  // published, so the copies can never go stale.
   MessageEdge edge;
   edge.id = message.id;
   edge.date = message.creation_date;
@@ -177,7 +180,6 @@ Status GraphStore::AddMessage(const Message& message) {
   edge.kind = message.kind;
   std::span<const schema::TagId> tags = message.tags;
   if (parent != nullptr) {
-    edge.parent_creator = parent->data.creator_id;
     edge.parent_kind = parent->data.kind;
     // A reply to a post or photo carries the post's tags (Q12 reads them);
     // a reply to a comment carries none.
@@ -222,6 +224,10 @@ Status GraphStore::AddMessage(const Message& message) {
       epoch_);
   if (parent != nullptr) {
     parent->replies.push_back(message.id, epoch_);
+    parent_creator->replies_received.push_back(
+        {message.id, message.creation_date, message.creator_id,
+         parent->data.kind},
+        epoch_);
   } else {
     forum->posts.push_back({message.id, message.creator_id}, epoch_);
   }
@@ -303,8 +309,9 @@ StorageBreakdown GraphStore::ComputeStorageBreakdown() const {
     b.friends_bytes += p->friends.capacity_bytes();
     b.membership_bytes += p->forums.capacity_bytes();
     b.likes_bytes += p->likes.capacity_bytes();
-    b.message_bytes +=
-        p->messages.capacity_bytes() + p->tags.capacity_bytes();
+    b.message_bytes += p->messages.capacity_bytes() +
+                       p->tags.capacity_bytes() +
+                       p->replies_received.capacity_bytes();
   }
   b.person_bytes += sizeof(first_name_index_);
   for (const auto& bucket : first_name_index_) {

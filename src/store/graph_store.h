@@ -13,21 +13,28 @@
 //
 // Inline edge facts: the same locality rule applied to the adjacency
 // lists. A created-message edge (MessageEdge) carries the message's
-// creation date, kind and country and, for a comment, its parent's creator
-// and kind; a forum's post edge (PostEdge) carries the post's creator. The
-// complex reads filter on exactly these facts, so they drop candidates
-// without loading the MessageRecord behind an edge. Tags are variable
-// length, so a MessageEdge holds a span into its creator's append-only tag
-// pool (PersonRecord::tags) instead: a post's or photo's own tags (Q4, Q6,
-// Q10), the replied-to post's tags for a comment on a post or photo (Q12),
-// and nothing for a reply to a comment. Each fact is copied once, when the
-// edge is linked, from records that never change after their `ready`
-// publication (a message's own data, and a comment's parent, which must
-// exist before the comment), so no later update rewrites an edge and an
-// inline fact always equals the record's. The writer appends a message's
-// tags to the pool before it publishes the edge, so a reader must take the
-// edges before the pool; PersonRecord::created_messages() is the one place
-// that does, and the only way to read a span.
+// creation date, kind and country and, for a comment, its parent's kind;
+// a forum's post edge (PostEdge) carries the post's creator; a received
+// reply (ReplyEdge) carries the comment's date, creator and the kind of
+// the message it answers. The complex reads filter on exactly these facts,
+// so they drop candidates without loading the MessageRecord behind an
+// edge. Tags are variable length, so a MessageEdge holds a span into its
+// creator's append-only tag pool (PersonRecord::tags) instead: a post's
+// or photo's own tags (Q4, Q6, Q10), the replied-to post's tags for a
+// comment on a post or photo (Q12), and nothing for a reply to a comment.
+// Each fact is copied once, when the edge is linked, from records that
+// never change after their `ready` publication (a message's own data, and
+// a comment's parent, which must exist before the comment), so no later
+// update rewrites an edge and an inline fact always equals the record's.
+// The writer appends a message's tags to the pool before it publishes the
+// edge, so a reader must take the edges before the pool;
+// PersonRecord::created_messages() is the one place that does, and the
+// only way to read a span.
+//
+// Received replies: AddMessage also files each comment under the creator
+// of the message it replies to (PersonRecord::replies_received), so Q8
+// reads a person's newest replies from one list and Q14 weighs the replies
+// between two path neighbours by sweeping each one's list once.
 //
 // First-name index: a fixed array of RcuVector buckets of person ids,
 // picked by a fixed hash of the first name (FirstNameBucket). Q1 reads the
@@ -101,9 +108,8 @@ struct DatedEdge {
 /// A created-message entry in PersonRecord::messages: the message id plus
 /// the immutable facts the complex reads filter on, so a scan discards
 /// candidates without loading their MessageRecord. For a comment,
-/// `parent_creator` and `parent_kind` describe the message it replies to
-/// (Q12 keeps replies to posts; Q14 weighs replies between two persons);
-/// posts and photos hold kInvalidId and kPost there. `tags_begin` and
+/// `parent_kind` is the kind of the message it replies to (Q12 keeps
+/// replies to posts); posts and photos hold kPost there. `tags_begin` and
 /// `tags_count` span the creator's tag pool (PersonRecord::tags): a post's
 /// or photo's own tags, the replied-to post's tags for a comment on a post
 /// or photo, and an empty span for a reply to a comment. Read a span only
@@ -113,14 +119,26 @@ struct DatedEdge {
 struct MessageEdge {
   schema::MessageId id = schema::kInvalidId;
   util::TimestampMs date = 0;  // Creation date (Q2/Q9 date cuts).
-  schema::PersonId parent_creator = schema::kInvalidId;
   schema::PlaceId country = schema::kInvalidId32;  // Posted from (Q3).
   schema::MessageKind kind = schema::MessageKind::kPost;
   schema::MessageKind parent_kind = schema::MessageKind::kPost;
   uint32_t tags_begin = 0;  // Span in the creator's tag pool.
   uint32_t tags_count = 0;
 };
-static_assert(sizeof(MessageEdge) == 40);
+static_assert(sizeof(MessageEdge) == 32);
+
+/// A received reply in PersonRecord::replies_received: a comment that
+/// replies to one of the person's messages, with the facts Q8 returns and
+/// Q14 weighs (a reply to a comment weighs 0.5, to a post or photo 1.0).
+/// Copied at link time from the comment and its parent record, both
+/// immutable once published, and never rewritten.
+struct ReplyEdge {
+  schema::MessageId id = schema::kInvalidId;  // The comment.
+  util::TimestampMs date = 0;                 // Its creation date.
+  schema::PersonId replier = schema::kInvalidId;  // Its creator.
+  schema::MessageKind parent_kind = schema::MessageKind::kPost;
+};
+static_assert(sizeof(ReplyEdge) == 32);
 
 /// A snapshot of one person's created-message edges together with the tag
 /// pool their spans index (PersonRecord::created_messages()). Valid as
@@ -168,10 +186,9 @@ struct PersonRecord {
   /// Messages created, sorted by (creation date, id) — maintained by
   /// insertion, so the order holds even when the driver applies two of a
   /// creator's messages out of due-time order (different forum
-  /// partitions). Date, kind, country and the replied-to creator ride
-  /// inline, so date-bounded scans (Q2/Q9) and kind/country/parent filters
-  /// (Q3, Q14) never touch the message table; with the tag spans, Q4, Q6,
-  /// Q10 and Q12 never do either.
+  /// partitions). Date, kind and country ride inline, so date-bounded
+  /// scans (Q2/Q9) and the country counts (Q3) never touch the message
+  /// table; with the tag spans, Q4, Q6, Q10 and Q12 never do either.
   util::RcuVector<MessageEdge> messages;
   /// Tag pool the `messages` edges span, appended once per linked message
   /// and never reordered, so a span stays valid when insert_sorted moves
@@ -181,6 +198,8 @@ struct PersonRecord {
   util::RcuVector<DatedEdge> forums;
   /// Likes given: liked message + like date.
   util::RcuVector<DatedEdge> likes;
+  /// Comments replying to this person's messages, in link order (Q8, Q14).
+  util::RcuVector<ReplyEdge> replies_received;
   /// Release-published after `data` is filled.
   std::atomic<uint32_t> ready{0};
 

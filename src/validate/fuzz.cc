@@ -505,7 +505,8 @@ std::vector<FuzzBinding> BuildBindings(const schema::SocialNetwork& net,
   }
   for (auto [p1, p2] : {std::pair(probes[0], probes[1]),
                         std::pair(probes[1], probes[1]),
-                        std::pair(probes[0], probes[2])}) {
+                        std::pair(probes[0], probes[2]),
+                        std::pair(probes[2], probes[2])}) {
     FuzzBinding q13;
     q13.op = "complex.Q13";
     q13.person = p1;

@@ -518,10 +518,10 @@ std::vector<Q12Result> Oracle::Query12(PersonId start,
 // ---- Q13 ------------------------------------------------------------------
 
 int Oracle::Query13(PersonId person1, PersonId person2) const {
-  if (person1 == person2) return 0;
   if (FindPerson(person1) == nullptr || FindPerson(person2) == nullptr) {
     return -1;
   }
+  if (person1 == person2) return 0;
   std::unordered_map<PersonId, int> dist{{person1, 0}};
   std::deque<PersonId> queue{person1};
   while (!queue.empty()) {
@@ -542,8 +542,8 @@ int Oracle::Query13(PersonId person1, PersonId person2) const {
 
 namespace {
 
-/// Comment-interaction weight of a person pair — same contract as the
-/// store-side PairWeight.
+/// Comment-interaction weight of a person pair: each comment by one
+/// replying to a post or photo of the other adds 1.0, to a comment 0.5.
 double OraclePairWeight(const Oracle& oracle, PersonId a, PersonId b) {
   double weight = 0.0;
   for (PersonId from : {a, b}) {

@@ -84,9 +84,9 @@ bool SpanEquals(std::span<const schema::TagId> tags,
 
 /// True when every inline fact of a created-message edge of `messages`
 /// equals the records behind it: the message's date, kind and country;
-/// for a comment, its parent's creator and kind (sentinels for posts); and
-/// the tag span (a post's own tags, the parent post's for a comment on a
-/// post, none for a reply to a comment), which must lie inside the pool.
+/// for a comment, its parent's kind (a sentinel for posts); and the tag
+/// span (a post's own tags, the parent post's for a comment on a post,
+/// none for a reply to a comment), which must lie inside the pool.
 bool EdgeMatchesRecords(const GraphStore& store, const ReadGuard& pin,
                         const CreatedMessages& messages, const MessageEdge& e) {
   const MessageRecord* m = store.FindMessage(pin, e.id);
@@ -96,18 +96,29 @@ bool EdgeMatchesRecords(const GraphStore& store, const ReadGuard& pin,
     return false;
   }
   if (m->data.kind != MessageKind::kComment) {
-    return e.parent_creator == schema::kInvalidId &&
-           e.parent_kind == MessageKind::kPost &&
+    return e.parent_kind == MessageKind::kPost &&
            SpanEquals(messages.tags(e), m->data.tags);
   }
   const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
-  if (parent == nullptr || e.parent_creator != parent->data.creator_id ||
-      e.parent_kind != parent->data.kind) {
-    return false;
-  }
+  if (parent == nullptr || e.parent_kind != parent->data.kind) return false;
   return parent->data.kind == MessageKind::kComment
              ? e.tags_count == 0
              : SpanEquals(messages.tags(e), parent->data.tags);
+}
+
+/// True when a received-reply entry of `owner` equals the records behind
+/// it: a comment with that date and creator, replying to a message that
+/// `owner` created, of kind `r.parent_kind`.
+bool ReplyMatchesRecords(const GraphStore& store, const ReadGuard& pin,
+                         schema::PersonId owner, const ReplyEdge& r) {
+  const MessageRecord* m = store.FindMessage(pin, r.id);
+  if (m == nullptr || m->data.kind != MessageKind::kComment ||
+      m->data.creation_date != r.date || m->data.creator_id != r.replier) {
+    return false;
+  }
+  const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
+  return parent != nullptr && parent->data.creator_id == owner &&
+         parent->data.kind == r.parent_kind;
 }
 
 TEST(GraphStoreTest, AddAndFindPerson) {
@@ -287,6 +298,28 @@ TEST(GraphStoreTest, StorageBreakdownAccountsMajorStructures) {
   GraphStore store;
   ASSERT_TRUE(store.BulkLoad(ds.bulk).ok());
   StorageBreakdown b = store.ComputeStorageBreakdown();
+  // The message table is the records, their reply lists and content, plus
+  // each person's created-message edges, tag pool and received replies.
+  uint64_t message_table = 0, received_replies = 0;
+  {
+    auto pin = store.ReadLock();
+    for (schema::MessageId id = 0; id < store.MessageIdBound(); ++id) {
+      const MessageRecord* m = store.FindMessage(pin, id);
+      if (m == nullptr) continue;
+      message_table += sizeof(MessageRecord) + m->data.content.capacity() +
+                       m->data.tags.capacity() * sizeof(schema::TagId) +
+                       m->replies.capacity_bytes();
+    }
+    for (schema::PersonId id : store.PersonIds(pin)) {
+      const PersonRecord* p = store.FindPerson(pin, id);
+      received_replies += p->replies_received.capacity_bytes();
+      message_table += p->messages.capacity_bytes() +
+                       p->tags.capacity_bytes() +
+                       p->replies_received.capacity_bytes();
+    }
+  }
+  EXPECT_GE(received_replies, sizeof(ReplyEdge));
+  EXPECT_EQ(b.message_bytes, message_table);
   EXPECT_GT(b.message_bytes, 0u);
   EXPECT_GT(b.message_content_bytes, 0u);
   EXPECT_GT(b.likes_bytes, 0u);
@@ -349,7 +382,7 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
       }
       if (named != store.NumPersons()) index_errors.fetch_add(1);
       uint64_t friends = 0, person_likes = 0, person_forums = 0;
-      uint64_t creator_edges = 0;
+      uint64_t creator_edges = 0, replies_received = 0;
       for (schema::PersonId id = 0; id < kPersons; ++id) {
         const PersonRecord* p = store.FindPerson(pin, id);
         if (p == nullptr) continue;
@@ -357,6 +390,7 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
         person_likes += p->likes.size();
         person_forums += p->forums.size();
         creator_edges += p->messages.size();
+        replies_received += p->replies_received.size();
       }
       uint64_t message_likes = 0, replies = 0;
       for (schema::MessageId id = 0; id < store.MessageIdBound(); ++id) {
@@ -376,7 +410,8 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
         member_errors.fetch_add(1);
       }
       if (creator_edges != posts + replies ||
-          creator_edges != store.NumMessages()) {
+          creator_edges != store.NumMessages() ||
+          replies_received != replies) {
         message_errors.fetch_add(1);
       }
       reads.fetch_add(1);
@@ -443,11 +478,16 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
             read_errors.fetch_add(1);
           }
         }
-        // Inline date, kind, country, parent facts and tag spans match
-        // the records.
+        // Inline date, kind, country, parent kind and tag spans match
+        // the records, and so does every received reply.
         CreatedMessages messages = p->created_messages();
         for (const MessageEdge& e : messages) {
           if (!EdgeMatchesRecords(store, pin, messages, e)) {
+            read_errors.fetch_add(1);
+          }
+        }
+        for (const ReplyEdge& r : p->replies_received.view()) {
+          if (!ReplyMatchesRecords(store, pin, id, r)) {
             read_errors.fetch_add(1);
           }
         }
@@ -483,9 +523,9 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
 }
 
 TEST(GraphStoreTest, CommentEdgeCopiesParentFacts) {
-  // A comment's created-message edge copies its parent's creator and kind,
-  // and the parent's tags when the parent is a post; a reply to a comment
-  // carries no tags.
+  // A comment's created-message edge copies its parent's kind, and the
+  // parent's tags when the parent is a post; a reply to a comment carries
+  // no tags. The parent's creator receives the comment as a ReplyEdge.
   GraphStore store;
   constexpr schema::ForumId kForum = 10;
   constexpr schema::PersonId poster = 1;
@@ -523,17 +563,35 @@ TEST(GraphStoreTest, CommentEdgeCopiesParentFacts) {
     EXPECT_EQ(edges[0].id, comment_id);
     EXPECT_EQ(edges[0].kind, MessageKind::kComment);
     EXPECT_EQ(edges[0].country, 8u);
-    EXPECT_EQ(edges[0].parent_creator, poster);
     EXPECT_EQ(edges[0].parent_kind, MessageKind::kPost);
     EXPECT_TRUE(SpanEquals(edges.tags(edges[0]), {4, 11, 2}));
     EXPECT_EQ(edges[1].id, reply_id);
     EXPECT_EQ(edges[1].country, 9u);
-    EXPECT_EQ(edges[1].parent_creator, replier);
     EXPECT_EQ(edges[1].parent_kind, MessageKind::kComment);
     EXPECT_EQ(edges[1].tags_count, 0u);
     EXPECT_EQ(edges.pool_size(), 3u);
     for (const MessageEdge& e : edges) {
       EXPECT_TRUE(EdgeMatchesRecords(store, pin, edges, e)) << e.id;
+    }
+    // The comment is filed under the poster, the reply to it under the
+    // replier, who wrote the comment it answers.
+    auto to_poster = store.FindPerson(pin, poster)->replies_received.view();
+    ASSERT_EQ(to_poster.size(), 1u);
+    EXPECT_EQ(to_poster[0].id, comment_id);
+    EXPECT_EQ(to_poster[0].date, 3100);
+    EXPECT_EQ(to_poster[0].replier, replier);
+    EXPECT_EQ(to_poster[0].parent_kind, MessageKind::kPost);
+    auto to_replier = store.FindPerson(pin, replier)->replies_received.view();
+    ASSERT_EQ(to_replier.size(), 1u);
+    EXPECT_EQ(to_replier[0].id, reply_id);
+    EXPECT_EQ(to_replier[0].date, 3200);
+    EXPECT_EQ(to_replier[0].replier, replier);
+    EXPECT_EQ(to_replier[0].parent_kind, MessageKind::kComment);
+    for (schema::PersonId owner : {poster, replier}) {
+      for (const ReplyEdge& r :
+           store.FindPerson(pin, owner)->replies_received.view()) {
+        EXPECT_TRUE(ReplyMatchesRecords(store, pin, owner, r)) << r.id;
+      }
     }
     auto posts = store.FindForum(pin, kForum)->posts.view();
     ASSERT_EQ(posts.size(), 1u);
@@ -550,6 +608,9 @@ TEST(GraphStoreTest, CommentEdgeCopiesParentFacts) {
   CreatedMessages after = store.FindPerson(pin, replier)->created_messages();
   EXPECT_EQ(after.size(), 2u);
   EXPECT_EQ(after.pool_size(), 3u);  // Nor any tags.
+  // Nor a received reply.
+  EXPECT_EQ(store.FindPerson(pin, poster)->replies_received.size(), 1u);
+  EXPECT_EQ(store.FindPerson(pin, replier)->replies_received.size(), 1u);
   EXPECT_EQ(store.FindMessage(pin, missing_id + 1), nullptr);
   EXPECT_EQ(store.NumMessages(), 3u);
 }

@@ -2,7 +2,9 @@
 // boundary limits, and degenerate parameters.
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,7 @@ TEST(QueriesEdgeTest, EmptyStoreReturnsEmptyEverywhere) {
   EXPECT_TRUE(Query9(store, 0, 1 << 30).empty());
   EXPECT_TRUE(Query10(store, 0, 5).empty());
   EXPECT_EQ(Query13(store, 0, 1), -1);
+  EXPECT_EQ(Query13(store, 0, 0), -1);  // Absent, even when identical.
   EXPECT_TRUE(Query14(store, 0, 1).empty());
   EXPECT_TRUE(TwoHopCircle(store, 0).empty());
   EXPECT_FALSE(ShortQuery1PersonProfile(store, 0).found);
@@ -324,6 +327,89 @@ TEST(QueriesEdgeTest, Q1PlacesNameCarriersByDistance) {
   }
 }
 
+// ---- Q8 on a hand-built graph -----------------------------------------------
+
+TEST(QueriesEdgeTest, Q8NewestRepliesMatchOracle) {
+  // Person 1 posts 0 and 1, person 2 post 2, and person 1 comments on post
+  // 2 (message 3). Replies are linked in id order, which is not date
+  // order; several share a date (ties go to the lower comment id); person
+  // 1 replies to its own post; comment 3 collects replies to a comment;
+  // replies to other persons' messages must stay out.
+  schema::SocialNetwork net;
+  for (schema::PersonId id = 1; id <= 6; ++id) {
+    net.persons.push_back(MakePerson(id));
+  }
+  schema::Forum forum;
+  forum.id = 1;
+  forum.moderator_id = 1;
+  forum.creation_date = 500;
+  net.forums.push_back(forum);
+  auto add = [&](schema::PersonId creator, schema::MessageId parent,
+                 util::TimestampMs date) {
+    schema::Message m;
+    m.id = net.messages.size();
+    m.creator_id = creator;
+    m.creation_date = date;
+    m.forum_id = 1;
+    if (parent == schema::kInvalidId) {
+      m.kind = schema::MessageKind::kPost;
+      m.root_post_id = m.id;
+    } else {
+      m.kind = schema::MessageKind::kComment;
+      m.reply_to_id = parent;
+      m.root_post_id = net.messages[parent].root_post_id;
+    }
+    net.messages.push_back(m);
+    return m.id;
+  };
+  const schema::MessageId kNone = schema::kInvalidId;
+  schema::MessageId post0 = add(1, kNone, 1000);
+  schema::MessageId post1 = add(1, kNone, 1001);
+  schema::MessageId post2 = add(2, kNone, 1002);
+  schema::MessageId comment3 = add(1, post2, 1500);
+  add(2, post0, 5000);                    // 4
+  add(3, post0, 2000);                    // 5
+  add(1, post0, 4000);                    // 6: a self-reply.
+  schema::MessageId c7 = add(4, comment3, 4000);  // 7: ties with 6.
+  add(5, post1, 3000);                    // 8
+  add(2, c7, 6000);                       // 9: answers person 4.
+  add(3, post2, 7000);                    // 10: answers person 2.
+  add(6, comment3, 4000);                 // 11: ties with 6 and 7.
+  // Twenty more, dates cycling over seven values below 3000.
+  for (int k = 0; k < 20; ++k) {
+    add(static_cast<schema::PersonId>(2 + k % 5), k % 2 == 0 ? post0 : comment3,
+        2300 + (k % 7) * 100);
+  }
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(net).ok());
+  validate::Oracle oracle(net);
+
+  std::vector<Q8Result> top = Query8(store, 1);
+  ASSERT_EQ(top.size(), 20u);  // 26 replies, cut to 20.
+  auto row = [](const Q8Result& r) {
+    return std::tuple(r.comment_id, r.replier_id, r.creation_date);
+  };
+  using Row = std::tuple<schema::MessageId, schema::PersonId,
+                         util::TimestampMs>;
+  EXPECT_EQ(row(top[0]), Row(4, 2, 5000));
+  EXPECT_EQ(row(top[1]), Row(6, 1, 4000));
+  EXPECT_EQ(row(top[2]), Row(7, 4, 4000));
+  EXPECT_EQ(row(top[3]), Row(11, 6, 4000));
+  EXPECT_EQ(row(top[4]), Row(8, 5, 3000));
+  for (schema::PersonId start = 1; start <= 7; ++start) {
+    for (int limit : {1, 3, 20, 100}) {
+      EXPECT_EQ(validate::CanonicalRows(Query8(store, start, limit)),
+                validate::CanonicalRows(oracle.Query8(start, limit)))
+          << "person " << start << ", limit " << limit;
+    }
+  }
+  // Person 2 received the comment on its post and reply 10, nothing else.
+  std::vector<Q8Result> to_two = Query8(store, 2);
+  ASSERT_EQ(to_two.size(), 2u);
+  EXPECT_EQ(row(to_two[0]), Row(10, 3, 7000));
+  EXPECT_EQ(row(to_two[1]), Row(3, 1, 1500));
+}
+
 // ---- Q14 oracle battery ------------------------------------------------------
 //
 // Hand-built graphs on which Query14 must return validate::Oracle::Query14's
@@ -508,6 +594,58 @@ TEST(Q14OracleBattery, SharedEdgeWeighsTheSameOnEveryPath) {
             (std::vector<schema::PersonId>{0, 2, 6, 7, 9, 11}));
   EXPECT_EQ(rows.front().weight, 5.5);
   EXPECT_EQ(g.Check(11, 0, 5).size(), 15u);
+}
+
+TEST(Q14OracleBattery, WeightsDecideTheOrder) {
+  // 0 - {1, 2} - {3, 4} - 5 with every edge between neighbouring levels,
+  // plus same-level edges 1-2 and 3-4: four shortest paths, ranked by
+  // replies between path neighbours in both directions, to posts (1.0) and
+  // to comments (0.5). Replies between path persons two or three levels
+  // apart, or on the same level, weigh nothing: those persons are never
+  // neighbours on a path.
+  Q14Battery g(5);
+  for (auto [a, b] : {std::pair(0, 1), std::pair(0, 2), std::pair(1, 3),
+                      std::pair(1, 4), std::pair(2, 3), std::pair(2, 4),
+                      std::pair(3, 5), std::pair(4, 5), std::pair(1, 2),
+                      std::pair(3, 4)}) {
+    g.Knows(a, b);
+  }
+  schema::MessageId post0 = g.Post(0);
+  schema::MessageId post1 = g.Post(1);
+  schema::MessageId post3 = g.Post(3);
+  schema::MessageId post4 = g.Post(4);
+  g.Reply(1, post0);                  // 0-1: 1.0
+  g.Reply(0, g.Reply(1, post1));      // 0-1: 0.5 (to 1's comment)
+  g.Reply(2, post0);                  // 0-2: 1.0
+  g.Reply(3, post1);                  // 1-3: 1.0
+  g.Reply(1, g.Reply(3, post3));      // 1-3: 0.5
+  g.Reply(4, g.Reply(2, post3));      // 2-3: 1.0, then 2-4: 0.5
+  g.Reply(2, post4);                  // 2-4: 1.0
+  g.Reply(5, post3);                  // 3-5: 1.0
+  // Persons that are never neighbours on a path.
+  for (int i = 0; i < 3; ++i) g.Reply(0, post3);  // Levels 0 and 2.
+  g.Reply(5, post1);                               // Levels 3 and 1.
+  g.Reply(5, post0);                               // Levels 3 and 0.
+  g.Reply(2, post1);                               // Same level.
+  g.Reply(3, post4);                               // Same level.
+  std::vector<Q14Result> rows = g.Check(0, 5, 3);
+  using Path = std::vector<schema::PersonId>;
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].path, (Path{0, 1, 3, 5}));  // 1.5 + 1.5 + 1.0
+  EXPECT_EQ(rows[0].weight, 4.0);
+  EXPECT_EQ(rows[1].path, (Path{0, 2, 3, 5}));  // 1.0 + 1.0 + 1.0
+  EXPECT_EQ(rows[1].weight, 3.0);
+  EXPECT_EQ(rows[2].path, (Path{0, 2, 4, 5}));  // 1.0 + 1.5 + 0
+  EXPECT_EQ(rows[2].weight, 2.5);
+  EXPECT_EQ(rows[3].path, (Path{0, 1, 4, 5}));  // 1.5 + 0 + 0
+  EXPECT_EQ(rows[3].weight, 1.5);
+  std::vector<Q14Result> back = g.Check(5, 0, 3);
+  ASSERT_EQ(back.size(), 4u);
+  EXPECT_EQ(back[0].path, (Path{5, 3, 1, 0}));
+  EXPECT_EQ(back[0].weight, 4.0);
+  // From a path's middle the levels shift, and so do the neighbours.
+  g.Check(1, 5, 2);
+  g.Check(3, 0, 2);
 }
 
 TEST(QueriesEdgeTest, ApplyUpdateRejectsCorruptKinds) {

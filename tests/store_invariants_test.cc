@@ -179,8 +179,6 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
         const MessageRecord* parent =
             store().FindMessage(pin, m->data.reply_to_id);
         ASSERT_NE(parent, nullptr);
-        EXPECT_EQ(e.parent_creator, parent->data.creator_id)
-            << "message " << e.id;
         EXPECT_EQ(e.parent_kind, parent->data.kind) << "message " << e.id;
         if (parent->data.kind == schema::MessageKind::kComment) {
           EXPECT_EQ(e.tags_count, 0u) << "message " << e.id;
@@ -188,7 +186,6 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
           EXPECT_EQ(span, parent->data.tags) << "message " << e.id;
         }
       } else {
-        EXPECT_EQ(e.parent_creator, schema::kInvalidId) << "message " << e.id;
         EXPECT_EQ(e.parent_kind, schema::MessageKind::kPost)
             << "message " << e.id;
         EXPECT_EQ(span, m->data.tags) << "message " << e.id;
@@ -199,6 +196,50 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
     }
   }
   EXPECT_EQ(via_creators, store().NumMessages());
+}
+
+TEST_P(StoreInvariantsTest, ReceivedRepliesHoldEveryCommentOnce) {
+  auto pin = store().ReadLock();
+  // Every entry is a comment replying to a message of the list's owner,
+  // with the comment's id, date and creator and its parent's kind, and no
+  // comment is filed twice.
+  std::unordered_map<schema::MessageId, schema::PersonId> owner_of;
+  uint64_t entries = 0;
+  for (schema::PersonId id : store().PersonIds(pin)) {
+    const PersonRecord* p = store().FindPerson(pin, id);
+    entries += p->replies_received.size();
+    for (const ReplyEdge& r : p->replies_received.view()) {
+      EXPECT_TRUE(owner_of.emplace(r.id, id).second)
+          << "comment " << r.id << " filed twice";
+      const MessageRecord* m = store().FindMessage(pin, r.id);
+      ASSERT_NE(m, nullptr) << "comment " << r.id;
+      EXPECT_EQ(m->data.kind, schema::MessageKind::kComment)
+          << "message " << r.id;
+      EXPECT_EQ(r.date, m->data.creation_date) << "comment " << r.id;
+      EXPECT_EQ(r.replier, m->data.creator_id) << "comment " << r.id;
+      const MessageRecord* parent =
+          store().FindMessage(pin, m->data.reply_to_id);
+      ASSERT_NE(parent, nullptr) << "comment " << r.id;
+      EXPECT_EQ(r.parent_kind, parent->data.kind) << "comment " << r.id;
+    }
+  }
+  // Every comment is filed under its parent's creator; with the above,
+  // each comment appears exactly once and the lists sum to the comments.
+  uint64_t comments = 0;
+  for (schema::MessageId id = 0; id < store().MessageIdBound(); ++id) {
+    const MessageRecord* m = store().FindMessage(pin, id);
+    if (m == nullptr || m->data.kind != schema::MessageKind::kComment) {
+      continue;
+    }
+    ++comments;
+    const MessageRecord* parent =
+        store().FindMessage(pin, m->data.reply_to_id);
+    ASSERT_NE(parent, nullptr) << "comment " << id;
+    auto it = owner_of.find(id);
+    ASSERT_NE(it, owner_of.end()) << "comment " << id << " not filed";
+    EXPECT_EQ(it->second, parent->data.creator_id) << "comment " << id;
+  }
+  EXPECT_EQ(entries, comments);
 }
 
 /// One name per first-name bucket, so a test can read every bucket through

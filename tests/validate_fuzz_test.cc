@@ -81,6 +81,24 @@ TEST(DifferentialFuzzTest, TwoHundredGraphsAgreeAcrossBackends) {
       << MismatchToJson(outcome.first);
 }
 
+// Larger graphs (up to 40 persons and 160 messages), on a seed of their
+// own: Q14's shortest paths cross several weighed pairs and Q8 reads
+// longer reply lists, so both get the three-way check there too.
+TEST(DifferentialFuzzTest, LargerGraphsAgreeAcrossBackends) {
+  FuzzConfig config;
+  config.seed = 0x40B16ULL;
+  config.num_graphs = 300;
+  config.max_persons = 40;
+  FuzzOutcome outcome;
+  ASSERT_TRUE(RunDifferentialFuzz(config, &outcome).ok());
+  EXPECT_EQ(outcome.graphs_run, 300);
+  ASSERT_EQ(outcome.mismatches, 0)
+      << "backend " << outcome.first.backend << " diverged on "
+      << outcome.first.binding.op << " (graph seed "
+      << outcome.first.graph_seed << "):\n"
+      << MismatchToJson(outcome.first);
+}
+
 TEST(DifferentialFuzzTest, PerturbationIsCaughtShrunkAndRoundTrips) {
   // Simulated store-side bug: Q2 drops its last row.
   StorePerturbation drop_last = [](const std::string& op,
