@@ -38,6 +38,11 @@ void ExpandTwoHop(const store::GraphStore& store, const store::ReadGuard& pin,
 /// and no allocation. With a total-order comparator (every query's sort
 /// key includes a unique id column) the kept set and its drained order
 /// are byte-identical to full-sort-then-truncate.
+///
+/// A producer that feeds rows in rank order, worst last, can stop early:
+/// once Push rejects a row, every later row that ranks no better than
+/// worst() would be rejected too (Q2 and Q9 walk each date-sorted list
+/// newest-first and stop at the first rejected row older than worst()).
 template <typename Row, typename Less>
 class TopK {
  public:
@@ -45,21 +50,27 @@ class TopK {
     heap_.reserve(k);
   }
 
-  void Push(const Row& row) {
-    if (k_ == 0) return;
+  /// Offers `row`; true when it was kept (it may be evicted later).
+  bool Push(const Row& row) {
+    if (k_ == 0) return false;
     if (heap_.size() < k_) {
       heap_.push_back(row);
       std::push_heap(heap_.begin(), heap_.end(), less_);
-      return;
+      return true;
     }
-    if (less_(row, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), less_);
-      heap_.back() = row;
-      std::push_heap(heap_.begin(), heap_.end(), less_);
-    }
+    if (!less_(row, heap_.front())) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), less_);
+    heap_.back() = row;
+    std::push_heap(heap_.begin(), heap_.end(), less_);
+    return true;
   }
 
   size_t size() const { return heap_.size(); }
+
+  /// The worst kept row, the one the next better row would evict. Only
+  /// once the sink is full (size() == k > 0), which a rejected Push with
+  /// k > 0 implies.
+  const Row& worst() const { return heap_.front(); }
 
   /// Rows in rank order (best first); the sink is empty afterwards.
   std::vector<Row> Drain() {

@@ -108,12 +108,13 @@ std::vector<Bi3Result> BiQuery3CountryInfluencers(
   for (schema::PersonId pid : store.PersonIds(pin)) {
     const store::PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
-    auto messages = p->messages.view();
     Acc& acc = per_person[pid];
-    acc.messages = messages.size();
-    for (const store::MessageEdge& e : messages) {
-      const store::MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m != nullptr) acc.likes += m->likes.size();
+    for (auto messages : {p->posts.view(), p->comments.view()}) {
+      acc.messages += messages.size();
+      for (const store::MessageEdge& e : messages) {
+        const store::MessageRecord* m = store.FindMessage(pin, e.id);
+        if (m != nullptr) acc.likes += m->likes.size();
+      }
     }
   }
   // Group by country, keep top-k.

@@ -1,6 +1,7 @@
 #include "queries/complex_queries.h"
 
 #include <algorithm>
+#include <array>
 #include <span>
 
 #include "exec/dense_id_set.h"
@@ -45,6 +46,12 @@ std::vector<PersonId> CircleOf(const GraphStore& store,
   return circle;
 }
 
+/// A person's created posts and created comments, each sorted by
+/// (creation date, id).
+std::array<MessageEdges, 2> CreatedLists(const PersonRecord& p) {
+  return {p.posts.view(), p.comments.view()};
+}
+
 /// Index of the first created-message edge with creation date > max_date.
 /// Dates ride inline in the adjacency entry (ascending), so the binary
 /// search touches no message records.
@@ -61,6 +68,24 @@ size_t LowerBoundByDate(const MessageEdges& messages, TimestampMs min_date) {
       messages.begin(), messages.end(),
       [&](const MessageEdge& e) { return e.date < min_date; });
   return static_cast<size_t>(it - messages.begin());
+}
+
+/// Pushes the edges [0, end) of one (date, id)-sorted created-message list
+/// into `top`, newest first, as the rows `row(edge)`; returns how many it
+/// pushed. Rows rank by (date desc, id asc), so within one date a later
+/// (smaller) id ranks better: a rejected row ends the walk only when it is
+/// older than the worst kept row, because every edge after it is older
+/// still. An empty sink that rejects a row has k = 0 and takes nothing.
+template <typename Sink, typename MakeRow>
+size_t PushNewest(const MessageEdges& edges, size_t end, Sink& top,
+                  MakeRow row) {
+  size_t pushed = 0;
+  for (size_t i = end; i-- > 0;) {
+    ++pushed;
+    if (top.Push(row(edges[i]))) continue;
+    if (top.size() == 0 || edges[i].date < top.worst().creation_date) break;
+  }
+  return pushed;
 }
 
 /// A plan's final sort-and-cut (span sort_limit): `rows` ordered by `less`,
@@ -167,28 +192,32 @@ std::vector<Q2Result> Query2(const GraphStore& store, PersonId start,
                              TimestampMs max_date, int limit) {
   auto pin = store.ReadLock();
   std::vector<PersonId> friends = FriendIdsLocked(store, pin, start);
-  std::vector<Q2Result> candidates;
+  // The message id breaks date ties, so the top-k heap keeps exactly the
+  // rows a full sort would, in the same order.
+  auto less = [](const Q2Result& a, const Q2Result& b) {
+    if (a.creation_date != b.creation_date) {
+      return a.creation_date > b.creation_date;
+    }
+    return a.message_id < b.message_id;
+  };
+  exec::TopK<Q2Result, decltype(less)> top(static_cast<size_t>(limit), less);
   {
     obs::TraceSpan span("join3");
     for (PersonId fid : friends) {
       const PersonRecord* f = store.FindPerson(pin, fid);
       if (f == nullptr) continue;
-      auto messages = f->messages.view();
-      size_t upper = UpperBoundByDate(messages, max_date);
-      size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
-      for (size_t i = upper - take; i < upper; ++i) {
-        candidates.push_back({messages[i].id, fid, messages[i].date});
+      for (const MessageEdges& messages : CreatedLists(*f)) {
+        span.AddRows(PushNewest(messages, UpperBoundByDate(messages, max_date),
+                                top, [&](const MessageEdge& e) {
+                                  return Q2Result{e.id, fid, e.date};
+                                }));
       }
     }
-    span.AddRows(candidates.size());
   }
-  return SortLimit(std::move(candidates), limit,
-                   [](const Q2Result& a, const Q2Result& b) {
-                     if (a.creation_date != b.creation_date) {
-                       return a.creation_date > b.creation_date;
-                     }
-                     return a.message_id < b.message_id;
-                   });
+  obs::TraceSpan span("sort_limit");
+  std::vector<Q2Result> out = top.Drain();
+  span.AddRows(out.size());
+  return out;
 }
 
 // ---- Q3 -----------------------------------------------------------------------
@@ -214,15 +243,17 @@ std::vector<Q3Result> Query3(const GraphStore& store, PersonId start,
         if (home == country_x || home == country_y) continue;
       }
       // Countries ride inline in the date-ordered edges: no record loads.
+      // Each list is searched once, for the window's first edge, and
+      // scanned forward to the window's end.
       uint32_t count_x = 0, count_y = 0;
-      auto messages = p->messages.view();
-      size_t lower = LowerBoundByDate(messages, start_date);
-      size_t upper = UpperBoundByDate(messages, end_date - 1);
-      for (size_t i = lower; i < upper; ++i) {
-        if (messages[i].country == country_x) {
-          ++count_x;
-        } else if (messages[i].country == country_y) {
-          ++count_y;
+      for (const MessageEdges& messages : CreatedLists(*p)) {
+        for (size_t i = LowerBoundByDate(messages, start_date);
+             i < messages.size() && messages[i].date < end_date; ++i) {
+          if (messages[i].country == country_x) {
+            ++count_x;
+          } else if (messages[i].country == country_y) {
+            ++count_y;
+          }
         }
       }
       if (count_x > 0 && count_y > 0) {
@@ -256,14 +287,13 @@ std::vector<Q4Result> Query4(const GraphStore& store, PersonId start,
     for (PersonId fid : friends) {
       const PersonRecord* f = store.FindPerson(pin, fid);
       if (f == nullptr) continue;
-      store::CreatedMessages messages = f->created_messages();
-      for (const MessageEdge& e : messages) {
+      store::CreatedMessages posts = f->created_posts();
+      for (const MessageEdge& e : posts) {
         if (e.date >= end_date) break;  // Ascending dates.
-        if (e.kind == MessageKind::kComment) continue;  // Inline kind.
         if (e.date < start_date) {
-          for (schema::TagId t : messages.tags(e)) before_window.Insert(t, 0);
+          for (schema::TagId t : posts.tags(e)) before_window.Insert(t, 0);
         } else {
-          for (schema::TagId t : messages.tags(e)) ++in_window.At(t);
+          for (schema::TagId t : posts.tags(e)) ++in_window.At(t);
         }
       }
     }
@@ -293,19 +323,21 @@ std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
   exec::DenseIdSet members(store.PersonIdBound());
   exec::ExpandTwoHop(store, pin, start, &circle, &members);
 
-  // Forums joined by circle members after min_date, deduplicated by sort.
-  std::vector<schema::ForumId> forums;
+  // Forums joined by circle members after min_date. Memberships are
+  // sorted by join date, so each member's walk starts at its first join
+  // past the cut; the bitmap deduplicates and yields ascending forum ids.
+  exec::DenseIdSet forums(store.ForumIdBound());
   {
     obs::TraceSpan span("forum_join");
     for (PersonId pid : circle) {
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
-      for (const DatedEdge& membership : p->forums.view()) {
-        if (membership.date > min_date) forums.push_back(membership.id);
-      }
+      auto memberships = p->forums.view();
+      auto joined = std::partition_point(
+          memberships.begin(), memberships.end(),
+          [&](const DatedEdge& m) { return m.date <= min_date; });
+      for (; joined != memberships.end(); ++joined) forums.Insert(joined->id);
     }
-    std::sort(forums.begin(), forums.end());
-    forums.erase(std::unique(forums.begin(), forums.end()), forums.end());
     span.AddRows(forums.size());
   }
 
@@ -319,16 +351,16 @@ std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
   exec::TopK<Q5Result, decltype(less)> top(static_cast<size_t>(limit), less);
   {
     obs::TraceSpan span("post_count");
-    for (schema::ForumId fid : forums) {
+    forums.ForEach([&](schema::ForumId fid) {
       const store::ForumRecord* forum = store.FindForum(pin, fid);
-      if (forum == nullptr) continue;
+      if (forum == nullptr) return;
       uint32_t count = 0;
       for (const store::PostEdge& post : forum->posts.view()) {
         if (members.Contains(post.creator)) ++count;  // Inline creator.
       }
       top.Push({fid, count});
       span.AddRows(1);
-    }
+    });
   }
   obs::TraceSpan span("sort_limit");
   std::vector<Q5Result> out = top.Drain();
@@ -349,10 +381,9 @@ std::vector<Q6Result> Query6(const GraphStore& store, PersonId start,
     for (PersonId pid : circle) {
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
-      store::CreatedMessages messages = p->created_messages();
-      for (const MessageEdge& e : messages) {
-        if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-        std::span<const schema::TagId> tags = messages.tags(e);
+      store::CreatedMessages posts = p->created_posts();
+      for (const MessageEdge& e : posts) {
+        std::span<const schema::TagId> tags = posts.tags(e);
         if (std::find(tags.begin(), tags.end(), tag) == tags.end()) continue;
         for (schema::TagId t : tags) {
           if (t != tag) ++co_counts.At(t);
@@ -385,28 +416,36 @@ std::vector<Q7Result> Query7(const GraphStore& store, PersonId start,
   if (p == nullptr) return likes;
   {
     obs::TraceSpan span("likes_join");
-    for (const MessageEdge& e : p->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr) continue;
-      for (const DatedEdge& like : m->likes.view()) {
-        Q7Result r;
-        r.liker_id = like.id;
-        r.message_id = e.id;
-        r.like_date = like.date;
-        r.latency_minutes =
-            (like.date - m->data.creation_date) / util::kMillisPerMinute;
-        r.is_outside_friendship = !store.AreFriends(pin, start, like.id);
-        likes.push_back(r);
+    for (const MessageEdges& messages : CreatedLists(*p)) {
+      for (const MessageEdge& e : messages) {
+        const MessageRecord* m = store.FindMessage(pin, e.id);
+        if (m == nullptr) continue;
+        for (const DatedEdge& like : m->likes.view()) {
+          Q7Result r;
+          r.liker_id = like.id;
+          r.message_id = e.id;
+          r.like_date = like.date;
+          r.latency_minutes =
+              (like.date - m->data.creation_date) / util::kMillisPerMinute;
+          r.is_outside_friendship = !store.AreFriends(pin, start, like.id);
+          likes.push_back(r);
+        }
       }
     }
     span.AddRows(likes.size());
   }
+  // One liker may like two of the messages in the same millisecond, so the
+  // message id ends the key: the order is total, whatever order the lists
+  // are read in.
   return SortLimit(std::move(likes), limit,
                    [](const Q7Result& a, const Q7Result& b) {
                      if (a.like_date != b.like_date) {
                        return a.like_date > b.like_date;
                      }
-                     return a.liker_id < b.liker_id;
+                     if (a.liker_id != b.liker_id) {
+                       return a.liker_id < b.liker_id;
+                     }
+                     return a.message_id < b.message_id;
                    });
 }
 
@@ -465,14 +504,14 @@ std::vector<Q9Result> Query9OverCircle(const GraphStore& store,
     for (PersonId pid : circle) {
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
-      // Edges [0, upper) predate max_date; push the newest `limit`.
-      auto messages = p->messages.view();
-      size_t upper = LowerBoundByDate(messages, max_date);
-      size_t take = std::min(upper, static_cast<size_t>(limit));
-      for (size_t i = upper - take; i < upper; ++i) {
-        top.Push({messages[i].id, pid, messages[i].date});
+      // Edges [0, upper) predate max_date; push them newest first until
+      // the heap rejects one older than its worst row.
+      for (const MessageEdges& messages : CreatedLists(*p)) {
+        span.AddRows(PushNewest(messages, LowerBoundByDate(messages, max_date),
+                                top, [&](const MessageEdge& e) {
+                                  return Q9Result{e.id, pid, e.date};
+                                }));
       }
-      span.AddRows(take);
     }
   }
   obs::TraceSpan span("sort_limit");
@@ -528,10 +567,9 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
                         (month == next_month && day < 22);
       if (!sign_match) return;
       int32_t common = 0, other = 0;
-      store::CreatedMessages messages = p->created_messages();
-      for (const MessageEdge& e : messages) {
-        if (e.kind == MessageKind::kComment) continue;  // Inline kind.
-        std::span<const schema::TagId> tags = messages.tags(e);
+      store::CreatedMessages posts = p->created_posts();
+      for (const MessageEdge& e : posts) {
+        std::span<const schema::TagId> tags = posts.tags(e);
         bool about_interest =
             std::any_of(tags.begin(), tags.end(), [&](schema::TagId t) {
               return interests.Contains(t);
@@ -602,15 +640,12 @@ std::vector<Q12Result> Query12(const GraphStore& store, PersonId start,
       const PersonRecord* f = store.FindPerson(pin, fid);
       if (f == nullptr) continue;
       uint32_t count = 0;
-      store::CreatedMessages messages = f->created_messages();
-      for (const MessageEdge& e : messages) {
-        // Only replies to posts (or photos) count; kinds ride inline, and
-        // such a reply's span holds the replied-to post's tags.
-        if (e.kind != MessageKind::kComment ||
-            e.parent_kind == MessageKind::kComment) {
-          continue;
-        }
-        for (schema::TagId t : messages.tags(e)) {
+      store::CreatedMessages comments = f->created_comments();
+      for (const MessageEdge& e : comments) {
+        // Only replies to posts (or photos) count; the parent's kind rides
+        // inline, and such a reply's span holds the replied-to post's tags.
+        if (e.parent_kind == MessageKind::kComment) continue;
+        for (schema::TagId t : comments.tags(e)) {
           if (t < tag_in_class.size() && tag_in_class[t]) {
             ++count;
             break;

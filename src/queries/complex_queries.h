@@ -70,7 +70,11 @@ struct Q2Result {
 };
 
 /// Top-`limit` most recent messages by direct friends created at or before
-/// `max_date`; sorted by (date desc, message id asc).
+/// `max_date`; sorted by (date desc, message id asc). The plan walks each
+/// friend's created posts and created comments newest-first from the date
+/// cut (a binary search on the inline dates) into a top-`limit` heap and
+/// stops a list at the first rejected row older than the heap's worst
+/// (span join3, rows pushed), then drains the heap (sort_limit).
 std::vector<Q2Result> Query2(const GraphStore& store, schema::PersonId start,
                              TimestampMs max_date, int limit = 20);
 
@@ -115,7 +119,13 @@ struct Q5Result {
 };
 
 /// Forums that friends or friends-of-friends joined after `min_date`, ranked
-/// by the number of posts any of them created in the forum; top 20.
+/// by the number of posts any of them created in the forum; top 20 by
+/// (count desc, forum id asc). The plan binary-searches each circle
+/// member's join-date-sorted memberships for its first join after
+/// `min_date` and collects the forums from there in a bitmap over forum
+/// ids (span forum_join, one row per distinct forum), then counts each
+/// forum's posts by circle members in ascending forum id order into a
+/// top-k heap (post_count) and drains it (sort_limit).
 std::vector<Q5Result> Query5(const GraphStore& store, schema::PersonId start,
                              TimestampMs min_date, int limit = 20);
 
@@ -144,7 +154,9 @@ struct Q7Result {
 };
 
 /// Most recent likes on any of the start person's messages; top 20 by
-/// (like date desc, liker id asc).
+/// (like date desc, liker id asc, message id asc). The message id makes
+/// the order total: one liker may like two of the messages in the same
+/// millisecond.
 std::vector<Q7Result> Query7(const GraphStore& store, schema::PersonId start,
                              int limit = 20);
 
@@ -264,13 +276,16 @@ std::vector<schema::PersonId> FriendIds(const GraphStore& store,
 std::vector<schema::PersonId> TwoHopCircle(const GraphStore& store,
                                            schema::PersonId start);
 
-/// Q9 after the circle expansion: each member's newest `limit` messages
-/// created before `max_date` (a binary search on the inline date column,
-/// no record loads) go straight into a top-`limit` heap (span join3), which
-/// is then drained (span sort_limit). Per member only its newest `limit`
-/// rows can reach the global top `limit`, and under the total order (date
-/// desc, id asc) the heap returns exactly what sort-then-cut would, for any
-/// member order. Query9Recycled runs it on a recycled circle.
+/// Q9 after the circle expansion: each member's created posts and created
+/// comments before `max_date` (a binary search on the inline date column,
+/// no record loads) go newest-first into a top-`limit` heap (span join3,
+/// rows pushed), which is then drained (span sort_limit). A list's walk
+/// stops at the first row the heap rejects that is older than the heap's
+/// worst row: every later row of that list is older still. A rejected row
+/// of the worst row's date does not stop it, because a smaller id of that
+/// date still ranks better. Under the total order (date desc, id asc) the
+/// heap returns exactly what sort-then-cut would, for any member order.
+/// Query9Recycled runs it on a recycled circle.
 std::vector<Q9Result> Query9OverCircle(
     const GraphStore& store, const store::ReadGuard& pin,
     const std::vector<schema::PersonId>& circle, TimestampMs max_date,

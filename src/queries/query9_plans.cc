@@ -116,9 +116,11 @@ std::vector<Q9Result> Query9WithPlan(const GraphStore& store,
       for (PersonId pid : circle) {
         const PersonRecord* p = store.FindPerson(pin, pid);
         if (p == nullptr) continue;
-        for (const store::MessageEdge& e : p->messages.view()) {
-          if (e.date >= max_date) break;  // Date-ordered index.
-          candidates.push_back({e.id, pid, e.date});
+        for (auto messages : {p->posts.view(), p->comments.view()}) {
+          for (const store::MessageEdge& e : messages) {
+            if (e.date >= max_date) break;  // Date-ordered index.
+            candidates.push_back({e.id, pid, e.date});
+          }
         }
       }
     } else {

@@ -1,6 +1,7 @@
 #include "queries/short_queries.h"
 
 #include <algorithm>
+#include <tuple>
 
 namespace snb::queries {
 
@@ -34,11 +35,19 @@ std::vector<S2Result> ShortQuery2RecentMessages(const GraphStore& store,
   std::vector<S2Result> results;
   const PersonRecord* p = store.FindPerson(pin, person);
   if (p == nullptr) return results;
-  auto messages = p->messages.view();
-  size_t n = messages.size();
-  size_t take = std::min<size_t>(n, static_cast<size_t>(limit));
-  for (size_t i = 0; i < take; ++i) {
-    const MessageEdge& edge = messages[n - 1 - i];  // Newest first.
+  // Merge the creator's posts and comments newest-first: both lists are
+  // sorted by (date, id), so the larger of the two tails comes next, the
+  // order of one list over both.
+  auto posts = p->posts.view();
+  auto comments = p->comments.view();
+  size_t i = posts.size(), j = comments.size();
+  size_t take = std::min<size_t>(i + j, static_cast<size_t>(limit));
+  auto newer = [](const MessageEdge& a, const MessageEdge& b) {
+    return std::tie(a.date, a.id) > std::tie(b.date, b.id);
+  };
+  for (; take > 0; --take) {
+    bool post_next = j == 0 || (i > 0 && newer(posts[i - 1], comments[j - 1]));
+    const MessageEdge& edge = post_next ? posts[--i] : comments[--j];
     const MessageRecord* m = store.FindMessage(pin, edge.id);
     if (m == nullptr) continue;
     S2Result r;

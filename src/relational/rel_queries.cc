@@ -285,7 +285,8 @@ std::vector<Q7Result> Query7(const RelationalDb& db, PersonId start,
   std::sort(likes.begin(), likes.end(),
             [](const Q7Result& a, const Q7Result& b) {
               if (a.like_date != b.like_date) return a.like_date > b.like_date;
-              return a.liker_id < b.liker_id;
+              if (a.liker_id != b.liker_id) return a.liker_id < b.liker_id;
+              return a.message_id < b.message_id;
             });
   if (static_cast<int>(likes.size()) > limit) likes.resize(limit);
   return likes;

@@ -3,8 +3,9 @@
 // The paper benchmarks Sparksee and Virtuoso; this store is the
 // from-scratch substitute (see DESIGN.md). It keeps the whole SNB graph in
 // adjacency-indexed form:
-//   * persons with friend lists (sorted), created messages (in time order),
-//     joined forums and given likes;
+//   * persons with friend lists (sorted), created posts and created
+//     comments (two lists, each in time order), joined forums (in join-date
+//     order) and given likes;
 //   * forums with member lists and contained root posts;
 //   * messages (dense, id-indexed; ids increase with creation time, so the
 //     message table is a clustered creation-date index — the locality
@@ -13,7 +14,7 @@
 //
 // Inline edge facts: the same locality rule applied to the adjacency
 // lists. A created-message edge (MessageEdge) carries the message's
-// creation date, kind and country and, for a comment, its parent's kind;
+// creation date and country and, for a comment, its parent's kind;
 // a forum's post edge (PostEdge) carries the post's creator; a received
 // reply (ReplyEdge) carries the comment's date, creator and the kind of
 // the message it answers. The complex reads filter on exactly these facts,
@@ -28,8 +29,17 @@
 // update rewrites an edge and an inline fact always equals the record's.
 // The writer appends a message's tags to the pool before it publishes the
 // edge, so a reader must take the edges before the pool;
-// PersonRecord::created_messages() is the one place that does, and the
-// only way to read a span.
+// PersonRecord::created_posts() and created_comments() are the only
+// places that do, and the only way to read a span.
+//
+// List order follows the circle reads' filters. A person's created
+// messages sit in two lists by kind, `posts` (posts and photos) and
+// `comments`, each sorted by (creation date, id) and sharing the one tag
+// pool: Q4, Q6 and Q10 read posts only and Q12 comments only, so neither
+// skips the other kind edge by edge, and Q2 and Q9 walk each list
+// newest-first and stop once their top-k cannot change. Memberships
+// (PersonRecord::forums) are sorted by (join date, forum id), so Q5
+// binary-searches for its first join after the date cut.
 //
 // Received replies: AddMessage also files each comment under the creator
 // of the message it replies to (PersonRecord::replies_received), so Q8
@@ -105,22 +115,22 @@ struct DatedEdge {
   util::TimestampMs date = 0;
 };
 
-/// A created-message entry in PersonRecord::messages: the message id plus
-/// the immutable facts the complex reads filter on, so a scan discards
-/// candidates without loading their MessageRecord. For a comment,
-/// `parent_kind` is the kind of the message it replies to (Q12 keeps
-/// replies to posts); posts and photos hold kPost there. `tags_begin` and
-/// `tags_count` span the creator's tag pool (PersonRecord::tags): a post's
-/// or photo's own tags, the replied-to post's tags for a comment on a post
-/// or photo, and an empty span for a reply to a comment. Read a span only
-/// through PersonRecord::created_messages(). All fields are copied at link
-/// time from the message and its parent record, both immutable once
-/// published, and never rewritten.
+/// A created-message entry in PersonRecord::posts or ::comments (the list
+/// says the kind): the message id plus the immutable facts the complex
+/// reads filter on, so a scan discards candidates without loading their
+/// MessageRecord. For a comment, `parent_kind` is the kind of the message
+/// it replies to (Q12 keeps replies to posts); posts and photos hold kPost
+/// there. `tags_begin` and `tags_count` span the creator's tag pool
+/// (PersonRecord::tags): a post's or photo's own tags, the replied-to
+/// post's tags for a comment on a post or photo, and an empty span for a
+/// reply to a comment. Read a span only through
+/// PersonRecord::created_posts() or created_comments(). All fields are
+/// copied at link time from the message and its parent record, both
+/// immutable once published, and never rewritten.
 struct MessageEdge {
   schema::MessageId id = schema::kInvalidId;
   util::TimestampMs date = 0;  // Creation date (Q2/Q9 date cuts).
   schema::PlaceId country = schema::kInvalidId32;  // Posted from (Q3).
-  schema::MessageKind kind = schema::MessageKind::kPost;
   schema::MessageKind parent_kind = schema::MessageKind::kPost;
   uint32_t tags_begin = 0;  // Span in the creator's tag pool.
   uint32_t tags_count = 0;
@@ -140,9 +150,9 @@ struct ReplyEdge {
 };
 static_assert(sizeof(ReplyEdge) == 32);
 
-/// A snapshot of one person's created-message edges together with the tag
-/// pool their spans index (PersonRecord::created_messages()). Valid as
-/// long as the snapshot the record came from.
+/// A snapshot of one of a person's created-message lists together with the
+/// tag pool their spans index (PersonRecord::created_posts() and
+/// created_comments()). Valid as long as the snapshot the record came from.
 class CreatedMessages {
  public:
   using Edges = util::RcuVector<MessageEdge>::View;
@@ -183,18 +193,23 @@ struct PersonRecord {
   schema::Person data;
   /// Sorted by `other` (binary-search friend test).
   util::RcuVector<FriendEdge> friends;
-  /// Messages created, sorted by (creation date, id) — maintained by
-  /// insertion, so the order holds even when the driver applies two of a
-  /// creator's messages out of due-time order (different forum
-  /// partitions). Date, kind and country ride inline, so date-bounded
-  /// scans (Q2/Q9) and the country counts (Q3) never touch the message
-  /// table; with the tag spans, Q4, Q6, Q10 and Q12 never do either.
-  util::RcuVector<MessageEdge> messages;
-  /// Tag pool the `messages` edges span, appended once per linked message
-  /// and never reordered, so a span stays valid when insert_sorted moves
-  /// its edge. Read it only through created_messages().
+  /// Posts and photos created, sorted by (creation date, id) — maintained
+  /// by insertion, so the order holds even when the driver applies two of
+  /// a creator's messages out of due-time order (different forum
+  /// partitions). Date and country ride inline, so date-bounded scans
+  /// (Q2/Q9) and the country counts (Q3) never touch the message table;
+  /// with the tag spans, Q4, Q6 and Q10 never do either.
+  util::RcuVector<MessageEdge> posts;
+  /// Comments created, sorted by (creation date, id) the same way; Q12
+  /// reads the inline parent kind and the parent post's tag span.
+  util::RcuVector<MessageEdge> comments;
+  /// Tag pool the `posts` and `comments` edges span, appended once per
+  /// linked message and never reordered, so a span stays valid when
+  /// insert_sorted moves its edge. Read it only through created_posts()
+  /// and created_comments().
   util::RcuVector<schema::TagId> tags;
-  /// Forums joined, with join dates.
+  /// Forums joined, with join dates, sorted by (join date, forum id) —
+  /// maintained by insertion, so Q5 binary-searches its date cut.
   util::RcuVector<DatedEdge> forums;
   /// Likes given: liked message + like date.
   util::RcuVector<DatedEdge> likes;
@@ -205,11 +220,17 @@ struct PersonRecord {
 
   bool present() const { return ready.load(std::memory_order_acquire) != 0; }
 
-  /// The created-message edges with their tag spans. A message's tags
-  /// reach the pool before its edge is published, so the edges are read
-  /// first: every span they hold then lies inside the pool read after.
-  CreatedMessages created_messages() const {
-    CreatedMessages::Edges edges = messages.view();
+  /// The created-post edges with their tag spans. A message's tags reach
+  /// the pool before its edge is published, so the edges are read first:
+  /// every span they hold then lies inside the pool read after.
+  CreatedMessages created_posts() const {
+    CreatedMessages::Edges edges = posts.view();
+    return CreatedMessages(edges, tags.view());
+  }
+  /// The created-comment edges with their tag spans, read in the same
+  /// order as created_posts().
+  CreatedMessages created_comments() const {
+    CreatedMessages::Edges edges = comments.view();
     return CreatedMessages(edges, tags.view());
   }
 };
@@ -401,6 +422,12 @@ class GraphStore {
   /// zero, so per-query person bitmaps (exec::DenseIdSet) size to this.
   /// A person added after the bound was read may lie at or past it.
   schema::PersonId PersonIdBound() const { return persons_.bound(); }
+
+  /// One past the largest forum id ever added, the size of Q5's forum
+  /// bitmap. Forum ids are sparser than person ids (a few slots per
+  /// person), but at SF0.4 the bound is still only 19,194 ids (2.4 KB of
+  /// bits). A forum added after the bound was read may lie at or past it.
+  schema::ForumId ForumIdBound() const { return forums_.bound(); }
 
   /// All person ids, ascending (for whole-graph scans in tests/benches).
   std::vector<schema::PersonId> PersonIds(const ReadGuard& pin) const;

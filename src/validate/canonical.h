@@ -11,8 +11,9 @@
 //   * human-readable enough that a diff report points at the failing field.
 // CanonicalRow serializes one result row as a '|'-separated field list;
 // CanonicalRows serializes a whole result set in its returned order, which
-// every query defines totally (each comparator ends in a unique id or, for
-// Q14, the full path).
+// every query defines totally: each comparator ends in a key unique among
+// its rows — an id; for Q7, whose one liker may like two messages in the
+// same millisecond, (liker id, message id); for Q14, the full path.
 #ifndef SNB_VALIDATE_CANONICAL_H_
 #define SNB_VALIDATE_CANONICAL_H_
 

@@ -643,9 +643,15 @@ schema::SocialNetwork GenerateFuzzNetwork(uint64_t seed, int max_persons) {
     net.messages.push_back(std::move(msg));
   }
 
-  // Likes: globally distinct creation dates (Q7's comparator ties only on
-  // equal dates; distinct dates keep every result totally ordered), each
-  // like strictly after its message.
+  // Likes, each strictly after its message. Half get globally distinct
+  // creation dates; the other half share one date, an hour after the last
+  // message, so two likers tie and one liker likes several of a person's
+  // messages in the same millisecond: Q7's liker id and message id keys
+  // then decide the order.
+  const util::TimestampMs shared_date =
+      (net.messages.empty() ? util::kNetworkStartMs
+                            : net.messages.back().creation_date) +
+      util::kMillisPerHour;
   int64_t like_serial = 0;
   for (const schema::Person& person : net.persons) {
     for (const schema::Message& msg : net.messages) {
@@ -653,8 +659,12 @@ schema::SocialNetwork GenerateFuzzNetwork(uint64_t seed, int max_persons) {
       schema::Like like;
       like.person_id = person.id;
       like.message_id = msg.id;
-      like.creation_date =
-          msg.creation_date + 1 + (like_serial++) * util::kMillisPerMinute;
+      if (rng.NextBool(0.5)) {
+        like.creation_date = shared_date;
+      } else {
+        like.creation_date =
+            msg.creation_date + 1 + (like_serial++) * util::kMillisPerMinute;
+      }
       net.likes.push_back(like);
     }
   }

@@ -88,10 +88,14 @@ void ObserveOnce(const store::GraphStore& store, int num_writers,
     person_obs.domain = kDomainPersonMessages;
     person_obs.entity = WriterEntity(w);
     if (const store::PersonRecord* p = store.FindPerson(pin, WriterEntity(w))) {
-      auto messages = p->messages.view();
-      person_obs.edges_seen = messages.size();
-      for (const store::MessageEdge& edge : messages) {
-        if (store.FindMessage(pin, edge.id) == nullptr) ++person_obs.dangling;
+      // Both created-message lists, under the one pin.
+      for (auto messages : {p->posts.view(), p->comments.view()}) {
+        person_obs.edges_seen += messages.size();
+        for (const store::MessageEdge& edge : messages) {
+          if (store.FindMessage(pin, edge.id) == nullptr) {
+            ++person_obs.dangling;
+          }
+        }
       }
     }
     rec->RecordRead(reader, person_obs);

@@ -156,15 +156,13 @@ std::vector<Q2Result> Oracle::Query2(PersonId start, TimestampMs max_date,
                                      int limit) const {
   std::vector<Q2Result> candidates;
   if (FindPerson(start) == nullptr) return candidates;
+  // Every message under the cut is a candidate: a per-friend cut at
+  // `limit` would keep the larger ids of a date tied across it, and those
+  // rank worse.
   for (PersonId fid : FriendIds(start)) {
-    std::vector<const Message*> msgs = MessagesOf(fid);
-    size_t upper = 0;
-    while (upper < msgs.size() && msgs[upper]->creation_date <= max_date) {
-      ++upper;
-    }
-    size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
-    for (size_t i = upper - take; i < upper; ++i) {
-      candidates.push_back({msgs[i]->id, fid, msgs[i]->creation_date});
+    for (const Message* m : MessagesOf(fid)) {
+      if (m->creation_date > max_date) break;
+      candidates.push_back({m->id, fid, m->creation_date});
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -341,7 +339,8 @@ std::vector<Q7Result> Oracle::Query7(PersonId start, int limit) const {
   std::sort(likes.begin(), likes.end(),
             [](const Q7Result& a, const Q7Result& b) {
               if (a.like_date != b.like_date) return a.like_date > b.like_date;
-              return a.liker_id < b.liker_id;
+              if (a.liker_id != b.liker_id) return a.liker_id < b.liker_id;
+              return a.message_id < b.message_id;
             });
   if (static_cast<int>(likes.size()) > limit) likes.resize(limit);
   return likes;
@@ -377,15 +376,9 @@ std::vector<Q9Result> Oracle::Query9(PersonId start, TimestampMs max_date,
                                      int limit) const {
   std::vector<Q9Result> candidates;
   for (PersonId pid : TwoHopCircle(start)) {
-    std::vector<const Message*> msgs = MessagesOf(pid);
-    size_t upper = 0;
-    while (upper < msgs.size() &&
-           msgs[upper]->creation_date <= max_date - 1) {
-      ++upper;
-    }
-    size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
-    for (size_t i = upper - take; i < upper; ++i) {
-      candidates.push_back({msgs[i]->id, pid, msgs[i]->creation_date});
+    for (const Message* m : MessagesOf(pid)) {
+      if (m->creation_date >= max_date) break;
+      candidates.push_back({m->id, pid, m->creation_date});
     }
   }
   std::sort(candidates.begin(), candidates.end(),

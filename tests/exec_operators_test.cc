@@ -201,6 +201,47 @@ TEST(TopKTest, MatchesFullSortTruncate) {
   }
 }
 
+TEST(TopKTest, PushReportsWhetherItKeptTheRowAndWorstIsTheNextEviction) {
+  TopK<ScoredRow, ScoredLess> top(3);
+  EXPECT_TRUE(top.Push({5, 1}));
+  EXPECT_TRUE(top.Push({7, 2}));
+  EXPECT_TRUE(top.Push({5, 3}));  // Full: (7, 2), (5, 1), (5, 3).
+  EXPECT_EQ(top.worst().id, 3u);
+  EXPECT_FALSE(top.Push({5, 4}));  // Same score, larger id: ranks worse.
+  EXPECT_FALSE(top.Push({4, 0}));
+  EXPECT_EQ(top.worst().id, 3u);
+  EXPECT_TRUE(top.Push({5, 0}));  // Same score, smaller id: evicts (5, 3).
+  EXPECT_EQ(top.worst().id, 1u);
+  EXPECT_TRUE(top.Push({9, 9}));  // Evicts (5, 1).
+  EXPECT_EQ(top.worst().score, 5u);
+  EXPECT_EQ(top.worst().id, 0u);
+  EXPECT_EQ(top.size(), 3u);
+
+  TopK<ScoredRow, ScoredLess> none(0);
+  EXPECT_FALSE(none.Push({9, 9}));
+  EXPECT_EQ(none.size(), 0u);
+
+  // Under random pushes, Push keeps a row exactly when the sink has room
+  // or the row ranks before worst(), and worst() is the last row of the
+  // kept set in rank order.
+  util::Rng rng(0x7091);
+  for (size_t k : {1, 2, 7}) {
+    TopK<ScoredRow, ScoredLess> sink(k);
+    std::vector<ScoredRow> kept;
+    for (uint64_t i = 0; i < 300; ++i) {
+      ScoredRow row{rng.Next() % 20, rng.Next() % 1000 * 1000 + i};
+      bool room = sink.size() < k;
+      bool better = !room && ScoredLess()(row, sink.worst());
+      ASSERT_EQ(sink.Push(row), room || better) << "k=" << k << " i=" << i;
+      kept.push_back(row);
+      std::sort(kept.begin(), kept.end(), ScoredLess());
+      if (kept.size() > k) kept.resize(k);
+      ASSERT_EQ(sink.size(), kept.size());
+      EXPECT_EQ(sink.worst().id, kept.back().id) << "k=" << k << " i=" << i;
+    }
+  }
+}
+
 // ---- Store-backed operators ----------------------------------------------
 
 class ExecOperatorsTest : public ::testing::Test {

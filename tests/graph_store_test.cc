@@ -83,15 +83,19 @@ bool SpanEquals(std::span<const schema::TagId> tags,
 }
 
 /// True when every inline fact of a created-message edge of `messages`
-/// equals the records behind it: the message's date, kind and country;
-/// for a comment, its parent's kind (a sentinel for posts); and the tag
-/// span (a post's own tags, the parent post's for a comment on a post,
-/// none for a reply to a comment), which must lie inside the pool.
+/// equals the records behind it: the message's date and country, and its
+/// kind with the list it sits in (`comments` for the comment list, posts
+/// and photos otherwise); for a comment, its parent's kind (a sentinel for
+/// posts); and the tag span (a post's own tags, the parent post's for a
+/// comment on a post, none for a reply to a comment), which must lie
+/// inside the pool.
 bool EdgeMatchesRecords(const GraphStore& store, const ReadGuard& pin,
-                        const CreatedMessages& messages, const MessageEdge& e) {
+                        const CreatedMessages& messages, const MessageEdge& e,
+                        bool comments) {
   const MessageRecord* m = store.FindMessage(pin, e.id);
   if (m == nullptr || m->data.creation_date != e.date ||
-      m->data.kind != e.kind || m->data.country_id != e.country ||
+      (m->data.kind == MessageKind::kComment) != comments ||
+      m->data.country_id != e.country ||
       uint64_t{e.tags_begin} + e.tags_count > messages.pool_size()) {
     return false;
   }
@@ -217,7 +221,79 @@ TEST(GraphStoreTest, PostRequiresForumCommentRequiresParent) {
   ASSERT_EQ(post->replies.size(), 1u);
   EXPECT_EQ(post->replies[0], 1u);
   EXPECT_EQ(store.FindForum(pin, 10)->posts.size(), 1u);
-  EXPECT_EQ(store.FindPerson(pin, 1)->messages.size(), 2u);
+  // The post and the comment each land in their creator's list of their
+  // kind.
+  const PersonRecord* creator = store.FindPerson(pin, 1);
+  ASSERT_EQ(creator->posts.size(), 1u);
+  EXPECT_EQ(creator->posts[0].id, 0u);
+  ASSERT_EQ(creator->comments.size(), 1u);
+  EXPECT_EQ(creator->comments[0].id, 1u);
+}
+
+TEST(GraphStoreTest, OutOfOrderLinksLandSortedInTheirLists) {
+  // Memberships, posts, a photo and comments applied out of date order (as
+  // the windowed driver may apply them) land sorted: memberships by (join
+  // date, forum id), posts and comments each by (date, id) in the list of
+  // their kind, and every tag span still the message's own.
+  GraphStore store;
+  constexpr schema::PersonId kMember = 1;
+  ASSERT_TRUE(store.AddPerson(MakePerson(kMember)).ok());
+  for (schema::ForumId f : {10, 11, 12, 13}) {
+    ASSERT_TRUE(store.AddForum(MakeForum(f, kMember)).ok());
+  }
+  EXPECT_EQ(store.ForumIdBound(), 14u);
+  // Forums 13 and 11 share a join date, and 13 is applied first.
+  const std::pair<schema::ForumId, util::TimestampMs> joins[] = {
+      {12, 2700}, {13, 2600}, {10, 2900}, {11, 2600}};
+  for (auto [forum, date] : joins) {
+    ASSERT_TRUE(store.AddForumMembership({forum, kMember, date}).ok());
+  }
+  // Posts 4, 5 and 7 share a date and are applied as 5, 7, 4.
+  auto post = [&](schema::MessageId id, util::TimestampMs date,
+                  MessageKind kind) {
+    Message m = MakePost(id, kMember, 10, date);
+    m.kind = kind;
+    m.tags = {static_cast<schema::TagId>(id), 100};
+    ASSERT_TRUE(store.AddMessage(m).ok()) << id;
+  };
+  auto comment = [&](schema::MessageId id, schema::MessageId parent,
+                     schema::MessageId root, util::TimestampMs date) {
+    Message m = MakeComment(id, kMember, parent, root, 10, date);
+    m.tags = {200};
+    ASSERT_TRUE(store.AddMessage(m).ok()) << id;
+  };
+  post(5, 3400, MessageKind::kPost);
+  post(2, 3100, MessageKind::kPhoto);
+  post(7, 3400, MessageKind::kPost);
+  comment(9, 5, 5, 3600);
+  comment(6, 2, 2, 3500);
+  post(4, 3400, MessageKind::kPost);
+  comment(8, 6, 2, 3550);
+  comment(3, 2, 2, 3200);
+
+  auto pin = store.ReadLock();
+  const PersonRecord* p = store.FindPerson(pin, kMember);
+  std::vector<std::pair<schema::ForumId, util::TimestampMs>> forums;
+  for (const DatedEdge& e : p->forums.view()) forums.emplace_back(e.id, e.date);
+  EXPECT_EQ(forums, (std::vector<std::pair<schema::ForumId, util::TimestampMs>>{
+                        {11, 2600}, {13, 2600}, {12, 2700}, {10, 2900}}));
+  auto ids = [](const CreatedMessages& messages) {
+    std::vector<schema::MessageId> out;
+    for (const MessageEdge& e : messages) out.push_back(e.id);
+    return out;
+  };
+  CreatedMessages posts = p->created_posts();
+  CreatedMessages comments = p->created_comments();
+  EXPECT_EQ(ids(posts), (std::vector<schema::MessageId>{2, 4, 5, 7}));
+  EXPECT_EQ(ids(comments), (std::vector<schema::MessageId>{3, 6, 8, 9}));
+  for (const MessageEdge& e : posts) {
+    EXPECT_TRUE(EdgeMatchesRecords(store, pin, posts, e, false)) << e.id;
+  }
+  for (const MessageEdge& e : comments) {
+    EXPECT_TRUE(EdgeMatchesRecords(store, pin, comments, e, true)) << e.id;
+  }
+  // Two tags per post and per comment on a post or photo; none for 8.
+  EXPECT_EQ(posts.pool_size(), 14u);
 }
 
 TEST(GraphStoreTest, LikeRequiresPersonAndMessage) {
@@ -313,7 +389,8 @@ TEST(GraphStoreTest, StorageBreakdownAccountsMajorStructures) {
     for (schema::PersonId id : store.PersonIds(pin)) {
       const PersonRecord* p = store.FindPerson(pin, id);
       received_replies += p->replies_received.capacity_bytes();
-      message_table += p->messages.capacity_bytes() +
+      message_table += p->posts.capacity_bytes() +
+                       p->comments.capacity_bytes() +
                        p->tags.capacity_bytes() +
                        p->replies_received.capacity_bytes();
     }
@@ -382,14 +459,15 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
       }
       if (named != store.NumPersons()) index_errors.fetch_add(1);
       uint64_t friends = 0, person_likes = 0, person_forums = 0;
-      uint64_t creator_edges = 0, replies_received = 0;
+      uint64_t created_posts = 0, created_comments = 0, replies_received = 0;
       for (schema::PersonId id = 0; id < kPersons; ++id) {
         const PersonRecord* p = store.FindPerson(pin, id);
         if (p == nullptr) continue;
         friends += p->friends.size();
         person_likes += p->likes.size();
         person_forums += p->forums.size();
-        creator_edges += p->messages.size();
+        created_posts += p->posts.size();
+        created_comments += p->comments.size();
         replies_received += p->replies_received.size();
       }
       uint64_t message_likes = 0, replies = 0;
@@ -409,8 +487,8 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
       if (person_forums != members || members != store.NumMemberships()) {
         member_errors.fetch_add(1);
       }
-      if (creator_edges != posts + replies ||
-          creator_edges != store.NumMessages() ||
+      if (created_posts != posts || created_comments != replies ||
+          created_posts + created_comments != store.NumMessages() ||
           replies_received != replies) {
         message_errors.fetch_add(1);
       }
@@ -478,12 +556,16 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
             read_errors.fetch_add(1);
           }
         }
-        // Inline date, kind, country, parent kind and tag spans match
-        // the records, and so does every received reply.
-        CreatedMessages messages = p->created_messages();
-        for (const MessageEdge& e : messages) {
-          if (!EdgeMatchesRecords(store, pin, messages, e)) {
-            read_errors.fetch_add(1);
+        // Inline date, country, parent kind and tag spans match the
+        // records, each edge sits in the list of its kind, and every
+        // received reply matches too.
+        for (bool comments : {false, true}) {
+          CreatedMessages messages =
+              comments ? p->created_comments() : p->created_posts();
+          for (const MessageEdge& e : messages) {
+            if (!EdgeMatchesRecords(store, pin, messages, e, comments)) {
+              read_errors.fetch_add(1);
+            }
           }
         }
         for (const ReplyEdge& r : p->replies_received.view()) {
@@ -558,10 +640,11 @@ TEST(GraphStoreTest, CommentEdgeCopiesParentFacts) {
   ASSERT_TRUE(store.AddMessage(reply).ok());
   {
     auto pin = store.ReadLock();
-    CreatedMessages edges = store.FindPerson(pin, replier)->created_messages();
+    // Both comments sit in the replier's comment list, none in its posts.
+    EXPECT_EQ(store.FindPerson(pin, replier)->created_posts().size(), 0u);
+    CreatedMessages edges = store.FindPerson(pin, replier)->created_comments();
     ASSERT_EQ(edges.size(), 2u);
     EXPECT_EQ(edges[0].id, comment_id);
-    EXPECT_EQ(edges[0].kind, MessageKind::kComment);
     EXPECT_EQ(edges[0].country, 8u);
     EXPECT_EQ(edges[0].parent_kind, MessageKind::kPost);
     EXPECT_TRUE(SpanEquals(edges.tags(edges[0]), {4, 11, 2}));
@@ -571,8 +654,14 @@ TEST(GraphStoreTest, CommentEdgeCopiesParentFacts) {
     EXPECT_EQ(edges[1].tags_count, 0u);
     EXPECT_EQ(edges.pool_size(), 3u);
     for (const MessageEdge& e : edges) {
-      EXPECT_TRUE(EdgeMatchesRecords(store, pin, edges, e)) << e.id;
+      EXPECT_TRUE(EdgeMatchesRecords(store, pin, edges, e, true)) << e.id;
     }
+    CreatedMessages poster_posts =
+        store.FindPerson(pin, poster)->created_posts();
+    ASSERT_EQ(poster_posts.size(), 1u);
+    EXPECT_TRUE(
+        EdgeMatchesRecords(store, pin, poster_posts, poster_posts[0], false));
+    EXPECT_EQ(store.FindPerson(pin, poster)->created_comments().size(), 0u);
     // The comment is filed under the poster, the reply to it under the
     // replier, who wrote the comment it answers.
     auto to_poster = store.FindPerson(pin, poster)->replies_received.view();
@@ -605,7 +694,7 @@ TEST(GraphStoreTest, CommentEdgeCopiesParentFacts) {
   orphan.tags = {1};
   EXPECT_EQ(store.AddMessage(orphan).code(), StatusCode::kNotFound);
   auto pin = store.ReadLock();
-  CreatedMessages after = store.FindPerson(pin, replier)->created_messages();
+  CreatedMessages after = store.FindPerson(pin, replier)->created_comments();
   EXPECT_EQ(after.size(), 2u);
   EXPECT_EQ(after.pool_size(), 3u);  // Nor any tags.
   // Nor a received reply.

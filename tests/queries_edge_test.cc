@@ -16,6 +16,7 @@
 #include "queries/short_queries.h"
 #include "queries/update_queries.h"
 #include "store/graph_store.h"
+#include "util/rng.h"
 #include "validate/canonical.h"
 #include "validate/oracle.h"
 
@@ -408,6 +409,231 @@ TEST(QueriesEdgeTest, Q8NewestRepliesMatchOracle) {
   ASSERT_EQ(to_two.size(), 2u);
   EXPECT_EQ(row(to_two[0]), Row(10, 3, 7000));
   EXPECT_EQ(row(to_two[1]), Row(3, 1, 1500));
+}
+
+// ---- Q2, Q7 and Q9 on hand-built graphs --------------------------------------
+//
+// Message dates are set freely here, so ids need not ascend with them and
+// many messages share a date: the store's top-k walks must still return
+// exactly the oracle's rows.
+
+/// Persons 1..n, one forum, and builders for knows, messages and likes.
+class MessageNet {
+ public:
+  explicit MessageNet(schema::PersonId persons) {
+    for (schema::PersonId id = 1; id <= persons; ++id) {
+      net_.persons.push_back(MakePerson(id));
+    }
+    schema::Forum forum;
+    forum.id = 1;
+    forum.moderator_id = 1;
+    forum.creation_date = 500;
+    net_.forums.push_back(forum);
+  }
+
+  void Knows(schema::PersonId a, schema::PersonId b) {
+    net_.knows.push_back({a, b, 600});
+  }
+  schema::MessageId Post(schema::PersonId creator, util::TimestampMs date) {
+    schema::Message m = NewMessage(creator, date);
+    m.kind = schema::MessageKind::kPost;
+    m.root_post_id = m.id;
+    net_.messages.push_back(m);
+    return m.id;
+  }
+  schema::MessageId Comment(schema::PersonId creator,
+                            schema::MessageId parent,
+                            util::TimestampMs date) {
+    schema::Message m = NewMessage(creator, date);
+    m.kind = schema::MessageKind::kComment;
+    m.reply_to_id = parent;
+    m.root_post_id = net_.messages[parent].root_post_id;
+    net_.messages.push_back(m);
+    return m.id;
+  }
+  void Like(schema::PersonId person, schema::MessageId message,
+            util::TimestampMs date) {
+    net_.likes.push_back({person, message, date});
+  }
+
+  const schema::SocialNetwork& net() const { return net_; }
+
+ private:
+  schema::Message NewMessage(schema::PersonId creator,
+                             util::TimestampMs date) {
+    schema::Message m;
+    m.id = net_.messages.size();
+    m.creator_id = creator;
+    m.creation_date = date;
+    m.forum_id = 1;
+    return m;
+  }
+
+  schema::SocialNetwork net_;
+};
+
+using MessageRows = std::vector<
+    std::tuple<schema::MessageId, schema::PersonId, util::TimestampMs>>;
+
+/// (message id, creator id, date) rows of Q2 or Q9.
+template <typename Row>
+MessageRows Rows(const std::vector<Row>& rows) {
+  MessageRows out;
+  for (const Row& r : rows) {
+    out.emplace_back(r.message_id, r.creator_id, r.creation_date);
+  }
+  return out;
+}
+
+/// Q2 and Q9 of the store equal the oracle's for every start person, cut
+/// and limit given.
+void ExpectQ2AndQ9MatchOracle(const schema::SocialNetwork& net,
+                              const std::vector<util::TimestampMs>& cuts,
+                              const std::vector<int>& limits) {
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(net).ok());
+  validate::Oracle oracle(net);
+  for (const schema::Person& p : net.persons) {
+    for (util::TimestampMs cut : cuts) {
+      for (int limit : limits) {
+        EXPECT_EQ(validate::CanonicalRows(Query2(store, p.id, cut, limit)),
+                  validate::CanonicalRows(oracle.Query2(p.id, cut, limit)))
+            << "Q2 person " << p.id << ", cut " << cut << ", limit " << limit;
+        EXPECT_EQ(validate::CanonicalRows(Query9(store, p.id, cut, limit)),
+                  validate::CanonicalRows(oracle.Query9(p.id, cut, limit)))
+            << "Q9 person " << p.id << ", cut " << cut << ", limit " << limit;
+      }
+    }
+  }
+}
+
+TEST(QueriesEdgeTest, Q2AndQ9KeepSmallerIdsTiedWithTheWorstRow) {
+  // Person 1 knows 2 and 3. Friend 2's posts (6000 and 5000) fill a
+  // two-row heap first, so its worst row is (5000, id 2). Friend 3's
+  // newest post (5000, id 3) ties it on date and ranks worse; its next one
+  // (5000, id 0) ranks better and must still enter. A walk that stops at
+  // the first rejected row returns message 2 instead of 0.
+  MessageNet builder(3);
+  builder.Knows(1, 2);
+  builder.Knows(1, 3);
+  schema::MessageId m0 = builder.Post(3, 5000);
+  schema::MessageId m1 = builder.Post(2, 6000);
+  builder.Post(2, 5000);
+  builder.Post(3, 5000);
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(builder.net()).ok());
+
+  const MessageRows expect = {{m1, 2, 6000}, {m0, 3, 5000}};
+  EXPECT_EQ(Rows(Query2(store, 1, 7000, 2)), expect);
+  EXPECT_EQ(Rows(Query9(store, 1, 7000, 2)), expect);
+  EXPECT_EQ(Rows(Query2(store, 1, 7000, 1)), MessageRows({{m1, 2, 6000}}));
+  EXPECT_TRUE(Query2(store, 1, 7000, 0).empty());
+  EXPECT_TRUE(Query9(store, 1, 7000, 0).empty());
+  ExpectQ2AndQ9MatchOracle(builder.net(), {4999, 5000, 5001, 6000, 7000},
+                           {0, 1, 2, 3, 4, 20});
+}
+
+TEST(QueriesEdgeTest, Q2AndQ9MergePostsAndCommentsInterleavedInDate) {
+  // Friend 2 posts at 1000, 3000 and 5000 and comments on each post 1000
+  // later, so the newest rows alternate between its two lists.
+  MessageNet builder(2);
+  builder.Knows(1, 2);
+  std::vector<schema::MessageId> ids;
+  for (util::TimestampMs date : {1000, 3000, 5000}) {
+    schema::MessageId post = builder.Post(2, date);
+    ids.push_back(post);
+    ids.push_back(builder.Comment(2, post, date + 1000));
+  }
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(builder.net()).ok());
+
+  // Q2 keeps dates up to its cut, Q9 only dates before it.
+  EXPECT_EQ(Rows(Query2(store, 1, 10000, 3)),
+            MessageRows({{ids[5], 2, 6000}, {ids[4], 2, 5000},
+                         {ids[3], 2, 4000}}));
+  EXPECT_EQ(Rows(Query2(store, 1, 4000, 3)),
+            MessageRows({{ids[3], 2, 4000}, {ids[2], 2, 3000},
+                         {ids[1], 2, 2000}}));
+  EXPECT_EQ(Rows(Query9(store, 1, 4000, 2)),
+            MessageRows({{ids[2], 2, 3000}, {ids[1], 2, 2000}}));
+  EXPECT_EQ(Rows(Query9(store, 1, 10000, 1)),
+            MessageRows({{ids[5], 2, 6000}}));
+  EXPECT_TRUE(Query2(store, 1, 10000, 0).empty());
+  ExpectQ2AndQ9MatchOracle(builder.net(),
+                           {999, 1000, 2000, 3500, 6000, 6001},
+                           {0, 1, 2, 3, 6, 7, 20});
+}
+
+TEST(QueriesEdgeTest, Q2AndQ9MatchOracleUnderHeavyDateTies) {
+  // Eighty posts and comments over six dates, by random creators, with ids
+  // unrelated to dates; every person's Q2, Q9 and S2 must match the
+  // oracle.
+  MessageNet builder(9);
+  const std::pair<schema::PersonId, schema::PersonId> knows[] = {
+      {1, 2}, {1, 3}, {2, 4}, {3, 5}, {4, 6}, {1, 7}, {7, 8}, {5, 9}};
+  for (auto [a, b] : knows) builder.Knows(a, b);
+  util::Rng rng(0x0921);
+  for (int k = 0; k < 80; ++k) {
+    schema::PersonId creator = 2 + rng.NextBounded(8);
+    util::TimestampMs date =
+        1000 + 100 * static_cast<util::TimestampMs>(rng.NextBounded(6));
+    if (k == 0 || rng.NextBool(0.5)) {
+      builder.Post(creator, date);
+    } else {
+      builder.Comment(creator, rng.NextBounded(k), date);
+    }
+  }
+  ExpectQ2AndQ9MatchOracle(builder.net(), {999, 1000, 1200, 1500, 1501},
+                           {0, 1, 2, 3, 5, 20});
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(builder.net()).ok());
+  validate::Oracle oracle(builder.net());
+  for (const schema::Person& p : builder.net().persons) {
+    for (int limit : {1, 3, 10, 100}) {
+      EXPECT_EQ(validate::CanonicalRows(
+                    ShortQuery2RecentMessages(store, p.id, limit)),
+                validate::CanonicalRows(
+                    oracle.ShortQuery2RecentMessages(p.id, limit)))
+          << "S2 person " << p.id << ", limit " << limit;
+    }
+  }
+}
+
+TEST(QueriesEdgeTest, Q7OrdersTiedLikesByMessageId) {
+  // Person 1 posts 0, comments (2) on person 2's post 1, then posts 3.
+  // Person 3 likes the older comment and the newer post in the same
+  // millisecond, and person 4 likes post 0 then too: the rows tie on date,
+  // and on liker for person 3's two, so the message id decides. The store
+  // reads posts before comments and the oracle reads by date, so without
+  // that key their orders would differ.
+  MessageNet builder(4);
+  builder.Knows(1, 4);
+  schema::MessageId post0 = builder.Post(1, 1000);
+  schema::MessageId post1 = builder.Post(2, 1050);
+  schema::MessageId comment2 = builder.Comment(1, post1, 1100);
+  schema::MessageId post3 = builder.Post(1, 1200);
+  builder.Like(3, post3, 5000);
+  builder.Like(4, post0, 5000);
+  builder.Like(3, comment2, 5000);
+  builder.Like(2, post0, 4000);
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(builder.net()).ok());
+
+  std::vector<std::tuple<schema::PersonId, schema::MessageId, bool>> rows;
+  for (const Q7Result& r : Query7(store, 1)) {
+    rows.emplace_back(r.liker_id, r.message_id, r.is_outside_friendship);
+  }
+  EXPECT_EQ(rows, (std::vector<std::tuple<schema::PersonId, schema::MessageId,
+                                          bool>>{{3, comment2, true},
+                                                 {3, post3, true},
+                                                 {4, post0, false},
+                                                 {2, post0, true}}));
+  validate::Oracle oracle(builder.net());
+  for (int limit : {1, 2, 3, 20}) {
+    EXPECT_EQ(validate::CanonicalRows(Query7(store, 1, limit)),
+              validate::CanonicalRows(oracle.Query7(1, limit)))
+        << "limit " << limit;
+  }
 }
 
 // ---- Q14 oracle battery ------------------------------------------------------

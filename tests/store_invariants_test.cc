@@ -156,46 +156,82 @@ TEST_P(StoreInvariantsTest, LikesAreBidirectional) {
 TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
   auto pin = store().ReadLock();
   uint64_t via_creators = 0;
+  std::unordered_set<schema::MessageId> seen;
   for (schema::PersonId id : store().PersonIds(pin)) {
     const PersonRecord* p = store().FindPerson(pin, id);
-    util::TimestampMs last = 0;
-    CreatedMessages messages = p->created_messages();
-    for (const MessageEdge& e : messages) {
-      const MessageRecord* m = store().FindMessage(pin, e.id);
-      ASSERT_NE(m, nullptr);
-      EXPECT_EQ(m->data.creator_id, id);
-      EXPECT_EQ(m->data.creation_date, e.date);  // Inline date matches.
-      // Every other inline fact matches the records too.
-      EXPECT_EQ(e.kind, m->data.kind) << "message " << e.id;
-      EXPECT_EQ(e.country, m->data.country_id) << "message " << e.id;
-      // The tag span lies inside the pool, and holds the post's tags: the
-      // message's own for a post or photo, the parent's for a comment on
-      // one, none for a reply to a comment.
-      ASSERT_LE(uint64_t{e.tags_begin} + e.tags_count, messages.pool_size())
-          << "message " << e.id;
-      std::span<const schema::TagId> tags = messages.tags(e);
-      std::vector<schema::TagId> span(tags.begin(), tags.end());
-      if (m->data.kind == schema::MessageKind::kComment) {
-        const MessageRecord* parent =
-            store().FindMessage(pin, m->data.reply_to_id);
-        ASSERT_NE(parent, nullptr);
-        EXPECT_EQ(e.parent_kind, parent->data.kind) << "message " << e.id;
-        if (parent->data.kind == schema::MessageKind::kComment) {
-          EXPECT_EQ(e.tags_count, 0u) << "message " << e.id;
-        } else {
-          EXPECT_EQ(span, parent->data.tags) << "message " << e.id;
-        }
-      } else {
-        EXPECT_EQ(e.parent_kind, schema::MessageKind::kPost)
+    // `posts` holds only posts and photos, `comments` only comments.
+    for (bool comment_list : {false, true}) {
+      CreatedMessages messages =
+          comment_list ? p->created_comments() : p->created_posts();
+      const MessageEdge* previous = nullptr;
+      for (const MessageEdge& e : messages) {
+        const MessageRecord* m = store().FindMessage(pin, e.id);
+        ASSERT_NE(m, nullptr);
+        EXPECT_TRUE(seen.insert(e.id).second) << "message " << e.id;
+        EXPECT_EQ(m->data.creator_id, id);
+        EXPECT_EQ(m->data.kind == schema::MessageKind::kComment, comment_list)
             << "message " << e.id;
-        EXPECT_EQ(span, m->data.tags) << "message " << e.id;
+        EXPECT_EQ(m->data.creation_date, e.date);  // Inline date matches.
+        // Every other inline fact matches the records too.
+        EXPECT_EQ(e.country, m->data.country_id) << "message " << e.id;
+        // The tag span lies inside the pool, and holds the post's tags:
+        // the message's own for a post or photo, the parent's for a
+        // comment on one, none for a reply to a comment.
+        ASSERT_LE(uint64_t{e.tags_begin} + e.tags_count,
+                  messages.pool_size())
+            << "message " << e.id;
+        std::span<const schema::TagId> tags = messages.tags(e);
+        std::vector<schema::TagId> span(tags.begin(), tags.end());
+        if (comment_list) {
+          const MessageRecord* parent =
+              store().FindMessage(pin, m->data.reply_to_id);
+          ASSERT_NE(parent, nullptr);
+          EXPECT_EQ(e.parent_kind, parent->data.kind) << "message " << e.id;
+          if (parent->data.kind == schema::MessageKind::kComment) {
+            EXPECT_EQ(e.tags_count, 0u) << "message " << e.id;
+          } else {
+            EXPECT_EQ(span, parent->data.tags) << "message " << e.id;
+          }
+        } else {
+          EXPECT_EQ(e.parent_kind, schema::MessageKind::kPost)
+              << "message " << e.id;
+          EXPECT_EQ(span, m->data.tags) << "message " << e.id;
+        }
+        // Sorted by (date, id).
+        if (previous != nullptr) {
+          EXPECT_TRUE(previous->date < e.date ||
+                      (previous->date == e.date && previous->id < e.id))
+              << "message " << e.id;
+        }
+        previous = &e;
+        ++via_creators;
       }
-      EXPECT_GE(e.date, last);  // Date-ordered.
-      last = e.date;
-      ++via_creators;
     }
   }
+  // Each message sits in exactly one list: the two list sizes sum to the
+  // message count, and no id repeats.
   EXPECT_EQ(via_creators, store().NumMessages());
+}
+
+TEST_P(StoreInvariantsTest, MembershipsSortedByJoinDate) {
+  auto pin = store().ReadLock();
+  uint64_t memberships = 0;
+  for (schema::PersonId id : store().PersonIds(pin)) {
+    auto forums = store().FindPerson(pin, id)->forums.view();
+    for (size_t i = 0; i < forums.size(); ++i) {
+      ASSERT_NE(store().FindForum(pin, forums[i].id), nullptr)
+          << "person " << id << ", forum " << forums[i].id;
+      EXPECT_LT(forums[i].id, store().ForumIdBound());
+      if (i > 0) {
+        EXPECT_TRUE(forums[i - 1].date < forums[i].date ||
+                    (forums[i - 1].date == forums[i].date &&
+                     forums[i - 1].id < forums[i].id))
+            << "person " << id << ", forum " << forums[i].id;
+      }
+    }
+    memberships += forums.size();
+  }
+  EXPECT_EQ(memberships, store().NumMemberships());
 }
 
 TEST_P(StoreInvariantsTest, ReceivedRepliesHoldEveryCommentOnce) {
