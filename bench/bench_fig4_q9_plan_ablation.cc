@@ -3,12 +3,14 @@
 // replacing the index-nested-loop joins of the intended plan with hash
 // joins costs ~50% in HyPer/Virtuoso. We execute Q9 under the join-type
 // plan variants of queries/query9_plans.h AND the production plan
-// (queries::Query9: bitmap two-hop circle, per-member newest-20 scan into
-// a top-k heap), and report runtime, de-facto intermediate cardinalities,
-// a per-operator wall-time profile (where inside each plan the time goes),
-// and the production plan's speedup over the intended plan. Each plan's
-// parameter loop runs under one obs::ScopedOperatorProfile: the
-// cardinality columns and the operator rows are that profile's span rows.
+// (queries::Query9: bitmap two-hop circle, each member's post and comment
+// lists walked newest-first into a top-k heap, each walk stopping at the
+// first rejected row older than the heap's worst row), and report
+// runtime, de-facto intermediate cardinalities, a per-operator wall-time
+// profile (where inside each plan the time goes), and the production
+// plan's speedup over the intended plan. Each plan's parameter loop runs
+// under one obs::ScopedOperatorProfile: the cardinality columns and the
+// operator rows are that profile's span rows.
 // The production plan's rows are cross-checked against the intended
 // plan's on every parameter — a mismatch fails the bench.
 //
@@ -157,9 +159,10 @@ int Run(const Options& options) {
       PrintOperatorRows(profile);
       if (plan.note[0] == 'i') intended_ms = stats.Mean();
     }
-    // The production plan: bitmap circle, per-member newest-`limit` scan
-    // into a bounded top-k heap. Cross-checked against the intended plan's
-    // rows on every parameter.
+    // The production plan: bitmap circle, then each member's two lists
+    // walked newest-first into a bounded top-k heap until a rejected row
+    // is older than the heap's worst. Cross-checked against the intended
+    // plan's rows on every parameter.
     util::SampleStats stats;
     obs::OperatorProfile profile;
     {
@@ -203,9 +206,10 @@ int Run(const Options& options) {
       "  Friends-table build for a ~120-tuple input. The operator rows\n"
       "  show the penalty's location: hash plans sink their time into\n"
       "  hash_build, INL plans into the joins themselves. The production\n"
-      "  plan's |join3| is smaller by construction: its scan keeps\n"
-      "  each person's newest `limit` rows, which the top-k bound makes\n"
-      "  exact.\n");
+      "  plan's |join3| counts the rows it pushes: it walks each circle\n"
+      "  member's post and comment lists newest-first into the top-k heap\n"
+      "  and stops each walk at the first rejected row older than the\n"
+      "  heap's worst row.\n");
   std::printf("  intended-plan mean: %.3f ms\n", intended_ms);
   std::printf("  production-plan mean: %.3f ms\n", production_ms);
   std::printf("  production vs intended plan speedup: %.2fx\n\n",

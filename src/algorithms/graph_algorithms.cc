@@ -63,61 +63,6 @@ CsrGraph CsrGraph::DegreeMatchedRandom(util::Rng& rng) const {
   return CsrGraph(num_vertices(), edges);
 }
 
-std::vector<double> PageRank(const CsrGraph& graph, double damping,
-                             int iterations) {
-  uint32_t n = graph.num_vertices();
-  if (n == 0) return {};
-  std::vector<double> rank(n, 1.0 / n);
-  std::vector<double> next(n, 0.0);
-  for (int it = 0; it < iterations; ++it) {
-    double dangling = 0.0;
-    std::fill(next.begin(), next.end(), 0.0);
-    for (uint32_t v = 0; v < n; ++v) {
-      uint32_t degree = graph.Degree(v);
-      if (degree == 0) {
-        dangling += rank[v];
-        continue;
-      }
-      double share = rank[v] / degree;
-      for (const uint32_t* t = graph.NeighborsBegin(v);
-           t != graph.NeighborsEnd(v); ++t) {
-        next[*t] += share;
-      }
-    }
-    double teleport = (1.0 - damping) / n + damping * dangling / n;
-    for (uint32_t v = 0; v < n; ++v) {
-      next[v] = teleport + damping * next[v];
-    }
-    rank.swap(next);
-  }
-  return rank;
-}
-
-std::vector<int32_t> BreadthFirstSearch(const CsrGraph& graph,
-                                        uint32_t source, uint64_t* reached) {
-  std::vector<int32_t> level(graph.num_vertices(), -1);
-  uint64_t count = 0;
-  if (source < graph.num_vertices()) {
-    std::deque<uint32_t> queue{source};
-    level[source] = 0;
-    count = 1;
-    while (!queue.empty()) {
-      uint32_t v = queue.front();
-      queue.pop_front();
-      for (const uint32_t* t = graph.NeighborsBegin(v);
-           t != graph.NeighborsEnd(v); ++t) {
-        if (level[*t] < 0) {
-          level[*t] = level[v] + 1;
-          ++count;
-          queue.push_back(*t);
-        }
-      }
-    }
-  }
-  if (reached != nullptr) *reached = count;
-  return level;
-}
-
 std::vector<uint32_t> ConnectedComponents(const CsrGraph& graph,
                                           uint64_t* count) {
   uint32_t n = graph.num_vertices();
@@ -143,51 +88,6 @@ std::vector<uint32_t> ConnectedComponents(const CsrGraph& graph,
   }
   if (count != nullptr) *count = components;
   return component;
-}
-
-std::vector<uint32_t> LabelPropagation(const CsrGraph& graph,
-                                       int max_iterations) {
-  // Asynchronous (in-place) label propagation with deterministic vertex
-  // order: synchronous updates oscillate or collapse on dense graphs. A
-  // vertex keeps its current label when it ties for the majority; other
-  // ties break by a seeded random pick (a fixed preference like "smallest
-  // label" floods one label across community bridges).
-  uint32_t n = graph.num_vertices();
-  std::vector<uint32_t> labels(n);
-  std::iota(labels.begin(), labels.end(), 0);
-  std::unordered_map<uint32_t, uint32_t> votes;
-  for (int it = 0; it < max_iterations; ++it) {
-    bool changed = false;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (graph.Degree(v) == 0) continue;
-      votes.clear();
-      for (const uint32_t* t = graph.NeighborsBegin(v);
-           t != graph.NeighborsEnd(v); ++t) {
-        ++votes[labels[*t]];
-      }
-      uint32_t best_count = 0;
-      for (auto [label, count] : votes) {
-        best_count = std::max(best_count, count);
-      }
-      // Keep the current label when it is among the maxima.
-      auto own = votes.find(labels[v]);
-      if (own != votes.end() && own->second == best_count) continue;
-      std::vector<uint32_t> maxima;
-      for (auto [label, count] : votes) {
-        if (count == best_count) maxima.push_back(label);
-      }
-      std::sort(maxima.begin(), maxima.end());
-      util::Rng tie_rng(0x1abe1, (static_cast<uint64_t>(it) << 32) | v,
-                        util::RandomPurpose::kFriendPick);
-      uint32_t best_label = maxima[tie_rng.NextBounded(maxima.size())];
-      if (best_label != labels[v]) {
-        labels[v] = best_label;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  return labels;
 }
 
 namespace {
@@ -305,7 +205,8 @@ WeightedGraph Aggregate(const WeightedGraph& graph,
 
 }  // namespace
 
-std::vector<uint32_t> Louvain(const CsrGraph& graph, int max_levels) {
+std::vector<uint32_t> Louvain(const CsrGraph& graph) {
+  constexpr int kMaxLevels = 5;
   uint32_t n = graph.num_vertices();
   std::vector<uint32_t> assignment(n);
   std::iota(assignment.begin(), assignment.end(), 0);
@@ -313,7 +214,7 @@ std::vector<uint32_t> Louvain(const CsrGraph& graph, int max_levels) {
   std::vector<uint32_t> level_labels(n);
   std::iota(level_labels.begin(), level_labels.end(), 0);
 
-  for (int level = 0; level < max_levels; ++level) {
+  for (int level = 0; level < kMaxLevels; ++level) {
     if (!LocalMoving(level_graph, level_labels)) break;
     std::vector<uint32_t> renumbered;
     level_graph = Aggregate(level_graph, level_labels, &renumbered);
@@ -380,24 +281,6 @@ double AverageClusteringCoefficient(const CsrGraph& graph) {
     ++counted;
   }
   return counted == 0 ? 0.0 : sum / static_cast<double>(counted);
-}
-
-uint64_t CountTriangles(const CsrGraph& graph) {
-  // Each triangle counted once via ordered triple (v < a < b).
-  uint64_t triangles = 0;
-  for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
-    for (const uint32_t* a = graph.NeighborsBegin(v);
-         a != graph.NeighborsEnd(v); ++a) {
-      if (*a <= v) continue;
-      for (const uint32_t* b = a + 1; b != graph.NeighborsEnd(v); ++b) {
-        if (std::binary_search(graph.NeighborsBegin(*a),
-                               graph.NeighborsEnd(*a), *b)) {
-          ++triangles;
-        }
-      }
-    }
-  }
-  return triangles;
 }
 
 }  // namespace snb::algorithms

@@ -1,13 +1,13 @@
-// SNB-Algorithms workload (paper section 1): the graph-analysis algorithms
-// the benchmark suite plans to run on the same generated dataset —
-// PageRank, Breadth-First Search, Community Detection and Clustering — plus
-// connected components. All operate on a compact CSR snapshot of the Knows
-// graph.
-//
-// Beyond being the third workload, these algorithms validate the
-// generator's structure claims: the correlated friendship graph must show
-// clustering/community structure that a degree-matched random graph lacks
-// (Prat & Dominguez-Sal, GRADES 2014 — cited as [13]).
+// The generator's structure check. The paper cites [13] (Prat &
+// Dominguez-Sal, GRADES 2014) for the claim that the correlated friendship
+// graph has community structure a degree-matched random graph lacks.
+// algorithms_test's generated-graph cases check that claim on a generated
+// network: one giant component, a clustering coefficient above a
+// degree-preserving rewiring of the same graph, and Louvain modularity
+// above that rewiring's. This module holds what those checks call: a
+// compact CSR snapshot of the Knows graph, its rewiring, connected
+// components, Louvain with Newman modularity, and clustering coefficients.
+// The benchmark path does not use it.
 #ifndef SNB_ALGORITHMS_GRAPH_ALGORITHMS_H_
 #define SNB_ALGORITHMS_GRAPH_ALGORITHMS_H_
 
@@ -57,31 +57,15 @@ class CsrGraph {
   std::vector<uint32_t> targets_;
 };
 
-/// PageRank by power iteration with uniform teleport.
-/// Returns per-vertex scores summing to ~1.
-std::vector<double> PageRank(const CsrGraph& graph, double damping = 0.85,
-                             int iterations = 30);
-
-/// BFS levels from `source`; unreachable vertices get -1. Returns the
-/// number of reached vertices through `reached` if non-null.
-std::vector<int32_t> BreadthFirstSearch(const CsrGraph& graph,
-                                        uint32_t source,
-                                        uint64_t* reached = nullptr);
-
 /// Connected components; returns per-vertex component id (smallest vertex
 /// id in the component) and the number of components via `count`.
 std::vector<uint32_t> ConnectedComponents(const CsrGraph& graph,
                                           uint64_t* count = nullptr);
 
-/// Community detection by synchronous label propagation with deterministic
-/// tie-breaking. Returns per-vertex community labels.
-std::vector<uint32_t> LabelPropagation(const CsrGraph& graph,
-                                       int max_iterations = 20);
-
 /// Community detection by Louvain-style greedy modularity optimization
-/// (local moving + graph aggregation). More robust than label propagation
-/// on small-diameter graphs. Returns per-vertex community labels.
-std::vector<uint32_t> Louvain(const CsrGraph& graph, int max_levels = 5);
+/// (local moving + graph aggregation, at most five levels). Returns
+/// per-vertex community labels.
+std::vector<uint32_t> Louvain(const CsrGraph& graph);
 
 /// Newman modularity of a labeling in [-0.5, 1].
 double Modularity(const CsrGraph& graph,
@@ -92,9 +76,6 @@ double LocalClusteringCoefficient(const CsrGraph& graph, uint32_t v);
 
 /// Mean local clustering coefficient over vertices with degree >= 2.
 double AverageClusteringCoefficient(const CsrGraph& graph);
-
-/// Total number of triangles in the graph.
-uint64_t CountTriangles(const CsrGraph& graph);
 
 }  // namespace snb::algorithms
 

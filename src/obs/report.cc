@@ -25,11 +25,10 @@
 #endif
 
 namespace snb::obs {
-namespace {
 
 // ---- JSON writing helpers -------------------------------------------------
 
-void AppendEscaped(std::string* out, const std::string& s) {
+void AppendEscaped(std::string* out, std::string_view s) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -61,6 +60,13 @@ void AppendEscaped(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+void AppendKey(std::string* out, const char* key) {
+  AppendEscaped(out, key);
+  out->push_back(':');
+}
+
+namespace {
+
 void AppendDouble(std::string* out, double v) {
   if (!std::isfinite(v)) v = 0.0;  // JSON has no Inf/NaN.
   char buf[40];
@@ -72,11 +78,6 @@ void AppendU64(std::string* out, uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   *out += buf;
-}
-
-void AppendKey(std::string* out, const char* key) {
-  AppendEscaped(out, key);
-  out->push_back(':');
 }
 
 /// Appends hardware-counter ratio fields derived from `hw` averaged over

@@ -31,12 +31,15 @@
 // rows replace it). The validator ignores both. A deliberately small JSON
 // parser is exposed for tests and validation; it handles exactly what the
 // writer emits (objects, arrays, strings, finite numbers, bools, null).
+// The writer's string escaper is exposed too: traces, golden sets and fuzz
+// artifacts write their strings through it.
 #ifndef SNB_OBS_REPORT_H_
 #define SNB_OBS_REPORT_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,6 +75,16 @@ inline constexpr size_t kMaxJsonDepth = 256;
 /// the problem in *error (byte offset + reason); a document nesting deeper
 /// than kMaxJsonDepth fails with "nesting too deep".
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
+
+// ---- JSON string writer ------------------------------------------------
+
+/// Appends `s` as a quoted JSON string: quote, backslash, newline, tab and
+/// carriage return get their two-character escapes, other control bytes
+/// \u00XX. ParseJson reads every such string back byte for byte.
+void AppendEscaped(std::string* out, std::string_view s);
+
+/// Appends `"key":`.
+void AppendKey(std::string* out, const char* key);
 
 // ---- Report assembly ------------------------------------------------------
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdio>
 
+#include "obs/report.h"
+
 namespace snb::obs {
 namespace {
 
@@ -17,15 +19,6 @@ uint32_t ThisLaneId() {
   thread_local uint32_t id =
       g_next_lane_id.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-void AppendEscapedString(std::string* out, const char* s) {
-  out->push_back('"');
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out->push_back('\\');
-    out->push_back(*s);
-  }
-  out->push_back('"');
 }
 
 /// Appends one ns timestamp as Chrome-trace microseconds (3 decimals).
@@ -54,7 +47,7 @@ void EmitBegin(std::string* out, bool* first, uint16_t lane,
   *out += ",\"ts\":";
   AppendTsUs(out, span.begin_ns);
   *out += ",\"name\":";
-  AppendEscapedString(out, span.name);
+  AppendEscaped(out, span.name);
   if (span.sched_ns >= 0) {
     // Scheduled vs. actual start: the schedule-compliance story per op.
     char buf[96];
@@ -90,7 +83,7 @@ void EmitCounter(std::string* out, bool* first, const std::string& name,
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.4f", value);
   *out += R"({"ph":"C","pid":0,"name":)";
-  AppendEscapedString(out, name.c_str());
+  AppendEscaped(out, name);
   *out += ",\"ts\":";
   AppendTsUs(out, ts_ns);
   *out += ",\"args\":{\"value\":";
@@ -110,7 +103,7 @@ void EmitMetadata(std::string* out, bool* first, const char* name,
     *out += std::to_string(tid);
   }
   *out += R"(,"args":{"name":)";
-  AppendEscapedString(out, value.c_str());
+  AppendEscaped(out, value);
   *out += "}}";
 }
 

@@ -96,15 +96,10 @@ std::vector<Q2Result> Query2(const RelationalDb& db, PersonId start,
   std::vector<Q2Result> candidates;
   for (PersonId fid : FriendIdsLocked(db, start)) {
     auto [lo, hi] = db.MessagesBy(fid);
-    // Messages are id-ascending == date-ascending: scan from the tail.
-    int taken = 0;
-    for (const CreatorIndexRow* it = hi; it != lo && taken < limit;) {
-      --it;
+    for (const CreatorIndexRow* it = lo; it != hi; ++it) {
       const schema::Message* m = db.FindMessage(it->message);
-      if (m == nullptr) continue;
-      if (m->creation_date > max_date) continue;
+      if (m == nullptr || m->creation_date > max_date) continue;
       candidates.push_back({m->id, fid, m->creation_date});
-      ++taken;
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -322,13 +317,10 @@ std::vector<Q9Result> Query9(const RelationalDb& db, PersonId start,
   std::vector<Q9Result> candidates;
   for (PersonId pid : CircleOf(db, start)) {
     auto [lo, hi] = db.MessagesBy(pid);
-    int taken = 0;
-    for (const CreatorIndexRow* it = hi; it != lo && taken < limit;) {
-      --it;
+    for (const CreatorIndexRow* it = lo; it != hi; ++it) {
       const schema::Message* m = db.FindMessage(it->message);
       if (m == nullptr || m->creation_date >= max_date) continue;
       candidates.push_back({m->id, pid, m->creation_date});
-      ++taken;
     }
   }
   std::sort(candidates.begin(), candidates.end(),

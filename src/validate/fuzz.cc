@@ -747,11 +747,11 @@ bool MismatchReproduces(const FuzzMismatch& mismatch,
 
 namespace {
 
-using jsonio::AppendEscaped;
 using jsonio::AppendI64Field;
-using jsonio::AppendKey;
 using jsonio::AppendU64Field;
 using jsonio::AppendU64StrField;
+using obs::AppendEscaped;
+using obs::AppendKey;
 
 void AppendStringField(std::string* out, const char* key,
                        const std::string& value) {

@@ -342,9 +342,9 @@ void FillCounts(const store::GraphStore& store, GoldenSegment* segment) {
 
 // ---- JSON helpers ---------------------------------------------------------
 
-using jsonio::AppendEscaped;
-using jsonio::AppendKey;
 using jsonio::AppendU64Field;
+using obs::AppendEscaped;
+using obs::AppendKey;
 
 constexpr char kWhat[] = "validation set";
 

@@ -39,59 +39,22 @@ bool NumberToU64(double number, uint64_t* out) {
   return true;
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendKey(std::string* out, const char* key) {
-  AppendEscaped(out, key);
-  out->push_back(':');
-}
-
 void AppendU64Field(std::string* out, const char* key, uint64_t v) {
-  AppendKey(out, key);
+  obs::AppendKey(out, key);
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   *out += buf;
 }
 
 void AppendI64Field(std::string* out, const char* key, int64_t v) {
-  AppendKey(out, key);
+  obs::AppendKey(out, key);
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   *out += buf;
 }
 
 void AppendU64StrField(std::string* out, const char* key, uint64_t v) {
-  AppendKey(out, key);
+  obs::AppendKey(out, key);
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   out->push_back('"');

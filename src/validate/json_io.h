@@ -1,6 +1,7 @@
 // Small JSON writing/reading helpers shared by the validation artifacts
 // (golden sets, fuzz regression files). Writing emits exactly the subset
-// obs::ParseJson accepts; reading wraps obs::JsonValue lookups with typed
+// obs::ParseJson accepts, with keys and strings through obs::AppendKey and
+// obs::AppendEscaped; reading wraps obs::JsonValue lookups with typed
 // error messages. Unsigned 64-bit fields that may exceed 2^53 (seeds) are
 // written as decimal strings; GetU64 accepts both forms.
 #ifndef SNB_VALIDATE_JSON_IO_H_
@@ -13,12 +14,6 @@
 #include "util/status.h"
 
 namespace snb::validate::jsonio {
-
-/// Appends `s` as a quoted, escaped JSON string.
-void AppendEscaped(std::string* out, const std::string& s);
-
-/// Appends `"key":`.
-void AppendKey(std::string* out, const char* key);
 
 /// Appends `"key":<decimal>`.
 void AppendU64Field(std::string* out, const char* key, uint64_t v);

@@ -1,6 +1,7 @@
-// Tests for the SNB-Algorithms workload implementations.
-#include <cmath>
-#include <set>
+// Tests for the generator's structure check: the CSR graph and the
+// algorithms on it, then the check itself on a generated network.
+#include <algorithm>
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -30,53 +31,12 @@ TEST(CsrGraphTest, BuildsSortedDedupedAdjacency) {
   EXPECT_EQ(*(g.NeighborsBegin(0) + 1), 2u);
 }
 
-TEST(BfsTest, LevelsAndReachability) {
-  CsrGraph g = SmallGraph();
-  uint64_t reached = 0;
-  std::vector<int32_t> level = BreadthFirstSearch(g, 0, &reached);
-  EXPECT_EQ(reached, 5u);
-  EXPECT_EQ(level[0], 0);
-  EXPECT_EQ(level[1], 1);
-  EXPECT_EQ(level[3], 1);
-  EXPECT_EQ(level[2], 2);
-  EXPECT_EQ(level[4], 1);
-  EXPECT_EQ(level[5], -1);  // Isolated.
-}
-
 TEST(ConnectedComponentsTest, CountsComponents) {
   uint64_t count = 0;
   std::vector<uint32_t> comp = ConnectedComponents(SmallGraph(), &count);
   EXPECT_EQ(count, 2u);
   EXPECT_EQ(comp[0], comp[4]);
   EXPECT_NE(comp[0], comp[5]);
-}
-
-TEST(PageRankTest, SumsToOneAndRanksHubs) {
-  CsrGraph g = SmallGraph();
-  std::vector<double> pr = PageRank(g);
-  double sum = 0;
-  for (double v : pr) sum += v;
-  EXPECT_NEAR(sum, 1.0, 1e-6);
-  // Vertex 0 has the highest degree -> highest rank among the cycle.
-  EXPECT_GT(pr[0], pr[1]);
-  EXPECT_GT(pr[0], pr[2]);
-  // The isolated vertex keeps only teleport mass.
-  EXPECT_LT(pr[5], pr[1]);
-}
-
-TEST(PageRankTest, UniformOnRegularGraph) {
-  // On a cycle (2-regular), PageRank is uniform.
-  CsrGraph cycle(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  std::vector<double> pr = PageRank(cycle);
-  for (double v : pr) EXPECT_NEAR(v, 0.25, 1e-9);
-}
-
-TEST(ClusteringTest, TriangleCounts) {
-  EXPECT_EQ(CountTriangles(SmallGraph()), 0u);
-  EXPECT_EQ(CountTriangles(TwoTriangles()), 2u);
-  CsrGraph k4(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
-  EXPECT_EQ(CountTriangles(k4), 4u);
-  EXPECT_DOUBLE_EQ(AverageClusteringCoefficient(k4), 1.0);
 }
 
 TEST(ClusteringTest, LocalCoefficient) {
@@ -86,15 +46,9 @@ TEST(ClusteringTest, LocalCoefficient) {
   EXPECT_NEAR(LocalClusteringCoefficient(g, 2), 1.0 / 3.0, 1e-9);
 }
 
-TEST(LabelPropagationTest, FindsObviousCommunities) {
-  CsrGraph g = TwoTriangles();
-  std::vector<uint32_t> labels = LabelPropagation(g);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_EQ(labels[4], labels[5]);
-  double q = Modularity(g, labels);
-  EXPECT_GT(q, 0.2);
+TEST(ClusteringTest, CompleteGraphAverageIsOne) {
+  CsrGraph k4(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
+  EXPECT_DOUBLE_EQ(AverageClusteringCoefficient(k4), 1.0);
 }
 
 TEST(ModularityTest, SingleCommunityIsZero) {
@@ -143,9 +97,9 @@ TEST_F(GeneratedGraphTest, CorrelatedGraphClustersAboveRandom) {
 }
 
 TEST_F(GeneratedGraphTest, LouvainFindsCommunities) {
-  // The correlation dimensions induce real community structure (partition
-  // by home country alone reaches q ~ 0.28 on this graph); Louvain must
-  // find at least that much.
+  // The correlation dimensions induce real community structure, more than
+  // home country alone explains (a partition by home country reaches
+  // q = 0.17 on this graph); Louvain must find more than 0.2.
   std::vector<uint32_t> labels = Louvain(graph());
   double q = Modularity(graph(), labels);
   EXPECT_GT(q, 0.2);
@@ -165,20 +119,6 @@ TEST(LouvainTest, TwoTrianglesSplit) {
   EXPECT_EQ(labels[4], labels[5]);
   EXPECT_NE(labels[0], labels[3]);
   EXPECT_GT(Modularity(g, labels), 0.3);
-}
-
-TEST_F(GeneratedGraphTest, PageRankCorrelatesWithDegree) {
-  std::vector<double> pr = PageRank(graph());
-  // Spearman-ish check: the max-degree vertex ranks in the top decile.
-  uint32_t max_v = 0;
-  for (uint32_t v = 0; v < graph().num_vertices(); ++v) {
-    if (graph().Degree(v) > graph().Degree(max_v)) max_v = v;
-  }
-  int higher = 0;
-  for (uint32_t v = 0; v < graph().num_vertices(); ++v) {
-    if (pr[v] > pr[max_v]) ++higher;
-  }
-  EXPECT_LT(higher, static_cast<int>(graph().num_vertices() / 10));
 }
 
 }  // namespace

@@ -10,11 +10,11 @@
 
 #include "datagen/datagen.h"
 #include "obs/trace.h"
-#include "queries/bi_queries.h"
 #include "queries/complex_queries.h"
 #include "queries/query9_plans.h"
 #include "queries/short_queries.h"
 #include "queries/update_queries.h"
+#include "relational/rel_queries.h"
 #include "store/graph_store.h"
 #include "util/rng.h"
 #include "validate/canonical.h"
@@ -46,7 +46,6 @@ TEST(QueriesEdgeTest, EmptyStoreReturnsEmptyEverywhere) {
   EXPECT_TRUE(TwoHopCircle(store, 0).empty());
   EXPECT_FALSE(ShortQuery1PersonProfile(store, 0).found);
   EXPECT_TRUE(ShortQuery3Friends(store, 0).empty());
-  EXPECT_TRUE(BiQuery1PostingSummary(store).empty());
 }
 
 TEST(QueriesEdgeTest, IsolatedPersonHasEmptyNeighbourhoodQueries) {
@@ -485,23 +484,35 @@ MessageRows Rows(const std::vector<Row>& rows) {
   return out;
 }
 
-/// Q2 and Q9 of the store equal the oracle's for every start person, cut
-/// and limit given.
+/// Q2 and Q9 of the store and of the relational backend equal the
+/// oracle's for every start person, cut and limit given.
 void ExpectQ2AndQ9MatchOracle(const schema::SocialNetwork& net,
                               const std::vector<util::TimestampMs>& cuts,
                               const std::vector<int>& limits) {
   store::GraphStore store;
   ASSERT_TRUE(store.BulkLoad(net).ok());
+  rel::RelationalDb db;
+  ASSERT_TRUE(db.BulkLoad(net).ok());
   validate::Oracle oracle(net);
   for (const schema::Person& p : net.persons) {
     for (util::TimestampMs cut : cuts) {
       for (int limit : limits) {
-        EXPECT_EQ(validate::CanonicalRows(Query2(store, p.id, cut, limit)),
-                  validate::CanonicalRows(oracle.Query2(p.id, cut, limit)))
+        const std::vector<std::string> q2 =
+            validate::CanonicalRows(oracle.Query2(p.id, cut, limit));
+        const std::vector<std::string> q9 =
+            validate::CanonicalRows(oracle.Query9(p.id, cut, limit));
+        EXPECT_EQ(validate::CanonicalRows(Query2(store, p.id, cut, limit)), q2)
             << "Q2 person " << p.id << ", cut " << cut << ", limit " << limit;
-        EXPECT_EQ(validate::CanonicalRows(Query9(store, p.id, cut, limit)),
-                  validate::CanonicalRows(oracle.Query9(p.id, cut, limit)))
+        EXPECT_EQ(validate::CanonicalRows(Query9(store, p.id, cut, limit)), q9)
             << "Q9 person " << p.id << ", cut " << cut << ", limit " << limit;
+        EXPECT_EQ(validate::CanonicalRows(rel::Query2(db, p.id, cut, limit)),
+                  q2)
+            << "rel Q2 person " << p.id << ", cut " << cut << ", limit "
+            << limit;
+        EXPECT_EQ(validate::CanonicalRows(rel::Query9(db, p.id, cut, limit)),
+                  q9)
+            << "rel Q9 person " << p.id << ", cut " << cut << ", limit "
+            << limit;
       }
     }
   }

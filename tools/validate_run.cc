@@ -17,8 +17,8 @@
 //     count and execution mode, re-runs the battery and diffs every
 //     canonical row; the serial emission must replay byte-identically at
 //     every thread count and mode. Writes report.json (schema
-//     snb-report-v3) with the "validation" section and the replayed
-//     updates' latency table.
+//     snb-report-v5, through obs::ToJson) with the "validation" section
+//     and the replayed updates' latency table.
 //     --mutate injects a result corruption for the named op (e.g.
 //     "complex.Q9") — the mutation test: a replay so poisoned MUST fail.
 //
