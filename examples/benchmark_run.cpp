@@ -14,18 +14,15 @@
 //      report.json (schema snb-report-v5, incl. the compliance audit,
 //      build provenance, the CPU-profile section and, with
 //      --perf-counters, slow-query dossiers carrying each kept complex
-//      read's operator rows) and report.prom (Prometheus text exposition).
+//      read's operator rows) and report.json.prom (Prometheus text
+//      exposition).
 //
 //   ./examples/benchmark_run [scale_factor] [acceleration] [report_path]
-//                            [--listen <port>] [--trace-out <path>]
-//                            [--perf-counters] [--cpu-profile=<path>]
+//                            [--trace-out <path>] [--perf-counters]
+//                            [--cpu-profile=<path>]
 //
-//   --listen <port>    serve GET /metrics (Prometheus text),
-//                      GET /report.json (live snapshot), GET /healthz and
-//                      GET /profile?seconds=N (on-demand folded-stack
-//                      capture; 503 while the profiler backend is no-op)
-//                      while the run executes (0 picks an ephemeral port;
-//                      anything but a number in 0..65535 is rejected).
+//   The run is observed through these artifacts, all written when it
+//   ends; an unknown flag is rejected before datagen.
 //   --trace-out <path> record every executed operation into a bounded
 //                      ring and flush a Chrome-trace/Perfetto JSON
 //                      (one lane per driver thread, T_GC-wait sub-spans,
@@ -49,21 +46,17 @@
 //                      no-op backend under seccomp/sanitizers or with
 //                      SNB_PROF_FORCE_NOOP=1); the flag only adds the
 //                      artifact.
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "datagen/datagen.h"
 #include "driver/driver.h"
 #include "driver/query_mix.h"
 #include "obs/dossier.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/prof.h"
@@ -77,28 +70,13 @@ int main(int argc, char** argv) {
   double scale_factor = 0.1;
   double acceleration = 0.0;
   std::string report_path = "report.json";
-  int listen_port = -1;
   std::string trace_path;
   std::string cpu_profile_path;
   bool perf_counters = false;
 
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
-      const char* port = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      long value = std::strtol(port, &end, 10);
-      if (end == port || *end != '\0' || errno != 0 || value < 0 ||
-          value > 65535) {
-        std::fprintf(stderr,
-                     "--listen: port must be a number in 0..65535, got "
-                     "\"%s\"\n",
-                     port);
-        return 1;
-      }
-      listen_port = static_cast<int>(value);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--perf-counters") == 0) {
       perf_counters = true;
@@ -190,68 +168,6 @@ int main(int argc, char** argv) {
   std::printf("cpu profiler: backend=%s (%s)\n\n",
               obs::prof::BackendName(prof_backend),
               obs::prof::BackendMessage().c_str());
-
-  // Live observer: /metrics and /report.json rebuild from the registry at
-  // most every 250 ms, so curl/Prometheus can watch the run as it executes.
-  obs::HttpExporter exporter;
-  if (listen_port >= 0) {
-    exporter.Handle("/metrics", "text/plain; version=0.0.4", [&metrics] {
-      return obs::ToPrometheusText(metrics.Snapshot());
-    });
-    std::string title =
-        "snb-interactive benchmark_run SF " + std::to_string(scale_factor);
-    exporter.Handle("/report.json", "application/json", [&metrics, title] {
-      obs::RunReport live;
-      live.title = title + " (live)";
-      live.metrics = metrics.Snapshot();
-      return obs::ToJson(live);
-    });
-    // On-demand capture window: two Collect() snapshots N seconds apart,
-    // served as collapsed stacks. 503 + JSON error while the profiler
-    // backend is no-op, matching the /healthz convention of never lying.
-    // Runs on the exporter's dynamic worker thread (never the accept
-    // loop), so /healthz and /metrics answer throughout the window.
-    exporter.HandleDynamic("/profile", [&exporter](const std::string& query) {
-      obs::HttpExporter::HttpResponse resp;
-      if (!obs::prof::SamplingLive()) {
-        resp.status = 503;
-        resp.content_type = "application/json";
-        resp.body = std::string("{\"error\":\"profiler unavailable\","
-                                "\"backend\":\"") +
-                    obs::prof::BackendName(obs::prof::ActiveBackend()) +
-                    "\"}\n";
-        return resp;
-      }
-      int seconds = 1;
-      size_t pos = query.find("seconds=");
-      if (pos != std::string::npos) {
-        seconds = std::atoi(query.c_str() + pos + 8);
-      }
-      if (seconds < 1) seconds = 1;
-      if (seconds > 30) seconds = 30;
-      obs::prof::FoldedProfile before = obs::prof::Collect();
-      // Sliced wait: Stop() retires the listener before joining this
-      // worker, so a capture in flight ends early at shutdown (serving
-      // whatever the window gathered) instead of holding the join for
-      // up to the full 30 s.
-      for (int waited_ms = 0; waited_ms < seconds * 1000 && exporter.running();
-           waited_ms += 100) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-      obs::prof::FoldedProfile after = obs::prof::Collect();
-      resp.content_type = "text/plain; version=folded";
-      resp.body = obs::prof::ToFoldedText(obs::prof::DeltaSince(before, after));
-      return resp;
-    });
-    status = exporter.Start(static_cast<uint16_t>(listen_port));
-    if (!status.ok()) {
-      std::fprintf(stderr, "--listen failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("serving http://localhost:%u/metrics, /report.json and"
-                " /profile\n\n",
-                exporter.port());
-  }
 
   driver::StoreConnector connector(&store, &dataset.updates, &dictionaries,
                                    &metrics, driver::ShortReadWalkConfig(),
@@ -421,8 +337,6 @@ int main(int argc, char** argv) {
                 trace_path.c_str(), (unsigned long long)trace->recorded(),
                 (unsigned long long)trace->dropped());
   }
-
-  exporter.Stop();
 
   bool ok = report.sustained &&
             (!report.has_compliance || report.compliance.passed);

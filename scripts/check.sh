@@ -56,7 +56,7 @@ g++ -std=c++20 -O2 -DNDEBUG -DSNB_INVARIANTS=1 -fno-omit-frame-pointer \
   --expect-violations signal_safe
 rm -rf "${mutdir}"
 
-echo "== obs: registry/report/exporter tests + bench smoke with profiling =="
+echo "== obs: registry/report/profiler tests + bench smoke with profiling =="
 (cd build && ctest -L obs --output-on-failure)
 # The Fig. 4 plan ablation with operator profiling on, emitting
 # report.json. The binary exits nonzero when the production Q9 diverges

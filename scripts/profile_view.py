@@ -2,9 +2,8 @@
 """Folded-stack viewer: render a sampling-profiler capture offline.
 
 Consumes the collapsed-stack artifact written by `benchmark_run
---cpu-profile=PATH` (or fetched live from `GET /profile?seconds=N`) —
-one stack per line, semicolon-separated frames root-first with a
-trailing sample count:
+--cpu-profile=PATH` (or by the Fig. 4 bench) — one stack per line,
+semicolon-separated frames root-first with a trailing sample count:
 
   thread:driver.0;op:complex.Q9;opr:join2;main;...;Lookup 17
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <thread>
 #include <unordered_map>
 
@@ -23,6 +22,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The LDBC audit of a throttled run: it is sustained while no operation
+/// starts more than kSustainedLagThresholdMs (real ms) behind its
+/// schedule, and it passes the compliance audit when at least
+/// kComplianceThreshold of its operations start within kComplianceWindowMs
+/// of theirs.
+constexpr double kSustainedLagThresholdMs = 1000.0;
+constexpr double kComplianceWindowMs = 100.0;
+constexpr double kComplianceThreshold = 0.95;
+
 /// The obs series an operation's execution is attributed to (also the
 /// trace span name and the compliance audit row).
 obs::OpType TraceOpType(const Operation& op) {
@@ -36,40 +44,6 @@ obs::OpType TraceOpType(const Operation& op) {
   }
   return obs::OpType::kPointRead;
 }
-
-/// Shared run accounting across worker threads.
-struct RunState {
-  std::atomic<uint64_t> executed{0};
-  std::atomic<uint64_t> failed{0};
-  util::Mutex error_mu;
-  std::string first_error SNB_GUARDED_BY(error_mu);
-  std::atomic<int64_t> max_lag_us{0};
-  std::atomic<uint64_t> dependencies_tracked{0};
-  std::atomic<uint64_t> dependent_waits{0};
-  /// Bounded per-second max-lag series (downsamples past 1024 seconds).
-  LagTimeline lag_timeline;
-  /// Schedule-compliance audit; only fed on throttled runs.
-  ComplianceTracker compliance;
-
-  explicit RunState(double compliance_window_ms)
-      : compliance(compliance_window_ms) {}
-
-  void RecordResult(const util::Status& status) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-    if (!status.ok()) {
-      failed.fetch_add(1, std::memory_order_relaxed);
-      util::MutexLock lock(&error_mu);
-      if (first_error.empty()) first_error = status.ToString();
-    }
-  }
-
-  /// `second` is the operation's scheduled second of the run (-1 when
-  /// unthrottled — no timeline then).
-  void RecordLag(int64_t lag_us, int64_t second) {
-    FoldMax(max_lag_us, lag_us);
-    lag_timeline.Record(second, lag_us);
-  }
-};
 
 /// Maps simulation due times to wall-clock deadlines under an acceleration
 /// factor and blocks until an operation's start time.
@@ -117,7 +91,7 @@ class Throttle {
 
   /// The run-relative second `due` is scheduled into (-1 when
   /// unthrottled). Pure due-time arithmetic — no clock read — so the
-  /// timeline costs nothing beyond the CAS-max in RecordLag.
+  /// timeline costs nothing beyond its CAS-max.
   int64_t ScheduledSecond(util::TimestampMs due) const {
     if (acceleration_ <= 0.0) return -1;
     double real_ms = static_cast<double>(due - base_due_) / acceleration_;
@@ -132,6 +106,74 @@ class Throttle {
   Clock::time_point start_;
 };
 
+/// One run, shared by its worker threads: where operations execute, their
+/// schedule, the optional sinks, and the run's accounting.
+struct RunState {
+  RunState(Connector& connector, const DriverConfig& config,
+           util::TimestampMs base_due)
+      : connector(connector),
+        throttle(config.acceleration, base_due),
+        metrics(config.metrics),
+        trace(config.trace) {}
+
+  Connector& connector;
+  const Throttle throttle;
+  obs::MetricsRegistry* const metrics;
+  obs::TraceBuffer* const trace;
+  std::atomic<uint64_t> executed{0};
+  std::atomic<uint64_t> failed{0};
+  util::Mutex error_mu;
+  std::string first_error SNB_GUARDED_BY(error_mu);
+  std::atomic<int64_t> max_lag_us{0};
+  std::atomic<uint64_t> dependencies_tracked{0};
+  std::atomic<uint64_t> dependent_waits{0};
+  /// Bounded per-second max-lag series (downsamples past 1024 seconds).
+  LagTimeline lag_timeline;
+  /// Schedule-compliance audit; only fed on throttled runs.
+  ComplianceTracker compliance{kComplianceWindowMs};
+
+  /// The one step of both execution modes: runs `op`, which starts
+  /// `lag_us` behind its schedule. A throttled run audits that lateness
+  /// (lag timeline, compliance, driver.sched_lag); an armed trace records
+  /// the operation's span, whose T_GC wait `event` already carries.
+  void RunScheduled(const Operation& op, int64_t lag_us,
+                    obs::TraceEvent event) {
+    const obs::OpType type = TraceOpType(op);
+    if (throttle.throttled()) {
+      FoldMax(max_lag_us, lag_us);
+      lag_timeline.Record(throttle.ScheduledSecond(op.due_time), lag_us);
+      compliance.Record(type, lag_us);
+      if (metrics != nullptr) {
+        metrics->RecordLatencyNs(obs::OpType::kSchedLag,
+                                 static_cast<uint64_t>(lag_us) * 1000);
+      }
+    }
+    if (trace == nullptr) {
+      RecordResult(connector.Execute(op));
+      return;
+    }
+    event.op = type;
+    if (throttle.throttled()) {
+      event.sched_ns = trace->ToBufferNs(throttle.DeadlineFor(op.due_time));
+    }
+    event.exec_begin_ns = trace->NowNs();
+    obs::perf::ScopedHwCounts hw_scope;
+    RecordResult(connector.Execute(op));
+    event.hw = hw_scope.Delta();
+    event.end_ns = trace->NowNs();
+    trace->Record(event);
+  }
+
+  void RecordResult(const util::Status& status) {
+    executed.fetch_add(1, std::memory_order_relaxed);
+    if (!status.ok()) {
+      failed.fetch_add(1, std::memory_order_relaxed);
+      util::MutexLock lock(&error_mu);
+      if (first_error.empty()) first_error = status.ToString();
+    }
+  }
+};
+
 uint32_t PartitionOf(const Operation& op, uint32_t num_partitions,
                      uint64_t index) {
   if (op.forum_partition != schema::kInvalidId) {
@@ -143,10 +185,8 @@ uint32_t PartitionOf(const Operation& op, uint32_t num_partitions,
 
 /// Stream loop of the sequential-forum mode (Figure 8 of the paper).
 void RunStream(const std::vector<const Operation*>& ops,
-               Connector& connector, LocalDependencyService* lds,
-               GlobalDependencyService* gds, const Throttle& throttle,
-               RunState* state, obs::MetricsRegistry* metrics,
-               obs::TraceBuffer* trace) {
+               LocalDependencyService* lds, GlobalDependencyService* gds,
+               RunState* state) {
   for (const Operation* op : ops) {
     // CPU burned anywhere in this iteration — dependency wait, throttle
     // spin, execution — is on behalf of this op; attribute all of it.
@@ -165,45 +205,21 @@ void RunStream(const std::vector<const Operation*>& ops,
       // Most dependencies are already satisfied by the time their dependent
       // op is due; the lock-free probe keeps those off the waiter mutex and
       // keeps the clock out of the no-wait path entirely (kGctWait records
-      // only waits that actually blocked).
+      // only waits that actually blocked). A blocking wait sleeps on a
+      // condition variable, so timing it costs nothing measurable.
       if (!gds->CompletedThrough(wait_for)) {
-        if (metrics != nullptr || trace != nullptr) {
-          if (trace != nullptr) event.gct_begin_ns = trace->NowNs();
-          util::Stopwatch wait_watch;
-          gds->WaitUntilCompleted(wait_for);
-          uint64_t waited_ns = wait_watch.ElapsedNanos();
-          if (metrics != nullptr) {
-            metrics->RecordLatencyNs(obs::OpType::kGctWait, waited_ns);
-          }
-          if (trace != nullptr) event.gct_wait_ns = waited_ns;
-        } else {
-          gds->WaitUntilCompleted(wait_for);
+        if (state->trace != nullptr) event.gct_begin_ns = state->trace->NowNs();
+        util::Stopwatch wait_watch;
+        gds->WaitUntilCompleted(wait_for);
+        event.gct_wait_ns = wait_watch.ElapsedNanos();
+        if (state->metrics != nullptr) {
+          state->metrics->RecordLatencyNs(obs::OpType::kGctWait,
+                                          event.gct_wait_ns);
         }
       }
     }
-    int64_t lag_us = throttle.WaitUntilDue(op->due_time);
-    state->RecordLag(lag_us, throttle.ScheduledSecond(op->due_time));
-    if (throttle.throttled()) {
-      state->compliance.Record(TraceOpType(*op), lag_us);
-      if (metrics != nullptr) {
-        metrics->RecordLatencyNs(obs::OpType::kSchedLag,
-                                 static_cast<uint64_t>(lag_us) * 1000);
-      }
-    }
-    if (trace != nullptr) {
-      event.op = TraceOpType(*op);
-      if (throttle.throttled()) {
-        event.sched_ns = trace->ToBufferNs(throttle.DeadlineFor(op->due_time));
-      }
-      event.exec_begin_ns = trace->NowNs();
-      obs::perf::ScopedHwCounts hw_scope;
-      state->RecordResult(connector.Execute(*op));
-      event.hw = hw_scope.Delta();
-      event.end_ns = trace->NowNs();
-      trace->Record(event);
-    } else {
-      state->RecordResult(connector.Execute(*op));
-    }
+    state->RunScheduled(*op, state->throttle.WaitUntilDue(op->due_time),
+                        event);
     if (op->is_dependency) lds->Complete(op->due_time);
   }
   lds->MarkTime(kTimeMax);
@@ -223,14 +239,13 @@ DriverReport FinishReport(const RunState& state, double elapsed_seconds,
   report.max_schedule_lag_ms =
       static_cast<double>(state.max_lag_us.load()) / 1000.0;
   report.sustained = config.acceleration <= 0.0 ||
-                     report.max_schedule_lag_ms <=
-                         config.sustained_lag_threshold_ms;
+                     report.max_schedule_lag_ms <= kSustainedLagThresholdMs;
   report.dependencies_tracked = state.dependencies_tracked.load();
   report.dependent_waits = state.dependent_waits.load();
   report.lag_timeline_ms = state.lag_timeline.Snapshot();
   if (config.acceleration > 0.0) {
     report.has_compliance = true;
-    report.compliance = state.compliance.Finish(config.compliance_threshold);
+    report.compliance = state.compliance.Finish(kComplianceThreshold);
   }
   if (config.metrics != nullptr) {
     config.metrics->AddCounter(obs::Counter::kOperationsExecuted,
@@ -264,8 +279,7 @@ DriverReport RunStreamed(const std::vector<Operation>& operations,
     lds.back()->MarkTime(operations.front().due_time);
   }
 
-  RunState state(config.compliance_window_ms);
-  Throttle throttle(config.acceleration, operations.front().due_time);
+  RunState state(connector, config, operations.front().due_time);
   Clock::time_point start = Clock::now();
   std::vector<std::thread> workers;
   workers.reserve(partitions);
@@ -273,8 +287,7 @@ DriverReport RunStreamed(const std::vector<Operation>& operations,
     workers.emplace_back([&, p] {
       std::string lane = "driver." + std::to_string(p);
       obs::prof::ScopedThreadRegistration prof_thread(lane.c_str());
-      RunStream(streams[p], connector, lds[p], &gds, throttle, &state,
-                config.metrics, config.trace);
+      RunStream(streams[p], lds[p], &gds, &state);
     });
   }
   for (std::thread& t : workers) t.join();
@@ -283,50 +296,28 @@ DriverReport RunStreamed(const std::vector<Operation>& operations,
   return FinishReport(state, elapsed, config);
 }
 
-/// One operation of a window: audits its lateness against its own due
-/// time (the pool may start it well after the window barrier released)
-/// and records its trace span.
-void ExecuteWindowedOp(const Operation& op, Connector& connector,
-                       const Throttle& throttle, RunState* state,
-                       obs::MetricsRegistry* metrics,
-                       obs::TraceBuffer* trace) {
+/// Runs one batch of a window on a pool worker. Each operation's lateness
+/// is audited against its own due time: the pool may start it well after
+/// the window barrier released.
+void RunWindowBatch(const std::vector<const Operation*>& batch,
+                    RunState* state) {
   // Pool workers register lazily under a shared lane (idempotent after
   // the first window) and unregister at thread exit.
   obs::prof::RegisterCurrentThread("driver.pool");
-  obs::prof::ScopedOpContext prof_op(static_cast<uint16_t>(TraceOpType(op)));
-  if (throttle.throttled()) {
-    int64_t lag_us = throttle.LatenessMicros(op.due_time);
-    state->RecordLag(lag_us, throttle.ScheduledSecond(op.due_time));
-    state->compliance.Record(TraceOpType(op), lag_us);
-    if (metrics != nullptr) {
-      metrics->RecordLatencyNs(obs::OpType::kSchedLag,
-                               static_cast<uint64_t>(lag_us) * 1000);
-    }
+  for (const Operation* op : batch) {
+    obs::prof::ScopedOpContext prof_op(
+        static_cast<uint16_t>(TraceOpType(*op)));
+    state->RunScheduled(*op, state->throttle.LatenessMicros(op->due_time),
+                        obs::TraceEvent());
   }
-  if (trace == nullptr) {
-    state->RecordResult(connector.Execute(op));
-    return;
-  }
-  obs::TraceEvent event;
-  event.op = TraceOpType(op);
-  if (throttle.throttled()) {
-    event.sched_ns = trace->ToBufferNs(throttle.DeadlineFor(op.due_time));
-  }
-  event.exec_begin_ns = trace->NowNs();
-  obs::perf::ScopedHwCounts hw_scope;
-  state->RecordResult(connector.Execute(op));
-  event.hw = hw_scope.Delta();
-  event.end_ns = trace->NowNs();
-  trace->Record(event);
 }
 
 DriverReport RunWindowed(const std::vector<Operation>& operations,
                          Connector& connector, const DriverConfig& config) {
   uint32_t partitions = std::max<uint32_t>(config.num_partitions, 1);
   util::ThreadPool pool(partitions);
-  RunState state(config.compliance_window_ms);
   util::TimestampMs base = operations.front().due_time;
-  Throttle throttle(config.acceleration, base);
+  RunState state(connector, config, base);
   Clock::time_point start = Clock::now();
 
   // Window width must not exceed T_SAFE for cross-window dependency safety.
@@ -343,9 +334,9 @@ DriverReport RunWindowed(const std::vector<Operation>& operations,
     }
 
     // Throttled runs start a window no earlier than its scheduled time.
-    // Lag is audited per operation below (ExecuteWindowedOp), so the wait
-    // itself needs no recording.
-    throttle.WaitUntilDue(window_start);
+    // Lag is audited per operation (RunWindowBatch), so the wait itself
+    // needs no recording.
+    state.throttle.WaitUntilDue(window_start);
 
     // Group the window: forum-tree ops run sequentially per forum; all
     // remaining ops have >= T_SAFE-old dependencies and run freely.
@@ -361,21 +352,11 @@ DriverReport RunWindowed(const std::vector<Operation>& operations,
       }
     }
     for (auto& [_, group] : forum_groups) {
-      pool.Submit([&connector, &state, &throttle, &config, group = &group] {
-        for (const Operation* op : *group) {
-          ExecuteWindowedOp(*op, connector, throttle, &state, config.metrics,
-                            config.trace);
-        }
-      });
+      pool.Submit([&state, group = &group] { RunWindowBatch(*group, &state); });
     }
     for (std::vector<const Operation*>& batch : free_batches) {
       if (batch.empty()) continue;
-      pool.Submit([&connector, &state, &throttle, &config, batch = &batch] {
-        for (const Operation* op : *batch) {
-          ExecuteWindowedOp(*op, connector, throttle, &state, config.metrics,
-                            config.trace);
-        }
-      });
+      pool.Submit([&state, batch = &batch] { RunWindowBatch(*batch, &state); });
     }
     pool.Wait();  // Window barrier.
     next = end;

@@ -58,9 +58,6 @@ struct DriverConfig {
   /// throughput). 1.0 replays in real time; 2.0 twice as fast as the
   /// simulation timeline.
   double acceleration = 0.0;
-  /// Max scheduling lag (real ms) before a throttled run counts as not
-  /// sustained.
-  double sustained_lag_threshold_ms = 1000.0;
   /// Optional metrics sink. When set, the driver records per-operation
   /// scheduling lag (driver.sched_lag) and T_GC dependent-wait time
   /// (driver.gct_wait) as latency series, and accumulates the run's
@@ -71,12 +68,6 @@ struct DriverConfig {
   /// pass the same buffer to the connector to also capture walk-spawned
   /// short reads.
   obs::TraceBuffer* trace = nullptr;
-  /// Schedule-compliance audit (throttled runs only): an operation is
-  /// on time when it starts within this many real ms of its schedule.
-  double compliance_window_ms = 100.0;
-  /// Fraction of scheduled operations that must be on time for the run
-  /// to pass the compliance audit (the LDBC bar is 0.95).
-  double compliance_threshold = 0.95;
 };
 
 /// Outcome of a driver run.
@@ -92,7 +83,8 @@ struct DriverReport {
   uint64_t dependencies_tracked = 0;
   /// Operations that had to consult T_GC before executing.
   uint64_t dependent_waits = 0;
-  /// True when a throttled run kept max lag under the threshold.
+  /// False when a throttled run fell more than 1,000 ms (real time)
+  /// behind its schedule.
   bool sustained = true;
   /// Scheduling-lag time series for throttled runs: (scheduled second of
   /// the run, max lag ms among operations due within that second). Empty

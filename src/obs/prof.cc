@@ -333,7 +333,7 @@ void DisarmTimerLocked(ThreadState* st) SNB_REQUIRES(g_prof_mu) {
 }
 
 /// Installs the SIGPROF handler once per process. SA_RESTART keeps
-/// interrupted syscalls (socket reads, sleeps) transparent to the run.
+/// interrupted syscalls (reads, sleeps) transparent to the run.
 [[maybe_unused]] bool InstallHandlerOnce() {
   static const bool installed = [] {
     struct sigaction sa;
@@ -778,44 +778,7 @@ std::string StackKey(const FoldedStack& stack) {
   return key;
 }
 
-uint64_t SatSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
-
 }  // namespace
-
-FoldedProfile DeltaSince(const FoldedProfile& earlier,
-                         const FoldedProfile& later) {
-  FoldedProfile out;
-  out.backend = later.backend;
-  out.message = later.message;
-  out.interval_us = later.interval_us;
-  out.accounting.captured =
-      SatSub(later.accounting.captured, earlier.accounting.captured);
-  out.accounting.attributed =
-      SatSub(later.accounting.attributed, earlier.accounting.attributed);
-  out.accounting.unattributed =
-      SatSub(later.accounting.unattributed, earlier.accounting.unattributed);
-  out.accounting.dropped =
-      SatSub(later.accounting.dropped, earlier.accounting.dropped);
-  out.accounting.self_overhead_ns = SatSub(
-      later.accounting.self_overhead_ns, earlier.accounting.self_overhead_ns);
-  out.accounting.task_clock_ns = SatSub(later.accounting.task_clock_ns,
-                                        earlier.accounting.task_clock_ns);
-  out.accounting.threads = later.accounting.threads;
-  std::map<std::string, uint64_t> baseline;
-  for (const FoldedStack& stack : earlier.stacks) {
-    baseline[StackKey(stack)] += stack.count;
-  }
-  for (const FoldedStack& stack : later.stacks) {
-    auto it = baseline.find(StackKey(stack));
-    uint64_t before = it != baseline.end() ? it->second : 0;
-    if (stack.count > before) {
-      FoldedStack delta = stack;
-      delta.count = stack.count - before;
-      out.stacks.push_back(std::move(delta));
-    }
-  }
-  return out;
-}
 
 std::string ToFoldedText(const FoldedProfile& profile) {
   std::vector<std::pair<std::string, uint64_t>> lines;

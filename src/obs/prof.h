@@ -201,12 +201,6 @@ struct FoldedProfile {
 /// sampling is not live (empty profile carrying the backend + message).
 FoldedProfile Collect();
 
-/// The samples `later` gained over `earlier` (both from Collect()):
-/// per-stack count difference and accounting deltas, saturating at 0.
-/// The on-demand /profile?seconds=N window.
-FoldedProfile DeltaSince(const FoldedProfile& earlier,
-                         const FoldedProfile& later);
-
 /// Renders the canonical collapsed-stack text, one line per stack:
 /// "thread:<lane>;op:<op>;opr:<label>;frameRoot;...;frameLeaf <count>"
 /// (the op/opr segments are omitted for unattributed samples). The

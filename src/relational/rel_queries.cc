@@ -4,6 +4,7 @@
 #include <ctime>
 #include <deque>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <variant>
@@ -592,15 +593,26 @@ queries::S1Result ShortQuery1PersonProfile(const RelationalDb& db,
 std::vector<queries::S2Result> ShortQuery2RecentMessages(
     const RelationalDb& db, PersonId person, int limit) {
   auto lock = db.ReadLock();
-  std::vector<queries::S2Result> results;
+  // The creator index is in id order; rank by (date desc, id desc).
+  std::vector<const schema::Message*> messages;
   auto [lo, hi] = db.MessagesBy(person);
-  for (const CreatorIndexRow* it = hi;
-       it != lo && static_cast<int>(results.size()) < limit;) {
-    --it;
+  for (const CreatorIndexRow* it = lo; it != hi; ++it) {
     const schema::Message* m = db.FindMessage(it->message);
-    if (m == nullptr) continue;
+    if (m != nullptr) messages.push_back(m);
+  }
+  size_t take = std::min(messages.size(),
+                         static_cast<size_t>(std::max(limit, 0)));
+  std::partial_sort(messages.begin(), messages.begin() + take,
+                    messages.end(),
+                    [](const schema::Message* a, const schema::Message* b) {
+                      return std::tie(a->creation_date, a->id) >
+                             std::tie(b->creation_date, b->id);
+                    });
+  messages.resize(take);
+  std::vector<queries::S2Result> results;
+  for (const schema::Message* m : messages) {
     queries::S2Result r;
-    r.message_id = it->message;
+    r.message_id = m->id;
     r.creation_date = m->creation_date;
     r.root_post_id = m->root_post_id;
     const schema::Message* root = db.FindMessage(m->root_post_id);

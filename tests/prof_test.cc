@@ -208,29 +208,6 @@ TEST(ProfSamplingTest, SelfOverheadStaysUnderTheGate) {
       << a.self_overhead_ns << " ns over " << a.task_clock_ns << " ns";
 }
 
-TEST(ProfSamplingTest, DeltaSinceIsolatesAWindow) {
-  ProfReset reset;
-  if (prof::Enable() != Backend::kTimer) {
-    GTEST_SKIP() << "sampling unavailable here: " << prof::BackendMessage();
-  }
-  prof::ScopedThreadRegistration reg("test.window");
-  BurnCpuMs(60);
-  FoldedProfile before = prof::Collect();
-  BurnCpuMs(120);
-  FoldedProfile after = prof::Collect();
-  FoldedProfile delta = prof::DeltaSince(before, after);
-  EXPECT_EQ(delta.accounting.captured,
-            after.accounting.captured - before.accounting.captured);
-  EXPECT_EQ(delta.accounting.captured, delta.accounting.attributed +
-                                           delta.accounting.unattributed +
-                                           delta.accounting.dropped);
-  // The window burned CPU, so it must have gained samples.
-  EXPECT_GE(delta.accounting.captured, 1u);
-  uint64_t delta_total = 0;
-  for (const FoldedStack& s : delta.stacks) delta_total += s.count;
-  EXPECT_EQ(delta_total, delta.accounting.captured);
-}
-
 TEST(ProfSamplingTest, TraceSpanLabelFlowsIntoFoldedStacks) {
   ProfReset reset;
   if (prof::Enable() != Backend::kTimer) {
@@ -276,36 +253,6 @@ TEST(ProfFoldedTextTest, RendersContextSegmentsAndOmitsEmptyOnes) {
   EXPECT_EQ(text,
             "thread:driver.0;op:complex.Q9;opr:join2;main;Q9 7\n"
             "thread:driver.1;main;Idle 3\n");
-}
-
-TEST(ProfDeltaTest, SubtractsPerStackAndSaturates) {
-  FoldedProfile earlier;
-  earlier.stacks.push_back(MakeStack("a", "", "", {"f"}, 10));
-  earlier.stacks.push_back(MakeStack("b", "", "", {"g"}, 4));
-  earlier.accounting.captured = 14;
-  earlier.accounting.unattributed = 14;
-
-  FoldedProfile later;
-  later.backend = Backend::kTimer;
-  later.stacks.push_back(MakeStack("a", "", "", {"f"}, 25));  // +15.
-  later.stacks.push_back(MakeStack("b", "", "", {"g"}, 4));   // Unchanged.
-  later.stacks.push_back(MakeStack("c", "", "", {"h"}, 2));   // New.
-  later.accounting.captured = 31;
-  later.accounting.unattributed = 31;
-
-  FoldedProfile delta = prof::DeltaSince(earlier, later);
-  EXPECT_EQ(delta.backend, Backend::kTimer);
-  EXPECT_EQ(delta.accounting.captured, 17u);
-  ASSERT_EQ(delta.stacks.size(), 2u);  // Unchanged stack omitted.
-  EXPECT_EQ(delta.stacks[0].lane, "a");
-  EXPECT_EQ(delta.stacks[0].count, 15u);
-  EXPECT_EQ(delta.stacks[1].lane, "c");
-  EXPECT_EQ(delta.stacks[1].count, 2u);
-
-  // Swapped operands: counts would go negative; everything saturates.
-  FoldedProfile swapped = prof::DeltaSince(later, earlier);
-  EXPECT_EQ(swapped.accounting.captured, 0u);
-  EXPECT_TRUE(swapped.stacks.empty());
 }
 
 }  // namespace

@@ -578,7 +578,7 @@ TEST(QueriesEdgeTest, Q2AndQ9MergePostsAndCommentsInterleavedInDate) {
 TEST(QueriesEdgeTest, Q2AndQ9MatchOracleUnderHeavyDateTies) {
   // Eighty posts and comments over six dates, by random creators, with ids
   // unrelated to dates; every person's Q2, Q9 and S2 must match the
-  // oracle.
+  // oracle, in the store and in the relational backend.
   MessageNet builder(9);
   const std::pair<schema::PersonId, schema::PersonId> knows[] = {
       {1, 2}, {1, 3}, {2, 4}, {3, 5}, {4, 6}, {1, 7}, {7, 8}, {5, 9}};
@@ -598,14 +598,21 @@ TEST(QueriesEdgeTest, Q2AndQ9MatchOracleUnderHeavyDateTies) {
                            {0, 1, 2, 3, 5, 20});
   store::GraphStore store;
   ASSERT_TRUE(store.BulkLoad(builder.net()).ok());
+  rel::RelationalDb db;
+  ASSERT_TRUE(db.BulkLoad(builder.net()).ok());
   validate::Oracle oracle(builder.net());
   for (const schema::Person& p : builder.net().persons) {
     for (int limit : {1, 3, 10, 100}) {
+      const std::vector<std::string> s2 = validate::CanonicalRows(
+          oracle.ShortQuery2RecentMessages(p.id, limit));
       EXPECT_EQ(validate::CanonicalRows(
                     ShortQuery2RecentMessages(store, p.id, limit)),
-                validate::CanonicalRows(
-                    oracle.ShortQuery2RecentMessages(p.id, limit)))
+                s2)
           << "S2 person " << p.id << ", limit " << limit;
+      EXPECT_EQ(validate::CanonicalRows(
+                    rel::ShortQuery2RecentMessages(db, p.id, limit)),
+                s2)
+          << "rel S2 person " << p.id << ", limit " << limit;
     }
   }
 }
