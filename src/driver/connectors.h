@@ -99,13 +99,15 @@ class StoreConnector : public Connector {
   int64_t dispatch_overhead_us_ = 0;
   obs::TraceBuffer* trace_ = nullptr;
   obs::DossierCollector* dossiers_ = nullptr;
-  /// Operation sequence numbers for dossier identification.
-  std::atomic<uint64_t> op_seq_{0};
   std::vector<schema::PlaceId> city_country_;
   std::vector<schema::PlaceId> company_country_;
   /// tag_in_class_[c][t]: tag t belongs to tag class c.
   std::vector<std::vector<bool>> tag_in_class_;
-  std::atomic<uint64_t> short_reads_{0};
+  /// The counters every driver thread bumps sit on a cache line of their
+  /// own, so their writes do not evict the read-mostly fields above.
+  alignas(64) std::atomic<uint64_t> short_reads_{0};
+  /// Operation sequence numbers for dossier identification.
+  std::atomic<uint64_t> op_seq_{0};
 };
 
 /// Dummy connector that sleeps for a configured duration instead of talking

@@ -1,49 +1,49 @@
 #include "driver/dependency_services.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace snb::driver {
 
 // ---- LocalDependencyService -------------------------------------------------
 
 void LocalDependencyService::Initiate(TimestampMs t) {
-  {
-    util::MutexLock lock(&mu_);
-    assert(t >= floor_ && "initiated times must be monotone");
-    initiated_.insert(t);
-    if (t > floor_) floor_ = t;
-    FoldLocked();
+  if (t < floor_) {
+    std::fprintf(stderr,
+                 "LocalDependencyService::Initiate(%lld) below the floor "
+                 "%lld: initiated times must be monotone\n",
+                 static_cast<long long>(t), static_cast<long long>(floor_));
+    std::abort();
   }
-  if (gds_ != nullptr) gds_->NotifyProgress();
+  initiated_.insert(t);
+  floor_ = t;
+  Publish();
 }
 
 void LocalDependencyService::Complete(TimestampMs t) {
-  {
-    util::MutexLock lock(&mu_);
-    auto it = initiated_.find(t);
-    assert(it != initiated_.end() && "Complete without Initiate");
-    initiated_.erase(it);
-    completed_.insert(t);
-    FoldLocked();
+  auto it = initiated_.find(t);
+  if (it == initiated_.end()) {
+    std::fprintf(stderr,
+                 "LocalDependencyService::Complete(%lld) without Initiate\n",
+                 static_cast<long long>(t));
+    std::abort();
   }
-  if (gds_ != nullptr) gds_->NotifyProgress();
+  initiated_.erase(it);
+  completed_.insert(t);
+  Publish();
 }
 
 void LocalDependencyService::MarkTime(TimestampMs t) {
-  {
-    util::MutexLock lock(&mu_);
-    if (t <= floor_) return;
-    floor_ = t;
-    FoldLocked();
-  }
-  if (gds_ != nullptr) gds_->NotifyProgress();
+  if (t <= floor_) return;
+  floor_ = t;
+  Publish();
 }
 
-void LocalDependencyService::FoldLocked() {
+void LocalDependencyService::Publish() {
   // TLI: lowest potentially in-flight time. Every completion strictly below
-  // it is durable progress; fold it into the cached watermark. When nothing
-  // is in flight, everything strictly below the floor has completed too.
+  // it is durable progress; fold it into the watermark. When nothing is in
+  // flight, everything strictly below the floor has completed too.
   TimestampMs tli = initiated_.empty() ? floor_ : *initiated_.begin();
   auto end = completed_.lower_bound(tli);
   for (auto c = completed_.begin(); c != end; ++c) {
@@ -53,19 +53,9 @@ void LocalDependencyService::FoldLocked() {
   if (initiated_.empty() && floor_ > 0) {
     completed_high_ = std::max(completed_high_, floor_ - 1);
   }
-}
-
-TimestampMs LocalDependencyService::TLI() const {
-  util::MutexLock lock(&mu_);
-  return initiated_.empty() ? floor_ : *initiated_.begin();
-}
-
-TimestampMs LocalDependencyService::TLC() const {
-  util::MutexLock lock(&mu_);
-  TimestampMs tli = initiated_.empty() ? floor_ : *initiated_.begin();
-  TimestampMs tlc = completed_high_;
-  if (initiated_.empty()) tlc = std::max(tlc, tli - 1);
-  return tlc;
+  tli_.store(tli);
+  tlc_.store(completed_high_);
+  if (gds_ != nullptr) gds_->NotifyProgress();
 }
 
 // ---- GlobalDependencyService ---------------------------------------------------
@@ -99,10 +89,15 @@ TimestampMs GlobalDependencyService::TGC() const {
 
 void GlobalDependencyService::WaitUntilCompleted(TimestampMs t) {
   util::MutexLock lock(&mu_);
+  // Registered before the first T_GC test, so a stream that publishes after
+  // that test sees the waiter and wakes it.
+  waiters_.fetch_add(1);
   progress_.wait(lock, [&] { return TGC() >= t; });
+  waiters_.fetch_sub(1);
 }
 
 void GlobalDependencyService::NotifyProgress() {
+  if (waiters_.load() == 0) return;
   util::MutexLock lock(&mu_);
   progress_.notify_all();
 }

@@ -10,17 +10,37 @@
 // The GlobalDependencyService aggregates all LDS instances into
 //   T_GI = min over streams of T_LI,
 //   T_GC — Global Completion Time: every operation from every stream with
-//          timestamp <= T_GC has completed. Dependent operations spin-wait
-//          on T_GC before executing.
+//          timestamp <= T_GC has completed. Dependent operations wait on
+//          T_GC before executing.
 //
 // Streams that currently have no dependency operation in flight advance
 // their T_LI with MarkTime() (time markers), so T_GC never stalls behind an
 // idle stream. Timestamps must be added in monotonically increasing order
 // per stream (update streams are due-time sorted) but may complete in any
 // order.
+//
+// Publication protocol. Only the thread that drives a stream calls its
+// LDS's Initiate, Complete and MarkTime; the IT/CT sets behind them are
+// that thread's alone and take no lock. After every such call the owner
+// stores the stream's T_LI and T_LC into two atomics (seq_cst), and nothing
+// else ever writes them. TLI(), TLC(), TGI() and TGC() read only those
+// atomics, so any thread may call them without a lock. Both values only
+// grow, so a T_GC once read stays a valid lower bound forever.
+//
+// Wake-ups. A waiter takes the GDS mutex, increments the waiter count
+// (seq_cst) and only then reads T_GC; it sleeps on the condition variable
+// while T_GC is short. The owner of a stream publishes its watermarks
+// first and then loads the waiter count (seq_cst); it returns at once when
+// the count is zero and otherwise takes the mutex and wakes every waiter.
+// In the single order of seq_cst operations either the waiter's increment
+// comes first, so the owner sees a waiter and wakes it (the mutex keeps the
+// wake-up from slipping between the waiter's test and its sleep), or the
+// owner's store comes first, so the waiter's T_GC read sees the progress
+// and it never sleeps. No wake-up is lost.
 #ifndef SNB_DRIVER_DEPENDENCY_SERVICES_H_
 #define SNB_DRIVER_DEPENDENCY_SERVICES_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
@@ -30,7 +50,6 @@
 
 #include "util/datetime.h"
 #include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace snb::driver {
 
@@ -41,8 +60,9 @@ inline constexpr TimestampMs kTimeMax =
 
 class GlobalDependencyService;
 
-/// Per-stream dependency bookkeeping. Thread-safe; one writer stream plus
-/// concurrent readers.
+/// Per-stream dependency bookkeeping. One writer: only the thread that
+/// drives the stream calls Initiate, Complete and MarkTime. Any thread may
+/// read TLI() and TLC().
 class LocalDependencyService {
  public:
   LocalDependencyService() = default;
@@ -50,10 +70,11 @@ class LocalDependencyService {
   LocalDependencyService& operator=(const LocalDependencyService&) = delete;
 
   /// Registers a dependency operation about to execute. `t` must be >= every
-  /// previously initiated or marked time.
+  /// previously initiated or marked time; a smaller one aborts the process.
   void Initiate(TimestampMs t);
 
-  /// Marks a previously initiated dependency operation as completed.
+  /// Marks a previously initiated dependency operation as completed. A time
+  /// with no uncompleted Initiate aborts the process.
   void Complete(TimestampMs t);
 
   /// Advances T_LI for streams executing non-dependency operations: promises
@@ -62,28 +83,34 @@ class LocalDependencyService {
 
   /// Lowest in-flight initiated time, or the last known floor when IT is
   /// empty. Monotone.
-  TimestampMs TLI() const;
+  TimestampMs TLI() const { return tli_.load(); }
 
   /// Highest time t such that every dependency of this stream with
   /// timestamp <= t has completed. Monotone.
-  TimestampMs TLC() const;
+  TimestampMs TLC() const { return tlc_.load(); }
 
  private:
   friend class GlobalDependencyService;
 
-  /// Folds durable completions into the cached watermark; mu_ held.
-  void FoldLocked() SNB_REQUIRES(mu_);
+  /// Folds durable completions into the watermark, publishes T_LI and T_LC
+  /// and wakes waiters of the global service.
+  void Publish();
 
-  mutable util::Mutex mu_;
-  std::multiset<TimestampMs> initiated_ SNB_GUARDED_BY(mu_);
-  std::multiset<TimestampMs> completed_ SNB_GUARDED_BY(mu_);
+  // Owner-thread state; no other thread touches it.
+  std::multiset<TimestampMs> initiated_;
+  std::multiset<TimestampMs> completed_;
   // Last marker / last initiated time.
-  TimestampMs floor_ SNB_GUARDED_BY(mu_) = 0;
-  // Cached TLC.
-  TimestampMs completed_high_ SNB_GUARDED_BY(mu_) = 0;
-  // Set once at registration (AddStream), before execution starts; read
-  // without mu_ afterwards — deliberately not SNB_GUARDED_BY.
+  TimestampMs floor_ = 0;
+  // Highest durable completion: every time at or below it has completed.
+  TimestampMs completed_high_ = 0;
+  // Set once at registration (AddStream), before execution starts.
   GlobalDependencyService* gds_ = nullptr;  // Notified on progress.
+
+  // The published watermarks: written only by the owner, read by anyone.
+  // They sit on a cache line of their own, apart from the owner's state
+  // above and from every other stream's watermarks.
+  alignas(64) std::atomic<TimestampMs> tli_{0};
+  std::atomic<TimestampMs> tlc_{0};
 };
 
 /// Aggregates the stream-local services; dependent operations wait on T_GC.
@@ -98,22 +125,19 @@ class GlobalDependencyService {
   /// must happen before execution starts.
   LocalDependencyService* AddStream();
 
-  /// Global Initiation Time: min over streams of T_LI.
+  /// Global Initiation Time: min over streams of T_LI. Lock-free.
   TimestampMs TGI() const;
 
   /// Global Completion Time: every operation from all streams with
-  /// timestamp <= TGC has completed.
+  /// timestamp <= TGC has completed. Lock-free and monotone, so a value
+  /// once read stays a valid lower bound.
   TimestampMs TGC() const;
 
   /// Blocks until TGC() >= t.
   void WaitUntilCompleted(TimestampMs t);
 
-  /// Non-blocking probe: true iff TGC() >= t already. TGC is monotone, so
-  /// a true answer stays true; callers can skip WaitUntilCompleted (and its
-  /// mutex) for dependencies that are already satisfied.
-  bool CompletedThrough(TimestampMs t) const { return TGC() >= t; }
-
-  /// Wakes waiters; called by LDS on every progress event.
+  /// Wakes waiters; called by an LDS after it publishes progress. Returns
+  /// without a lock while no thread waits.
   void NotifyProgress();
 
  private:
@@ -121,6 +145,9 @@ class GlobalDependencyService {
   // Waits on the MutexLock itself (BasicLockable) so the capability stays
   // analysable across the wait.
   std::condition_variable_any progress_;
+  // Threads inside WaitUntilCompleted. Changed only under mu_, read
+  // without it by NotifyProgress (see the wake-up protocol above).
+  std::atomic<uint32_t> waiters_{0};
   // Mutated only during the registration phase (AddStream, under mu_,
   // before execution starts); TGI/TGC read it lock-free afterwards.
   // Deliberately not SNB_GUARDED_BY: the registration-then-frozen protocol

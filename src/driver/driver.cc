@@ -120,13 +120,16 @@ struct RunState {
   const Throttle throttle;
   obs::MetricsRegistry* const metrics;
   obs::TraceBuffer* const trace;
+  /// Run totals. A stream or window batch tallies its own operations and
+  /// adds them here once, when it ends.
   std::atomic<uint64_t> executed{0};
+  std::atomic<uint64_t> dependencies_tracked{0};
+  std::atomic<uint64_t> dependent_waits{0};
+  /// Counted per failed operation (RecordResult).
   std::atomic<uint64_t> failed{0};
   util::Mutex error_mu;
   std::string first_error SNB_GUARDED_BY(error_mu);
   std::atomic<int64_t> max_lag_us{0};
-  std::atomic<uint64_t> dependencies_tracked{0};
-  std::atomic<uint64_t> dependent_waits{0};
   /// Bounded per-second max-lag series (downsamples past 1024 seconds).
   LagTimeline lag_timeline;
   /// Schedule-compliance audit; only fed on throttled runs.
@@ -135,7 +138,8 @@ struct RunState {
   /// The one step of both execution modes: runs `op`, which starts
   /// `lag_us` behind its schedule. A throttled run audits that lateness
   /// (lag timeline, compliance, driver.sched_lag); an armed trace records
-  /// the operation's span, whose T_GC wait `event` already carries.
+  /// the operation's span, whose T_GC wait `event` already carries. The
+  /// caller counts the operation as executed.
   void RunScheduled(const Operation& op, int64_t lag_us,
                     obs::TraceEvent event) {
     const obs::OpType type = TraceOpType(op);
@@ -164,13 +168,12 @@ struct RunState {
     trace->Record(event);
   }
 
+  /// Counts a failed operation and keeps the run's first error.
   void RecordResult(const util::Status& status) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-    if (!status.ok()) {
-      failed.fetch_add(1, std::memory_order_relaxed);
-      util::MutexLock lock(&error_mu);
-      if (first_error.empty()) first_error = status.ToString();
-    }
+    if (status.ok()) return;
+    failed.fetch_add(1, std::memory_order_relaxed);
+    util::MutexLock lock(&error_mu);
+    if (first_error.empty()) first_error = status.ToString();
   }
 };
 
@@ -187,6 +190,11 @@ uint32_t PartitionOf(const Operation& op, uint32_t num_partitions,
 void RunStream(const std::vector<const Operation*>& ops,
                LocalDependencyService* lds, GlobalDependencyService* gds,
                RunState* state) {
+  uint64_t dependencies_tracked = 0;
+  uint64_t dependent_waits = 0;
+  // The highest T_GC this stream has read. T_GC never decreases, so a
+  // dependency at or below it is satisfied without reading it again.
+  util::TimestampMs seen_tgc = 0;
   for (const Operation* op : ops) {
     // CPU burned anywhere in this iteration — dependency wait, throttle
     // spin, execution — is on behalf of this op; attribute all of it.
@@ -195,23 +203,25 @@ void RunStream(const std::vector<const Operation*>& ops,
     const util::TimestampMs wait_for = op->person_dependency_time;
     if (op->is_dependency) {
       lds->Initiate(op->due_time);
-      state->dependencies_tracked.fetch_add(1, std::memory_order_relaxed);
+      ++dependencies_tracked;
     } else {
       lds->MarkTime(op->due_time);
     }
     obs::TraceEvent event;
     if (wait_for > 0) {
-      state->dependent_waits.fetch_add(1, std::memory_order_relaxed);
+      ++dependent_waits;
       // Most dependencies are already satisfied by the time their dependent
-      // op is due; the lock-free probe keeps those off the waiter mutex and
-      // keeps the clock out of the no-wait path entirely (kGctWait records
-      // only waits that actually blocked). A blocking wait sleeps on a
-      // condition variable, so timing it costs nothing measurable.
-      if (!gds->CompletedThrough(wait_for)) {
+      // op is due; the lock-free T_GC read keeps those off the waiter mutex
+      // and keeps the clock out of the no-wait path entirely (kGctWait
+      // records only waits that actually blocked). A blocking wait sleeps
+      // on a condition variable, so timing it costs nothing measurable.
+      if (wait_for > seen_tgc) seen_tgc = gds->TGC();
+      if (wait_for > seen_tgc) {
         if (state->trace != nullptr) event.gct_begin_ns = state->trace->NowNs();
         util::Stopwatch wait_watch;
         gds->WaitUntilCompleted(wait_for);
         event.gct_wait_ns = wait_watch.ElapsedNanos();
+        seen_tgc = gds->TGC();
         if (state->metrics != nullptr) {
           state->metrics->RecordLatencyNs(obs::OpType::kGctWait,
                                           event.gct_wait_ns);
@@ -223,6 +233,11 @@ void RunStream(const std::vector<const Operation*>& ops,
     if (op->is_dependency) lds->Complete(op->due_time);
   }
   lds->MarkTime(kTimeMax);
+  state->executed.fetch_add(ops.size(), std::memory_order_relaxed);
+  state->dependencies_tracked.fetch_add(dependencies_tracked,
+                                        std::memory_order_relaxed);
+  state->dependent_waits.fetch_add(dependent_waits,
+                                   std::memory_order_relaxed);
 }
 
 DriverReport FinishReport(const RunState& state, double elapsed_seconds,
@@ -310,6 +325,7 @@ void RunWindowBatch(const std::vector<const Operation*>& batch,
     state->RunScheduled(*op, state->throttle.LatenessMicros(op->due_time),
                         obs::TraceEvent());
   }
+  state->executed.fetch_add(batch.size(), std::memory_order_relaxed);
 }
 
 DriverReport RunWindowed(const std::vector<Operation>& operations,

@@ -1,6 +1,9 @@
 // Tests for the Local/Global Dependency Services (Figure 7).
 #include <atomic>
+#include <chrono>
+#include <random>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +147,120 @@ TEST(GdsTest, ManyStreamsConcurrentProgress) {
   monitor.join();
   EXPECT_FALSE(failed.load());
   EXPECT_GE(gds.TGC(), kOpsPerStream * 10);
+}
+
+TEST(GdsTest, WaitersRacingStreamsAllWake) {
+  // Streams and waiters advance in rounds. In each round every stream
+  // publishes progress past the round's end (dependencies in flight,
+  // completed out of order, and time markers) while every waiter blocks on
+  // a random time inside the round, and no stream starts the next round
+  // before every waiter has returned. So a lost wake-up leaves a waiter
+  // asleep with no later progress to rescue it: the deadline turns that
+  // into a failure instead of a hang.
+  constexpr int kStreams = 3;
+  constexpr int kWaiters = 3;
+  constexpr int kRounds = 3000;
+  constexpr TimestampMs kRoundMs = 100;
+  GlobalDependencyService gds;
+  std::vector<LocalDependencyService*> streams;
+  for (int s = 0; s < kStreams; ++s) streams.push_back(gds.AddStream());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::atomic<int> returned{0};  // Waits returned, over all waiters.
+  std::atomic<int> waiters_done{0};
+  std::atomic<bool> stalled{false};
+  std::atomic<bool> woke_early{false};
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&, w] {
+      std::mt19937 rng(w + 1);
+      for (int r = 0; r < kRounds; ++r) {
+        TimestampMs t = r * kRoundMs + 1 +
+                        static_cast<TimestampMs>(rng() % (kRoundMs - 1));
+        gds.WaitUntilCompleted(t);
+        if (gds.TGC() < t) woke_early.store(true);
+        returned.fetch_add(1);
+      }
+      waiters_done.fetch_add(1);
+    });
+  }
+
+  std::vector<std::thread> workers;
+  for (int s = 0; s < kStreams; ++s) {
+    workers.emplace_back([&, s] {
+      LocalDependencyService* lds = streams[s];
+      std::mt19937 rng(100 + s);
+      for (int r = 0; r < kRounds; ++r) {
+        while (returned.load() < r * kWaiters) {
+          if (stalled.load() || std::chrono::steady_clock::now() > deadline) {
+            stalled.store(true);
+            return;
+          }
+          std::this_thread::yield();
+        }
+        for (int k = 0; k < 3; ++k) {
+          TimestampMs t = r * kRoundMs + 1 + k * 30 + s;
+          switch (rng() % 3) {
+            case 0:
+              lds->Initiate(t);
+              lds->Complete(t);
+              break;
+            case 1:
+              // Two in flight, completed newest first.
+              lds->Initiate(t);
+              lds->Initiate(t + 5);
+              lds->Complete(t + 5);
+              lds->Complete(t);
+              break;
+            default:
+              lds->MarkTime(t);
+          }
+        }
+        lds->MarkTime((r + 1) * kRoundMs);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  while (waiters_done.load() < kWaiters &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(stalled.load())
+      << "a waiter slept through the progress that satisfied it";
+  EXPECT_EQ(waiters_done.load(), kWaiters);
+  // The stream threads are joined, so this thread owns the streams now:
+  // progress past every time, announced until each waiter has woken,
+  // ends the test even after a lost wake-up.
+  for (LocalDependencyService* lds : streams) lds->MarkTime(kTimeMax);
+  while (waiters_done.load() < kWaiters) {
+    gds.NotifyProgress();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::thread& t : waiters) t.join();
+  EXPECT_FALSE(woke_early.load());
+}
+
+// A contract violation aborts in every build type, not only under assert.
+TEST(LdsDeathTest, InitiateBelowFloorAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  GlobalDependencyService gds;
+  LocalDependencyService* lds = gds.AddStream();
+  lds->MarkTime(100);
+  EXPECT_DEATH(lds->Initiate(50), "Initiate\\(50\\) below the floor 100");
+  lds->Initiate(200);
+  EXPECT_DEATH(lds->Initiate(150), "below the floor 200");
+}
+
+TEST(LdsDeathTest, CompleteWithoutInitiateAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  GlobalDependencyService gds;
+  LocalDependencyService* lds = gds.AddStream();
+  EXPECT_DEATH(lds->Complete(100), "Complete\\(100\\) without Initiate");
+  lds->Initiate(100);
+  lds->Complete(100);
+  // A second Complete of the same time has no Initiate left to match.
+  EXPECT_DEATH(lds->Complete(100), "Complete\\(100\\) without Initiate");
 }
 
 }  // namespace

@@ -89,6 +89,29 @@ TEST_P(DriverModeTest, ReplaysUpdateStreamWithoutViolations) {
   if (replay == Replay::kEveryUpdateTracked) {
     EXPECT_EQ(report.dependencies_tracked, workload.num_updates);
   }
+  // Streams tally their own counts and add them once; the totals must
+  // still be exact. Windowed runs track nothing through T_GC.
+  uint64_t dependencies = 0;
+  uint64_t dependents = 0;
+  for (const Operation& op : workload.operations) {
+    if (op.is_dependency) ++dependencies;
+    if (op.person_dependency_time > 0) ++dependents;
+  }
+  if (replay == Replay::kWindowed) {
+    EXPECT_EQ(report.dependencies_tracked, 0u);
+    EXPECT_EQ(report.dependent_waits, 0u);
+  } else {
+    EXPECT_EQ(report.dependencies_tracked, dependencies);
+    EXPECT_EQ(report.dependent_waits, dependents);
+    EXPECT_GT(dependents, 0u);
+  }
+  obs::MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(snap.CounterValue(obs::Counter::kOperationsExecuted),
+            report.operations_executed);
+  EXPECT_EQ(snap.CounterValue(obs::Counter::kDependenciesTracked),
+            report.dependencies_tracked);
+  EXPECT_EQ(snap.CounterValue(obs::Counter::kGctDependentWaits),
+            report.dependent_waits);
   // The final store state matches the full dataset.
   EXPECT_EQ(store.NumPersons(), world().dataset.stats.num_persons);
   EXPECT_EQ(store.NumKnowsEdges(), world().dataset.stats.num_knows);
