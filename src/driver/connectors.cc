@@ -73,9 +73,12 @@ Status StoreConnector::Execute(const Operation& op) {
   switch (op.type) {
     case OperationType::kComplexRead:
       return ExecuteComplex(op);
-    case OperationType::kShortRead:
-      return ExecuteShort(op.query_id, op.person_param,
-                          static_cast<schema::MessageId>(op.aux0));
+    case OperationType::kShortRead: {
+      Status status = ExecuteShort(op.query_id, op.person_param,
+                                   static_cast<schema::MessageId>(op.aux0));
+      if (status.ok()) short_reads_.fetch_add(1, std::memory_order_relaxed);
+      return status;
+    }
     case OperationType::kUpdate:
       return ExecuteUpdate(op);
   }
@@ -254,7 +257,6 @@ Status StoreConnector::ExecuteShort(uint8_t query_id,
     trace_->Record(event);
   }
   OfferDossier(obs::ShortOp(query_id), latency_ns, hw, {});
-  short_reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -331,9 +333,13 @@ void StoreConnector::RunShortReadWalk(
     ++steps;
     p -= walk_.decay;
   }
-  // One batched counter update per walk, not one RMW per step.
-  if (metrics_ != nullptr && steps > 0) {
-    metrics_->AddCounter(obs::Counter::kShortReadWalkSteps, steps);
+  // One batched update of each counter per walk, not one RMW per step:
+  // every step ran one short read (its query id is always in range).
+  if (steps > 0) {
+    short_reads_.fetch_add(steps, std::memory_order_relaxed);
+    if (metrics_ != nullptr) {
+      metrics_->AddCounter(obs::Counter::kShortReadWalkSteps, steps);
+    }
   }
 }
 

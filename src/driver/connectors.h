@@ -68,7 +68,8 @@ class StoreConnector : public Connector {
 
   util::Status Execute(const Operation& op) override;
 
-  /// Number of short reads spawned by the random walk so far.
+  /// Number of short reads executed so far: the driver-scheduled ones
+  /// that succeeded plus every step of the random walks.
   uint64_t short_reads_executed() const {
     return short_reads_.load(std::memory_order_relaxed);
   }
@@ -104,7 +105,8 @@ class StoreConnector : public Connector {
   /// tag_in_class_[c][t]: tag t belongs to tag class c.
   std::vector<std::vector<bool>> tag_in_class_;
   /// The counters every driver thread bumps sit on a cache line of their
-  /// own, so their writes do not evict the read-mostly fields above.
+  /// own, so their writes do not evict the read-mostly fields above. A walk
+  /// adds its steps to `short_reads_` once, when it ends.
   alignas(64) std::atomic<uint64_t> short_reads_{0};
   /// Operation sequence numbers for dossier identification.
   std::atomic<uint64_t> op_seq_{0};

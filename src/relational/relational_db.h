@@ -10,9 +10,10 @@
 // the two systems execute identical logical plans with different physical
 // costs — the Table 6/7/9 comparison axis.
 //
-// Concurrency model matches the graph store: single writer, shared-lock
-// read snapshots; sorted-vector inserts make writes O(n) worst-case (the
-// price a clustered layout pays for point inserts).
+// Concurrency: a single writer and shared-lock read snapshots (the graph
+// store runs writers in parallel on per-entity stripes instead);
+// sorted-vector inserts make writes O(n) worst-case (the price a clustered
+// layout pays for point inserts).
 #ifndef SNB_RELATIONAL_RELATIONAL_DB_H_
 #define SNB_RELATIONAL_RELATIONAL_DB_H_
 

@@ -18,10 +18,14 @@
 //
 // A slot's existence is a separate concern from its address: callers embed
 // a `ready` flag in T and publish it with a release store after filling the
-// record, and readers check it with an acquire load. The writer must be
-// externally serialized; readers must hold an EpochPin while they
-// dereference (only the retired directories need it — records and chunks
-// are never freed before the table itself).
+// record, and readers check it with an acquire load. Writers may grow the
+// table concurrently: chunk and directory creation run under `grow_mu_`,
+// and `bound_` rises by compare-and-swap, so no slot or chunk is ever
+// allocated twice. Filling a slot is the caller's business (the store locks
+// the entity's stripe). A caller that another thread may race with
+// GrowToSlot, reader or writer, holds an EpochPin while it dereferences
+// (only the retired directories need it — records and chunks are never
+// freed before the table itself).
 #ifndef SNB_STORE_DENSE_TABLE_H_
 #define SNB_STORE_DENSE_TABLE_H_
 
@@ -31,6 +35,7 @@
 #include <new>
 
 #include "util/epoch.h"
+#include "util/mutex.h"
 
 namespace snb::store {
 
@@ -69,38 +74,24 @@ class DenseTable {
   /// One past the largest id ever grown to (monotonic).
   uint64_t bound() const { return bound_.load(std::memory_order_acquire); }
 
-  // ---- Writer API (externally serialized) -------------------------------
+  // ---- Writer API (concurrent callers) ----------------------------------
 
-  /// Ensures id's chunk exists and returns the slot's stable address.
+  /// Ensures id's chunk exists and returns the slot's stable address. The
+  /// lock-free path serves ids whose chunk exists; a new chunk or a larger
+  /// directory is made under `grow_mu_`.
   T* GrowToSlot(uint64_t id, util::EpochManager& epoch) {
-    uint64_t c = id / kChunkSize;
-    Directory* d = dir_.load(std::memory_order_relaxed);
-    if (d == nullptr || c >= d->capacity) {
-      size_t cap = d == nullptr ? kMinDirCapacity : d->capacity;
-      while (cap <= c) cap *= 2;
-      Directory* fresh = AllocDirectory(cap);
-      size_t old_cap = d == nullptr ? 0 : d->capacity;
-      for (size_t i = 0; i < old_cap; ++i) {
-        fresh->chunks()[i].store(
-            d->chunks()[i].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      dir_.store(fresh, std::memory_order_release);
-      if (d != nullptr) {
-        epoch.Retire(static_cast<void*>(d), [](void* p) {
-          FreeDirectory(static_cast<Directory*>(p));
-        });
-      }
-      d = fresh;
+    const uint64_t c = id / kChunkSize;
+    Chunk* ch = nullptr;
+    const Directory* d = dir_.load(std::memory_order_acquire);
+    if (d != nullptr && c < d->capacity) {
+      ch = d->chunks()[c].load(std::memory_order_acquire);
     }
-    std::atomic<Chunk*>& entry = d->chunks()[c];
-    Chunk* ch = entry.load(std::memory_order_relaxed);
-    if (ch == nullptr) {
-      ch = new Chunk();
-      entry.store(ch, std::memory_order_release);
-    }
-    if (id + 1 > bound_.load(std::memory_order_relaxed)) {
-      bound_.store(id + 1, std::memory_order_release);
+    if (ch == nullptr) ch = GrowChunk(c, epoch);
+    uint64_t bound = bound_.load(std::memory_order_relaxed);
+    while (id + 1 > bound &&
+           !bound_.compare_exchange_weak(bound, id + 1,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
     }
     return &ch->slots[id & (kChunkSize - 1)];
   }
@@ -157,6 +148,40 @@ class DenseTable {
     }
   };
 
+  /// The chunk of index `c`, made (with a larger directory if needed)
+  /// unless another writer made it first.
+  Chunk* GrowChunk(uint64_t c, util::EpochManager& epoch) {
+    util::MutexLock lock(&grow_mu_);
+    // dir_ and chunk entries change only under grow_mu_, so relaxed loads
+    // see the latest values here.
+    Directory* d = dir_.load(std::memory_order_relaxed);
+    if (d == nullptr || c >= d->capacity) {
+      size_t cap = d == nullptr ? kMinDirCapacity : d->capacity;
+      while (cap <= c) cap *= 2;
+      Directory* fresh = AllocDirectory(cap);
+      size_t old_cap = d == nullptr ? 0 : d->capacity;
+      for (size_t i = 0; i < old_cap; ++i) {
+        fresh->chunks()[i].store(
+            d->chunks()[i].load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
+      }
+      dir_.store(fresh, std::memory_order_release);
+      if (d != nullptr) {
+        epoch.Retire(static_cast<void*>(d), [](void* p) {
+          FreeDirectory(static_cast<Directory*>(p));
+        });
+      }
+      d = fresh;
+    }
+    std::atomic<Chunk*>& entry = d->chunks()[c];
+    Chunk* ch = entry.load(std::memory_order_relaxed);
+    if (ch == nullptr) {
+      ch = new Chunk();
+      entry.store(ch, std::memory_order_release);
+    }
+    return ch;
+  }
+
   static Directory* AllocDirectory(size_t capacity) {
     void* raw = ::operator new(sizeof(Directory) +
                                capacity * sizeof(std::atomic<Chunk*>));
@@ -175,6 +200,8 @@ class DenseTable {
 
   std::atomic<Directory*> dir_{nullptr};
   std::atomic<uint64_t> bound_{0};
+  /// Serializes chunk and directory creation (see GrowChunk).
+  util::Mutex grow_mu_;
 };
 
 }  // namespace snb::store

@@ -54,27 +54,34 @@
 // record's `ready` release-store, so every indexed id resolves through
 // FindPerson.
 //
-// Concurrency: one writer lock, many readers. Each Add* is one critical
-// section under the store's exclusive writer mutex: it checks every
-// reference under the lock, then writes, so concurrent writers serialize
-// and each update is applied whole. Readers never touch the writer mutex.
-// ReadLock() returns a ReadGuard holding one EpochPin (two uncontended
-// atomic ops on a thread-private cache line — see util/epoch.h) and every
-// shared structure is published RCU-style: entity records live at stable
-// addresses in chunked DenseTables, adjacency lists are RcuVectors whose
-// buffers embed their element count, and a record becomes visible only
-// after its `ready` flag is release-stored — *before* the record's id is
-// linked into any adjacency list, so a reader can always resolve every id
-// it can see. Updates are insert-only single statements, which is why
-// these per-object snapshots preserve the paper's observation that
-// "systems providing snapshot isolation behave identically to
-// serializable" for this workload (section 4); DESIGN.md spells out the
-// argument.
+// Concurrency: many writers, many readers. A writer holds the store mutex
+// `mu_` shared and locks the write stripes of the entities it touches: a
+// constant array of kWriteStripes mutexes, one cache line each, picked by
+// hashing an id together with its kind (person, forum, message, first-name
+// bucket). Each Add* locks, in ascending order and each once, the stripe of
+// every entity whose record or lists it checks or writes (for a comment
+// also the parent message and the parent's creator), then checks every
+// reference and writes. Updates on disjoint entities run in parallel, any
+// two updates that share an entity serialize, and each adjacency list keeps
+// the one writer at a time RcuVector requires: whoever holds its owner's
+// stripe. Readers never touch these locks. ReadLock() returns a ReadGuard
+// holding one EpochPin (two uncontended atomic ops on a thread-private
+// cache line — see util/epoch.h) and every shared structure is published
+// RCU-style: entity records live at stable addresses in chunked
+// DenseTables, adjacency lists are RcuVectors whose buffers embed their
+// element count, and a record becomes visible only after its `ready` flag
+// is release-stored — *before* the record's id is linked into any
+// adjacency list, so a reader can always resolve every id it can see.
+// Updates are insert-only single statements, which is why these per-object
+// snapshots preserve the paper's observation that "systems providing
+// snapshot isolation behave identically to serializable" for this workload
+// (section 4); DESIGN.md spells out the argument.
 //
-// FrozenReadLock() additionally holds the writer mutex shared, so no Add*
-// runs while its guard lives and the reader sees each update whole or not
-// at all. It is not on the production read path: the atomicity test and
-// the read-path ablation benches (epoch pin vs. shared lock) take it.
+// FrozenReadLock() holds `mu_` exclusively, so no Add* runs while its guard
+// lives and the reader sees each update whole or not at all. It is not on
+// the production read path: the atomicity tests take it. BulkLoad holds
+// `mu_` exclusively too, once for the whole load, and applies each record
+// without stripes.
 //
 // Writers validate referential integrity and fail with NotFound when a
 // dependency is missing; the workload driver's dependency tracking is what
@@ -86,6 +93,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <shared_mutex>
 #include <span>
 #include <string_view>
@@ -240,7 +248,7 @@ struct ForumRecord {
   schema::Forum data;
   /// Members with join dates (insertion order).
   util::RcuVector<DatedEdge> members;
-  /// Root posts/photos contained, with their creators, ascending id.
+  /// Root posts/photos contained, with their creators, in link order.
   util::RcuVector<PostEdge> posts;
   std::atomic<uint32_t> ready{0};
 
@@ -250,7 +258,7 @@ struct ForumRecord {
 /// Per-message storage.
 struct MessageRecord {
   schema::Message data;
-  /// Direct reply comments, ascending id.
+  /// Direct reply comments, in link order.
   util::RcuVector<schema::MessageId> replies;
   /// Likes received: liker + like date.
   util::RcuVector<DatedEdge> likes;
@@ -307,8 +315,9 @@ class ReadGuard {
   util::EpochPin pin_;
 };
 
-/// A ReadGuard that also holds the store's writer mutex shared: a frozen
-/// whole-store snapshot. Accepted wherever a `const ReadGuard&` is.
+/// A ReadGuard that also holds the store mutex exclusively, so no Add* runs
+/// while it lives: a frozen whole-store snapshot. Accepted wherever a
+/// `const ReadGuard&` is.
 class FrozenReadGuard : public ReadGuard {
  private:
   friend class GraphStore;
@@ -317,13 +326,13 @@ class FrozenReadGuard : public ReadGuard {
 
   // Declared after the pin (in the base), so the lock is released before
   // the pin.
-  std::shared_lock<std::shared_mutex> lock_;
+  util::MovableWriterLock lock_;
 };
 
 /// The store. All read accessors require the caller to hold a ReadGuard
 /// obtained from ReadLock() for snapshot-consistent reads; the Add*
-/// methods are self-contained transactions, each run under the writer
-/// lock.
+/// methods are self-contained transactions, each run under the write
+/// stripes of the entities it touches.
 class GraphStore {
  public:
   GraphStore();
@@ -349,8 +358,8 @@ class GraphStore {
   /// duration of a query. Pins the epoch.
   ReadGuard ReadLock() const { return ReadGuard(epoch_.pin()); }
 
-  /// ReadLock() plus the writer mutex held shared: blocks until no Add* is
-  /// running and keeps every Add* out until the guard is released.
+  /// ReadLock() plus the store mutex held exclusively: blocks until no Add*
+  /// is running and keeps every Add* out until the guard is released.
   FrozenReadGuard FrozenReadLock() const {
     return FrozenReadGuard(epoch_.pin(), mu_.native());
   }
@@ -453,8 +462,8 @@ class GraphStore {
     return num_memberships_.load(std::memory_order_acquire);
   }
 
-  /// Table 8 equivalent: allocated bytes per major structure. Takes the
-  /// writer lock for the scan.
+  /// Table 8 equivalent: allocated bytes per major structure. Holds the
+  /// store mutex exclusively for the scan.
   StorageBreakdown ComputeStorageBreakdown() const;
 
   /// Occupancy of one entity table: live records vs slots backed by
@@ -486,21 +495,82 @@ class GraphStore {
   // nowhere near this.
   static constexpr uint64_t kMaxEntityId = uint64_t{1} << 40;
 
-  /// Present records by id for the writer (nullptr when absent); the
-  /// caller holds `mu_`.
+  /// Number of write stripes. A constant, not an option: 256 mutexes of
+  /// one cache line each are 16 KB per store.
+  static constexpr int kStripeBits = 8;
+  static constexpr size_t kWriteStripes = size_t{1} << kStripeBits;
+
+  /// What a stripe hashes with an id, so a person, a forum and a message of
+  /// one id fall on unrelated stripes.
+  enum class StripeKind : uint64_t { kPerson, kForum, kMessage, kFirstName };
+
+  /// The stripe of entity `id` of `kind`: the top bits of a multiplicative
+  /// (Fibonacci) hash of the pair.
+  static size_t StripeOf(StripeKind kind, uint64_t id) {
+    const uint64_t key = (id << 2) | static_cast<uint64_t>(kind);
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                               (64 - kStripeBits));
+  }
+
+  struct alignas(64) WriteStripe {
+    util::Mutex mu;
+  };
+
+  /// Locks the stripes of one update's entities (at most four) in
+  /// ascending order, each once, and unlocks them when it goes out of
+  /// scope. The caller holds `mu_` shared. The stripes depend on run-time
+  /// ids, so the analysis cannot follow them; the proof is at the
+  /// definition in graph_store.cc.
+  class StripeLock {
+   public:
+    StripeLock(GraphStore& store, std::initializer_list<size_t> stripes)
+        SNB_NO_THREAD_SAFETY_ANALYSIS;
+    StripeLock(const StripeLock&) = delete;
+    StripeLock& operator=(const StripeLock&) = delete;
+    ~StripeLock() SNB_NO_THREAD_SAFETY_ANALYSIS;
+
+   private:
+    std::array<WriteStripe, kWriteStripes>& stripes_;
+    std::array<size_t, 4> held_{};
+    size_t count_ = 0;
+  };
+
+  // The Add* bodies: every check and write of one update, in the contract's
+  // order. A public Add* runs its body under `mu_` shared and the stripes
+  // of the entities the body touches; BulkLoad runs them under `mu_`
+  // exclusively, with no stripe.
+  util::Status AddPersonLocked(const schema::Person& person)
+      SNB_REQUIRES_SHARED(mu_);
+  util::Status AddFriendshipLocked(const schema::Knows& knows)
+      SNB_REQUIRES_SHARED(mu_);
+  util::Status AddForumLocked(const schema::Forum& forum)
+      SNB_REQUIRES_SHARED(mu_);
+  util::Status AddForumMembershipLocked(
+      const schema::ForumMembership& membership) SNB_REQUIRES_SHARED(mu_);
+  util::Status AddMessageLocked(const schema::Message& message)
+      SNB_REQUIRES_SHARED(mu_);
+  util::Status AddLikeLocked(const schema::Like& like)
+      SNB_REQUIRES_SHARED(mu_);
+
+  /// Present records by id for the writer (nullptr when absent). The
+  /// caller holds `mu_` exclusively, or shared with an EpochPin (another
+  /// writer may retire a table directory meanwhile).
   PersonRecord* MutablePerson(schema::PersonId id);
   ForumRecord* MutableForum(schema::ForumId id);
   MessageRecord* MutableMessage(schema::MessageId id);
 
   util::EpochManager& epoch_;
-  /// The writer capability. The DenseTables are deliberately NOT
-  /// SNB_GUARDED_BY(mu_): readers access them lock-free under an
-  /// EpochPin (the RCU publication protocol in the file comment), which
-  /// the mutex analysis cannot model — the ReadGuard token parameter on
-  /// the read accessors is the compile-time check for that side. Every
-  /// mutation sits inside an Add* body under a WriterMutexLock on `mu_`
+  /// Held shared by every Add* and exclusively by BulkLoad, FrozenReadLock
+  /// and ComputeStorageBreakdown, which so see no update half applied.
+  /// The DenseTables are deliberately NOT SNB_GUARDED_BY(mu_): readers
+  /// access them lock-free under an EpochPin (the RCU publication protocol
+  /// in the file comment), which the mutex analysis cannot model — the
+  /// ReadGuard token parameter on the read accessors is the compile-time
+  /// check for that side. Every mutation sits inside an Add* body
   /// (DESIGN.md's lock table; exercised by the TSan'd stress tests).
   mutable util::SharedMutex mu_;
+  /// The writers' per-entity locks (StripeOf), taken after `mu_`.
+  std::array<WriteStripe, kWriteStripes> stripes_;
   DenseTable<PersonRecord> persons_;
   /// Sparse id space (owner_id * slots_per_person + slot); absent chunks
   /// cost one null directory entry.

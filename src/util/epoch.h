@@ -50,8 +50,9 @@
 // is therefore a compile error, not a latent use-after-reclaim.
 //
 // Writers are expected to be externally serialized per data structure
-// (the store is single-writer); Retire/TryReclaim are nevertheless guarded
-// by an internal mutex so that multiple stores can share one manager.
+// (the store's write stripes serialize the writers of each list); several
+// writers retire at once, so Retire/TryReclaim are guarded by an internal
+// mutex.
 #ifndef SNB_UTIL_EPOCH_H_
 #define SNB_UTIL_EPOCH_H_
 

@@ -65,6 +65,12 @@ class SNB_CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex mu_;
 };
 
+/// Movable exclusive lock over SharedMutex::native(), for an exclusive
+/// guard returned by value (store::FrozenReadGuard): the counterpart of a
+/// std::shared_lock over native(). The analysis does not see it either, so
+/// keep the accesses made under it to members that are not SNB_GUARDED_BY.
+using MovableWriterLock = std::unique_lock<std::shared_mutex>;
+
 /// RAII exclusive lock over Mutex. Also BasicLockable so that
 /// std::condition_variable_any can wait on it directly.
 class SNB_SCOPED_CAPABILITY MutexLock {

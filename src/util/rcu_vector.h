@@ -17,7 +17,8 @@
 //
 // Because size lives inside the buffer, a reader can never pair a stale
 // size with a different buffer — the snapshot is per-object atomic. The
-// writer must be externally serialized (the store's writer mutex).
+// writer must be externally serialized (the store locks the write stripe of
+// the entity that owns the vector).
 //
 // Readers must hold an EpochPin for as long as they dereference a View;
 // the guard is what keeps retired buffers alive.

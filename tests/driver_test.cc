@@ -148,6 +148,25 @@ TEST_F(DriverTest, FullMixRunsReadsAndWalk) {
   for (auto& f : mix.frequencies) f = std::max<uint32_t>(1, f / 40);
   Workload workload = BuildWorkload(world().dataset, *world().dict, mix);
   EXPECT_GT(workload.num_complex_reads, 0u);
+  // Each complex read brings a driver-scheduled short read due at the same
+  // time, S1 to S7 in turn, on the read's person and a bulk message.
+  const std::vector<schema::Message>& messages =
+      world().dataset.bulk.messages;
+  ASSERT_FALSE(messages.empty());
+  std::vector<Operation> ops;
+  uint64_t scheduled_shorts = 0;
+  for (const Operation& op : workload.operations) {
+    ops.push_back(op);
+    if (op.type != OperationType::kComplexRead) continue;
+    Operation short_read;
+    short_read.type = OperationType::kShortRead;
+    short_read.query_id = static_cast<uint8_t>(1 + scheduled_shorts % 7);
+    short_read.due_time = op.due_time;
+    short_read.person_param = op.person_param;
+    short_read.aux0 = messages[scheduled_shorts % messages.size()].id;
+    ops.push_back(short_read);
+    ++scheduled_shorts;
+  }
 
   store::GraphStore store;
   ASSERT_TRUE(store.BulkLoad(world().dataset.bulk).ok());
@@ -157,7 +176,7 @@ TEST_F(DriverTest, FullMixRunsReadsAndWalk) {
   DriverConfig config;
   config.num_partitions = 4;
   config.metrics = &metrics;
-  DriverReport report = RunWorkload(workload.operations, connector, config);
+  DriverReport report = RunWorkload(ops, connector, config);
 
   EXPECT_EQ(report.operations_failed, 0u) << report.first_error;
   // Complex reads of several types ran.
@@ -167,11 +186,17 @@ TEST_F(DriverTest, FullMixRunsReadsAndWalk) {
     if (snap.ops[i].count > 0) ++complex_types;
   }
   EXPECT_GE(complex_types, 10);
-  // The random walk spawned short reads.
-  EXPECT_GT(connector.short_reads_executed(), 0u);
+  // The random walk spawned short reads, and the connector counted each
+  // executed short read once: every scheduled one plus every walk step,
+  // which is also the number of short-read latencies recorded.
+  const uint64_t walk_steps =
+      snap.CounterValue(obs::Counter::kShortReadWalkSteps);
+  EXPECT_GT(walk_steps, 0u);
+  EXPECT_EQ(connector.short_reads_executed(), scheduled_shorts + walk_steps);
+  EXPECT_EQ(snap.CountInRange(obs::kShortBegin, obs::kUpdateBegin),
+            connector.short_reads_executed());
   double short_micros = snap.SumMicros(obs::kShortBegin, obs::kUpdateBegin);
   EXPECT_GT(short_micros, 0.0);
-  EXPECT_GT(snap.CounterValue(obs::Counter::kShortReadWalkSteps), 0u);
   // The run's outcome counters were folded into the registry.
   EXPECT_EQ(snap.CounterValue(obs::Counter::kOperationsExecuted),
             report.operations_executed);

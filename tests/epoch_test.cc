@@ -225,6 +225,61 @@ TEST(DenseTableTest, RecordsKeepStableAddressesAcrossGrowth) {
   epoch.DrainForTesting();
 }
 
+TEST(DenseTableTest, ConcurrentGrowthKeepsAddressesStable) {
+  // Four writers grow one table at once, each owning every fourth id, so
+  // they cross the same chunk and directory boundaries together. Two run
+  // ascending and two descending, so a directory is replaced while other
+  // writers read it. A slot keeps the address it was first returned at,
+  // no chunk is made twice, and the bound ends at the largest id + 1.
+  EpochManager& epoch = EpochManager::Global();
+  constexpr size_t kChunk = 8;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kSteps = 2048;
+  constexpr uint64_t kIds = kSteps * kThreads;  // The directory doubles 7x.
+  store::DenseTable<std::atomic<uint64_t>, kChunk> table;
+  std::vector<std::atomic<uint64_t>*> addresses(kIds, nullptr);
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> errors{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      const bool ascending = t < 2;
+      auto id_at = [&](uint64_t k) {
+        return (ascending ? k : kSteps - 1 - k) * kThreads +
+               static_cast<uint64_t>(t);
+      };
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (uint64_t k = 0; k < kSteps; ++k) {
+        // A directory another writer retires stays readable while pinned.
+        EpochPin pin = epoch.pin();
+        const uint64_t id = id_at(k);
+        std::atomic<uint64_t>* slot = table.GrowToSlot(id, epoch);
+        slot->store(id + 1, std::memory_order_relaxed);
+        addresses[id] = slot;
+        // Slots grown 1, 2, 4, ... steps ago kept their address and value.
+        for (uint64_t back = 1; back <= k; back *= 2) {
+          const uint64_t prev = id_at(k - back);
+          if (table.Slot(prev) != addresses[prev] ||
+              table.GrowToSlot(prev, epoch) != addresses[prev] ||
+              addresses[prev]->load(std::memory_order_relaxed) != prev + 1) {
+            errors.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(table.bound(), kIds);
+  EXPECT_EQ(table.allocated_slots(), kIds);
+  for (uint64_t id = 0; id < kIds; ++id) {
+    ASSERT_EQ(table.Slot(id), addresses[id]) << id;
+    ASSERT_EQ(table.Slot(id)->load(), id + 1) << id;
+  }
+  epoch.DrainForTesting();
+}
+
 TEST(DenseTableTest, UnallocatedChunksReadAsAbsent) {
   EpochManager& epoch = EpochManager::Global();
   store::DenseTable<uint64_t> table;

@@ -1,6 +1,7 @@
 // Tests for the transactional graph store.
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <iterator>
 #include <span>
 #include <string>
@@ -409,6 +410,83 @@ TEST(GraphStoreTest, StorageBreakdownAccountsMajorStructures) {
                            b.friends_bytes + b.person_bytes + b.forum_bytes);
 }
 
+// The first names of the atomicity tests' persons. "Marco" and "Ravi" share
+// an index bucket, so counting a name's carriers needs the record's name,
+// not the bucket's size.
+const std::string kAtomicityNames[] = {"Ada", "Marco", "Ravi"};
+
+Person NamedPerson(schema::PersonId id) {
+  Person p = MakePerson(id);
+  p.first_name = kAtomicityNames[id % std::size(kAtomicityNames)];
+  return p;
+}
+
+/// Failed cross-list sums, one counter per kind of update.
+struct SumErrors {
+  std::atomic<uint64_t> index{0};
+  std::atomic<uint64_t> friends{0};
+  std::atomic<uint64_t> likes{0};
+  std::atomic<uint64_t> members{0};
+  std::atomic<uint64_t> messages{0};
+};
+
+/// Checks, in one snapshot of a store whose only forum is `forum`, the sums
+/// that hold between updates, each of which writes both sides: every
+/// indexed id resolves and the named persons number NumPersons(); friend
+/// lists hold two entries per friendship; person and message likes, and
+/// person and forum memberships, agree with each other and their counters;
+/// created posts match the forum's posts, created comments the replies and
+/// the received replies, and the two together NumMessages().
+void CheckFrozenSums(const GraphStore& store, const ReadGuard& pin,
+                     schema::ForumId forum_id, SumErrors* errors) {
+  uint64_t named = 0;
+  for (const std::string& name : kAtomicityNames) {
+    for (schema::PersonId id : store.PersonsByFirstName(pin, name)) {
+      const PersonRecord* p = store.FindPerson(pin, id);
+      if (p == nullptr) {
+        errors->index.fetch_add(1);
+      } else if (p->data.first_name == name) {
+        ++named;
+      }
+    }
+  }
+  if (named != store.NumPersons()) errors->index.fetch_add(1);
+  uint64_t friends = 0, person_likes = 0, person_forums = 0;
+  uint64_t created_posts = 0, created_comments = 0, replies_received = 0;
+  for (schema::PersonId id = 0; id < store.PersonIdBound(); ++id) {
+    const PersonRecord* p = store.FindPerson(pin, id);
+    if (p == nullptr) continue;
+    friends += p->friends.size();
+    person_likes += p->likes.size();
+    person_forums += p->forums.size();
+    created_posts += p->posts.size();
+    created_comments += p->comments.size();
+    replies_received += p->replies_received.size();
+  }
+  uint64_t message_likes = 0, replies = 0;
+  for (schema::MessageId id = 0; id < store.MessageIdBound(); ++id) {
+    const MessageRecord* m = store.FindMessage(pin, id);
+    if (m == nullptr) continue;
+    message_likes += m->likes.size();
+    replies += m->replies.size();
+  }
+  const ForumRecord* forum = store.FindForum(pin, forum_id);
+  const uint64_t members = forum->members.size();
+  const uint64_t posts = forum->posts.size();
+  if (friends != 2 * store.NumKnowsEdges()) errors->friends.fetch_add(1);
+  if (person_likes != message_likes || person_likes != store.NumLikes()) {
+    errors->likes.fetch_add(1);
+  }
+  if (person_forums != members || members != store.NumMemberships()) {
+    errors->members.fetch_add(1);
+  }
+  if (created_posts != posts || created_comments != replies ||
+      created_posts + created_comments != store.NumMessages() ||
+      replies_received != replies) {
+    errors->messages.fetch_add(1);
+  }
+}
+
 TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
   // Atomicity of every two-sided Add*: a frozen snapshot, which only
   // FrozenReadLock() provides, must see each update whole or not at all,
@@ -418,80 +496,23 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
   GraphStore store;
   constexpr schema::PersonId kPersons = 50;
   constexpr schema::ForumId kForum = 1000;
-  // "Marco" and "Ravi" share an index bucket, so counting a name's
-  // carriers needs the record's name, not the bucket's size.
-  const std::string kNames[] = {"Ada", "Marco", "Ravi"};
-  ASSERT_EQ(GraphStore::FirstNameBucket(kNames[1]),
-            GraphStore::FirstNameBucket(kNames[2]));
-  auto named_person = [&](schema::PersonId id) {
-    Person p = MakePerson(id);
-    p.first_name = kNames[id % std::size(kNames)];
-    return p;
-  };
+  ASSERT_EQ(GraphStore::FirstNameBucket(kAtomicityNames[1]),
+            GraphStore::FirstNameBucket(kAtomicityNames[2]));
   for (schema::PersonId id = 0; id < kPersons; ++id) {
-    ASSERT_TRUE(store.AddPerson(named_person(id)).ok());
+    ASSERT_TRUE(store.AddPerson(NamedPerson(id)).ok());
   }
   ASSERT_TRUE(store.AddForum(MakeForum(kForum, 0)).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
-  std::atomic<uint64_t> friend_errors{0};
-  std::atomic<uint64_t> like_errors{0};
-  std::atomic<uint64_t> member_errors{0};
-  std::atomic<uint64_t> message_errors{0};
-  std::atomic<uint64_t> index_errors{0};
+  SumErrors errors;
   std::thread reader([&] {
     // The last pass starts after the writer is done, so the final state
     // is checked even when the writer outruns the reader.
     for (bool done = false; !done;) {
       done = stop.load();
       auto pin = store.FrozenReadLock();
-      uint64_t named = 0;
-      for (const std::string& name : kNames) {
-        for (schema::PersonId id : store.PersonsByFirstName(pin, name)) {
-          const PersonRecord* p = store.FindPerson(pin, id);
-          if (p == nullptr) {
-            index_errors.fetch_add(1);
-          } else if (p->data.first_name == name) {
-            ++named;
-          }
-        }
-      }
-      if (named != store.NumPersons()) index_errors.fetch_add(1);
-      uint64_t friends = 0, person_likes = 0, person_forums = 0;
-      uint64_t created_posts = 0, created_comments = 0, replies_received = 0;
-      for (schema::PersonId id = 0; id < kPersons; ++id) {
-        const PersonRecord* p = store.FindPerson(pin, id);
-        if (p == nullptr) continue;
-        friends += p->friends.size();
-        person_likes += p->likes.size();
-        person_forums += p->forums.size();
-        created_posts += p->posts.size();
-        created_comments += p->comments.size();
-        replies_received += p->replies_received.size();
-      }
-      uint64_t message_likes = 0, replies = 0;
-      for (schema::MessageId id = 0; id < store.MessageIdBound(); ++id) {
-        const MessageRecord* m = store.FindMessage(pin, id);
-        if (m == nullptr) continue;
-        message_likes += m->likes.size();
-        replies += m->replies.size();
-      }
-      const ForumRecord* forum = store.FindForum(pin, kForum);
-      const uint64_t members = forum->members.size();
-      const uint64_t posts = forum->posts.size();
-      if (friends != 2 * store.NumKnowsEdges()) friend_errors.fetch_add(1);
-      if (person_likes != message_likes || person_likes != store.NumLikes()) {
-        like_errors.fetch_add(1);
-      }
-      if (person_forums != members || members != store.NumMemberships()) {
-        member_errors.fetch_add(1);
-      }
-      if (created_posts != posts || created_comments != replies ||
-          created_posts + created_comments != store.NumMessages() ||
-          replies_received != replies) {
-        message_errors.fetch_add(1);
-      }
+      CheckFrozenSums(store, pin, kForum, &errors);
       reads.fetch_add(1);
     }
   });
@@ -501,7 +522,7 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
   while (reads.load() == 0) std::this_thread::yield();
   for (schema::PersonId id = 1; id < kPersons; ++id) {
     util::TimestampMs date = 3000 + 2 * static_cast<int64_t>(id);
-    ASSERT_TRUE(store.AddPerson(named_person(kPersons + id)).ok());
+    ASSERT_TRUE(store.AddPerson(NamedPerson(kPersons + id)).ok());
     ASSERT_TRUE(store.AddFriendship({0, id, 100}).ok());
     ASSERT_TRUE(store.AddMessage(MakePost(id, id, kForum, date)).ok());
     ASSERT_TRUE(store.AddForumMembership({kForum, id, date}).ok());
@@ -514,16 +535,162 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesGlobalLock) {
   stop.store(true);
   reader.join();
   EXPECT_GE(reads.load(), 2u);
-  EXPECT_EQ(friend_errors.load(), 0u);
-  EXPECT_EQ(like_errors.load(), 0u);
-  EXPECT_EQ(member_errors.load(), 0u);
-  EXPECT_EQ(message_errors.load(), 0u);
-  EXPECT_EQ(index_errors.load(), 0u);
+  EXPECT_EQ(errors.friends.load(), 0u);
+  EXPECT_EQ(errors.likes.load(), 0u);
+  EXPECT_EQ(errors.members.load(), 0u);
+  EXPECT_EQ(errors.messages.load(), 0u);
+  EXPECT_EQ(errors.index.load(), 0u);
   EXPECT_EQ(store.NumPersons(), 99u);
   EXPECT_EQ(store.NumKnowsEdges(), 49u);
   EXPECT_EQ(store.NumMessages(), 98u);
   EXPECT_EQ(store.NumMemberships(), 49u);
   EXPECT_EQ(store.NumLikes(), 147u);
+}
+
+TEST(GraphStoreTest, ConcurrentWritersStayAtomicUnderFrozenReads) {
+  // Atomicity with parallel writers: four writer threads apply updates
+  // that share persons, one forum, parent messages and a first-name
+  // bucket, while a FrozenReadLock() reader checks the sums above. In each
+  // round a writer comments on the posts two other writers publish in the
+  // same round, retrying while a post is not there yet.
+  //
+  // A writer starts round r + 1 only after the reader has finished r + 1
+  // snapshots: glibc's shared_mutex lets shared holders (the writers)
+  // overtake an exclusive waiter (the reader), so without this pacing the
+  // reader might get no snapshot while writers run.
+  GraphStore store;
+  constexpr int kWriters = 4;
+  constexpr uint64_t kRounds = 300;
+  constexpr schema::PersonId kShared = 4;  // Persons every writer links to.
+  constexpr schema::ForumId kForum = 1000;
+  constexpr schema::MessageId kCommentBase = 100000;
+  for (schema::PersonId id = 0; id < kShared; ++id) {
+    ASSERT_TRUE(store.AddPerson(NamedPerson(id)).ok());
+  }
+  ASSERT_TRUE(store.AddForum(MakeForum(kForum, 0)).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> retries{0};
+  std::atomic<uint64_t> write_errors{0};
+  SumErrors errors;
+  std::thread reader([&] {
+    // The last pass starts after the writers are done, so it checks the
+    // final state.
+    for (bool done = false; !done;) {
+      done = stop.load();
+      {
+        auto pin = store.FrozenReadLock();
+        CheckFrozenSums(store, pin, kForum, &errors);
+      }
+      reads.fetch_add(1);
+    }
+  });
+  auto writer = [&](uint64_t w) {
+    for (uint64_t r = 0; r < kRounds; ++r) {
+      const uint64_t slot = r * kWriters + w;
+      const schema::PersonId person = kShared + slot;
+      const schema::PersonId shared = (r + w) % kShared;
+      const util::TimestampMs date = 3000 + static_cast<int64_t>(r);
+      bool ok = store.AddPerson(NamedPerson(person)).ok();
+      // Every writer befriends every shared person in every round, even
+      // writers naming it first and odd ones second, so the writers of a
+      // round insert into the same friend lists at once.
+      for (schema::PersonId friend_id = 0; friend_id < kShared; ++friend_id) {
+        ok &= (w % 2 == 0 ? store.AddFriendship({friend_id, person, date})
+                          : store.AddFriendship({person, friend_id, date}))
+                  .ok();
+      }
+      ok &= store.AddMessage(MakePost(slot, shared, kForum, date)).ok();
+      ok &= store.AddForumMembership({kForum, person, date}).ok();
+      for (uint64_t k = 1; k <= 2; ++k) {
+        const schema::MessageId parent = r * kWriters + (w + k) % kWriters;
+        const Message comment =
+            MakeComment(kCommentBase + 2 * slot + k - 1, person, parent,
+                        parent, kForum, date + 1);
+        util::Status status;
+        while ((status = store.AddMessage(comment)).code() ==
+               StatusCode::kNotFound) {
+          retries.fetch_add(1);
+          std::this_thread::yield();
+        }
+        ok &= status.ok();
+        ok &= store.AddLike({person, parent, date + 1}).ok();
+      }
+      ok &= store.AddLike({shared, kCommentBase + 2 * slot, date + 2}).ok();
+      if (!ok) write_errors.fetch_add(1);
+      while (reads.load() <= r) std::this_thread::yield();
+    }
+  };
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < kWriters; ++w) writers.emplace_back(writer, w);
+  for (std::thread& t : writers) t.join();
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(write_errors.load(), 0u);
+  EXPECT_GT(reads.load(), kRounds);
+  EXPECT_EQ(errors.friends.load(), 0u);
+  EXPECT_EQ(errors.likes.load(), 0u);
+  EXPECT_EQ(errors.members.load(), 0u);
+  EXPECT_EQ(errors.messages.load(), 0u);
+  EXPECT_EQ(errors.index.load(), 0u);
+  std::printf("  %llu snapshots, %llu comment retries on an absent parent\n",
+              static_cast<unsigned long long>(reads.load()),
+              static_cast<unsigned long long>(retries.load()));
+
+  // At rest: every list the store keeps sorted is in its order, and every
+  // count equals its counter and the number of updates made.
+  const uint64_t updates = kWriters * kRounds;
+  EXPECT_EQ(store.NumPersons(), kShared + updates);
+  EXPECT_EQ(store.NumKnowsEdges(), kShared * updates);
+  EXPECT_EQ(store.NumMessages(), 3 * updates);
+  EXPECT_EQ(store.NumMemberships(), updates);
+  EXPECT_EQ(store.NumLikes(), 3 * updates);
+  auto pin = store.FrozenReadLock();
+  uint64_t persons = 0, messages = 0;
+  auto sorted_by_date_then_id = [](const auto& list) {
+    return std::is_sorted(list.begin(), list.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.date != b.date ? a.date < b.date
+                                                    : a.id < b.id;
+                          });
+  };
+  for (schema::PersonId id = 0; id < store.PersonIdBound(); ++id) {
+    const PersonRecord* p = store.FindPerson(pin, id);
+    if (p == nullptr) continue;
+    ++persons;
+    auto friend_list = p->friends.view();
+    EXPECT_TRUE(std::is_sorted(friend_list.begin(), friend_list.end(),
+                               [](const FriendEdge& a, const FriendEdge& b) {
+                                 return a.other < b.other;
+                               }))
+        << id;
+    EXPECT_TRUE(sorted_by_date_then_id(p->posts.view())) << id;
+    EXPECT_TRUE(sorted_by_date_then_id(p->comments.view())) << id;
+    EXPECT_TRUE(sorted_by_date_then_id(p->forums.view())) << id;
+    for (bool comments : {false, true}) {
+      CreatedMessages created =
+          comments ? p->created_comments() : p->created_posts();
+      for (const MessageEdge& e : created) {
+        EXPECT_TRUE(EdgeMatchesRecords(store, pin, created, e, comments));
+      }
+    }
+    for (const ReplyEdge& r : p->replies_received.view()) {
+      EXPECT_TRUE(ReplyMatchesRecords(store, pin, id, r));
+    }
+  }
+  for (schema::MessageId id = 0; id < store.MessageIdBound(); ++id) {
+    const MessageRecord* m = store.FindMessage(pin, id);
+    if (m == nullptr) continue;
+    ++messages;
+    // Posts get two comments each (in link order); a comment gets none.
+    EXPECT_EQ(m->replies.size(),
+              m->data.kind == MessageKind::kComment ? 0u : 2u)
+        << id;
+  }
+  EXPECT_EQ(persons, store.NumPersons());
+  EXPECT_EQ(messages, store.NumMessages());
+  EXPECT_EQ(store.FindForum(pin, kForum)->posts.size(), updates);
 }
 
 TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {

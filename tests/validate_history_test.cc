@@ -90,7 +90,7 @@ TEST(CheckHistoryTest, ViolationDetailsAreCappedButCounted) {
 
 // The real store under concurrent load: writers posting messages to
 // their own person and forum, several pinned readers. Run at one writer
-// and at four writers sharing the store's writer lock, under TSan via the
+// and at four writers running in parallel, under TSan via the
 // check.sh sanitizer legs (ctest -L concurrency); the recorded history
 // must check clean.
 TEST(StoreHistoryTest, ConcurrentStressIsSnapshotConsistent) {
