@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the store's primitive operations —
 // the building blocks whose costs compose into Tables 6/7/9 — plus the
-// snb::obs record path, and a closing Prometheus-style dump of the store's
-// health gauges (epoch reclamation, table occupancy) with the 2-hop
-// recycler's hit/miss/eviction counts.
+// snb::obs record path, and a closing dump of the store's health gauges
+// (epoch reclamation, table occupancy) with the 2-hop recycler's
+// hit/miss/eviction counts.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include "bench/bench_util.h"
 #include "driver/connectors.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 #include "queries/complex_queries.h"
 #include "queries/recycler.h"
 #include "queries/short_queries.h"
@@ -162,9 +161,8 @@ void BM_MetricsRecordLatency(benchmark::State& state) {
 BENCHMARK(BM_MetricsRecordLatency)->Threads(1)->Threads(8);
 
 // Store-health dump: exercise the recycler a little and print its counts,
-// then publish epoch and occupancy gauges into a registry and print the
-// Prometheus text exposition — the same gauges report.json carries after a
-// driver run.
+// then publish epoch and occupancy gauges into a registry and print each by
+// name — the same gauges report.json carries after a driver run.
 void DumpStoreGauges() {
   BenchWorld& world = SharedWorld();
   queries::TwoHopRecycler recycler(64);
@@ -186,8 +184,12 @@ void DumpStoreGauges() {
 
   obs::MetricsRegistry registry;
   driver::PublishStoreMetrics(world.store, &registry);
-  std::printf("\n--- store health gauges (Prometheus exposition) ---\n%s",
-              obs::ToPrometheusText(registry.Snapshot()).c_str());
+  obs::MetricsSnapshot snapshot = registry.Snapshot();
+  std::printf("\n--- store health gauges ---\n");
+  for (size_t g = 0; g < obs::kNumGauges; ++g) {
+    std::printf("%s %llu\n", obs::GaugeName(static_cast<obs::Gauge>(g)),
+                static_cast<unsigned long long>(snapshot.gauges[g]));
+  }
 }
 
 }  // namespace

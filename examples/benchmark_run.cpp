@@ -14,8 +14,7 @@
 //      report.json (schema snb-report-v5, incl. the compliance audit,
 //      build provenance, the CPU-profile section and, with
 //      --perf-counters, slow-query dossiers carrying each kept complex
-//      read's operator rows) and report.json.prom (Prometheus text
-//      exposition).
+//      read's operator rows).
 //
 //   ./examples/benchmark_run [scale_factor] [acceleration] [report_path]
 //                            [--trace-out <path>] [--perf-counters]
@@ -309,10 +308,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  std::string prom_path = report_path + ".prom";
-  (void)obs::WriteFileReport(prom_path,
-                             obs::ToPrometheusText(run_report.metrics));
-  std::printf("\nwrote %s and %s\n", report_path.c_str(), prom_path.c_str());
+  std::printf("\nwrote %s\n", report_path.c_str());
 
   if (!cpu_profile_path.empty()) {
     status = obs::WriteFileReport(cpu_profile_path,

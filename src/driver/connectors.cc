@@ -33,6 +33,13 @@ void SpinFor(int64_t micros) {
   }
 }
 
+/// The wall clock and hardware counters at an operation's start. Taken
+/// only when some sink reads the operation's readings.
+struct OpStart {
+  Stopwatch watch;
+  obs::perf::ScopedHwCounts hw;
+};
+
 }  // namespace
 
 StoreConnector::StoreConnector(
@@ -49,7 +56,9 @@ StoreConnector::StoreConnector(
       walk_(walk),
       dispatch_overhead_us_(dispatch_overhead_us),
       trace_(trace),
-      dossiers_(dossiers) {
+      dossiers_(dossiers),
+      observed_(metrics != nullptr || trace != nullptr ||
+                dossiers != nullptr) {
   for (const schema::City& c : dict_->cities()) {
     city_country_.push_back(c.country_id);
   }
@@ -86,8 +95,8 @@ Status StoreConnector::Execute(const Operation& op) {
 }
 
 Status StoreConnector::ExecuteComplex(const Operation& op) {
-  Stopwatch watch;
-  obs::perf::ScopedHwCounts hw_scope;
+  std::optional<OpStart> start;
+  if (observed_) start.emplace();
   SpinFor(dispatch_overhead_us_);
   std::vector<schema::PersonId> result_persons;
   std::vector<schema::MessageId> result_messages;
@@ -195,14 +204,11 @@ Status StoreConnector::ExecuteComplex(const Operation& op) {
       return Status::InvalidArgument("complex query id out of range");
   }
   profiling.reset();  // The short-read walk below is not this plan.
-  uint64_t latency_ns = watch.ElapsedNanos();
-  obs::perf::HwCounts hw = hw_scope.Delta();
-  if (metrics_ != nullptr) {
-    metrics_->RecordLatencyNs(obs::ComplexOp(op.query_id), latency_ns);
-    metrics_->RecordHwCounts(obs::ComplexOp(op.query_id), hw);
+  if (start) {
+    uint64_t latency_ns = start->watch.ElapsedNanos();
+    obs::perf::HwCounts hw = start->hw.Delta();
+    Record(obs::ComplexOp(op.query_id), latency_ns, hw, profile.TakeRows());
   }
-  OfferDossier(obs::ComplexOp(op.query_id), latency_ns, hw,
-               profile.TakeRows());
   RunShortReadWalk(op, result_persons, result_messages);
   return Status::Ok();
 }
@@ -217,8 +223,8 @@ Status StoreConnector::ExecuteShort(uint8_t query_id,
     event.op = obs::ShortOp(query_id);
     event.exec_begin_ns = trace_->NowNs();
   }
-  Stopwatch watch;
-  obs::perf::ScopedHwCounts hw_scope;
+  std::optional<OpStart> start;
+  if (observed_) start.emplace();
   SpinFor(dispatch_overhead_us_);
   switch (query_id) {
     case 1:
@@ -245,18 +251,15 @@ Status StoreConnector::ExecuteShort(uint8_t query_id,
     default:
       return Status::InvalidArgument("short query id out of range");
   }
-  uint64_t latency_ns = watch.ElapsedNanos();
-  obs::perf::HwCounts hw = hw_scope.Delta();
-  if (metrics_ != nullptr) {
-    metrics_->RecordLatencyNs(obs::ShortOp(query_id), latency_ns);
-    metrics_->RecordHwCounts(obs::ShortOp(query_id), hw);
-  }
+  if (!start) return Status::Ok();
+  uint64_t latency_ns = start->watch.ElapsedNanos();
+  obs::perf::HwCounts hw = start->hw.Delta();
   if (trace_ != nullptr) {
     event.end_ns = trace_->NowNs();
     event.hw = hw;
     trace_->Record(event);
   }
-  OfferDossier(obs::ShortOp(query_id), latency_ns, hw, {});
+  Record(obs::ShortOp(query_id), latency_ns, hw, {});
   return Status::Ok();
 }
 
@@ -265,24 +268,25 @@ Status StoreConnector::ExecuteUpdate(const Operation& op) {
     return Status::OutOfRange("update index");
   }
   const datagen::UpdateOperation& update = (*updates_)[op.update_index];
-  Stopwatch watch;
-  obs::perf::ScopedHwCounts hw_scope;
+  std::optional<OpStart> start;
+  if (observed_) start.emplace();
   SpinFor(dispatch_overhead_us_);
   Status status = queries::ApplyUpdate(*store_, update);
-  uint64_t latency_ns = watch.ElapsedNanos();
-  obs::perf::HwCounts hw = hw_scope.Delta();
-  obs::OpType op_type = obs::UpdateOp(static_cast<int>(update.kind));
-  if (metrics_ != nullptr) {
-    metrics_->RecordLatencyNs(op_type, latency_ns);
-    metrics_->RecordHwCounts(op_type, hw);
+  if (start) {
+    uint64_t latency_ns = start->watch.ElapsedNanos();
+    obs::perf::HwCounts hw = start->hw.Delta();
+    Record(obs::UpdateOp(static_cast<int>(update.kind)), latency_ns, hw, {});
   }
-  OfferDossier(op_type, latency_ns, hw, {});
   return status;
 }
 
-void StoreConnector::OfferDossier(
-    obs::OpType op, uint64_t latency_ns, const obs::perf::HwCounts& hw,
-    std::vector<obs::OperatorRow> operators) {
+void StoreConnector::Record(obs::OpType op, uint64_t latency_ns,
+                            const obs::perf::HwCounts& hw,
+                            std::vector<obs::OperatorRow> operators) {
+  if (metrics_ != nullptr) {
+    metrics_->RecordLatencyNs(op, latency_ns);
+    metrics_->RecordHwCounts(op, hw);
+  }
   if (dossiers_ == nullptr) return;
   uint64_t seq = op_seq_.fetch_add(1, std::memory_order_relaxed);
   if (!dossiers_->WouldKeep(op, latency_ns)) return;

@@ -45,7 +45,9 @@ class StoreConnector : public Connector {
   /// `store` must outlive the connector. `updates` is the pre-generated
   /// update stream referenced by Operation::update_index. `dictionaries`
   /// resolves names/countries/tag classes for read parameters. `metrics`
-  /// may be null — execution then records nothing.
+  /// may be null — execution then records nothing. With `metrics`,
+  /// `trace` and `dossiers` all null, no operation reads the clock or the
+  /// hardware counters.
   /// `dispatch_overhead_us` emulates the per-operation client-server
   /// round-trip of the paper's setups (0 = in-process, no overhead). It is
   /// added to every executed query/update before latency recording.
@@ -86,11 +88,12 @@ class StoreConnector : public Connector {
                         const std::vector<schema::PersonId>& persons,
                         const std::vector<schema::MessageId>& messages);
 
-  /// Offers one executed operation to the dossier collector (no-op when
-  /// collection is off or the instance is not a tail candidate).
-  void OfferDossier(obs::OpType op, uint64_t latency_ns,
-                    const obs::perf::HwCounts& hw,
-                    std::vector<obs::OperatorRow> operators);
+  /// Records one executed operation's readings into the metrics, and
+  /// offers it to the dossier collector (which keeps only tail
+  /// candidates). Each sink is skipped when null.
+  void Record(obs::OpType op, uint64_t latency_ns,
+              const obs::perf::HwCounts& hw,
+              std::vector<obs::OperatorRow> operators);
 
   store::GraphStore* store_;
   const std::vector<datagen::UpdateOperation>* updates_;
@@ -100,6 +103,9 @@ class StoreConnector : public Connector {
   int64_t dispatch_overhead_us_ = 0;
   obs::TraceBuffer* trace_ = nullptr;
   obs::DossierCollector* dossiers_ = nullptr;
+  /// Some sink reads an operation's latency and counters; when false,
+  /// neither the clock nor the counters are read.
+  bool observed_ = false;
   std::vector<schema::PlaceId> city_country_;
   std::vector<schema::PlaceId> company_country_;
   /// tag_in_class_[c][t]: tag t belongs to tag class c.

@@ -48,7 +48,11 @@ namespace {
 /// Deep template stacks truncate at the root end; the leaf frames (the
 /// ones a flamegraph is read by) always survive.
 inline constexpr size_t kMaxFrames = 24;
-/// Per-thread ring capacity. At the default 997 us CPU interval a fully
+/// Sampling interval in microseconds of thread CPU time: a prime, so
+/// periodic code does not alias the sampling grid. The kernel's CPU-clock
+/// tick bounds the effective rate.
+inline constexpr uint32_t kIntervalUs = 997;
+/// Per-thread ring capacity. At the 997 us CPU interval a fully
 /// CPU-bound thread produces ~1000 samples/s, so the collator's 100 ms
 /// drain cadence keeps the ring under 3% full.
 inline constexpr uint32_t kRingCapacity = 4096;
@@ -64,7 +68,6 @@ struct Sample {
 
 std::atomic<Backend> g_backend{Backend::kDisabled};
 std::atomic<int> g_forced_errno{0};
-std::atomic<uint32_t> g_interval_us{997};
 
 /// Guards the registry, the fold map and the collator lifecycle. The
 /// signal handler NEVER takes it (it only touches its own thread's ring
@@ -313,10 +316,9 @@ void ArmTimerLocked(ThreadState* st) SNB_REQUIRES(g_prof_mu) {
     // dying thread, kernel limits): degrade per thread, run stays valid.
     return;
   }
-  uint32_t us = g_interval_us.load(std::memory_order_relaxed);
+  static_assert(kIntervalUs < 1000000, "the interval fits in tv_nsec");
   itimerspec spec{};
-  spec.it_interval.tv_sec = us / 1000000;
-  spec.it_interval.tv_nsec = static_cast<long>(us % 1000000) * 1000;
+  spec.it_interval.tv_nsec = long{kIntervalUs} * 1000;
   spec.it_value = spec.it_interval;
   if (::timer_settime(timer, 0, &spec, nullptr) != 0) {
     ::timer_delete(timer);
@@ -520,10 +522,6 @@ void StopSamplingMachinery() SNB_EXCLUDES(g_prof_mu) {
   }
 }
 
-[[maybe_unused]] std::string DescribeInterval(uint32_t us) {
-  return "interval " + std::to_string(us) + " us of thread CPU time";
-}
-
 }  // namespace
 
 const char* BackendName(Backend b) {
@@ -540,17 +538,6 @@ const char* BackendName(Backend b) {
 
 Backend Enable(const EnableOptions& options) {
   StopSamplingMachinery();
-  uint32_t us = options.interval_us;
-  if (us == 0) {
-    const char* env = std::getenv("SNB_PROF_INTERVAL_US");
-    if (env != nullptr && env[0] != '\0') {
-      us = static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
-    }
-  }
-  if (us == 0) us = 997;
-  us = std::clamp<uint32_t>(us, 50, 1000000);
-  g_interval_us.store(us, std::memory_order_relaxed);
-
   const char* forced_env = std::getenv("SNB_PROF_FORCE_NOOP");
   if (options.force_noop ||
       (forced_env != nullptr && forced_env[0] != '\0' &&
@@ -583,8 +570,8 @@ Backend Enable(const EnableOptions& options) {
     g_backend.store(Backend::kNoop, std::memory_order_release);
     return Backend::kNoop;
   }
-  SetMessage("sampling live (per-thread POSIX CPU timers, " +
-             DescribeInterval(us) + ")");
+  SetMessage("sampling live (per-thread POSIX CPU timers, interval " +
+             std::to_string(kIntervalUs) + " us of thread CPU time)");
   // Publish the backend before arming: the first signal must already
   // see kTimer.
   g_backend.store(Backend::kTimer, std::memory_order_release);
@@ -735,7 +722,7 @@ FoldedProfile Collect() {
   FoldedProfile out;
   out.backend = ActiveBackend();
   out.message = BackendMessage();
-  out.interval_us = g_interval_us.load(std::memory_order_relaxed);
+  out.interval_us = kIntervalUs;
   util::MutexLock lock(&g_prof_mu);
   State& s = S();
   for (ThreadState* st : s.registry) DrainThreadLocked(st);

@@ -59,10 +59,6 @@ struct EnableOptions {
   /// implicitly when the SNB_PROF_FORCE_NOOP environment variable is
   /// set — the CI leg that asserts graceful degradation).
   bool force_noop = false;
-  /// Sampling interval in microseconds of thread CPU time; 0 picks the
-  /// SNB_PROF_INTERVAL_US environment variable or the 997 us default
-  /// (a prime, so periodic code does not alias the sampling grid).
-  uint32_t interval_us = 0;
 };
 
 /// Probes timer_create/SIGPROF on the calling thread and installs the

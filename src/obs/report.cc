@@ -806,101 +806,6 @@ ProfileSection MakeProfileSection(const prof::FoldedProfile& profile,
   return out;
 }
 
-std::string EscapePromLabelValue(const std::string& value) {
-  // Text exposition format: inside a label value, backslash, double quote
-  // and line feed must be escaped; everything else passes through.
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// Appends one sample line: `metric{label="escaped value"} <number>`.
-void AppendPromSample(std::string* out, const char* metric,
-                      const char* label, const std::string& value,
-                      const char* extra, double number) {
-  *out += metric;
-  *out += '{';
-  *out += label;
-  *out += "=\"";
-  *out += EscapePromLabelValue(value);
-  *out += '"';
-  *out += extra;  // Pre-formatted, e.g. ",quantile=\"0.99\"" or "".
-  *out += "} ";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", number);
-  *out += buf;
-  *out += '\n';
-}
-
-void AppendPromSampleU64(std::string* out, const char* metric,
-                         const char* label, const std::string& value,
-                         uint64_t number) {
-  *out += metric;
-  *out += '{';
-  *out += label;
-  *out += "=\"";
-  *out += EscapePromLabelValue(value);
-  *out += "\"} ";
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, number);
-  *out += buf;
-  *out += '\n';
-}
-
-}  // namespace
-
-std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
-  std::string out;
-  out.reserve(8 * 1024);
-  out += "# TYPE snb_op_count counter\n";
-  out += "# TYPE snb_op_latency_ms summary\n";
-  for (size_t i = 0; i < kNumOpTypes; ++i) {
-    const OpSnapshot& op = snapshot.ops[i];
-    if (op.count == 0) continue;
-    const std::string name = OpTypeName(static_cast<OpType>(i));
-    AppendPromSampleU64(&out, "snb_op_count", "op", name, op.count);
-    AppendPromSample(&out, "snb_op_latency_ms_sum", "op", name, "",
-                     static_cast<double>(op.sum_ns) / 1e6);
-    const double quantiles[] = {0.5, 0.9, 0.95, 0.99};
-    for (double q : quantiles) {
-      char extra[32];
-      std::snprintf(extra, sizeof(extra), ",quantile=\"%.2f\"", q);
-      AppendPromSample(&out, "snb_op_latency_ms", "op", name, extra,
-                       op.PercentileUs(q * 100.0) / 1000.0);
-    }
-  }
-  out += "# TYPE snb_counter counter\n";
-  for (size_t c = 0; c < kNumCounters; ++c) {
-    AppendPromSampleU64(&out, "snb_counter", "name",
-                        CounterName(static_cast<Counter>(c)),
-                        snapshot.counters[c]);
-  }
-  out += "# TYPE snb_gauge gauge\n";
-  for (size_t g = 0; g < kNumGauges; ++g) {
-    AppendPromSampleU64(&out, "snb_gauge", "name",
-                        GaugeName(static_cast<Gauge>(g)),
-                        snapshot.gauges[g]);
-  }
-  return out;
-}
-
 util::Status ValidateReportJson(const std::string& json) {
   JsonValue root;
   std::string error;

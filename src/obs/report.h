@@ -1,4 +1,4 @@
-// Machine-readable run reports: report.json + Prometheus-style text dump.
+// Machine-readable run reports: report.json.
 //
 // The LDBC SNB audit rules (arXiv:2001.02299 sec. 7; Interactive v2,
 // arXiv:2307.04820) require drivers to publish per-operation-type
@@ -244,14 +244,6 @@ struct RunReport {
 /// samples are omitted from the "ops" table; hardware-counter fields are
 /// omitted per row when that row never saw live counters.
 std::string ToJson(const RunReport& report);
-
-/// Escapes a Prometheus label value per the text exposition format:
-/// backslash, double quote and newline become \\, \" and \n.
-std::string EscapePromLabelValue(const std::string& value);
-
-/// Prometheus text-exposition-style dump of a snapshot: one line per
-/// sample, `snb_op_*{op="..."}` series plus counters and gauges.
-std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 
 /// Structural validation of an emitted report.json: parses, checks the
 /// schema tag (v1 through v5), a non-empty "ops" array, per-op monotone

@@ -10,8 +10,8 @@
 //   * records live in fixed-size chunks that never move once allocated, so
 //     a reader-held record pointer stays valid for the store's lifetime;
 //   * the chunk directory grows copy-on-write and is published with a
-//     release store (the old directory is retired through the
-//     EpochManager); chunk pointers inside a directory are themselves
+//     release store (the old directory is retired into the process's
+//     epoch domain); chunk pointers inside a directory are themselves
 //     atomic, so allocating a chunk never copies the directory;
 //   * absent chunks stay nullptr, which keeps sparse id ranges (the forum
 //     id space) cheap.
@@ -79,14 +79,14 @@ class DenseTable {
   /// Ensures id's chunk exists and returns the slot's stable address. The
   /// lock-free path serves ids whose chunk exists; a new chunk or a larger
   /// directory is made under `grow_mu_`.
-  T* GrowToSlot(uint64_t id, util::EpochManager& epoch) {
+  T* GrowToSlot(uint64_t id) {
     const uint64_t c = id / kChunkSize;
     Chunk* ch = nullptr;
     const Directory* d = dir_.load(std::memory_order_acquire);
     if (d != nullptr && c < d->capacity) {
       ch = d->chunks()[c].load(std::memory_order_acquire);
     }
-    if (ch == nullptr) ch = GrowChunk(c, epoch);
+    if (ch == nullptr) ch = GrowChunk(c);
     uint64_t bound = bound_.load(std::memory_order_relaxed);
     while (id + 1 > bound &&
            !bound_.compare_exchange_weak(bound, id + 1,
@@ -150,7 +150,7 @@ class DenseTable {
 
   /// The chunk of index `c`, made (with a larger directory if needed)
   /// unless another writer made it first.
-  Chunk* GrowChunk(uint64_t c, util::EpochManager& epoch) {
+  Chunk* GrowChunk(uint64_t c) {
     util::MutexLock lock(&grow_mu_);
     // dir_ and chunk entries change only under grow_mu_, so relaxed loads
     // see the latest values here.
@@ -167,9 +167,9 @@ class DenseTable {
       }
       dir_.store(fresh, std::memory_order_release);
       if (d != nullptr) {
-        epoch.Retire(static_cast<void*>(d), [](void* p) {
-          FreeDirectory(static_cast<Directory*>(p));
-        });
+        util::EpochManager::Global().Retire(
+            static_cast<void*>(d),
+            [](void* p) { FreeDirectory(static_cast<Directory*>(p)); });
       }
       d = fresh;
     }

@@ -35,8 +35,6 @@ Status BadId(const char* what, uint64_t id) {
 
 }  // namespace
 
-GraphStore::GraphStore() : epoch_(util::EpochManager::Global()) {}
-
 // ---- Public transactional API ----------------------------------------------
 //
 // Each transaction holds the store mutex shared and locks the stripes of
@@ -141,7 +139,7 @@ Status GraphStore::BulkLoad(const schema::SocialNetwork& network) {
 
 Status GraphStore::AddPerson(const Person& person) {
   util::ReaderMutexLock lock(&mu_);
-  util::EpochPin pin = epoch_.pin();
+  util::EpochPin pin = util::EpochManager::Global().pin();
   StripeLock stripes(
       *this, {StripeOf(StripeKind::kPerson, person.id),
               StripeOf(StripeKind::kFirstName,
@@ -151,7 +149,7 @@ Status GraphStore::AddPerson(const Person& person) {
 
 Status GraphStore::AddFriendship(const Knows& knows) {
   util::ReaderMutexLock lock(&mu_);
-  util::EpochPin pin = epoch_.pin();
+  util::EpochPin pin = util::EpochManager::Global().pin();
   StripeLock stripes(*this, {StripeOf(StripeKind::kPerson, knows.person1_id),
                              StripeOf(StripeKind::kPerson, knows.person2_id)});
   return AddFriendshipLocked(knows);
@@ -159,7 +157,7 @@ Status GraphStore::AddFriendship(const Knows& knows) {
 
 Status GraphStore::AddForum(const schema::Forum& forum) {
   util::ReaderMutexLock lock(&mu_);
-  util::EpochPin pin = epoch_.pin();
+  util::EpochPin pin = util::EpochManager::Global().pin();
   StripeLock stripes(*this,
                      {StripeOf(StripeKind::kPerson, forum.moderator_id),
                       StripeOf(StripeKind::kForum, forum.id)});
@@ -169,7 +167,7 @@ Status GraphStore::AddForum(const schema::Forum& forum) {
 Status GraphStore::AddForumMembership(
     const schema::ForumMembership& membership) {
   util::ReaderMutexLock lock(&mu_);
-  util::EpochPin pin = epoch_.pin();
+  util::EpochPin pin = util::EpochManager::Global().pin();
   StripeLock stripes(*this,
                      {StripeOf(StripeKind::kPerson, membership.person_id),
                       StripeOf(StripeKind::kForum, membership.forum_id)});
@@ -178,7 +176,7 @@ Status GraphStore::AddForumMembership(
 
 Status GraphStore::AddMessage(const Message& message) {
   util::ReaderMutexLock lock(&mu_);
-  util::EpochPin pin = epoch_.pin();
+  util::EpochPin pin = util::EpochManager::Global().pin();
   const size_t creator = StripeOf(StripeKind::kPerson, message.creator_id);
   const size_t id = StripeOf(StripeKind::kMessage, message.id);
   if (message.kind != schema::MessageKind::kComment) {
@@ -211,7 +209,7 @@ Status GraphStore::AddMessage(const Message& message) {
 
 Status GraphStore::AddLike(const schema::Like& like) {
   util::ReaderMutexLock lock(&mu_);
-  util::EpochPin pin = epoch_.pin();
+  util::EpochPin pin = util::EpochManager::Global().pin();
   StripeLock stripes(*this, {StripeOf(StripeKind::kPerson, like.person_id),
                              StripeOf(StripeKind::kMessage, like.message_id)});
   return AddLikeLocked(like);
@@ -219,7 +217,7 @@ Status GraphStore::AddLike(const schema::Like& like) {
 
 Status GraphStore::AddPersonLocked(const Person& person) {
   if (person.id >= kMaxEntityId) return BadId("person", person.id);
-  PersonRecord* rec = persons_.GrowToSlot(person.id, epoch_);
+  PersonRecord* rec = persons_.GrowToSlot(person.id);
   if (rec->present()) {
     return Status::AlreadyExists("person " + std::to_string(person.id));
   }
@@ -227,8 +225,7 @@ Status GraphStore::AddPersonLocked(const Person& person) {
   rec->ready.store(1, std::memory_order_release);
   // Indexed only once published, so a reader that finds the id in its
   // bucket can resolve the record.
-  first_name_index_[FirstNameBucket(person.first_name)].push_back(person.id,
-                                                                  epoch_);
+  first_name_index_[FirstNameBucket(person.first_name)].push_back(person.id);
   num_persons_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
@@ -240,9 +237,9 @@ Status GraphStore::AddFriendshipLocked(const Knows& knows) {
     return Status::NotFound("friendship endpoint missing");
   }
   p1->friends.insert_sorted({knows.person2_id, knows.creation_date},
-                            kFriendLess, epoch_);
+                            kFriendLess);
   p2->friends.insert_sorted({knows.person1_id, knows.creation_date},
-                            kFriendLess, epoch_);
+                            kFriendLess);
   num_knows_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
@@ -252,7 +249,7 @@ Status GraphStore::AddForumLocked(const schema::Forum& forum) {
   if (MutablePerson(forum.moderator_id) == nullptr) {
     return Status::NotFound("forum moderator missing");
   }
-  ForumRecord* rec = forums_.GrowToSlot(forum.id, epoch_);
+  ForumRecord* rec = forums_.GrowToSlot(forum.id);
   if (rec->present()) {
     return Status::AlreadyExists("forum " + std::to_string(forum.id));
   }
@@ -270,9 +267,8 @@ Status GraphStore::AddForumMembershipLocked(
     return Status::NotFound("membership endpoint missing");
   }
   person->forums.insert_sorted({membership.forum_id, membership.join_date},
-                               kDateThenIdLess, epoch_);
-  forum->members.push_back({membership.person_id, membership.join_date},
-                           epoch_);
+                               kDateThenIdLess);
+  forum->members.push_back({membership.person_id, membership.join_date});
   num_memberships_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
@@ -326,7 +322,7 @@ Status GraphStore::AddMessageLocked(const Message& message) {
   edge.tags_count = static_cast<uint32_t>(tags.size());
 
   // The record (and its `ready` flag) first, links after.
-  MessageRecord* rec = messages_.GrowToSlot(message.id, epoch_);
+  MessageRecord* rec = messages_.GrowToSlot(message.id);
   rec->data = message;
   rec->ready.store(1, std::memory_order_release);
   num_messages_.fetch_add(1, std::memory_order_release);
@@ -334,7 +330,7 @@ Status GraphStore::AddMessageLocked(const Message& message) {
   // PersonRecord::created_posts() and created_comments() read in). The
   // pool is never reordered, so the span stays valid wherever
   // insert_sorted puts the edge.
-  creator->tags.append(tags.data(), tags.size(), epoch_);
+  creator->tags.append(tags.data(), tags.size());
   // Keep the creator's post and comment lists sorted by (date, id)
   // regardless of application order. Q2/Q9 binary-search them by date and
   // S2 merges them newest-first; the windowed driver and a
@@ -345,15 +341,14 @@ Status GraphStore::AddMessageLocked(const Message& message) {
   // cross-partition inversion.
   util::RcuVector<MessageEdge>& created =
       parent != nullptr ? creator->comments : creator->posts;
-  created.insert_sorted(edge, kDateThenIdLess, epoch_);
+  created.insert_sorted(edge, kDateThenIdLess);
   if (parent != nullptr) {
-    parent->replies.push_back(message.id, epoch_);
+    parent->replies.push_back(message.id);
     parent_creator->replies_received.push_back(
         {message.id, message.creation_date, message.creator_id,
-         parent->data.kind},
-        epoch_);
+         parent->data.kind});
   } else {
-    forum->posts.push_back({message.id, message.creator_id}, epoch_);
+    forum->posts.push_back({message.id, message.creator_id});
   }
   return Status::Ok();
 }
@@ -363,8 +358,8 @@ Status GraphStore::AddLikeLocked(const schema::Like& like) {
   if (person == nullptr) return Status::NotFound("like person missing");
   MessageRecord* message = MutableMessage(like.message_id);
   if (message == nullptr) return Status::NotFound("liked message missing");
-  person->likes.push_back({like.message_id, like.creation_date}, epoch_);
-  message->likes.push_back({like.person_id, like.creation_date}, epoch_);
+  person->likes.push_back({like.message_id, like.creation_date});
+  message->likes.push_back({like.person_id, like.creation_date});
   num_likes_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }

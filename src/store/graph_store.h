@@ -65,7 +65,7 @@
 // two updates that share an entity serialize, and each adjacency list keeps
 // the one writer at a time RcuVector requires: whoever holds its owner's
 // stripe. Readers never touch these locks. ReadLock() returns a ReadGuard
-// holding one EpochPin (two uncontended atomic ops on a thread-private
+// holding one EpochPin (a seq_cst store and re-check on a thread-private
 // cache line — see util/epoch.h) and every shared structure is published
 // RCU-style: entity records live at stable addresses in chunked
 // DenseTables, adjacency lists are RcuVectors whose buffers embed their
@@ -335,7 +335,7 @@ class FrozenReadGuard : public ReadGuard {
 /// stripes of the entities it touches.
 class GraphStore {
  public:
-  GraphStore();
+  GraphStore() = default;
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
@@ -356,12 +356,15 @@ class GraphStore {
 
   /// Snapshot for a consistent multi-accessor read; hold it for the
   /// duration of a query. Pins the epoch.
-  ReadGuard ReadLock() const { return ReadGuard(epoch_.pin()); }
+  ReadGuard ReadLock() const {
+    return ReadGuard(util::EpochManager::Global().pin());
+  }
 
   /// ReadLock() plus the store mutex held exclusively: blocks until no Add*
   /// is running and keeps every Add* out until the guard is released.
   FrozenReadGuard FrozenReadLock() const {
-    return FrozenReadGuard(epoch_.pin(), mu_.native());
+    return FrozenReadGuard(util::EpochManager::Global().pin(),
+                           mu_.native());
   }
 
   // Every snapshot-read accessor takes a `const ReadGuard&` purely as a
@@ -486,7 +489,7 @@ class GraphStore {
 
   /// Reclamation stats of the epoch domain the store retires to.
   util::EpochManager::EpochStats AggregateEpochStats() const {
-    return epoch_.stats();
+    return util::EpochManager::Global().stats();
   }
 
  private:
@@ -559,7 +562,6 @@ class GraphStore {
   ForumRecord* MutableForum(schema::ForumId id);
   MessageRecord* MutableMessage(schema::MessageId id);
 
-  util::EpochManager& epoch_;
   /// Held shared by every Add* and exclusively by BulkLoad, FrozenReadLock
   /// and ComputeStorageBreakdown, which so see no update half applied.
   /// The DenseTables are deliberately NOT SNB_GUARDED_BY(mu_): readers

@@ -4,94 +4,29 @@
 #include <cstdlib>
 #include <thread>
 
-#if defined(__linux__)
-#include <linux/membarrier.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
-#if defined(__SANITIZE_THREAD__)
-#define SNB_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SNB_TSAN 1
-#endif
-#endif
-
 namespace snb::util {
-namespace {
 
-/// Full memory barrier on every thread of the process (expedited
-/// membarrier). Only called when DetectAsymmetricPins() succeeded, so the
-/// command is known to be registered and supported.
-inline void MembarrierAllThreads() {
-#if defined(__linux__)
-  syscall(SYS_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0);
-#endif
-}
-
-/// Per-thread slot bindings. A thread may use a handful of managers (the
-/// process-wide one plus test-local instances); bindings are found by
-/// linear scan. Non-global managers must outlive every thread that ever
-/// entered them — the Global() instance is leaked for exactly this reason.
-struct Binding {
-  EpochManager* manager = nullptr;
-  void* slot = nullptr;
+/// The calling thread's slot, claimed on its first pin, and how deep its
+/// pins nest. The destructor returns the slot at thread exit; the manager
+/// is leaked, so it is still alive then.
+struct EpochManager::ThreadState {
+  Slot* slot = nullptr;
   uint32_t nest = 0;
-};
 
-struct ThreadEpochState {
-  // A thread may bind Global() plus a handful of test-local managers;
-  // bindings are never released before thread exit, so the cap must cover
-  // every manager a thread ever entered, not the working set.
-  static constexpr int kMaxBindings = 32;
-  Binding bindings[kMaxBindings];
-
-  ~ThreadEpochState() {
-    for (Binding& b : bindings) {
-      if (b.manager != nullptr) {
-        EpochManager::ReleaseSlotAtThreadExit(b.slot);
-      }
-    }
-  }
-
-  Binding* Find(EpochManager* manager) {
-    for (Binding& b : bindings) {
-      if (b.manager == manager) return &b;
-    }
-    return nullptr;
-  }
-
-  Binding* Create(EpochManager* manager, void* slot) {
-    for (Binding& b : bindings) {
-      if (b.manager == nullptr) {
-        b.manager = manager;
-        b.slot = slot;
-        b.nest = 0;
-        return &b;
-      }
-    }
-    std::fprintf(stderr,
-                 "EpochManager: thread bound to more than %d managers\n",
-                 kMaxBindings);
-    std::abort();
+  ~ThreadState() {
+    if (slot == nullptr) return;
+    // A thread exiting inside a critical section would be a bug elsewhere;
+    // clear the pin regardless so reclamation is never wedged forever.
+    slot->epoch.store(0, std::memory_order_release);
+    slot->claimed.store(0, std::memory_order_release);
   }
 };
 
-thread_local ThreadEpochState tls_epoch_state;
-
-}  // namespace
+thread_local EpochManager::ThreadState EpochManager::this_thread_;
 
 EpochManager& EpochManager::Global() {
   static EpochManager* instance = new EpochManager();  // Intentional leak.
   return *instance;
-}
-
-EpochManager::~EpochManager() {
-  // Caller guarantees quiescence; free whatever is still in limbo.
-  MutexLock lock(&retire_mu_);
-  for (Garbage& g : garbage_) g.deleter(g.ptr);
-  garbage_.clear();
 }
 
 EpochManager::Slot* EpochManager::ClaimSlot() {
@@ -107,51 +42,18 @@ EpochManager::Slot* EpochManager::ClaimSlot() {
   std::abort();
 }
 
-bool EpochManager::DetectAsymmetricPins() {
-#if defined(__linux__) && !defined(SNB_TSAN)
-  long supported = syscall(SYS_membarrier, MEMBARRIER_CMD_QUERY, 0, 0);
-  if (supported < 0 ||
-      (supported & MEMBARRIER_CMD_PRIVATE_EXPEDITED) == 0) {
-    return false;
-  }
-  return syscall(SYS_membarrier, MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED,
-                 0, 0) == 0;
-#else
-  // TSan cannot model IPI-induced ordering; keep the seq_cst pins it can
-  // verify. Non-Linux likewise falls back.
-  return false;
-#endif
-}
-
 void EpochManager::Enter() {
-  Binding* binding = tls_epoch_state.Find(this);
-  if (binding == nullptr) {
-    binding = tls_epoch_state.Create(this, ClaimSlot());
-  }
-  if (binding->nest++ > 0) return;
-  Slot* slot = static_cast<Slot*>(binding->slot);
+  ThreadState& self = this_thread_;
+  if (self.nest++ > 0) return;
+  if (self.slot == nullptr) self.slot = ClaimSlot();
   // Publish the epoch we observed, then re-check: if the global moved while
   // we were publishing, catch up so reclamation is not stalled by a pin
   // that is stale from birth. (A stale pin is safe — see header — this
   // loop is a liveness optimisation, and it terminates because advances
   // require *this* slot to catch up once pinned.)
-  if (asymmetric_pins_) {
-    // Writer-side membarrier makes the relaxed pin store visible to the
-    // slot scan; the acquire re-check orders this section's pointer loads
-    // after every unlink that preceded the epoch we end up pinned at.
-    uint64_t e = global_epoch_.load(std::memory_order_acquire);
-    for (;;) {
-      slot->epoch.store(e, std::memory_order_relaxed);
-      std::atomic_signal_fence(std::memory_order_seq_cst);
-      uint64_t current = global_epoch_.load(std::memory_order_acquire);
-      if (current == e) break;
-      e = current;
-    }
-    return;
-  }
   uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
   for (;;) {
-    slot->epoch.store(e, std::memory_order_seq_cst);
+    self.slot->epoch.store(e, std::memory_order_seq_cst);
     uint64_t current = global_epoch_.load(std::memory_order_seq_cst);
     if (current == e) break;
     e = current;
@@ -159,14 +61,13 @@ void EpochManager::Enter() {
 }
 
 void EpochManager::Exit() {
-  Binding* binding = tls_epoch_state.Find(this);
-  if (binding == nullptr || binding->nest == 0) {
+  ThreadState& self = this_thread_;
+  if (self.nest == 0) {
     std::fprintf(stderr, "EpochManager::Exit without matching Enter\n");
     std::abort();
   }
-  if (--binding->nest > 0) return;
-  static_cast<Slot*>(binding->slot)->epoch.store(0,
-                                                 std::memory_order_release);
+  if (--self.nest > 0) return;
+  self.slot->epoch.store(0, std::memory_order_release);
 }
 
 void EpochManager::Retire(void* p, void (*deleter)(void*)) {
@@ -184,10 +85,6 @@ size_t EpochManager::TryReclaim() {
 }
 
 size_t EpochManager::ReclaimLocked() {
-  // Asymmetric mode: flush every reader's in-flight pin store before the
-  // scan (the pairing fence for the relaxed stores in Enter), so a pin
-  // issued before this point cannot be missed below.
-  if (asymmetric_pins_) MembarrierAllThreads();
   uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
   bool can_advance = true;
   for (const Slot& slot : slots_) {
@@ -201,11 +98,6 @@ size_t EpochManager::ReclaimLocked() {
     global_epoch_.store(e + 1, std::memory_order_seq_cst);
     e = e + 1;
     advances_.fetch_add(1, std::memory_order_relaxed);
-    // Make the advance globally visible before freeing anything under the
-    // new epoch: a reader pinning concurrently re-checks the global with
-    // an acquire load and so observes every unlink older than the epoch
-    // it settles on.
-    if (asymmetric_pins_) MembarrierAllThreads();
   }
   size_t freed = 0;
   while (!garbage_.empty() && garbage_.front().retire_epoch + 2 <= e) {
@@ -227,14 +119,6 @@ void EpochManager::DrainForTesting() {
     }
     std::this_thread::yield();
   }
-}
-
-void EpochManager::ReleaseSlotAtThreadExit(void* slot) {
-  Slot* s = static_cast<Slot*>(slot);
-  // A thread exiting inside a critical section would be a bug elsewhere;
-  // clear the pin regardless so reclamation is never wedged forever.
-  s->epoch.store(0, std::memory_order_release);
-  s->claimed.store(0, std::memory_order_release);
 }
 
 size_t EpochManager::pending() const {

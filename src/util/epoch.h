@@ -12,9 +12,9 @@
 // crossbeam and many kernels):
 //   * A global epoch counter advances monotonically.
 //   * A reader pins the current epoch in its slot for the duration of a
-//     critical section (an `EpochPin`); 0 means quiescent. Pinning is two
-//     uncontended atomic ops on a thread-private cache line — no shared
-//     write, which is what removes the reader-side scalability ceiling.
+//     critical section (an `EpochPin`); 0 means quiescent. Pinning touches
+//     only a thread-private cache line — no shared write, which is what
+//     removes the reader-side scalability ceiling.
 //   * A writer that unlinks an object (replaces its published pointer)
 //     retires it under the current epoch. The global epoch can advance from
 //     E to E+1 only when every pinned slot equals E; garbage retired in
@@ -29,19 +29,17 @@
 // premature free.
 //
 // Pin cost: the pin must be ordered before the critical section's pointer
-// loads from the *writer's* point of view, which naively needs a seq_cst
-// store (a full fence) on every Enter. Where the kernel offers
-// membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) we instead use asymmetric
-// fencing, the liburcu "expedited membarrier" flavour: readers pin with a
-// relaxed store + compiler-only fence + acquire re-check, and the writer
-// issues one membarrier — a full barrier on every thread of the process —
-// before scanning slots (and one after advancing). A reader whose pin
-// store is still in its store buffer when the writer scans gets it
-// flushed by the membarrier IPI, so the scan cannot miss it; a reader
-// that pins after the scan must have re-checked the global epoch with an
-// acquire load and therefore observes every unlink that preceded the
-// advance. Without membarrier (non-Linux, old kernels, or TSan, which
-// cannot see cross-thread IPI ordering) we fall back to seq_cst pins.
+// loads from the *writer's* point of view. An outermost pin therefore
+// stores its epoch seq_cst and re-checks the global epoch seq_cst (one full
+// fence); the writer's slot scan and its advance are seq_cst too, so in
+// the single total order either the scan sees the pin, or the pin's
+// re-check sees the advance and with it every unlink that preceded it.
+// Nested pins only bump a thread-local counter.
+//
+// There is one epoch domain per process, `EpochManager::Global()`. A thread
+// claims a slot on its first pin and keeps it, with its pin nesting count,
+// until it exits; the slot then returns to the pool, so thread churn does
+// not exhaust kMaxThreads.
 //
 // The pin is also a *capability token* (see DESIGN.md "Static analysis &
 // concurrency discipline"): `EpochPin` cannot be default-constructed or
@@ -60,6 +58,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <utility>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -73,13 +72,13 @@ class EpochManager {
   /// Maximum concurrently registered reader threads.
   static constexpr size_t kMaxThreads = 256;
 
-  EpochManager() = default;
   EpochManager(const EpochManager&) = delete;
   EpochManager& operator=(const EpochManager&) = delete;
-  ~EpochManager();
+  /// The one instance is leaked, so thread-exit slot release never races
+  /// its destruction.
+  ~EpochManager() = delete;
 
-  /// Process-wide manager shared by all stores. Intentionally leaked so
-  /// thread-exit slot release never races manager destruction.
+  /// The process's one epoch domain.
   static EpochManager& Global();
 
   // ---- Reader side ------------------------------------------------------
@@ -118,7 +117,7 @@ class EpochManager {
   /// Objects retired but not yet freed.
   size_t pending() const SNB_EXCLUDES(retire_mu_);
 
-  /// Cumulative reclamation activity since construction. `pending` is the
+  /// Cumulative reclamation activity since process start. `pending` is the
   /// instantaneous retired-but-unfreed backlog (== retired - freed).
   struct EpochStats {
     uint64_t advances = 0;
@@ -127,16 +126,6 @@ class EpochManager {
     uint64_t pending = 0;
   };
   EpochStats stats() const;
-
-  /// Internal: returns a slot to the free pool from the TLS destructor at
-  /// thread exit, so thread churn does not exhaust kMaxThreads. The
-  /// manager the slot belongs to must still be alive — managers must
-  /// outlive every thread that entered them (Global() is leaked for this).
-  static void ReleaseSlotAtThreadExit(void* slot);
-
-  /// True when readers pin with plain stores and the writer shoulders the
-  /// fencing via membarrier(2) (see file comment). Exposed for tests.
-  bool asymmetric_pins() const { return asymmetric_pins_; }
 
  private:
   friend class EpochPin;
@@ -154,17 +143,20 @@ class EpochManager {
     uint64_t retire_epoch;
   };
 
+  /// This thread's slot and pin nesting count (epoch.cc).
+  struct ThreadState;
+  static thread_local ThreadState this_thread_;
+
+  EpochManager() = default;
+
   /// Reader-side slot transitions; private so that pins are the only
-  /// entry point into a critical section (EpochPin calls these).
+  /// entry point into a critical section (EpochPin calls Exit).
   void Enter();
-  void Exit();
+  static void Exit();
 
   Slot* ClaimSlot();
   /// Advance + free; caller holds retire_mu_.
   size_t ReclaimLocked() SNB_REQUIRES(retire_mu_);
-
-  /// One-time probe + registration for expedited membarrier.
-  static bool DetectAsymmetricPins();
 
   /// Epochs start at 1 so that 0 can mean "quiescent" in slots.
   std::atomic<uint64_t> global_epoch_{1};
@@ -172,7 +164,6 @@ class EpochManager {
   std::atomic<uint64_t> advances_{0};
   std::atomic<uint64_t> retired_total_{0};
   std::atomic<uint64_t> freed_total_{0};
-  const bool asymmetric_pins_ = DetectAsymmetricPins();
   Slot slots_[kMaxThreads];
 
   mutable Mutex retire_mu_;
@@ -195,33 +186,31 @@ class EpochPin {
  public:
   EpochPin(const EpochPin&) = delete;
   EpochPin& operator=(const EpochPin&) = delete;
-  EpochPin(EpochPin&& other) noexcept : manager_(other.manager_) {
-    other.manager_ = nullptr;
-  }
+  EpochPin(EpochPin&& other) noexcept
+      : engaged_(std::exchange(other.engaged_, false)) {}
   EpochPin& operator=(EpochPin&& other) noexcept {
     if (this != &other) {
-      if (manager_ != nullptr) manager_->Exit();
-      manager_ = other.manager_;
-      other.manager_ = nullptr;
+      if (engaged_) EpochManager::Exit();
+      engaged_ = std::exchange(other.engaged_, false);
     }
     return *this;
   }
   ~EpochPin() {
-    if (manager_ != nullptr) manager_->Exit();
+    if (engaged_) EpochManager::Exit();
   }
 
-  bool engaged() const { return manager_ != nullptr; }
+  bool engaged() const { return engaged_; }
 
  private:
   friend class EpochManager;
-  explicit EpochPin(EpochManager* manager) : manager_(manager) {}
+  explicit EpochPin(bool engaged) : engaged_(engaged) {}
 
-  EpochManager* manager_;
+  bool engaged_;
 };
 
 inline EpochPin EpochManager::pin() {
   Enter();
-  return EpochPin(this);
+  return EpochPin(true);
 }
 
 }  // namespace snb::util

@@ -10,7 +10,7 @@
 //     *before* the buffer-local size is bumped with one release store, so
 //     a reader that observes the new size also observes every element of
 //     the append (capacity at least doubles on growth; the old buffer is
-//     retired through the EpochManager);
+//     retired into the process's epoch domain);
 //   * insert_sorted: always copy-on-write — a fully built replacement
 //     buffer is published with a release store, because shifting elements
 //     in place would tear concurrent readers.
@@ -93,11 +93,11 @@ class RcuVector {
 
   // ---- Writer API (externally serialized) -------------------------------
 
-  void push_back(const T& value, EpochManager& epoch) {
+  void push_back(const T& value) {
     Buffer* b = buf_.load(std::memory_order_relaxed);
     size_t n = b == nullptr ? 0 : b->size.load(std::memory_order_relaxed);
     if (b == nullptr || n == b->capacity) {
-      b = Grow(b, n, epoch);
+      b = Grow(b, n);
     }
     b->data()[n] = value;
     b->size.store(n + 1, std::memory_order_release);
@@ -106,12 +106,12 @@ class RcuVector {
   /// Appends `count` elements as one publication: the buffer grows at most
   /// once and the size is release-stored once, so a reader sees all of
   /// them or none.
-  void append(const T* values, size_t count, EpochManager& epoch) {
+  void append(const T* values, size_t count) {
     if (count == 0) return;
     Buffer* b = buf_.load(std::memory_order_relaxed);
     size_t n = b == nullptr ? 0 : b->size.load(std::memory_order_relaxed);
     if (b == nullptr || b->capacity - n < count) {
-      b = Grow(b, n, epoch, n + count);
+      b = Grow(b, n, n + count);
     }
     std::memcpy(b->data() + n, values, count * sizeof(T));
     b->size.store(n + count, std::memory_order_release);
@@ -122,13 +122,13 @@ class RcuVector {
   /// sorts last — the common case for datagen's mostly-ordered edge
   /// streams.
   template <typename Less>
-  void insert_sorted(const T& value, Less less, EpochManager& epoch) {
+  void insert_sorted(const T& value, Less less) {
     Buffer* old = buf_.load(std::memory_order_relaxed);
     size_t n = old == nullptr ? 0 : old->size.load(std::memory_order_relaxed);
     const T* src = old == nullptr ? nullptr : old->data();
     size_t pos = std::upper_bound(src, src + n, value, less) - src;
     if (pos == n) {
-      push_back(value, epoch);
+      push_back(value);
       return;
     }
     size_t cap = old->capacity < n + 1 ? old->capacity * 2 : old->capacity;
@@ -138,7 +138,7 @@ class RcuVector {
     std::memcpy(fresh->data() + pos + 1, src + pos, (n - pos) * sizeof(T));
     fresh->size.store(n + 1, std::memory_order_relaxed);
     buf_.store(fresh, std::memory_order_release);
-    RetireBuffer(old, epoch);
+    RetireBuffer(old);
   }
 
   /// Allocated element capacity in bytes (storage accounting).
@@ -173,23 +173,22 @@ class RcuVector {
     ::operator delete(static_cast<void*>(b));
   }
 
-  static void RetireBuffer(Buffer* b, EpochManager& epoch) {
-    epoch.Retire(static_cast<void*>(b), [](void* p) {
+  static void RetireBuffer(Buffer* b) {
+    EpochManager::Global().Retire(static_cast<void*>(b), [](void* p) {
       FreeBuffer(static_cast<Buffer*>(p));
     });
   }
 
   /// Publishes a copy of the first `n` elements in a buffer with room for
   /// at least `min_capacity`.
-  Buffer* Grow(Buffer* old, size_t n, EpochManager& epoch,
-               size_t min_capacity = 0) {
+  Buffer* Grow(Buffer* old, size_t n, size_t min_capacity = 0) {
     size_t cap = old == nullptr ? kMinCapacity : old->capacity * 2;
     if (cap < min_capacity) cap = min_capacity;
     Buffer* fresh = AllocBuffer(cap);
     if (n > 0) std::memcpy(fresh->data(), old->data(), n * sizeof(T));
     fresh->size.store(n, std::memory_order_relaxed);
     buf_.store(fresh, std::memory_order_release);
-    if (old != nullptr) RetireBuffer(old, epoch);
+    if (old != nullptr) RetireBuffer(old);
     return fresh;
   }
 

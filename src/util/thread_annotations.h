@@ -83,8 +83,8 @@
 #define SNB_RETURN_CAPABILITY(x) SNB_THREAD_ANNOTATION(lock_returned(x))
 
 /// Escape hatch for code whose safety argument the analysis cannot see
-/// (registration-phase-only writes, membarrier-based asymmetric fences).
-/// Every use must carry a comment with the manual proof.
+/// (registration-phase-only writes, a run-time set of locks taken in a
+/// fixed order). Every use must carry a comment with the manual proof.
 #define SNB_NO_THREAD_SAFETY_ANALYSIS \
   SNB_THREAD_ANNOTATION(no_thread_safety_analysis)
 

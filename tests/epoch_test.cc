@@ -1,9 +1,9 @@
 // Tests for the epoch-based-reclamation primitives behind the store's
 // lock-free read path: EpochManager, RcuVector, DenseTable.
 //
-// Test-local managers are intentionally leaked: thread-exit slot release
-// runs after the test body, so a manager must outlive every thread that
-// ever entered it (same reason EpochManager::Global() leaks).
+// Every case runs in the process's one epoch domain. The EpochManager
+// cases drain it first, so garbage left by an earlier case cannot skew
+// their counts.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -20,33 +20,26 @@
 namespace snb::util {
 namespace {
 
-// Keeps the leaked managers reachable from a static root so
-// LeakSanitizer treats them as intentionally alive.
-EpochManager* NewLeakedManager() {
-  static std::vector<EpochManager*>* managers =
-      new std::vector<EpochManager*>();
-  managers->push_back(new EpochManager());
-  return managers->back();
-}
-
 TEST(EpochManagerTest, RetireFreesAfterTwoAdvances) {
-  EpochManager* mgr = NewLeakedManager();
-  mgr->Retire(new int(42));
-  EXPECT_EQ(mgr->pending(), 1u);
-  uint64_t before = mgr->epoch();
-  mgr->TryReclaim();  // Advance 1: garbage not yet old enough.
-  EXPECT_EQ(mgr->pending(), 1u);
-  mgr->TryReclaim();  // Advance 2: retire epoch + 2 reached.
-  EXPECT_EQ(mgr->pending(), 0u);
-  EXPECT_GE(mgr->epoch(), before + 2);
+  EpochManager& epoch = EpochManager::Global();
+  epoch.DrainForTesting();
+  epoch.Retire(new int(42));
+  EXPECT_EQ(epoch.pending(), 1u);
+  uint64_t before = epoch.epoch();
+  epoch.TryReclaim();  // Advance 1: garbage not yet old enough.
+  EXPECT_EQ(epoch.pending(), 1u);
+  epoch.TryReclaim();  // Advance 2: retire epoch + 2 reached.
+  EXPECT_EQ(epoch.pending(), 0u);
+  EXPECT_GE(epoch.epoch(), before + 2);
 }
 
 TEST(EpochManagerTest, PinnedReaderBlocksReclamation) {
-  EpochManager* mgr = NewLeakedManager();
+  EpochManager& epoch = EpochManager::Global();
+  epoch.DrainForTesting();
   std::atomic<bool> pinned{false};
   std::atomic<bool> release{false};
   std::thread reader([&] {
-    EpochPin pin = mgr->pin();
+    EpochPin pin = epoch.pin();
     pinned.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -55,40 +48,58 @@ TEST(EpochManagerTest, PinnedReaderBlocksReclamation) {
   while (!pinned.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  mgr->Retire(new int(1));
+  epoch.Retire(new int(1));
   // The reader's pin caps advancement at one epoch past its pin, which is
   // one short of the retire epoch + 2 free rule.
-  for (int i = 0; i < 10; ++i) mgr->TryReclaim();
-  EXPECT_EQ(mgr->pending(), 1u);
+  for (int i = 0; i < 10; ++i) epoch.TryReclaim();
+  EXPECT_EQ(epoch.pending(), 1u);
   release.store(true, std::memory_order_release);
   reader.join();
-  mgr->DrainForTesting();
-  EXPECT_EQ(mgr->pending(), 0u);
+  epoch.DrainForTesting();
+  EXPECT_EQ(epoch.pending(), 0u);
 }
 
 TEST(EpochManagerTest, NestedPinsKeepOuterPin) {
-  EpochManager* mgr = NewLeakedManager();
-  EpochPin outer = mgr->pin();
+  EpochManager& epoch = EpochManager::Global();
+  epoch.DrainForTesting();
+  EpochPin outer = epoch.pin();
   {
-    EpochPin inner = mgr->pin();  // Nested: only a TLS counter bump.
+    EpochPin inner = epoch.pin();  // Nested: only a TLS counter bump.
   }
   // Still pinned by the outer pin: garbage must survive.
-  mgr->Retire(new int(7));
-  for (int i = 0; i < 10; ++i) mgr->TryReclaim();
-  EXPECT_EQ(mgr->pending(), 1u);
+  epoch.Retire(new int(7));
+  for (int i = 0; i < 10; ++i) epoch.TryReclaim();
+  EXPECT_EQ(epoch.pending(), 1u);
   {
     EpochPin released = std::move(outer);  // Capability moves with the pin.
     EXPECT_FALSE(outer.engaged());  // NOLINT(bugprone-use-after-move)
     EXPECT_TRUE(released.engaged());
   }
-  mgr->DrainForTesting();
-  EXPECT_EQ(mgr->pending(), 0u);
+  epoch.DrainForTesting();
+  EXPECT_EQ(epoch.pending(), 0u);
+}
+
+TEST(EpochManagerTest, ExitedThreadsReturnTheirSlots) {
+  // More threads than slots, one alive at a time, each taking one pin: a
+  // thread that kept its slot past exit would make a later pin abort in
+  // ClaimSlot.
+  constexpr size_t kThreads = 300;
+  static_assert(kThreads > EpochManager::kMaxThreads);
+  EpochManager& epoch = EpochManager::Global();
+  epoch.DrainForTesting();
+  for (size_t i = 0; i < kThreads; ++i) {
+    std::thread([&epoch] { EpochPin pin = epoch.pin(); }).join();
+  }
+  // No exited thread left a pin behind to hold the epoch back.
+  epoch.Retire(new int(3));
+  epoch.TryReclaim();
+  epoch.TryReclaim();
+  EXPECT_EQ(epoch.pending(), 0u);
 }
 
 TEST(RcuVectorTest, PushBackGrowsAndKeepsValues) {
-  EpochManager& epoch = EpochManager::Global();
   RcuVector<uint64_t> v;
-  for (uint64_t i = 0; i < 1000; ++i) v.push_back(i * 3, epoch);
+  for (uint64_t i = 0; i < 1000; ++i) v.push_back(i * 3);
   auto view = v.view();
   ASSERT_EQ(view.size(), 1000u);
   for (uint64_t i = 0; i < 1000; ++i) EXPECT_EQ(view[i], i * 3);
@@ -96,10 +107,9 @@ TEST(RcuVectorTest, PushBackGrowsAndKeepsValues) {
 }
 
 TEST(RcuVectorTest, InsertSortedKeepsOrder) {
-  EpochManager& epoch = EpochManager::Global();
   RcuVector<int> v;
   auto less = [](int a, int b) { return a < b; };
-  for (int x : {7, 2, 9, 1, 4, 9, 0, 3}) v.insert_sorted(x, less, epoch);
+  for (int x : {7, 2, 9, 1, 4, 9, 0, 3}) v.insert_sorted(x, less);
   auto view = v.view();
   ASSERT_EQ(view.size(), 8u);
   for (size_t i = 1; i < view.size(); ++i) {
@@ -133,7 +143,7 @@ TEST(RcuVectorTest, ViewsStayConsistentUnderConcurrentAppend) {
       }
     });
   }
-  for (uint64_t i = 0; i < kTotal; ++i) v.push_back(i + 1, epoch);
+  for (uint64_t i = 0; i < kTotal; ++i) v.push_back(i + 1);
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(errors.load(), 0u);
@@ -145,7 +155,7 @@ TEST(RcuVectorTest, AppendCrossesCapacityAndKeepsValues) {
   EpochManager& epoch = EpochManager::Global();
   RcuVector<uint32_t> v;
   std::vector<uint32_t> expected;
-  v.append(nullptr, 0, epoch);  // Empty append on an empty vector.
+  v.append(nullptr, 0);  // Empty append on an empty vector.
   EXPECT_EQ(v.size(), 0u);
   EXPECT_EQ(v.capacity_bytes(), 0u);
   // Chunk sizes straddle the doubling capacities (4, 8, 16, ...), and one
@@ -154,14 +164,14 @@ TEST(RcuVectorTest, AppendCrossesCapacityAndKeepsValues) {
   for (size_t chunk : {3, 1, 0, 5, 2, 40, 0, 7}) {
     std::vector<uint32_t> values;
     for (size_t i = 0; i < chunk; ++i) values.push_back(next++ * 7);
-    v.append(values.data(), values.size(), epoch);
+    v.append(values.data(), values.size());
     expected.insert(expected.end(), values.begin(), values.end());
     auto view = v.view();
     ASSERT_EQ(view.size(), expected.size());
     EXPECT_TRUE(std::equal(view.begin(), view.end(), expected.begin()));
     EXPECT_GE(v.capacity_bytes(), expected.size() * sizeof(uint32_t));
   }
-  v.push_back(1, epoch);  // push_back continues after an append.
+  v.push_back(1);  // push_back continues after an append.
   EXPECT_EQ(v.size(), expected.size() + 1);
   EXPECT_EQ(v[expected.size()], 1u);
   epoch.DrainForTesting();
@@ -201,7 +211,7 @@ TEST(RcuVectorTest, ConcurrentReadersNeverSeePartialAppend) {
   std::vector<uint64_t> chunk;
   for (uint64_t k = 0; k < kAppends; ++k) {
     chunk.assign(k + 1, k + 1);
-    v.append(chunk.data(), chunk.size(), epoch);
+    v.append(chunk.data(), chunk.size());
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
@@ -213,10 +223,10 @@ TEST(RcuVectorTest, ConcurrentReadersNeverSeePartialAppend) {
 TEST(DenseTableTest, RecordsKeepStableAddressesAcrossGrowth) {
   EpochManager& epoch = EpochManager::Global();
   store::DenseTable<uint64_t> table;
-  uint64_t* first = table.GrowToSlot(0, epoch);
+  uint64_t* first = table.GrowToSlot(0);
   *first = 111;
   // Growing far past the current directory must not move existing slots.
-  uint64_t* far = table.GrowToSlot(1u << 20, epoch);
+  uint64_t* far = table.GrowToSlot(1u << 20);
   *far = 222;
   EXPECT_EQ(table.Slot(0), first);
   EXPECT_EQ(*table.Slot(0), 111u);
@@ -254,14 +264,14 @@ TEST(DenseTableTest, ConcurrentGrowthKeepsAddressesStable) {
         // A directory another writer retires stays readable while pinned.
         EpochPin pin = epoch.pin();
         const uint64_t id = id_at(k);
-        std::atomic<uint64_t>* slot = table.GrowToSlot(id, epoch);
+        std::atomic<uint64_t>* slot = table.GrowToSlot(id);
         slot->store(id + 1, std::memory_order_relaxed);
         addresses[id] = slot;
         // Slots grown 1, 2, 4, ... steps ago kept their address and value.
         for (uint64_t back = 1; back <= k; back *= 2) {
           const uint64_t prev = id_at(k - back);
           if (table.Slot(prev) != addresses[prev] ||
-              table.GrowToSlot(prev, epoch) != addresses[prev] ||
+              table.GrowToSlot(prev) != addresses[prev] ||
               addresses[prev]->load(std::memory_order_relaxed) != prev + 1) {
             errors.fetch_add(1);
           }
@@ -281,9 +291,8 @@ TEST(DenseTableTest, ConcurrentGrowthKeepsAddressesStable) {
 }
 
 TEST(DenseTableTest, UnallocatedChunksReadAsAbsent) {
-  EpochManager& epoch = EpochManager::Global();
   store::DenseTable<uint64_t> table;
-  table.GrowToSlot(5, epoch);
+  table.GrowToSlot(5);
   EXPECT_NE(table.Slot(5), nullptr);
   EXPECT_NE(table.Slot(6), nullptr);  // Same chunk: address exists.
   EXPECT_EQ(table.Slot(1u << 16), nullptr);  // Chunk never allocated.

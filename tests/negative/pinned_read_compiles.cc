@@ -12,7 +12,7 @@ const snb::store::PersonRecord* Lookup(const snb::store::GraphStore& store,
 
 // Moving a pin transfers ownership; returning one from a helper is the
 // supported way to hold a snapshot open across scopes.
-snb::util::EpochPin HoldSnapshot(snb::util::EpochManager& epochs) {
-  snb::util::EpochPin pin = epochs.pin();
+snb::util::EpochPin HoldSnapshot() {
+  snb::util::EpochPin pin = snb::util::EpochManager::Global().pin();
   return pin;
 }

@@ -482,35 +482,6 @@ TEST(ReportTest, ValidatorChecksOperatorRowsInDossiers) {
   EXPECT_TRUE(ValidateReportJson(ToJson(report)).ok());
 }
 
-TEST(ReportTest, PrometheusTextExposesSeries) {
-  RunReport report = MakeSampleReport();
-  std::string text = ToPrometheusText(report.metrics);
-  EXPECT_NE(text.find("snb_op_count{op=\"complex.Q9\"} 200"),
-            std::string::npos);
-  EXPECT_NE(text.find("snb_op_latency_ms{op=\"complex.Q9\",quantile=\"0.99\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("snb_counter{name=\"driver.operations_executed\"} 400"),
-            std::string::npos);
-  EXPECT_NE(text.find("snb_gauge{name=\"epoch.advances\"} 12"),
-            std::string::npos);
-}
-
-// Per the Prometheus text exposition format, label values must escape
-// backslash, double quote and newline — and nothing else.
-TEST(ReportTest, PrometheusLabelEscaping) {
-  EXPECT_EQ(EscapePromLabelValue("plain.value"), "plain.value");
-  EXPECT_EQ(EscapePromLabelValue("a\\b"), "a\\\\b");
-  EXPECT_EQ(EscapePromLabelValue("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(EscapePromLabelValue("line1\nline2"), "line1\\nline2");
-  EXPECT_EQ(EscapePromLabelValue("\\\"\n"), "\\\\\\\"\\n");
-  // A hostile value in the dump stays on one line and keeps its quotes
-  // balanced: the exposition must still parse line-by-line.
-  std::string hostile = "evil\"} 1\nsnb_injected{x=\"";
-  std::string escaped = EscapePromLabelValue(hostile);
-  EXPECT_EQ(escaped.find('\n'), std::string::npos);
-  EXPECT_EQ(escaped, "evil\\\"} 1\\nsnb_injected{x=\\\"");
-}
-
 // ---- Compliance section ---------------------------------------------------
 
 ComplianceSection MakeCompliance() {

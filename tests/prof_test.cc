@@ -33,7 +33,6 @@ struct ProfReset {
   ~ProfReset() {
     prof::SetTimerCreateErrnoForTest(0);
     ::unsetenv("SNB_PROF_FORCE_NOOP");
-    ::unsetenv("SNB_PROF_INTERVAL_US");
     prof::ResetForTest();
   }
 };
