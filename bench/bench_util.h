@@ -63,14 +63,14 @@ void EnablePerfCounters();
 /// sample-less (the folded artifact is then empty but still written).
 void EnableCpuProfiler();
 
-/// Stamps the profiler section (schema snb-report-v5 superset field) from
+/// Stamps the profiler section (report.json's "profile") from
 /// a collected profile and writes the folded-stack artifact to `path`
 /// when non-empty. Call after the measured region, before WriteReport.
 void StampProfile(obs::RunReport* report, const std::string& path);
 
 /// Stamps build provenance (git SHA, compiler, build type, sanitizer) and —
 /// once the perf subsystem has been enabled — the perf backend state
-/// into the report (schema snb-report-v4 superset fields).
+/// into the report (its "provenance" and "perf" sections).
 inline void StampProvenance(obs::RunReport* report) {
   report->has_provenance = true;
   report->provenance = obs::BuildProvenance();

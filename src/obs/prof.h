@@ -31,7 +31,8 @@
 // context, `unattributed` ones did not (thread idle between ops), and
 // `dropped` hit a full ring. The handler's own cost is measured into
 // `self_overhead_ns` and compared against the sampled threads' CPU
-// time (task clock) — compare_reports.py gates the ratio at 2%.
+// time (task clock): prof_test, scripts/check.sh's driver smoke and CI's
+// profiled-run job hold the ratio under 2%.
 #ifndef SNB_OBS_PROF_H_
 #define SNB_OBS_PROF_H_
 

@@ -82,8 +82,8 @@ void AppendU64(std::string* out, uint64_t v) {
 
 /// Appends hardware-counter ratio fields derived from `hw` averaged over
 /// `samples` operations, each preceded by a comma (callers are mid-object).
-/// Emits nothing when the counts are invalid — counter-less rows keep the
-/// exact pre-v4 shape.
+/// Emits nothing when the counts are invalid, so counter-less rows carry
+/// no counter fields.
 void AppendHwFields(std::string* out, const perf::HwCounts& hw,
                     uint64_t samples) {
   if (!hw.valid() || samples == 0) return;
@@ -213,12 +213,42 @@ class Parser {
     return true;
   }
 
+  bool IsDigit(size_t at) const {
+    return at < text_.size() && text_[at] >= '0' && text_[at] <= '9';
+  }
+
+  // Exactly RFC 8259's grammar: [-] (0 | [1-9][0-9]*) [.[0-9]+]
+  // [(e|E)[+|-][0-9]+]. strtod alone would also take NaN, infinities, hex,
+  // a leading '+' or '.' and leading zeros, and a NaN passes every range
+  // check of ValidateReportJson; a value that overflows to infinity fails
+  // too.
   bool ParseNumber(JsonValue* out) {
+    size_t at = pos_;
+    if (at < text_.size() && text_[at] == '-') ++at;
+    if (!IsDigit(at)) {
+      return Fail(at == pos_ ? "expected a value" : "bad number");
+    }
+    if (text_[at++] != '0') {
+      while (IsDigit(at)) ++at;
+    }
+    if (at < text_.size() && text_[at] == '.') {
+      if (!IsDigit(++at)) return Fail("bad number");
+      while (IsDigit(at)) ++at;
+    }
+    if (at < text_.size() && (text_[at] == 'e' || text_[at] == 'E')) {
+      ++at;
+      if (at < text_.size() && (text_[at] == '+' || text_[at] == '-')) ++at;
+      if (!IsDigit(at)) return Fail("bad number");
+      while (IsDigit(at)) ++at;
+    }
+    // strtod reading past the grammar means "0x.." or a leading zero.
     const char* start = text_.c_str() + pos_;
     char* end = nullptr;
     double v = std::strtod(start, &end);
-    if (end == start) return Fail("expected a value");
-    pos_ += static_cast<size_t>(end - start);
+    if (end != start + (at - pos_) || !std::isfinite(v)) {
+      return Fail("bad number");
+    }
+    pos_ = at;
     out->kind = JsonValue::Kind::kNumber;
     out->number = v;
     return true;
@@ -817,22 +847,9 @@ util::Status ValidateReportJson(const std::string& json) {
     return util::Status::InvalidArgument("report root is not an object");
   }
   const JsonValue* schema = root.Find("schema");
-  // Each version is a superset of its predecessors; archived v1-v4
-  // reports must keep validating.
   if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      (schema->string != "snb-report-v1" &&
-       schema->string != "snb-report-v2" &&
-       schema->string != "snb-report-v3" &&
-       schema->string != "snb-report-v4" &&
-       schema->string != "snb-report-v5")) {
+      schema->string != "snb-report-v5") {
     return util::Status::InvalidArgument("missing/unknown schema tag");
-  }
-  // Reports written before every query had one plan name their engine.
-  const JsonValue* exec_mode = root.Find("exec_mode");
-  if (exec_mode != nullptr && (exec_mode->kind != JsonValue::Kind::kString ||
-                               exec_mode->string.empty())) {
-    return util::Status::InvalidArgument(
-        "exec_mode must be a non-empty string when present");
   }
   const JsonValue* ops = root.Find("ops");
   if (ops == nullptr || ops->kind != JsonValue::Kind::kArray) {

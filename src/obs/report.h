@@ -15,24 +15,13 @@
 // ValidateReportJson re-parses an emitted document and checks structural
 // invariants (non-empty op table, monotone percentiles, compliance
 // consistency), which is what the bench smoke mode in scripts/check.sh
-// runs. Each version is a strict superset of its predecessor — every
-// field keeps its name and shape; v2 added the optional "compliance"
-// section, v3 the optional "validation" section (golden-replay outcome,
-// see src/validate/golden.h), v4 the optional "provenance", "perf",
-// "dossiers" and "trace" sections plus hardware-counter fields (ipc,
-// cycles_per_op, ...) on op and operator rows, and v5 adds the
-// optional "profile" section (sampling-profiler accounting + top frames
-// per op, see src/obs/prof.h) — and the validator still accepts v1–v4
-// documents, so pre-existing readers and archived baselines keep
-// working. The writer no longer emits two optional sections older runs
-// carried: the top-level "exec_mode" string (from while Q5 and Q9 had two
-// engines) and the separate Q9 operator-profile section (from a
-// non-production Q9 plan run after the driver; the dossiers' operator
-// rows replace it). The validator ignores both. A deliberately small JSON
-// parser is exposed for tests and validation; it handles exactly what the
-// writer emits (objects, arrays, strings, finite numbers, bools, null).
-// The writer's string escaper is exposed too: traces, golden sets and fuzz
-// artifacts write their strings through it.
+// runs. It accepts only the tag ToJson writes, and requires only the tag
+// and the "ops" table; every other section is checked when present. A
+// deliberately small JSON parser is exposed for tests and validation; it
+// reads RFC 8259 documents (objects, arrays, strings, numbers, bools,
+// null) and rejects a number outside that grammar or beyond the range of
+// a double. The writer's string escaper is exposed too: traces, golden
+// sets and fuzz artifacts write their strings through it.
 #ifndef SNB_OBS_REPORT_H_
 #define SNB_OBS_REPORT_H_
 
@@ -134,7 +123,7 @@ struct ComplianceSection {
 
 /// Outcome of a golden-set replay (tools/validate_run). Mirrors
 /// snb::validate::ReplayOutcome — obs cannot depend on the validate layer,
-/// so the tool converts. New in schema v3.
+/// so the tool converts.
 struct ValidationSection {
   bool passed = false;
   std::string golden_path;
@@ -149,7 +138,7 @@ struct ValidationSection {
 };
 
 /// Build/run provenance stamped into every report so counter numbers are
-/// comparable across machines and configs. New in schema v4.
+/// comparable across machines and configs.
 struct ProvenanceSection {
   std::string git_sha;     // HEAD at configure time; "unknown" outside git.
   std::string compiler;    // e.g. "GNU 13.2.0".
@@ -161,7 +150,7 @@ struct ProvenanceSection {
 /// compile definitions on the obs library).
 ProvenanceSection BuildProvenance();
 
-/// Hardware-counter subsystem outcome for the run. New in schema v4.
+/// Hardware-counter subsystem outcome for the run.
 struct PerfSection {
   std::string backend;  // perf::BackendName: disabled / noop / linux.
   bool counters_available = false;
@@ -172,7 +161,7 @@ struct PerfSection {
 PerfSection CurrentPerfSection();
 
 /// Trace-buffer accounting: how much of the run trace was retained and,
-/// per lane, how much a wrapped ring dropped. New in schema v4.
+/// per lane, how much a wrapped ring dropped.
 struct TraceStatsSection {
   uint64_t recorded = 0;
   uint64_t dropped = 0;
@@ -186,10 +175,11 @@ struct TraceStatsSection {
 };
 
 /// Sampling-CPU-profiler outcome: backend state, conserved sample
-/// accounting and the hottest frames per operation type. New in schema
-/// v5. The accounting invariants (captured == attributed + unattributed
-/// + dropped, self-overhead bounded by task-clock) are checked by
-/// ValidateReportJson and gated by scripts/compare_reports.py.
+/// accounting and the hottest frames per operation type. The accounting
+/// invariants (captured == attributed + unattributed + dropped,
+/// self-overhead bounded by task-clock) are checked by ValidateReportJson;
+/// scripts/check.sh's driver smoke and CI's profiled-run job also hold
+/// the self-overhead to 2% of task clock.
 struct ProfileSection {
   std::string backend;  // prof::BackendName: disabled / noop / timer.
   std::string message;  // prof::BackendMessage at report time.
@@ -232,7 +222,7 @@ struct RunReport {
   ProvenanceSection provenance;
   bool has_perf = false;
   PerfSection perf;
-  /// Slow-query dossiers (emitted when non-empty). New in schema v4.
+  /// Slow-query dossiers (emitted when non-empty).
   std::vector<SlowQueryDossier> dossiers;
   bool has_trace_stats = false;
   TraceStatsSection trace_stats;
@@ -246,7 +236,7 @@ struct RunReport {
 std::string ToJson(const RunReport& report);
 
 /// Structural validation of an emitted report.json: parses, checks the
-/// schema tag (v1 through v5), a non-empty "ops" array, per-op monotone
+/// schema tag (snb-report-v5 only), a non-empty "ops" array, per-op monotone
 /// percentiles (p50 <= p90 <= p95 <= p99 <= max), and — when present —
 /// compliance-section consistency (fraction in [0,1], on-time count not
 /// exceeding scheduled count), validation-section consistency (a passing

@@ -44,8 +44,9 @@
 // The pin is also a *capability token* (see DESIGN.md "Static analysis &
 // concurrency discipline"): `EpochPin` cannot be default-constructed or
 // copied, only obtained from `EpochManager::pin()`, and every snapshot-read
-// entry point of the store takes a `const EpochPin&`. "Read without a pin"
-// is therefore a compile error, not a latent use-after-reclaim.
+// entry point of the store takes a `const store::ReadGuard&`, which holds
+// one. "Read without a pin" is therefore a compile error, not a latent
+// use-after-reclaim.
 //
 // Writers are expected to be externally serialized per data structure
 // (the store's write stripes serialize the writers of each list); several

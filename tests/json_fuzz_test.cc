@@ -4,7 +4,8 @@
 // (validate::MismatchFromJson) and the report validator
 // (obs::ValidateReportJson). Real documents from each writer are cut,
 // bit-flipped, spliced and nested deep under fixed seeds; every variant
-// must either load or fail with an error message. scripts/check.sh and CI
+// must either load or fail with an error message; hand-written numbers
+// outside RFC 8259's grammar must fail. scripts/check.sh and CI
 // also run this test under AddressSanitizer and UndefinedBehaviorSanitizer
 // (ctest -L hostile), where an out-of-bounds read or a stack overflow
 // aborts it.
@@ -218,6 +219,54 @@ TEST(JsonFuzzTest, NestingIsCappedAtTheDocumentedDepth) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("nesting too deep"), std::string::npos)
       << s.message();
+}
+
+// Numbers follow RFC 8259 exactly. strtod also reads NaN, infinities,
+// hex, a leading '+' or '.' and leading zeros, and a value past the range
+// of a double becomes infinity; each must fail to parse.
+TEST(JsonFuzzTest, NumbersFollowRfc8259) {
+  obs::JsonValue v;
+  std::string error;
+  for (const char* text :
+       {"0", "-0", "7", "-12", "0.5", "-0.25", "10e3", "1E+5", "2.5e-3",
+        "1.7976931348623157e308", "4.9406564584124654e-324",
+        "18446744073709551615", "[0,-1.5e2,3]"}) {
+    EXPECT_TRUE(obs::ParseJson(text, &v, &error)) << text << ": " << error;
+  }
+  for (const char* text :
+       {"NaN", "-NaN", "nan", "Infinity", "-Infinity", "inf", "-inf", "0x10",
+        "-0x10", "+1", ".5", "-.5", "01", "-01", "00", "1.", "1.e5", "1e",
+        "1e+", "-", "1e999", "-1e999", "[1,NaN]", "{\"a\":Infinity}"}) {
+    error.clear();
+    bool parsed = obs::ParseJson(text, &v, &error);
+    EXPECT_FALSE(parsed) << text;
+    EXPECT_TRUE(parsed || !error.empty()) << text;
+  }
+}
+
+// A number that is not finite would pass every range check of the report
+// validator, since NaN compares false.
+TEST(JsonFuzzTest, ReportsWithNonJsonNumbersAreRejected) {
+  auto op_row = [](const char* count, const char* percentile) {
+    std::string p = percentile;
+    return std::string("{\"schema\":\"snb-report-v5\",\"ops\":[{\"op\":\"x\","
+                       "\"count\":") +
+           count + ",\"p50_ms\":" + p + ",\"p90_ms\":" + p +
+           ",\"p95_ms\":" + p + ",\"p99_ms\":" + p + ",\"max_ms\":" + p +
+           "}]}";
+  };
+  ASSERT_TRUE(obs::ValidateReportJson(op_row("2", "1.5")).ok());
+  EXPECT_FALSE(obs::ValidateReportJson(op_row("NaN", "NaN")).ok());
+  EXPECT_FALSE(obs::ValidateReportJson(op_row("Infinity", "1.5")).ok());
+  EXPECT_FALSE(obs::ValidateReportJson(op_row("0x10", "1.5")).ok());
+
+  std::string report = ReportJson();
+  ASSERT_TRUE(obs::ValidateReportJson(report).ok());
+  const std::string captured = "\"captured\":0";
+  size_t at = report.find(captured, report.find("\"profile\""));
+  ASSERT_NE(at, std::string::npos);
+  report.replace(at, captured.size(), "\"captured\":NaN");
+  EXPECT_FALSE(obs::ValidateReportJson(report).ok());
 }
 
 }  // namespace

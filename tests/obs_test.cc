@@ -431,16 +431,16 @@ TEST(ReportTest, ValidationCatchesBrokenReports) {
   EXPECT_FALSE(ValidateReportJson("{").ok());
   // Empty ops table.
   EXPECT_FALSE(
-      ValidateReportJson("{\"schema\":\"snb-report-v1\",\"ops\":[]}").ok());
+      ValidateReportJson("{\"schema\":\"snb-report-v5\",\"ops\":[]}").ok());
   // Non-monotone percentiles.
   EXPECT_FALSE(ValidateReportJson(
-                   "{\"schema\":\"snb-report-v1\",\"ops\":[{\"op\":\"x\","
+                   "{\"schema\":\"snb-report-v5\",\"ops\":[{\"op\":\"x\","
                    "\"count\":2,\"p50_ms\":5.0,\"p90_ms\":1.0,"
                    "\"p95_ms\":6.0,\"p99_ms\":7.0,\"max_ms\":8.0}]}")
                    .ok());
   // Zero-count row.
   EXPECT_FALSE(ValidateReportJson(
-                   "{\"schema\":\"snb-report-v1\",\"ops\":[{\"op\":\"x\","
+                   "{\"schema\":\"snb-report-v5\",\"ops\":[{\"op\":\"x\","
                    "\"count\":0,\"p50_ms\":1.0,\"p90_ms\":1.0,"
                    "\"p95_ms\":1.0,\"p99_ms\":1.0,\"max_ms\":1.0}]}")
                    .ok());
@@ -546,14 +546,23 @@ TEST(ReportTest, ValidationChecksComplianceConsistency) {
   EXPECT_FALSE(ValidateReportJson(ToJson(report)).ok());
 }
 
-TEST(ReportTest, ValidatorStillAcceptsV1Documents) {
-  // A v1 reader's document — no compliance section, old schema tag — must
-  // keep validating, so archived baselines stay comparable.
-  EXPECT_TRUE(ValidateReportJson(
-                  "{\"schema\":\"snb-report-v1\",\"ops\":[{\"op\":\"x\","
-                  "\"count\":2,\"p50_ms\":1.0,\"p90_ms\":2.0,"
-                  "\"p95_ms\":3.0,\"p99_ms\":4.0,\"max_ms\":5.0}]}")
-                  .ok());
+TEST(ReportTest, ValidatorAcceptsOnlyTheV5Tag) {
+  // The writer emits v5 and nothing reads an older report, so the same
+  // document under an earlier (or later) tag is rejected.
+  auto with_schema = [](const std::string& tag) {
+    return ValidateReportJson("{\"schema\":\"" + tag +
+                              "\",\"ops\":[{\"op\":\"x\","
+                              "\"count\":2,\"p50_ms\":1.0,\"p90_ms\":2.0,"
+                              "\"p95_ms\":3.0,\"p99_ms\":4.0,"
+                              "\"max_ms\":5.0}]}");
+  };
+  EXPECT_TRUE(with_schema("snb-report-v5").ok());
+  for (const char* tag : {"snb-report-v1", "snb-report-v2", "snb-report-v3",
+                          "snb-report-v4", "snb-report-v6"}) {
+    util::Status s = with_schema(tag);
+    EXPECT_FALSE(s.ok()) << tag;
+    EXPECT_NE(s.message().find("schema tag"), std::string::npos) << tag;
+  }
 }
 
 // ---- Profile section (v5) -------------------------------------------------
